@@ -1,7 +1,8 @@
 """Command-line orchestration for the verification suites.
 
 Exit codes: 0 all assertions passed, 1 an exact assertion failed,
-2 a resource bound or precision instability aborted the run.
+2 a resource bound or precision instability aborted the run, 3 the run
+was inconclusive because nothing could be verified.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ def _finish(cfg: RunConfig, name: str, payload: dict, lines: list) -> None:
 
 
 def _run(cfg, name, fn):
+    """Run one suite; its job returns ok as True, False or None (inconclusive)."""
     try:
         payload, lines, ok = fn()
     except (ResourceBoundExceeded, PrecisionUnstable) as exc:
@@ -42,6 +44,9 @@ def _run(cfg, name, fn):
         click.echo(f"assertion failed: {exc}", err=True)
         sys.exit(1)
     _finish(cfg, name, payload, lines)
+    if ok is None:
+        click.echo(f"INCONCLUSIVE: {name} verified nothing", err=True)
+        sys.exit(3)
     if not ok:
         click.echo(f"FAILED: {name}", err=True)
         sys.exit(1)
@@ -268,7 +273,12 @@ def cohomology(cfg: RunConfig, group_name, smax, tmin, tmax):
 @click.option("--mod", "modulus", default=None, type=int)
 @click.pass_obj
 def resolution(cfg: RunConfig, levels, modulus):
-    """Finite-level resolution: construction, Nakayama, pro-triviality."""
+    """Finite-level resolution: construction, Nakayama, pro-triviality.
+
+    Exit codes: 0 pass, 1 an exact assertion failed, 2 a resource or
+    precision abort, 3 INCONCLUSIVE: no level could be constructed, so
+    nothing was verified.
+    """
     if modulus is not None:
         cfg.modulus = modulus
     lvls = sorted((parse_level(x) for x in levels.split(",")), reverse=True)
@@ -346,7 +356,9 @@ def resolution(cfg: RunConfig, levels, modulus):
             lines.append(
                 f"  pro-trivial (eventually zero in range): {transitions['pro_trivial']}"
             )
-        lines.append("PASS" if ok else "FAIL")
+        if ok and all("construction_refused" in d for d in per_level.values()):
+            ok = None
+        lines.append({True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[ok])
         payload = {"levels": per_level, "transitions": transitions, "modulus": cfg.modulus}
         return payload, lines, ok
 
@@ -434,9 +446,7 @@ def sylow_cohomology(cfg: RunConfig, levels, nmax):
             mats = minres.inflation_matrices(
                 resolutions[deepest], resolutions[lv], proj, nmax
             )
-            through_ranks[str(lv)] = [1] + [
-                int(np.linalg.matrix_rank(m.astype(float))) for m in mats
-            ]
+            through_ranks[str(lv)] = [1] + [minres.rank_f3(m) for m in mats]
         raw = {str(lv): resolutions[lv].ranks for lv in lvls}
         # colimit monotonicity: through-image ranks are non-decreasing in the
         # level and bounded by (or flagged against) the detected target

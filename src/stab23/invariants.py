@@ -536,16 +536,8 @@ def localized_fixed_rank(
 
 
 
-def tame_fixed_rank(
-    group: str,
-    internal_degree: int,
-    u1_window: int,
-    precision: int = witt.DEFAULT_PRECISION,
-) -> int:
-    """Z3-rank of the group-fixed part of the degree piece, u1-truncated."""
-    if internal_degree % 2 != 0:
-        return 0
-    j = -internal_degree // 2
+def _tame_ops(group: str, j: int, u1_window: int, precision: int) -> list:
+    """Generator matrices on the u1-truncated piece spanned by u1^i u^j."""
     monos = [(i, j) for i in range(u1_window + 1)]
     gens = _tame_gen_elements(group, precision)
     n = len(monos)
@@ -564,12 +556,32 @@ def tame_fixed_rank(
                     v[2 * row + 1] = c.c1
                 A[:, 2 * col + k] = v
         ops.append(A)
-    ker = linalg.fixed_basis(ops, precision)
-    ker2 = linalg.fixed_basis(
-        [op for op in ops], precision
-    )  # ops are precision-bound; stability handled by caller re-run
-    assert ker.shape[0] == ker2.shape[0]
-    return ker.shape[0]
+    return ops
+
+
+def tame_fixed_rank(
+    group: str,
+    internal_degree: int,
+    u1_window: int,
+    precision: int = witt.DEFAULT_PRECISION,
+) -> int:
+    """Z3-rank of the group-fixed part of the degree piece, u1-truncated.
+
+    The rank is recomputed from operators rebuilt at precision N+2 and
+    must agree.
+    """
+    if internal_degree % 2 != 0:
+        return 0
+    j = -internal_degree // 2
+    rank = linalg.fixed_basis(_tame_ops(group, j, u1_window, precision), precision).shape[0]
+    hi = precision + 2
+    rank2 = linalg.fixed_basis(_tame_ops(group, j, u1_window, hi), hi).shape[0]
+    if rank != rank2:
+        raise PrecisionUnstable(
+            f"invariant rank changed {rank} -> {rank2} at N+2 "
+            f"({group}, degree {internal_degree})"
+        )
+    return rank
 
 
 def predicted_tame_rank(group: str, internal_degree: int, u1_window: int) -> int:

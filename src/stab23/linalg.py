@@ -10,6 +10,7 @@ arrays, a linear map R^a -> R^b is a matrix of shape (b, a) acting by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,20 +19,45 @@ def modulus(m: int) -> int:
     return 3**m
 
 
-def val3(x: int, m: int) -> int:
-    """3-adic valuation of x mod 3^m, capped at m (val3(0) == m)."""
-    x = int(x) % (3**m)
-    if x == 0:
-        return m
-    v = 0
-    while x % 3 == 0:
-        x //= 3
-        v += 1
-    return v
+def _check_exact(n: int, m: int) -> None:
+    """Refuse sizes at which int64 arithmetic could wrap.
+
+    Entries stay in [0, 3^m) and a product sums at most n terms, so the
+    routines here are exact while n * 3^(2m) < 2^63.
+    """
+    if n * 9**m >= 2**63:
+        raise ValueError(
+            f"int64 bound n * 3^(2m) < 2^63 fails for n = {n} columns, m = {m}"
+        )
+
+
+_VAL_TABLE_MAX_M = 10
+
+
+@lru_cache(maxsize=None)
+def _val_table(m: int) -> np.ndarray:
+    """3-adic valuations of 0 .. 3^m - 1, with 0 mapped to m + 1."""
+    T = np.zeros(3**m, dtype=np.int64)
+    for v in range(1, m):
+        T[:: 3**v] = v
+    T[0] = m + 1
+    T.flags.writeable = False
+    return T
+
+
+def valuations(X: np.ndarray, m: int) -> np.ndarray:
+    """Entrywise 3-adic valuations of X, entries in [0, 3^m); 0 maps to m + 1."""
+    if m <= _VAL_TABLE_MAX_M:
+        return _val_table(m)[X]
+    # split off the low 3^k digits so the tables stay small for large m
+    k = _VAL_TABLE_MAX_M
+    low = _val_table(k)[X % 3**k]
+    return np.where(low <= k, low, k + valuations(X // 3**k, m - k))
 
 
 def _as_matrix(rows, m: int) -> np.ndarray:
     A = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+    _check_exact(A.shape[-1], m)
     if A.size == 0:
         return A.reshape(0, A.shape[1] if A.ndim == 2 else 0)
     return A % modulus(m)
@@ -50,11 +76,6 @@ class HowellForm:
     def log3_size(self, m: int) -> int:
         """log_3 of the number of elements of the span."""
         return sum(m - v for v in self.pivot_vals)
-
-
-def _leading(row: np.ndarray) -> int:
-    nz = np.nonzero(row)[0]
-    return int(nz[0]) if nz.size else -1
 
 
 def rref_f3(A: np.ndarray) -> tuple:
@@ -119,51 +140,47 @@ def howell(rows, m: int) -> HowellForm:
         R, pivots = rref_f3(A)
         return HowellForm(R, pivots, [0] * len(pivots))
     ncols = A.shape[1]
-    buckets: dict = {}
-
-    def push(row):
-        lead = _leading(row)
-        if lead >= 0:
-            buckets.setdefault(lead, []).append(row)
-
-    for r in A:
-        push(r.copy())
-    placed = []  # (col, val, row)
+    # A holds the pending rows; every pending row vanishes left of ``col``
+    # and a spent row is zero, so the rows led by ``col`` are its nonzeros
+    piv_cols, piv_vals, piv_rows = [], [], []
     for col in range(ncols):
-        bucket = buckets.pop(col, None)
-        if not bucket:
+        idx = A[:, col].nonzero()[0]
+        if not idx.size:
             continue
-        vals = [val3(r[col], m) for r in bucket]
-        k = int(np.argmin(vals))
-        v = vals[k]
-        p = bucket.pop(k)
-        u = int(p[col]) // 3**v
-        p = (p * pow(u, -1, M)) % M
-        for r in bucket:
-            q = int(r[col]) // 3**v  # exact: v is minimal in the bucket
-            push((r - q * p) % M)
-        if v > 0:
-            push((3 ** (m - v) * p) % M)
-        placed.append((col, v, p))
-    # reduce entries above each pivot to their canonical range [0, 3^v)
-    for i, (col, v, p) in enumerate(placed):
-        for j in range(i):
-            q = int(placed[j][2][col]) // 3**v
-            if q:
-                placed[j] = (placed[j][0], placed[j][1], (placed[j][2] - q * p) % M)
-    if not placed:
+        vals = valuations(A[idx, col], m)
+        k = int(vals.argmin())
+        v = int(vals[k])
+        r = idx[k]
+        p = A[r] * pow(int(A[r, col]) // 3**v, -1, M) % M
+        # clear the column in every row that meets it; row r itself goes
+        # to zero and then holds 3^(m-v) p, which is zero when v == 0
+        q = (A[idx, col] // 3**v)[:, None]  # exact: v is minimal in the column
+        s = p.nonzero()[0]
+        idx = idx[:, None]
+        A[idx, s] = (A[idx, s] - q * p[s]) % M
+        A[r] = 3 ** (m - v) * p % M
+        piv_cols.append(col)
+        piv_vals.append(v)
+        piv_rows.append(p)
+    if not piv_rows:
         return HowellForm(np.zeros((0, ncols), dtype=np.int64), [], [])
-    return HowellForm(
-        np.array([p for _, _, p in placed], dtype=np.int64),
-        [c for c, _, _ in placed],
-        [v for _, v, _ in placed],
-    )
+    R = np.array(piv_rows, dtype=np.int64)
+    # reduce entries above each pivot to their canonical range [0, 3^v)
+    for i, (col, v) in enumerate(zip(piv_cols, piv_vals)):
+        q = R[:i, col] // 3**v
+        t = q.nonzero()[0]
+        if t.size:
+            s = R[i].nonzero()[0]
+            R[t[:, None], s] = (R[t[:, None], s] - q[t, None] * R[i, s]) % M
+    return HowellForm(R, piv_cols, piv_vals)
 
 
 def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     """Canonical remainder of ``vec`` under the Howell basis ``H``."""
     M = modulus(m)
-    r = np.asarray(vec, dtype=np.int64).copy() % M
+    r = np.asarray(vec, dtype=np.int64).copy()
+    _check_exact(r.size, m)
+    r %= M
     if m == 1:
         if H.rows.size:
             coeffs = r[np.asarray(H.pivot_cols, dtype=np.int64)]
@@ -315,50 +332,51 @@ def smith_kernel(A, m: int):
     true divisor valuation lies in [m, infinity).  Callers re-run at a
     higher precision to certify that assumption.
 
+    Each pivot is an entry of least valuation in the active block (the
+    rows and columns not yet used), the first one in row-major order.
+    Only the active block is searched, and only the rows and columns a
+    pivot meets are updated.
+
     Returns (kernel_rows, divisor_vals).
     """
     M = modulus(m)
-    A = _as_matrix(A, m)
-    b, a = A.shape
-    W = A.copy()
+    W = _as_matrix(A, m)
+    b, a = W.shape
     C = np.eye(a, dtype=np.int64)
-    used_rows: list = []
-    used_cols: list = []
+    # valuations of W on the active block; zero reads m + 1, and a used
+    # row or column reads m + 2, so argmin scans in row-major order
+    V = valuations(W, m)
     divisors = []
-    while True:
-        mask = np.ones_like(W, dtype=bool)
-        if used_rows:
-            mask[used_rows, :] = False
-        if used_cols:
-            mask[:, used_cols] = False
-        sub = np.where(mask, W, 0)
-        if not sub.any():
+    while V.size:
+        i, j = divmod(int(V.argmin()), a)
+        v = int(V[i, j])
+        if v > m:  # the active block is zero
             break
-        # pivot with minimal valuation in the remaining submatrix
-        flat = sub.ravel()
-        nz = np.nonzero(flat)[0]
-        vals = np.array([val3(int(flat[i]), m) for i in nz])
-        pos = nz[int(np.argmin(vals))]
-        i, j = divmod(int(pos), a)
-        v = val3(int(W[i, j]), m)
-        u = int(W[i, j]) // 3**v
-        W[i, :] = (W[i, :] * pow(u, -1, M)) % M
+        W[i] = W[i] * pow(int(W[i, j]) // 3**v, -1, M) % M
         # clear row i by column operations (tracked in C)
-        q = W[i, :] // 3**v
+        q = W[i] // 3**v
         q[j] = 0
-        if q.any():
-            W = (W - np.outer(W[:, j], q)) % M
-            C = (C - np.outer(C[:, j], q)) % M
-        # clear column j by row operations (untracked)
+        qc = q.nonzero()[0]
+        if qc.size:
+            q = q[qc]
+            rr = W[:, j].nonzero()[0][:, None]
+            W[rr, qc] = (W[rr, qc] - W[rr, j] * q) % M
+            V[rr, qc] = valuations(W[rr, qc], m)
+            rr = C[:, j].nonzero()[0][:, None]
+            C[rr, qc] = (C[rr, qc] - C[rr, j] * q) % M
+        # clear column j by row operations (untracked); row i is now
+        # 3^v e_j, so only column j changes, and it is retired below
         p = W[:, j] // 3**v
         p[i] = 0
-        if p.any():
-            W = (W - np.outer(p, W[i, :])) % M
-        used_rows.append(i)
-        used_cols.append(j)
+        pr = p.nonzero()[0][:, None]
+        if pr.size:
+            ci = W[i].nonzero()[0]
+            W[pr, ci] = (W[pr, ci] - p[pr] * W[i, ci]) % M
+        V[i] = m + 2
+        V[:, j] = m + 2
         divisors.append(v)
-    zero_cols = [j for j in range(a) if not W[:, j].any()]
-    if not zero_cols:
+    zero_cols = (~W.any(axis=0)).nonzero()[0]
+    if not zero_cols.size:
         return np.zeros((0, a), dtype=np.int64), divisors
     ker = C[:, zero_cols].T % M
     return ker, divisors

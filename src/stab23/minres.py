@@ -148,6 +148,11 @@ def _block_augment(v: np.ndarray, p: int, rank: int) -> np.ndarray:
     return v.reshape(rank, p).sum(axis=1) % 3
 
 
+def rank_f3(A: np.ndarray) -> int:
+    """Rank over F3 of an integer matrix, read mod 3."""
+    return len(linalg.rref_f3(A)[1])
+
+
 def inflation_matrices(
     res_big: MinimalResolution,
     res_small: MinimalResolution,

@@ -1,0 +1,147 @@
+"""The Z/3^m elimination loops of ``stab23.linalg`` as first written.
+
+``howell`` and ``smith_kernel`` below are the row-by-row versions that
+``stab23.linalg`` replaced with active-submatrix elimination; tests
+compare the two for exact equality.  They are a test oracle only.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from stab23.linalg import HowellForm, _as_matrix, modulus, rref_f3
+
+
+def val3(x: int, m: int) -> int:
+    """3-adic valuation of x mod 3^m, capped at m (val3(0) == m)."""
+    x = int(x) % (3**m)
+    if x == 0:
+        return m
+    v = 0
+    while x % 3 == 0:
+        x //= 3
+        v += 1
+    return v
+
+
+
+def _leading(row: np.ndarray) -> int:
+    nz = np.nonzero(row)[0]
+    return int(nz[0]) if nz.size else -1
+
+
+
+def howell(rows, m: int) -> HowellForm:
+    """Howell normal form of the row span of ``rows`` over Z/3^m.
+
+    The returned rows satisfy the Howell property: every span element
+    whose first j coordinates vanish is a combination of the returned
+    rows whose pivots lie beyond column j.
+    """
+    M = modulus(m)
+    A = _as_matrix(rows, m)
+    if A.size == 0:
+        return HowellForm(A.reshape(0, A.shape[1] if A.ndim == 2 else 0), [], [])
+    if m == 1:
+        R, pivots = rref_f3(A)
+        return HowellForm(R, pivots, [0] * len(pivots))
+    ncols = A.shape[1]
+    buckets: dict = {}
+
+    def push(row):
+        lead = _leading(row)
+        if lead >= 0:
+            buckets.setdefault(lead, []).append(row)
+
+    for r in A:
+        push(r.copy())
+    placed = []  # (col, val, row)
+    for col in range(ncols):
+        bucket = buckets.pop(col, None)
+        if not bucket:
+            continue
+        vals = [val3(r[col], m) for r in bucket]
+        k = int(np.argmin(vals))
+        v = vals[k]
+        p = bucket.pop(k)
+        u = int(p[col]) // 3**v
+        p = (p * pow(u, -1, M)) % M
+        for r in bucket:
+            q = int(r[col]) // 3**v  # exact: v is minimal in the bucket
+            push((r - q * p) % M)
+        if v > 0:
+            push((3 ** (m - v) * p) % M)
+        placed.append((col, v, p))
+    # reduce entries above each pivot to their canonical range [0, 3^v)
+    for i, (col, v, p) in enumerate(placed):
+        for j in range(i):
+            q = int(placed[j][2][col]) // 3**v
+            if q:
+                placed[j] = (placed[j][0], placed[j][1], (placed[j][2] - q * p) % M)
+    if not placed:
+        return HowellForm(np.zeros((0, ncols), dtype=np.int64), [], [])
+    return HowellForm(
+        np.array([p for _, _, p in placed], dtype=np.int64),
+        [c for c, _, _ in placed],
+        [v for _, v, _ in placed],
+    )
+
+
+
+def smith_kernel(A, m: int):
+    """Saturated kernel of an integer matrix known modulo 3^m.
+
+    Diagonalizes A with unimodular row and column operations.  Divisor
+    valuations v < m are exact for any lift of A; the returned rows span
+    the reduction mod 3^m of the Z_3-kernel of any lift, assuming no
+    true divisor valuation lies in [m, infinity).  Callers re-run at a
+    higher precision to certify that assumption.
+
+    Returns (kernel_rows, divisor_vals).
+    """
+    M = modulus(m)
+    A = _as_matrix(A, m)
+    b, a = A.shape
+    W = A.copy()
+    C = np.eye(a, dtype=np.int64)
+    used_rows: list = []
+    used_cols: list = []
+    divisors = []
+    while True:
+        mask = np.ones_like(W, dtype=bool)
+        if used_rows:
+            mask[used_rows, :] = False
+        if used_cols:
+            mask[:, used_cols] = False
+        sub = np.where(mask, W, 0)
+        if not sub.any():
+            break
+        # pivot with minimal valuation in the remaining submatrix
+        flat = sub.ravel()
+        nz = np.nonzero(flat)[0]
+        vals = np.array([val3(int(flat[i]), m) for i in nz])
+        pos = nz[int(np.argmin(vals))]
+        i, j = divmod(int(pos), a)
+        v = val3(int(W[i, j]), m)
+        u = int(W[i, j]) // 3**v
+        W[i, :] = (W[i, :] * pow(u, -1, M)) % M
+        # clear row i by column operations (tracked in C)
+        q = W[i, :] // 3**v
+        q[j] = 0
+        if q.any():
+            W = (W - np.outer(W[:, j], q)) % M
+            C = (C - np.outer(C[:, j], q)) % M
+        # clear column j by row operations (untracked)
+        p = W[:, j] // 3**v
+        p[i] = 0
+        if p.any():
+            W = (W - np.outer(p, W[i, :])) % M
+        used_rows.append(i)
+        used_cols.append(j)
+        divisors.append(v)
+    zero_cols = [j for j in range(a) if not W[:, j].any()]
+    if not zero_cols:
+        return np.zeros((0, a), dtype=np.int64), divisors
+    ker = C[:, zero_cols].T % M
+    return ker, divisors
+

@@ -214,7 +214,7 @@ def test_criterion_8_sylow_cohomology():
         pos = {g: i for i, g in enumerate(sorted(int(i) for i in fqs[lv].sylow_indices()))}
         proj = np.array([pos[int(pf[g])] for g in syl_hi], dtype=np.int64)
         mats = minres.inflation_matrices(resolutions[deepest], resolutions[lv], proj, 4)
-        through[lv] = [1] + [int(np.linalg.matrix_rank(m.astype(float))) for m in mats]
+        through[lv] = [1] + [minres.rank_f3(m) for m in mats]
     ok = True
     stabilization = {}
     for n in range(5):

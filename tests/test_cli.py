@@ -86,3 +86,12 @@ def test_tower_chart_command(runner, tmp_path):
     assert r.exit_code == 0
     data = json.loads((tmp_path / "chart-tower.json").read_text())
     assert data["vanishing_inputs"]["pi25_shifted_48"] == 0
+
+
+def test_resolution_with_every_construction_refused_is_inconclusive(runner, tmp_path):
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "3/2", "--mod", "1"])
+    assert r.exit_code == 3, r.output
+    assert "INCONCLUSIVE" in r.output
+    assert "PASS" not in r.output
+    data = json.loads((tmp_path / "resolution.json").read_text())
+    assert "construction_refused" in data["levels"]["3/2"]

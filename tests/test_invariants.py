@@ -3,6 +3,7 @@ import pytest
 from stab23 import invariants as inv
 from stab23 import stabilizer as stab
 from stab23 import witt
+from stab23.errors import PrecisionUnstable
 from stab23.polys import LocPoly, TamePoly, WPoly, sigma3_rho, substitute_x3
 
 N = 8
@@ -173,3 +174,28 @@ def test_localized_fixed_rank_matches_window_hilbert(t):
     r = GradedModel("SrhoLoc", 4).denominator(t)
     got = inv.localized_fixed_rank("C3", t, precision=4)
     assert got == 2 * inv.hilbert_srho_c3(6 * r - t)
+
+
+def test_tame_fixed_rank_rechecks_at_higher_precision(monkeypatch):
+    seen = []
+    real = inv.linalg.fixed_basis
+
+    def spy(ops, m):
+        seen.append((m, max(int(op.max()) for op in ops)))
+        return real(ops, m)
+
+    monkeypatch.setattr(inv.linalg, "fixed_basis", spy)
+    assert inv.tame_fixed_rank("SD16", -8, u1_window=10, precision=5) == 3
+    # the second run rebuilds the operators at N+2, not only the modulus
+    (m1, top1), (m2, top2) = seen
+    assert (m1, m2) == (5, 7)
+    assert top1 < 3**5 <= top2 < 3**7
+
+
+def test_tame_fixed_rank_refuses_an_unstable_rank(monkeypatch):
+    real = inv.linalg.fixed_basis
+    monkeypatch.setattr(
+        inv.linalg, "fixed_basis", lambda ops, m: real(ops, m)[: 1 if m > 5 else None]
+    )
+    with pytest.raises(PrecisionUnstable, match="at N\\+2"):
+        inv.tame_fixed_rank("SD16", -8, u1_window=10, precision=5)

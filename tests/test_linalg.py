@@ -150,3 +150,25 @@ def test_free_rank():
     rows = np.array([[1, 0, 0], [0, 3, 0]], dtype=np.int64)
     assert linalg.free_rank(rows, 2) == 1
     assert linalg.free_rank(np.eye(3, dtype=np.int64), 2) == 3
+
+
+def test_valuations_table_and_split_lookup():
+    X = np.array([0, 1, 3, 9, 18, 54, 80], dtype=np.int64)
+    assert linalg.valuations(X, 4).tolist() == [5, 0, 1, 2, 2, 3, 0]
+    # beyond the table size the low and high base-3 digits are looked up apart
+    Y = np.array([0, 3**11, 2 * 3**10, 5, 3**9], dtype=np.int64)
+    assert linalg.valuations(Y, 12).tolist() == [13, 11, 10, 0, 9]
+
+
+def test_int64_bound_is_enforced():
+    # n * 3^(2m) < 2^63 holds for n = 6, m = 19 and fails for n = 7
+    linalg.smith_kernel(np.ones((1, 6), dtype=np.int64), 19)
+    A = np.ones((1, 7), dtype=np.int64)
+    empty = linalg.HowellForm(np.zeros((0, 7), dtype=np.int64), [], [])
+    for call in (
+        lambda: linalg.howell(A, 19),
+        lambda: linalg.smith_kernel(A, 19),
+        lambda: linalg.reduce_mod_span(empty, A[0], 19),
+    ):
+        with pytest.raises(ValueError, match=r"n = 7 columns, m = 19"):
+            call()

@@ -64,9 +64,17 @@ def test_inflation_c3_to_c9():
     res3 = minres.minimal_resolution(G3, 3)
     proj = np.array([i % 3 for i in range(9)], dtype=np.int64)
     mats = minres.inflation_matrices(res9, res3, proj, 3)
-    ranks = [int(np.linalg.matrix_rank(m.astype(float))) for m in mats]
+    ranks = [minres.rank_f3(m) for m in mats]
     assert ranks[0] == 1
     assert ranks[1] == 0
+
+
+def test_rank_is_taken_over_f3():
+    # rank 2 over R, but the rows agree up to the unit 2 mod 3
+    assert minres.rank_f3(np.array([[1, 2], [2, 1]])) == 1
+    assert minres.rank_f3(np.array([[1, 2], [0, 3]])) == 1
+    assert minres.rank_f3(np.eye(3, dtype=np.int64)) == 3
+    assert minres.rank_f3(np.zeros((0, 4), dtype=np.int64)) == 0
 
 
 def test_target_poincare_series():
