@@ -1,8 +1,9 @@
 """Command-line orchestration for the verification suites.
 
 Exit codes: 0 all assertions passed, 1 an exact assertion failed,
-2 a resource bound or precision instability aborted the run, 3 the run
-was inconclusive because nothing could be verified.
+2 a resource bound or precision instability aborted the run, or an
+input was malformed (a usage error), 3 the run was inconclusive because
+nothing could be verified.
 """
 
 from __future__ import annotations
@@ -21,8 +22,30 @@ from . import quotients
 from . import reportio
 from . import resolution as res_mod
 from . import stabilizer as stab
-from .config import RunConfig, parse_level, parse_stems
-from .errors import CheckFailed, PrecisionUnstable, ResourceBoundExceeded
+from .config import RunConfig, parse_level, parse_levels, parse_stems
+from .errors import CheckFailed, ConstructionRefused, PrecisionUnstable, ResourceBoundExceeded
+
+
+def _parsed(parse):
+    """Click callback that parses an option and reports a bad value as a
+    usage error (exit 2)."""
+
+    def callback(ctx, param, value):
+        if value is None:
+            return None
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from exc
+
+    return callback
+
+
+def _validate(cfg: RunConfig) -> None:
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _finish(cfg: RunConfig, name: str, payload: dict, lines: list) -> None:
@@ -55,9 +78,10 @@ def _run(cfg, name, fn):
 @click.group()
 @click.option("--precision", default=8, show_default=True, help="3-adic precision N")
 @click.option("--mod", "modulus", default=1, show_default=True, help="modulus exponent m")
-@click.option("--level", default="2", show_default=True, help="quotient level (half-integer)")
+@click.option("--level", default="2", show_default=True, callback=_parsed(parse_level),
+              help="quotient level (half-integer)")
 @click.option("--max-degree", default=48, show_default=True)
-@click.option("--stems", default="-1..73", show_default=True)
+@click.option("--stems", default="-1..73", show_default=True, callback=_parsed(parse_stems))
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["json", "text", "svg"]))
 @click.option("--out", "out_dir", default="out", show_default=True)
@@ -67,13 +91,13 @@ def main(ctx, precision, modulus, level, max_degree, stems, fmt, out_dir):
     cfg = RunConfig(
         precision=precision,
         modulus=modulus,
-        level=parse_level(level),
+        level=level,
         max_degree=max_degree,
-        stems=parse_stems(stems),
+        stems=stems,
         out_dir=Path(out_dir),
         fmt=fmt,
     )
-    cfg.validate()
+    _validate(cfg)
     ctx.obj = cfg
 
 
@@ -103,7 +127,7 @@ def group_verify_relations(cfg: RunConfig):
 
 
 @group.command("subgroup")
-@click.argument("name")
+@click.argument("name", metavar="NAME", type=click.Choice(list(stab.SUBGROUP_ORDERS)))
 @click.pass_obj
 def group_subgroup(cfg: RunConfig, name):
     def job():
@@ -130,15 +154,15 @@ def group_subgroup(cfg: RunConfig, name):
 
 
 @group.command("quotient")
-@click.option("--level", default=None)
+@click.option("--level", default=None, callback=_parsed(parse_level))
 @click.option("--mod", "modulus", default=None, type=int)
 @click.pass_obj
 def group_quotient(cfg: RunConfig, level, modulus):
     if level is not None:
-        cfg.level = parse_level(level)
+        cfg.level = level
     if modulus is not None:
         cfg.modulus = modulus
-    cfg.validate()
+    _validate(cfg)
 
     def job():
         fq = quotients.finite_quotient(cfg.level, cfg.precision)
@@ -167,6 +191,12 @@ def group_quotient(cfg: RunConfig, level, modulus):
 @click.pass_obj
 def invariants(cfg: RunConfig, ring, group_name, max_degree):
     """Invariant rings of the graded models, with Hilbert comparisons."""
+    groups = inv.groups_for_ring(ring)
+    if group_name not in groups:
+        raise click.BadParameter(
+            f"{group_name!r} is not one of {', '.join(groups)} for --ring {ring}",
+            param_hint="'--group'",
+        )
     if max_degree is not None:
         cfg.max_degree = max_degree
 
@@ -215,7 +245,7 @@ def invariants(cfg: RunConfig, ring, group_name, max_degree):
 
 
 @main.command()
-@click.option("--group", "group_name", default="G24")
+@click.option("--group", "group_name", default="G24", type=click.Choice(list(coh.VARIANT_OPS)))
 @click.option("--smax", default=8, show_default=True)
 @click.option("--tmin", default=-24, show_default=True)
 @click.option("--tmax", default=24, show_default=True)
@@ -269,7 +299,7 @@ def cohomology(cfg: RunConfig, group_name, smax, tmin, tmax):
 
 
 @main.command()
-@click.option("--levels", default="5/2,2,3/2", show_default=True)
+@click.option("--levels", default="5/2,2,3/2", show_default=True, callback=_parsed(parse_levels))
 @click.option("--mod", "modulus", default=None, type=int)
 @click.pass_obj
 def resolution(cfg: RunConfig, levels, modulus):
@@ -281,7 +311,8 @@ def resolution(cfg: RunConfig, levels, modulus):
     """
     if modulus is not None:
         cfg.modulus = modulus
-    lvls = sorted((parse_level(x) for x in levels.split(",")), reverse=True)
+        _validate(cfg)
+    lvls = sorted(levels, reverse=True)
 
     def job():
         from . import linalg
@@ -293,7 +324,7 @@ def resolution(cfg: RunConfig, levels, modulus):
             ld = res_mod.prepare_level(fq, cfg.modulus)
             try:
                 cx = res_mod.construct_complex(fq, cfg.modulus, ld)
-            except CheckFailed as exc:
+            except ConstructionRefused as exc:
                 # shallow levels can lack the sign-isotypic generator; this
                 # is a reported outcome, the level still receives pushforwards
                 per_level[str(lv)] = {"construction_refused": str(exc)}
@@ -323,7 +354,15 @@ def resolution(cfg: RunConfig, levels, modulus):
                 "ok": level_ok,
             }
         transitions = None
-        if len(lvls) >= 2:
+        top = per_level[str(lvls[0])]
+        if len(lvls) >= 2 and "construction_refused" in top:
+            # the tower is built at the top level and pushed down, so a
+            # refused top level leaves the transitions unchecked: that is
+            # INCONCLUSIVE when no level was built, and FAIL otherwise,
+            # since the requested tower check did not run
+            transitions = {"construction_refused": top["construction_refused"]}
+            ok = False
+        elif len(lvls) >= 2:
             fqs = [quotients.finite_quotient(lv, cfg.precision) for lv in lvls]
             rep = res_mod.homology_pro_triviality(fqs, cfg.modulus)
             spans_full_level = lvls[0] - lvls[-1] >= 1
@@ -351,12 +390,14 @@ def resolution(cfg: RunConfig, levels, modulus):
                 f"interior homology {data['homology']['pos1']}/"
                 f"{data['homology']['pos2']}/{data['homology']['pos3']}"
             )
-        if transitions:
+        if transitions and "construction_refused" in transitions:
+            lines.append("  transitions: not checked, the top level's construction was refused")
+        elif transitions:
             lines.append(f"  transitions: per-step {transitions['step_zero']}")
             lines.append(
                 f"  pro-trivial (eventually zero in range): {transitions['pro_trivial']}"
             )
-        if ok and all("construction_refused" in d for d in per_level.values()):
+        if all("construction_refused" in d for d in per_level.values()):
             ok = None
         lines.append({True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[ok])
         payload = {"levels": per_level, "transitions": transitions, "modulus": cfg.modulus}
@@ -366,15 +407,16 @@ def resolution(cfg: RunConfig, levels, modulus):
 
 
 @main.command()
-@click.option("--group", "group_name", default=None)
+@click.option("--group", "group_name", default=None,
+              type=click.Choice(charts_mod.THREE_TORSION + charts_mod.TAME))
 @click.option("--tower", is_flag=True)
-@click.option("--stems", default=None)
+@click.option("--stems", default=None, callback=_parsed(parse_stems))
 @click.pass_obj
 def chart(cfg: RunConfig, group_name, tower, stems):
     """Spectral-sequence charts: E2 to E-infinity, or the tower layers."""
     if stems is not None:
-        cfg.stems = parse_stems(stems)
-        cfg.validate()
+        cfg.stems = stems
+        _validate(cfg)
 
     def tower_job():
         tc = charts_mod.tower_chart(cfg.stems)
@@ -416,14 +458,14 @@ def chart(cfg: RunConfig, group_name, tower, stems):
 
 
 @main.command("sylow-cohomology")
-@click.option("--levels", default="1,3/2,2", show_default=True)
+@click.option("--levels", default="1,3/2,2", show_default=True, callback=_parsed(parse_levels))
 @click.option("--nmax", default=4, show_default=True)
 @click.pass_obj
 def sylow_cohomology(cfg: RunConfig, levels, nmax):
     """dim H^n of the 3-Sylow quotients, with inflation tracking."""
     import numpy as np
 
-    lvls = sorted(parse_level(x) for x in levels.split(","))
+    lvls = sorted(levels)
 
     def job():
         resolutions = {}

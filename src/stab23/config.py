@@ -8,16 +8,28 @@ from pathlib import Path
 
 
 def parse_level(text) -> Fraction:
-    s = str(text).strip()
-    lv = Fraction(s) if "/" in s else Fraction(str(float(s))) if "." in s else Fraction(int(s))
-    if lv.denominator not in (1, 2) or lv < Fraction(1, 2):
+    try:
+        lv = Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        lv = None
+    if lv is None or lv.denominator not in (1, 2) or lv < Fraction(1, 2):
         raise ValueError(f"level must be a half-integer >= 1/2: {text}")
     return lv
 
 
+def parse_levels(text: str) -> list:
+    """Comma-separated levels, e.g. ``2,3/2,1``."""
+    return [parse_level(x) for x in str(text).split(",")]
+
+
 def parse_stems(text: str) -> tuple:
-    lo, _, hi = str(text).partition("..")
-    lo, hi = int(lo), int(hi)
+    lo, sep, hi = str(text).partition("..")
+    try:
+        if not sep:
+            raise ValueError
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"stems must read LO..HI with integer ends: {text}") from None
     if hi < lo:
         raise ValueError("empty stem window")
     return lo, hi

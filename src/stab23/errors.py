@@ -27,3 +27,11 @@ class PrecisionUnstable(Stab23Error):
 
 class CheckFailed(Stab23Error):
     """An exact identity or structural assertion did not hold."""
+
+
+class ConstructionRefused(CheckFailed):
+    """A construction found no admissible generator, so it was not built.
+
+    Unlike its parent class this is a reported outcome at shallow levels,
+    not a broken identity.
+    """

@@ -536,6 +536,19 @@ def localized_fixed_rank(
 
 
 
+def groups_for_ring(ring: str) -> tuple:
+    """Names of the groups whose invariants of ``ring`` can be computed:
+    the tame groups on the u1/u model, the cohomology variants on the
+    localized model, and the order-24 subgroups otherwise."""
+    if ring == "tame":
+        return tuple(TAME_GROUP_GENS)
+    if ring == "SrhoLoc":
+        from .cohomology import VARIANT_OPS
+
+        return tuple(VARIANT_OPS)
+    return tuple(GROUP_GENS)
+
+
 def _tame_ops(group: str, j: int, u1_window: int, precision: int) -> list:
     """Generator matrices on the u1-truncated piece spanned by u1^i u^j."""
     monos = [(i, j) for i in range(u1_window + 1)]

@@ -31,6 +31,22 @@ def _check_exact(n: int, m: int) -> None:
         )
 
 
+# rows per block of the F3 engine
+_F3_BLOCK = 128
+
+
+def _check_exact_f3(ncols: int) -> None:
+    """Refuse widths at which the F3 engine's float64 arithmetic could round.
+
+    The products multiply entries in {0, 1, 2} and sum at most ncols
+    terms, so they are exact integers while 4 * ncols < 2^53.  An entry
+    minus such a product lies within 4 * ncols + 2 of zero, and ``_mod3``
+    reduces it exactly below 2^51, which is the bound enforced.
+    """
+    if 4 * ncols + 2 >= 2**51:
+        raise ValueError(f"float64 bound 4 * ncols + 2 < 2^51 fails for ncols = {ncols}")
+
+
 _VAL_TABLE_MAX_M = 10
 
 
@@ -79,40 +95,20 @@ class HowellForm:
 
 
 def rref_f3(A: np.ndarray) -> tuple:
-    """Row-reduced echelon form over F3, fully vectorized.
+    """Reduced row echelon form over F3 of an integer matrix, read mod 3.
 
-    Returns (rows, pivot_cols); rows are the nonzero reduced rows.
+    Returns (rows, pivot_cols): the nonzero reduced rows, in the order of
+    their pivot columns, which is how one ``F3Space.add`` leaves them.
     """
-    W = (np.asarray(A, dtype=np.int64) % 3).astype(np.int8)
-    nrows, ncols = W.shape
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r >= nrows:
-            break
-        sub = W[r:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            W[[r, i]] = W[[i, r]]
-        if W[r, col] == 2:
-            W[r] = (2 * W[r]) % 3
-        colvals = W[:, col].copy()
-        colvals[r] = 0
-        mask = colvals != 0
-        if mask.any():
-            W[mask] = (W[mask] + np.outer((3 - colvals[mask]) % 3, W[r])) % 3
-        pivots.append(col)
-        r += 1
-    return W[:r].astype(np.int64), pivots
+    A = np.atleast_2d(np.asarray(A))
+    space = F3Space(A.shape[1])
+    space.add(A)
+    return space.rows, space.pivots
 
 
 def kernel_f3(A) -> np.ndarray:
     """Kernel basis over F3 via RREF (field fast path)."""
-    A = _as_matrix(A, 1)
-    b, a = A.shape
+    a = np.atleast_2d(np.asarray(A)).shape[1]
     if a == 0:
         return np.zeros((0, 0), dtype=np.int64)
     R, pivots = rref_f3(A)
@@ -132,13 +128,13 @@ def howell(rows, m: int) -> HowellForm:
     whose first j coordinates vanish is a combination of the returned
     rows whose pivots lie beyond column j.
     """
+    if m == 1:
+        R, pivots = rref_f3(rows)
+        return HowellForm(R, pivots, [0] * len(pivots))
     M = modulus(m)
     A = _as_matrix(rows, m)
     if A.size == 0:
         return HowellForm(A.reshape(0, A.shape[1] if A.ndim == 2 else 0), [], [])
-    if m == 1:
-        R, pivots = rref_f3(A)
-        return HowellForm(R, pivots, [0] * len(pivots))
     ncols = A.shape[1]
     # A holds the pending rows; every pending row vanishes left of ``col``
     # and a spent row is zero, so the rows led by ``col`` are its nonzeros
@@ -176,20 +172,22 @@ def howell(rows, m: int) -> HowellForm:
 
 
 def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
-    """Canonical remainder of ``vec`` under the Howell basis ``H``."""
+    """Canonical remainder under the Howell basis ``H`` of a vector, or of
+    every row of a matrix at once."""
     M = modulus(m)
-    r = np.asarray(vec, dtype=np.int64).copy()
-    _check_exact(r.size, m)
-    r %= M
+    r = np.asarray(vec, dtype=np.int64) % M
+    _check_exact(r.shape[-1], m)
     if m == 1:
+        # one float64 BLAS product, exact as in the F3 engine
+        _check_exact_f3(r.shape[-1])
         if H.rows.size:
-            coeffs = r[np.asarray(H.pivot_cols, dtype=np.int64)]
-            r = (r - coeffs @ H.rows) % 3
+            q = r[..., H.pivot_cols].astype(np.float64) @ H.rows.astype(np.float64)
+            r = (r - q.astype(np.int64)) % 3
         return r
     for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
-        q = int(r[col]) // 3**v
-        if q:
-            r = (r - q * row) % M
+        q = r[..., col] // 3**v
+        if q.any():
+            r = (r - q[..., None] * row) % M
     return r
 
 
@@ -197,64 +195,147 @@ def in_span(H: HowellForm, vec, m: int) -> bool:
     return not reduce_mod_span(H, vec, m).any()
 
 
+def outside_span(H: HowellForm, rows, m: int) -> np.ndarray:
+    """Mask of the rows of ``rows`` that are not in the span of ``H``."""
+    return reduce_mod_span(H, np.atleast_2d(rows), m).any(axis=1)
+
+
 def span_contains(H: HowellForm, rows, m: int) -> bool:
-    A = _as_matrix(rows, m)
-    return all(in_span(H, r, m) for r in A)
+    return not outside_span(H, rows, m).any()
 
 
 class F3Space:
-    """Incrementally grown row space over F3 with matmul-based reduction.
+    """Row space over F3 grown block by block; the one F3 elimination engine.
 
-    A float64 mirror of the basis feeds BLAS; entries stay tiny, so the
-    products are exact.
+    The basis is kept in reduced row echelon form: ``rows[:, pivots]`` is
+    the identity.  Rows arrive in blocks of ``_F3_BLOCK``.  Each block is
+    read mod 3 on its own, cleared against the basis by one float64
+    product, and only its surviving rows enter the column loop
+    (``_rref_block``).  A second product then clears the new pivot
+    columns from the old rows (the FFLAS/FFPACK scheme of Dumas, Giorgi
+    and Pernet).  ``rows`` is the basis in insertion order: the rows one
+    ``add`` contributes are appended in pivot-column order.
     """
 
     def __init__(self, ncols: int):
+        _check_exact_f3(ncols)
         self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self._rows_f = np.zeros((0, ncols), dtype=np.float64)
         self.pivots: list = []
+        # float64 copy of the basis for BLAS, with room for more rows
+        self._buf = np.zeros((0, ncols), dtype=np.float64)
 
     @property
     def dim(self) -> int:
-        return self.rows.shape[0]
+        return len(self.pivots)
+
+    def _clear(self, block: np.ndarray) -> np.ndarray:
+        """One block read mod 3 and cleared against the basis, as float64."""
+        Bf = np.remainder(block, 3).astype(np.float64)
+        if self.pivots:
+            Bf -= Bf[:, self.pivots] @ self._buf[: self.dim]
+            _mod3(Bf)
+        return Bf
 
     def reduce(self, B: np.ndarray) -> np.ndarray:
-        B = np.atleast_2d(B) % 3
-        if self.dim and B.size:
-            coeffs = B[:, self.pivots].astype(np.float64)
-            prod = (coeffs @ self._rows_f).astype(np.int64)
-            B = (B - prod) % 3
-        return B
+        """Remainders mod 3 of the rows of B under the basis (int64)."""
+        B = np.atleast_2d(B)
+        out = np.empty(B.shape, dtype=np.int64)
+        for i in range(0, B.shape[0], _F3_BLOCK):
+            out[i : i + _F3_BLOCK] = self._clear(B[i : i + _F3_BLOCK])
+        return out
 
     def add(self, B: np.ndarray) -> int:
         """Insert the rows of B; returns how many new dimensions appeared."""
-        B = self.reduce(B)
-        R, pivots = rref_f3(B)
-        if not pivots:
+        B = np.atleast_2d(B)
+        start = self.dim
+        # reserve room for every row B could add; untouched rows cost no memory
+        room = start + min(B.shape[0], self.ncols - start)
+        if room > self._buf.shape[0]:
+            buf = np.empty((room, self.ncols))
+            buf[:start] = self._buf[:start]
+            self._buf = buf
+        for i in range(0, B.shape[0], _F3_BLOCK):
+            Bf = self._clear(B[i : i + _F3_BLOCK])
+            live = Bf.any(axis=1)
+            if not live.any():
+                continue
+            R, new = _rref_block(Bf[live].astype(np.int8))
+            Rf = R.astype(np.float64)
+            # keep the basis reduced: clear the new pivot columns in old
+            # rows, a block of rows at a time
+            old = self._buf[: self.dim]
+            C = old[:, new]
+            hit = C.any(axis=1).nonzero()[0]
+            for j in range(0, hit.size, _F3_BLOCK):
+                h = hit[j : j + _F3_BLOCK]
+                old[h] = _mod3(old[h] - C[h] @ Rf)
+            self._buf[self.dim : self.dim + len(new)] = Rf
+            self.pivots.extend(new)
+        if self.dim == start:
             return 0
-        if self.dim:
-            # keep proper RREF: clear the new pivot columns in the old rows
-            coeffs = self.rows[:, pivots].astype(np.float64)
-            self.rows = (self.rows - (coeffs @ R.astype(np.float64)).astype(np.int64)) % 3
-        self.rows = np.vstack([self.rows, R])
-        self._rows_f = self.rows.astype(np.float64)
-        self.pivots.extend(pivots)
-        return len(pivots)
+        basis = self._buf[: self.dim]
+        order = start + np.argsort(self.pivots[start:], kind="stable")
+        basis[start:] = basis[order]
+        self.pivots[start:] = [self.pivots[j] for j in order]
+        self.rows = basis.astype(np.int64)
+        return self.dim - start
 
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
+
+def _mod3(X: np.ndarray) -> np.ndarray:
+    """X mod 3 in place, for a float64 array of integers of absolute value
+    below 2^51.
+
+    Division by 3 is correctly rounded, so floor(X / 3) is exact there;
+    np.remainder on floats gives the same values about eight times slower.
+    """
+    q = X / 3
+    np.floor(q, out=q)
+    q *= 3
+    X -= q
+    return X
+
+
+def _rref_block(W: np.ndarray) -> tuple:
+    """RREF of a small int8 block with entries in {0, 1, 2}, in place.
+
+    Each step takes the first column that is nonzero below the rows
+    already placed, swaps its first nonzero row up, scales it to 1 and
+    clears the column in every other row.  Returns (rows, pivot_cols).
+    """
+    nrows = W.shape[0]
+    r = col = 0
+    pivots = []
+    while r < nrows:
+        live = W[r:, col:].any(axis=0)
+        if not live.any():
+            break
+        col += int(live.argmax())
+        i = r + int(W[r:, col].nonzero()[0][0])
+        if i != r:
+            W[[r, i]] = W[[i, r]]
+        if W[r, col] == 2:
+            W[r] = (2 * W[r]) % 3
+        colvals = W[:, col].copy()
+        colvals[r] = 0
+        mask = colvals != 0
+        if mask.any():
+            W[mask] = (W[mask] + np.outer((3 - colvals[mask]) % 3, W[r])) % 3
+        pivots.append(col)
+        r += 1
+        col += 1
+    return W[:r], pivots
 
 
 def kernel(A, m: int) -> np.ndarray:
     """Rows spanning {x : A @ x == 0 mod 3^m}."""
+    if m == 1:
+        return kernel_f3(A)
     M = modulus(m)
     A = _as_matrix(A, m)
     b, a = A.shape
     if a == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    if m == 1:
-        return kernel_f3(A)
     aug = np.hstack([A.T % M, np.eye(a, dtype=np.int64)])
     H = howell(aug, m)
     out = [row[b:] for row in H.rows if not row[:b].any()]
@@ -307,10 +388,8 @@ def quotient_invariants(K_rows, I_rows, m: int) -> list:
     if I.size == 0:
         I = np.zeros((0, K.shape[1]), dtype=np.int64)
     # sanity: I must sit inside K
-    HK = howell(K, m)
-    for r in I:
-        if not in_span(HK, r, m):
-            raise ValueError("quotient_invariants: I is not contained in K")
+    if not span_contains(howell(K, m), I, m):
+        raise ValueError("quotient_invariants: I is not contained in K")
     n = [0] * (m + 2)
     for j in range(m + 1):
         rows = np.vstack([(3**j * K) % M, I]) if I.size else (3**j * K) % M

@@ -69,26 +69,20 @@ def _act_rows(G: PermGroup, g: int, rows: np.ndarray, rank: int) -> np.ndarray:
     return out
 
 
-def _module_span_closure(G: PermGroup, vecs: np.ndarray, rank: int) -> np.ndarray:
-    """F3-basis of the F3[P]-submodule generated by the given vectors."""
-    if vecs.size == 0:
-        return vecs
-    space = linalg.F3Space(vecs.shape[1])
-    space.add(vecs % 3)
-    frontier = space.rows.copy()
+def _module_span_closure(G: PermGroup, blocks, rank: int, ncols: int) -> linalg.F3Space:
+    """The F3[P]-submodule generated by the rows of the given blocks."""
+    space = linalg.F3Space(ncols)
+    for B in blocks:
+        space.add(B)
+    frontier = space.rows
     while frontier.size:
         fresh = []
         for g in G.gens:
-            moved = _act_rows(G, g, frontier, rank)
-            reduced = space.reduce(moved)
-            keep = reduced[reduced.any(axis=1)]
-            if keep.size:
-                before = space.dim
-                space.add(keep)
-                if space.dim > before:
-                    fresh.append(space.rows[before:])
-        frontier = np.vstack(fresh) if fresh else np.zeros((0, vecs.shape[1]), dtype=np.int64)
-    return space.rows
+            before = space.dim
+            if space.add(_act_rows(G, g, frontier, rank)):
+                fresh.append(space.rows[before:])
+        frontier = np.vstack(fresh) if fresh else np.zeros((0, ncols), dtype=np.int64)
+    return space
 
 
 @dataclass
@@ -110,21 +104,21 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     for n in range(1, n_max + 1):
         K = linalg.kernel(d_prev, 1)
         # IK: submodule generated by (g - 1) K
-        ik_gens = []
-        for g in G.gens:
-            ik_gens.append((_act_rows(G, g, K, prev_rank) - K) % 3)
-        IK = (
-            _module_span_closure(G, np.vstack(ik_gens), prev_rank)
-            if ik_gens
-            else np.zeros((0, K.shape[1]), dtype=np.int64)
+        space = _module_span_closure(
+            G, (_act_rows(G, g, K, prev_rank) - K for g in G.gens), prev_rank, K.shape[1]
         )
-        space = linalg.F3Space(K.shape[1])
-        space.add(IK)
+        # greedy: each row of K outside the span of IK and the rows
+        # already chosen; one reduction of the remaining rows per choice
         new_gens = []
-        for v in K:
-            if not space.contains(v):
-                new_gens.append(v)
-                space.add(v[None, :])
+        start = 0
+        while True:
+            outside = space.reduce(K[start:]).any(axis=1).nonzero()[0]
+            if not outside.size:
+                break
+            start += int(outside[0])
+            new_gens.append(K[start])
+            space.add(K[start : start + 1])
+            start += 1
         r = len(new_gens)
         ranks.append(r)
         gens_per_stage.append(new_gens)

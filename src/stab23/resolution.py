@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import CheckFailed
+from .errors import CheckFailed, ConstructionRefused
 from .quotients import FiniteQuotient
 
 
@@ -55,19 +55,19 @@ class ChiSpace:
         return len(self.pair_rep)
 
     def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Pair coordinates of an antisymmetric coset-space vector."""
-        return full[self.pair_rep]
+        """Pair coordinates of antisymmetric coset-space vectors (last axis)."""
+        return full[..., self.pair_rep]
 
     def embed(self, pairs: np.ndarray, M: int) -> np.ndarray:
-        full = np.zeros(len(self.sigma), dtype=np.int64)
-        full[self.pair_rep] = pairs % M
-        full[self.sigma[self.pair_rep]] = (-pairs) % M
+        full = np.zeros(pairs.shape[:-1] + (len(self.sigma),), dtype=np.int64)
+        full[..., self.pair_rep] = pairs % M
+        full[..., self.sigma[self.pair_rep]] = (-pairs) % M
         return full
 
 
 def _perm_apply(perm: np.ndarray, vec: np.ndarray, M: int) -> np.ndarray:
     out = np.zeros_like(vec)
-    out[perm] = vec
+    out[..., perm] = vec
     return out % M
 
 
@@ -201,26 +201,23 @@ def verify_chi_summand(ld: LevelData) -> dict:
 
 # -- P-module span utilities ---------------------------------------------------------
 
-def _p_orbit_closure_f3(ld: LevelData, rows: np.ndarray, space: str) -> np.ndarray:
-    """F3-basis of the F3[P]-module generated by given mod-3 rows."""
-    if rows.size == 0:
-        return rows
-    basis = linalg.howell(rows % 3, 1).rows
+def _closure_f3(ld: LevelData, rows: np.ndarray, gens: list, space: str) -> linalg.HowellForm:
+    """Echelon basis over F3 of the F3[<gens>]-module generated by the rows."""
+    H = linalg.howell(rows % 3, 1)
     while True:
-        H = linalg.howell(basis, 1)
         fresh = []
-        for g in ld.p_gens:
-            for v in basis:
-                w = _act_vector(ld, g, v, 3, space)
-                if not linalg.in_span(H, w, 1):
-                    fresh.append(w)
-        if not fresh:
-            return basis
-        basis = linalg.howell(np.vstack([basis, np.array(fresh)]), 1).rows
+        for g in gens:
+            moved = _act_vector(ld, g, H.rows, 3, space)
+            fresh.append(moved[linalg.outside_span(H, moved, 1)])
+        fresh = np.vstack(fresh)
+        if not fresh.size:
+            return H
+        H = linalg.howell(np.vstack([H.rows, fresh]), 1)
 
 
 def _act_vector(ld: LevelData, g: int, v: np.ndarray, M: int, space: str) -> np.ndarray:
-    """Left action of a quotient element on C0 ('c24') or chi_up ('chi')."""
+    """Left action of a quotient element on C0 ('c24') or chi_up ('chi');
+    ``v`` is one vector or a matrix of row vectors."""
     fq = ld.fq
     if space == "c24":
         perm = ld.c24.coset_id[fq.mul(np.full(ld.c24.size, g, dtype=np.int64), ld.c24.reps)]
@@ -236,17 +233,9 @@ def _act_vector(ld: LevelData, g: int, v: np.ndarray, M: int, space: str) -> np.
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
     """(dim over F3 of N/(3,I_P)N, Howell of the (3,I_P)-span mod 3)."""
     V3 = linalg.howell(kernel_rows % 3, 1).rows
-    ik = []
-    for g in ld.p_gens:
-        for v in V3:
-            ik.append((_act_vector(ld, g, v, 3, space) - v) % 3)
-    IK = (
-        _p_orbit_closure_f3(ld, np.array(ik, dtype=np.int64), space)
-        if ik
-        else np.zeros((0, kernel_rows.shape[1]), dtype=np.int64)
-    )
-    dim = len(V3) - len(IK)
-    return dim, linalg.howell(IK, 1), V3
+    ik = [(_act_vector(ld, g, V3, 3, space) - V3) % 3 for g in ld.p_gens]
+    H_IK = _closure_f3(ld, np.vstack(ik), ld.p_gens, space)
+    return len(V3) - H_IK.nrows, H_IK, V3
 
 
 def _sd16_average(ld: LevelData, d: np.ndarray, space: str) -> np.ndarray:
@@ -283,7 +272,7 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
         c = _sd16_average(ld, v, space)
         if c.size and not linalg.in_span(H_IK, c % 3, 1):
             return c, tor_dim, j
-    raise CheckFailed(f"no averaged generator found in {space} kernel")
+    raise ConstructionRefused(f"no averaged generator found in {space} kernel")
 
 
 # -- complex construction -------------------------------------------------------------
@@ -419,50 +408,23 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
             stab.psi_element(fq.precision),
         )
     ]
-    r = N3.shape[0]
-    n = N3.shape[1]
     blocks = []
     for g in gens24:
-        moved = np.array(
-            [_act_vector(ld, g, v, M, "chi") for v in N3], dtype=np.int64
-        )
-        blocks.append((moved - N3).T % M)
+        blocks.append((_act_vector(ld, g, N3, M, "chi") - N3).T % M)
     big = np.vstack(blocks) % M
     y_span = linalg.kernel(big, m)
     if y_span.size == 0:
-        raise CheckFailed("no G24-invariant vectors in the last kernel")
+        raise ConstructionRefused("no G24-invariant vectors in the last kernel")
     cands = (y_span @ N3) % M
     tor_dim, H_IK, _ = _tor0_data(ld, N3, "chi")
     # full-group coinvariants for the generator test
-    ig = []
     V3 = linalg.howell(N3 % 3, 1).rows
-    for g in ld.g_gens:
-        for v in V3:
-            ig.append((_act_vector(ld, g, v, 3, "chi") - v) % 3)
-    H_IG = linalg.howell(
-        _close_under_group(ld, np.array(ig, dtype=np.int64), "chi"), 1
-    )
-    for cand in cands:
-        if not linalg.in_span(H_IG, cand % 3, 1):
-            return cand, tor_dim
-    raise CheckFailed("no G24-invariant generator survives the coinvariant test")
-
-
-def _close_under_group(ld: LevelData, rows: np.ndarray, space: str) -> np.ndarray:
-    if rows.size == 0:
-        return rows
-    basis = linalg.howell(rows % 3, 1).rows
-    while True:
-        H = linalg.howell(basis, 1)
-        fresh = []
-        for g in ld.g_gens:
-            for v in basis:
-                w = _act_vector(ld, g, v, 3, space)
-                if not linalg.in_span(H, w, 1):
-                    fresh.append(w)
-        if not fresh:
-            return basis
-        basis = linalg.howell(np.vstack([basis, np.array(fresh)]), 1).rows
+    ig = [(_act_vector(ld, g, V3, 3, "chi") - V3) % 3 for g in ld.g_gens]
+    H_IG = _closure_f3(ld, np.vstack(ig), ld.g_gens, "chi")
+    outside = linalg.outside_span(H_IG, cands % 3, 1).nonzero()[0]
+    if outside.size:
+        return cands[outside[0]], tor_dim
+    raise ConstructionRefused("no G24-invariant generator survives the coinvariant test")
 
 
 # -- checks ------------------------------------------------------------------------
@@ -482,13 +444,13 @@ def nakayama_surjectivity(ld: LevelData, f: np.ndarray, target_rows: np.ndarray,
     m = ld.m
     _, H_IK, V3 = _tor0_data(ld, target_rows, space)
     cols3 = linalg.howell(np.vstack([H_IK.rows, (f.T % 3)]) if H_IK.rows.size else f.T % 3, 1)
-    covered = all(linalg.in_span(cols3, v, 1) for v in V3)
+    covered = linalg.span_contains(cols3, V3, 1)
     H_img = linalg.image(f, m)
     direct = linalg.span_contains(H_img, target_rows, m)
     return {
         "f3_surjective": bool(covered),
         "surjective": bool(direct),
-        "nakayama_consistent": bool(covered == direct or (not covered)),
+        "nakayama_consistent": bool(covered == direct),
         "ok": bool(covered and direct),
     }
 
@@ -643,7 +605,7 @@ def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
             im_H = linalg.howell(np.zeros((0, P.shape[0]), dtype=np.int64), m)
         else:
             im_H = linalg.image(bim_lo, m)
-        out[pos] = bool(all(linalg.in_span(im_H, (P @ z) % M, m) for z in Z))
+        out[pos] = bool(linalg.span_contains(im_H, (Z @ P.T) % M, m))
     return out
 
 

@@ -1,15 +1,69 @@
-"""The Z/3^m elimination loops of ``stab23.linalg`` as first written.
+"""The elimination loops of ``stab23.linalg`` as first written.
 
 ``howell`` and ``smith_kernel`` below are the row-by-row versions that
-``stab23.linalg`` replaced with active-submatrix elimination; tests
-compare the two for exact equality.  They are a test oracle only.
+``stab23.linalg`` replaced with active-submatrix elimination over Z/3^m.
+``rref_f3`` and ``reduce_mod_span`` are the column loop over F3 and the
+one-vector reduction that the blocked F3 engine (``linalg.F3Space``)
+replaced.  Tests compare old and new for exact equality.  They are a
+test oracle only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stab23.linalg import HowellForm, _as_matrix, modulus, rref_f3
+from stab23.linalg import HowellForm, _as_matrix, _check_exact, modulus
+
+
+def rref_f3(A: np.ndarray) -> tuple:
+    """Row-reduced echelon form over F3, fully vectorized.
+
+    Returns (rows, pivot_cols); rows are the nonzero reduced rows.
+    """
+    W = (np.asarray(A, dtype=np.int64) % 3).astype(np.int8)
+    nrows, ncols = W.shape
+    r = 0
+    pivots = []
+    for col in range(ncols):
+        if r >= nrows:
+            break
+        sub = W[r:, col]
+        nz = np.nonzero(sub)[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            W[[r, i]] = W[[i, r]]
+        if W[r, col] == 2:
+            W[r] = (2 * W[r]) % 3
+        colvals = W[:, col].copy()
+        colvals[r] = 0
+        mask = colvals != 0
+        if mask.any():
+            W[mask] = (W[mask] + np.outer((3 - colvals[mask]) % 3, W[r])) % 3
+        pivots.append(col)
+        r += 1
+    return W[:r].astype(np.int64), pivots
+
+
+
+def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
+    """Canonical remainder of ``vec`` under the Howell basis ``H``."""
+    M = modulus(m)
+    r = np.asarray(vec, dtype=np.int64).copy()
+    _check_exact(r.size, m)
+    r %= M
+    if m == 1:
+        if H.rows.size:
+            coeffs = r[np.asarray(H.pivot_cols, dtype=np.int64)]
+            r = (r - coeffs @ H.rows) % 3
+        return r
+    for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
+        q = int(r[col]) // 3**v
+        if q:
+            r = (r - q * row) % M
+    return r
+
 
 
 def val3(x: int, m: int) -> int:

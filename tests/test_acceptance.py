@@ -102,6 +102,7 @@ def test_criterion_4_invariant_hilbert_series():
 
 # -- 5: cohomology tables --------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_cohomology_tables():
     ok = True
     sf = coh.C3Table("SF", 4)
@@ -166,6 +167,7 @@ def resolution_runs():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_7_resolution(resolution_runs):
     ok = True
     for (level, m), (fq, ld, cx) in resolution_runs.items():
@@ -195,6 +197,7 @@ def test_criterion_7_resolution(resolution_runs):
 
 # -- 8: cohomology of the finite 3-quotients ------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_sylow_cohomology():
     levels = [Fraction(1), Fraction(3, 2), Fraction(2)]
     fqs, resolutions = {}, {}

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -73,12 +74,15 @@ def test_cohomology_command(runner, tmp_path):
 
 
 def test_bad_config_rejected(runner, tmp_path):
-    # precision below level + 2 must be refused
+    # precision below level + 2 and a modulus exponent below 1 are usage errors
     r = runner.invoke(
         main,
         ["--out", str(tmp_path), "--precision", "3", "--level", "2", "group", "verify-relations"],
     )
-    assert r.exit_code != 0
+    assert r.exit_code == 2, r.output
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "2", "--mod", "0"])
+    assert r.exit_code == 2, r.output
+    assert "modulus exponent must be >= 1" in r.output
 
 
 def test_tower_chart_command(runner, tmp_path):
@@ -95,3 +99,68 @@ def test_resolution_with_every_construction_refused_is_inconclusive(runner, tmp_
     assert "PASS" not in r.output
     data = json.loads((tmp_path / "resolution.json").read_text())
     assert "construction_refused" in data["levels"]["3/2"]
+
+
+def test_resolution_with_every_level_refused_is_inconclusive(runner, tmp_path):
+    # the tower is built at the top level, so its refusal must not surface
+    # as a failed assertion (exit 1) from the transition check
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "3/2,1", "--mod", "1"])
+    assert r.exit_code == 3, r.output
+    assert "INCONCLUSIVE" in r.output
+    assert "assertion failed" not in r.output
+    data = json.loads((tmp_path / "resolution.json").read_text())
+    assert all("construction_refused" in v for v in data["levels"].values())
+    assert "construction_refused" in data["transitions"]
+
+
+def test_resolution_with_failed_composites_at_the_top_exits_1(runner, tmp_path, monkeypatch):
+    # a broken identity is a failed assertion, never a refused construction
+    from stab23 import resolution as res_mod
+
+    monkeypatch.setattr(res_mod, "composite_checks", lambda cx: {"b1b2": False})
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "2,3/2", "--mod", "1"])
+    assert r.exit_code == 1, r.output
+    assert "assertion failed: composites not zero" in r.output
+    assert "INCONCLUSIVE" not in r.output
+
+
+def test_resolution_with_refused_top_and_built_lower_level_fails(runner, tmp_path, monkeypatch):
+    # the transitions are built from the top level; when only a lower
+    # level was built they go unchecked, and the run must not PASS
+    from stab23 import resolution as res_mod
+    from stab23.errors import ConstructionRefused
+
+    real = res_mod.construct_complex
+
+    def refuse_top(fq, m, ld=None, rng=None):
+        if fq.level == Fraction(5, 2):
+            raise ConstructionRefused("no averaged generator found in chi kernel")
+        return real(fq, m, ld, rng)
+
+    monkeypatch.setattr(res_mod, "construct_complex", refuse_top)
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "5/2,2", "--mod", "1"])
+    assert r.exit_code == 1, r.output
+    assert "transitions: not checked" in r.output
+    assert "PASS" not in r.output
+    data = json.loads((tmp_path / "resolution.json").read_text())
+    assert data["levels"]["2"]["ok"] is True
+    assert "construction_refused" in data["transitions"]
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["group", "subgroup", "FOO"], "NAME"),
+        (["chart", "--group", "XX"], "--group"),
+        (["cohomology", "--group", "SD16"], "--group"),
+        (["invariants", "--ring", "tame", "--group", "C3"], "--group"),
+        (["--stems", "5", "chart", "--tower"], "--stems"),
+        (["--level", "7/3", "group", "verify-relations"], "--level"),
+    ],
+)
+def test_malformed_input_is_a_usage_error(runner, tmp_path, args, option):
+    # catch_exceptions=False: a traceback would fail the test
+    r = invoke(runner, tmp_path, args)
+    assert r.exit_code == 2, r.output
+    assert f"Invalid value for '{option}'" in r.output
+    assert not any(tmp_path.iterdir())

@@ -172,3 +172,15 @@ def test_int64_bound_is_enforced():
     ):
         with pytest.raises(ValueError, match=r"n = 7 columns, m = 19"):
             call()
+
+
+def test_f3_float64_bound_is_enforced():
+    # the engine's float64 arithmetic is exact while 4 * ncols + 2 < 2^51;
+    # the check runs before any basis is allocated
+    linalg.F3Space(2**49 - 1)
+    for call in (
+        lambda: linalg.F3Space(2**49),
+        lambda: linalg.rref_f3(np.zeros((0, 2**49), dtype=np.int8)),
+    ):
+        with pytest.raises(ValueError, match=r"4 \* ncols \+ 2 < 2\^51 fails for ncols = 562949953421312"):
+            call()

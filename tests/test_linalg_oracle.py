@@ -1,9 +1,10 @@
-"""The active-submatrix Howell and Smith eliminations against the originals.
+"""The eliminations of ``stab23.linalg`` against the loops they replaced.
 
 ``linalg_oracle`` keeps the row-by-row ``howell`` and ``smith_kernel``
-that ``stab23.linalg`` replaced.  Every output must agree exactly: the
-Howell rows, pivot columns and pivot valuations, and the Smith kernel
-rows and divisor list, which depend on the pivot order.
+and the column-loop ``rref_f3`` that ``stab23.linalg`` replaced.  Every
+output must agree exactly: the Howell rows, pivot columns and pivot
+valuations, the Smith kernel rows and divisor list, which depend on the
+pivot order, and the F3 echelon rows and pivots of the blocked engine.
 """
 
 import numpy as np
@@ -102,3 +103,125 @@ def test_large_modulus_beyond_the_valuation_table():
         for _ in range(10):
             A = rng.integers(0, M, size=shape) * 3 ** rng.integers(0, 15, size=shape) % M
             assert_same(A, 19)
+
+
+# -- the blocked F3 engine against the column loop ------------------------------
+
+BLOCK = linalg._F3_BLOCK
+
+
+def assert_same_rref(A):
+    (R, piv), (R_old, piv_old) = linalg.rref_f3(A), oracle.rref_f3(A)
+    assert R.dtype == R_old.dtype
+    assert R.shape == R_old.shape
+    assert np.array_equal(R, R_old)
+    assert piv == piv_old
+    assert all(type(c) is int for c in piv)
+    assert_same_howell(A, 1)
+
+
+def low_rank(rng, rows, cols, rank):
+    """A rows x cols integer matrix of rank at most ``rank`` over F3."""
+    return rng.integers(-4, 5, size=(rows, rank)) @ rng.integers(-4, 5, size=(rank, cols))
+
+
+def test_rref_tall_and_rank_deficient_match_oracle():
+    rng = np.random.default_rng(80)
+    for rows, cols, rank in [(500, 12, 12), (400, 40, 7), (590, 90, 60), (300, 30, 1),
+                             (250, 200, 150), (40, 300, 25)]:
+        assert_same_rref(low_rank(rng, rows, cols, rank))
+    for _ in range(20):
+        rows, cols = (int(x) for x in rng.integers(1, 150, size=2))
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        assert_same_rref(low_rank(rng, rows, cols, rank))
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+                                  2 * BLOCK + 1])
+def test_rref_row_counts_around_the_block_size_match_oracle(rows):
+    rng = np.random.default_rng(rows)
+    for cols, rank in [(BLOCK + 20, BLOCK + 20), (60, 60), (200, rows // 3 + 1)]:
+        assert_same_rref(low_rank(rng, rows, cols, rank))
+    # full rank with the pivots of the later blocks left of the earlier ones
+    A = np.zeros((rows, rows + 5), dtype=np.int64)
+    A[np.arange(rows), rows - 1 - np.arange(rows)] = rng.choice([1, 2], size=rows)
+    A[:, rows:] = rng.integers(0, 3, size=(rows, 5))
+    assert_same_rref(A)
+
+
+def test_rref_edge_shapes_match_oracle():
+    rng = np.random.default_rng(81)
+    for shape in [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (7, 3), (BLOCK + 1, 4)]:
+        assert_same_rref(np.zeros(shape, dtype=np.int64))
+    for n in (1, 2, 9, 300):
+        for shape in [(1, n), (n, 1)]:
+            for _ in range(3):
+                assert_same_rref(rng.integers(-3, 4, size=shape))
+
+
+def test_rref_negative_int64_entries_match_oracle():
+    rng = np.random.default_rng(82)
+    info = np.iinfo(np.int64)
+    for rows, cols in [(50, 30), (BLOCK + 3, 40), (10, 200)]:
+        A = rng.integers(info.min, 0, size=(rows, cols), dtype=np.int64)
+        assert_same_rref(A)
+        A[rng.integers(rows), :] = info.min
+        A[:, rng.integers(cols)] = info.max
+        assert_same_rref(A)
+        assert_same_rref(-low_rank(rng, rows, cols, 5))
+
+
+def test_f3space_fed_in_chunks_matches_oracle():
+    rng = np.random.default_rng(83)
+    # an anti-diagonal block: one add spanning three engine blocks finds
+    # its pivots right to left
+    n = 2 * BLOCK + 40
+    anti = np.zeros((n, n), dtype=np.int64)
+    anti[np.arange(n), n - 1 - np.arange(n)] = 2
+    cases = [(low_rank(rng, 590, 80, 50), None), (low_rank(rng, 300, 150, 149), None),
+             (low_rank(rng, 200, 40, 40), None), (low_rank(rng, 120, 60, 3), None),
+             (anti, [10, n - 10, n - 5, n - 1])]
+    for A, cuts in cases:
+        rows, cols = A.shape
+        if cuts is None:
+            cuts = np.sort(rng.choice(np.arange(1, rows), size=4, replace=False))
+        space = linalg.F3Space(cols)
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, rows]):
+            before = space.dim
+            added = space.add(A[lo:hi])
+            R_old, piv_old = oracle.rref_f3(A[:hi])
+            assert added == len(piv_old) - before
+            # the basis stays reduced, and the rows one call adds follow
+            # their pivot columns
+            assert np.array_equal(space.rows[:, space.pivots], np.eye(space.dim, dtype=np.int64))
+            assert space.pivots[before:] == sorted(space.pivots[before:])
+            order = np.argsort(space.pivots)
+            assert np.array_equal(space.rows[order], R_old)
+            assert sorted(space.pivots) == piv_old
+        assert space.rows.dtype == np.int64
+        # remainders are zero on the span and agree with the old one-vector reduction
+        H = oracle.howell(A, 1)
+        probe = np.vstack([A[:20], rng.integers(-5, 6, size=(20, cols))])
+        got = space.reduce(probe)
+        assert got.dtype == np.int64
+        assert not got[:20].any()
+        for v, r in zip(probe, got):
+            assert np.array_equal(r, oracle.reduce_mod_span(H, v, 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_batched_reduce_mod_span_matches_oracle(m):
+    rng = np.random.default_rng(90 + m)
+    M = 3**m
+    for rows, cols in [(5, 8), (30, 40), (1, 3)]:
+        H = linalg.howell(random_matrix(rng, (rows, cols), m), m)
+        in_span = rng.integers(0, M, size=(rows, H.nrows)) @ H.rows
+        V = np.vstack([rng.integers(-M, M, size=(rows, cols)), in_span])
+        got = linalg.reduce_mod_span(H, V, m)
+        assert got.shape == V.shape and got.dtype == np.int64
+        for v, r in zip(V, got):
+            want = oracle.reduce_mod_span(H, v, m)
+            assert np.array_equal(linalg.reduce_mod_span(H, v, m), want)
+            assert np.array_equal(r, want)
+        assert np.array_equal(linalg.outside_span(H, V, m), got.any(axis=1))
+        assert linalg.span_contains(H, V, m) == (not got.any())

@@ -82,9 +82,9 @@ def test_euler_characteristic_bookkeeping(lvl2):
 
 
 def test_nakayama_at_every_splice(lvl2):
-    # the verified statement is the implication (F3 (x) f onto => f onto);
-    # it is non-vacuous at stage 1, where both sides hold, and must stay
-    # consistent at the interior splices where exactness genuinely fails
+    # Nakayama: F3 (x) f is onto exactly when f is onto.  Both sides hold
+    # at stage 1, and the verdicts must agree at the interior splices
+    # where exactness genuinely fails
     fq, ld, cx = lvl2
     m = cx.m
     n1 = linalg.kernel(cx.aug, m)
@@ -103,8 +103,34 @@ def test_nakayama_negative_control(lvl2):
     zero_map = np.zeros_like(cx.b1)
     rep = res.nakayama_surjectivity(ld, zero_map, target, "c24")
     assert not rep["f3_surjective"] and not rep["surjective"]
-    assert rep["nakayama_consistent"]  # vacuous direction still consistent
+    assert rep["nakayama_consistent"]
     assert not rep["ok"]
+
+
+def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
+    fq, ld, cx = lvl2
+    target = linalg.kernel(cx.aug, cx.m)
+    _, H_IK, V3 = res._tor0_data(ld, target, "c24")
+    assert H_IK.nrows > 0
+    # f maps onto a complement W of I_P N in N.  It is not a module map,
+    # so W + I_P N = N while W != N: onto mod (3, I_P) but not onto
+    W = []
+    for v in V3:
+        rows = np.vstack([H_IK.rows] + [np.atleast_2d(w) for w in W])
+        if not linalg.in_span(linalg.howell(rows, 1), v, 1):
+            W.append(v)
+    f = np.array(W, dtype=np.int64).T
+    rep = res.nakayama_surjectivity(ld, f, target, "c24")
+    assert (rep["f3_surjective"], rep["surjective"]) == (True, False)
+    assert not rep["nakayama_consistent"] and not rep["ok"]
+    # the other direction: b1 is onto N, and a coinvariant computation
+    # that wrongly adds e_0 (outside N) makes F3 (x) b1 look not onto
+    e0 = np.zeros((1, target.shape[1]), dtype=np.int64)
+    e0[0, 0] = 1
+    monkeypatch.setattr(res, "_tor0_data", lambda *a: (None, H_IK, np.vstack([V3, e0])))
+    rep = res.nakayama_surjectivity(ld, cx.b1, target, "c24")
+    assert (rep["f3_surjective"], rep["surjective"]) == (False, True)
+    assert not rep["nakayama_consistent"] and not rep["ok"]
 
 
 def test_equivariance_of_boundaries(lvl2):
@@ -148,6 +174,7 @@ def test_pushforward_is_chain_map_and_transitions(lvl2):
     assert step["pos3"] is True
 
 
+@pytest.mark.slow
 def test_doubled_complex_composites_zero(lvl2):
     fq, ld, cx = lvl2
     assert res.doubled_composites_zero(cx, central_level=1)
