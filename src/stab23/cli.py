@@ -319,11 +319,13 @@ def resolution(cfg: RunConfig, levels, modulus):
 
         per_level = {}
         ok = True
+        lds, top_cx = [], None
         for lv in lvls:
             fq = quotients.finite_quotient(lv, cfg.precision)
             ld = res_mod.prepare_level(fq, cfg.modulus)
+            lds.append(ld)
             try:
-                cx = res_mod.construct_complex(fq, cfg.modulus, ld)
+                cx = res_mod.construct_complex(ld)
             except ConstructionRefused as exc:
                 # shallow levels can lack the sign-isotypic generator; this
                 # is a reported outcome, the level still receives pushforwards
@@ -345,6 +347,8 @@ def resolution(cfg: RunConfig, levels, modulus):
                 and all(v["nakayama_consistent"] for v in naka.values())
             )
             ok = ok and level_ok
+            if lv == lvls[0]:
+                top_cx = cx
             per_level[str(lv)] = {
                 "dims": list(cx.dims),
                 "composites_zero": cx.diagnostics["composites_zero"],
@@ -363,8 +367,7 @@ def resolution(cfg: RunConfig, levels, modulus):
             transitions = {"construction_refused": top["construction_refused"]}
             ok = False
         elif len(lvls) >= 2:
-            fqs = [quotients.finite_quotient(lv, cfg.precision) for lv in lvls]
-            rep = res_mod.homology_pro_triviality(fqs, cfg.modulus)
+            rep = res_mod.homology_pro_triviality(lds, top_cx)
             spans_full_level = lvls[0] - lvls[-1] >= 1
             transitions = {
                 "levels": rep.levels,

@@ -21,6 +21,10 @@ class ResourceBoundExceeded(Stab23Error):
     """A quotient, window or matrix size exceeded the configured bound."""
 
 
+class ExactnessBoundExceeded(ResourceBoundExceeded, ValueError):
+    """A matrix is too large for exact int64 or float64 arithmetic."""
+
+
 class PrecisionUnstable(Stab23Error):
     """A reported rank changed when recomputed at precision N+2."""
 

@@ -627,20 +627,6 @@ def hilbert_srho_c3(abs_degree: int) -> int:
     return count
 
 
-def hilbert_sf_c3(abs_degree: int) -> int:
-    """W-rank of W[sigma1,sigma2,sigma3,eps]/(eps^2 - f) in |degree|."""
-    if abs_degree % 2:
-        return 0
-    count = 0
-    for b in (0, 1):
-        for j in range(abs_degree // 6 + 1):
-            for i in range(abs_degree // 4 + 1):
-                rest = abs_degree - 6 * b - 6 * j - 4 * i
-                if rest >= 0 and rest % 2 == 0:
-                    count += 1
-    return count
-
-
 def burnside_c3_rank_sf(x_degree: int) -> int:
     """Orbit count of the cyclic shift on degree-d monomials in 3 variables."""
     monos = monomials_of_degree(3, x_degree)

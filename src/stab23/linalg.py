@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ExactnessBoundExceeded
+
 
 def modulus(m: int) -> int:
     return 3**m
@@ -26,7 +28,7 @@ def _check_exact(n: int, m: int) -> None:
     routines here are exact while n * 3^(2m) < 2^63.
     """
     if n * 9**m >= 2**63:
-        raise ValueError(
+        raise ExactnessBoundExceeded(
             f"int64 bound n * 3^(2m) < 2^63 fails for n = {n} columns, m = {m}"
         )
 
@@ -44,7 +46,7 @@ def _check_exact_f3(ncols: int) -> None:
     reduces it exactly below 2^51, which is the bound enforced.
     """
     if 4 * ncols + 2 >= 2**51:
-        raise ValueError(f"float64 bound 4 * ncols + 2 < 2^51 fails for ncols = {ncols}")
+        raise ExactnessBoundExceeded(f"float64 bound 4 * ncols + 2 < 2^51 fails for ncols = {ncols}")
 
 
 _VAL_TABLE_MAX_M = 10
@@ -282,6 +284,42 @@ class F3Space:
         return self.dim - start
 
 
+def signed_permute(rows, perm, sign=None) -> np.ndarray:
+    """Rows moved by the signed column permutation e_j -> sign[j] e_{perm[j]}.
+
+    ``out[..., perm[j]] = sign[j] * rows[..., j]``; ``sign`` None means all
+    signs are +1.  ``perm`` and ``sign`` may carry leading axes, one
+    permutation per row of the result, and broadcast against ``rows``.
+    """
+    vals = np.asarray(rows) if sign is None else np.asarray(rows) * sign
+    shape = np.broadcast_shapes(vals.shape, np.shape(perm))
+    out = np.empty(shape, dtype=vals.dtype)
+    np.put_along_axis(
+        out, np.broadcast_to(perm, shape), np.broadcast_to(vals, shape), axis=-1
+    )
+    return out
+
+
+def module_closure_f3(blocks, gens, ncols: int) -> F3Space:
+    """The F3-span of the rows of ``blocks`` closed under ``gens``.
+
+    Each generator is a signed column permutation ``(perm, sign)`` as in
+    ``signed_permute``.  Only the rows each round adds are moved again.
+    """
+    space = F3Space(ncols)
+    for B in blocks:
+        space.add(B)
+    frontier = space.rows
+    while frontier.size:
+        fresh = []
+        for perm, sign in gens:
+            before = space.dim
+            if space.add(signed_permute(frontier, perm, sign)):
+                fresh.append(space.rows[before:])
+        frontier = np.vstack(fresh) if fresh else frontier[:0]
+    return space
+
+
 def _mod3(X: np.ndarray) -> np.ndarray:
     """X mod 3 in place, for a float64 array of integers of absolute value
     below 2^51.
@@ -351,24 +389,29 @@ def image(A, m: int) -> HowellForm:
 
 
 def solve(A, b, m: int):
-    """One x with A @ x == b mod 3^m, or None."""
+    """One x with A @ x == b mod 3^m, or None.
+
+    A 2-d ``b`` is solved column by column: x has one column per column
+    of b, and the result is None if any column has no solution.
+    """
     M = modulus(m)
     A = _as_matrix(A, m)
     nb, na = A.shape
     aug = np.hstack([A.T % M, np.eye(na, dtype=np.int64)])
     H = howell(aug, m)
-    r = np.asarray(b, dtype=np.int64).copy() % M
-    x = np.zeros(na, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    r = (b[:, None] if b.ndim == 1 else b) % M
+    x = np.zeros((na, r.shape[1]), dtype=np.int64)
     for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
         if col >= nb:
             break
-        q = int(r[col]) // 3**v
-        if q:
-            r = (r - q * row[:nb]) % M
-            x = (x + q * row[nb:]) % M
+        q = r[col] // 3**v
+        if q.any():
+            r = (r - np.outer(row[:nb], q)) % M
+            x = (x + np.outer(row[nb:], q)) % M
     if r.any():
         return None
-    return x
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def span_log_size(rows, m: int) -> int:

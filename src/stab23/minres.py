@@ -30,59 +30,28 @@ class PermGroup:
     def order(self) -> int:
         return self.mult.shape[0]
 
-    def left_perm(self, g: int) -> np.ndarray:
-        return self.mult[g, :]
-
 
 def group_from_indices(fq, indices: np.ndarray, gen_indices: list) -> PermGroup:
     """Relabel a subgroup of a FiniteQuotient as 0..p-1 with its table."""
-    indices = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    pos = {int(g): i for i, g in enumerate(indices)}
-    p = len(indices)
-    mult = np.empty((p, p), dtype=np.int64)
-    for i, g in enumerate(indices):
-        row = fq.mul(np.full(p, g, dtype=np.int64), indices)
-        mult[i, :] = [pos[int(x)] for x in row]
-    ident = pos[fq.identity_index()]
-    gens = [pos[int(g)] for g in gen_indices]
+    indices = np.sort(np.asarray(indices, dtype=np.int64))
+
+    def relabel(x):
+        pos = np.searchsorted(indices, x)
+        if not np.array_equal(indices[np.minimum(pos, len(indices) - 1)], x):
+            raise ValueError("element outside the subgroup")
+        return pos
+
+    mult = relabel(fq.mul_table(indices, indices))
+    ident = int(relabel(fq.identity_index()))
+    gens = [int(i) for i in relabel(np.asarray(gen_indices, dtype=np.int64))]
     return PermGroup(mult, ident, gens)
 
 
-def _act_vector(G: PermGroup, g: int, v: np.ndarray, rank: int) -> np.ndarray:
-    """Left action of g on F3[P]^rank, coordinates blocked as (rank, p)."""
+def _regular_action(G: PermGroup, g: int, rank: int) -> np.ndarray:
+    """Left multiplication by g on F3[P]^rank, coordinates blocked as
+    (rank, p), as a column permutation."""
     p = G.order
-    perm = G.left_perm(g)
-    out = np.zeros_like(v)
-    blocks = v.reshape(rank, p)
-    res = out.reshape(rank, p)
-    res[:, perm] = blocks
-    return out
-
-
-def _act_rows(G: PermGroup, g: int, rows: np.ndarray, rank: int) -> np.ndarray:
-    p = G.order
-    perm = G.left_perm(g)
-    out = np.zeros_like(rows)
-    blocks = rows.reshape(rows.shape[0], rank, p)
-    res = out.reshape(rows.shape[0], rank, p)
-    res[:, :, perm] = blocks
-    return out
-
-
-def _module_span_closure(G: PermGroup, blocks, rank: int, ncols: int) -> linalg.F3Space:
-    """The F3[P]-submodule generated by the rows of the given blocks."""
-    space = linalg.F3Space(ncols)
-    for B in blocks:
-        space.add(B)
-    frontier = space.rows
-    while frontier.size:
-        fresh = []
-        for g in G.gens:
-            before = space.dim
-            if space.add(_act_rows(G, g, frontier, rank)):
-                fresh.append(space.rows[before:])
-        frontier = np.vstack(fresh) if fresh else np.zeros((0, ncols), dtype=np.int64)
-    return space
+    return (np.arange(rank)[:, None] * p + G.mult[g]).ravel()
 
 
 @dataclass
@@ -95,6 +64,9 @@ class MinimalResolution:
 
 def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     p = G.order
+    # ldiv[g, h] = g^-1 h
+    inverse = np.argmax(G.mult == G.identity, axis=1)
+    ldiv = G.mult[inverse]
     ranks = [1]
     diffs = []
     gens_per_stage = []
@@ -104,8 +76,9 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     for n in range(1, n_max + 1):
         K = linalg.kernel(d_prev, 1)
         # IK: submodule generated by (g - 1) K
-        space = _module_span_closure(
-            G, (_act_rows(G, g, K, prev_rank) - K for g in G.gens), prev_rank, K.shape[1]
+        acts = [(_regular_action(G, g, prev_rank), None) for g in G.gens]
+        space = linalg.module_closure_f3(
+            (linalg.signed_permute(K, perm) - K for perm, _ in acts), acts, K.shape[1]
         )
         # greedy: each row of K outside the span of IK and the rows
         # already chosen; one reduction of the remaining rows per choice
@@ -122,11 +95,12 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
         r = len(new_gens)
         ranks.append(r)
         gens_per_stage.append(new_gens)
-        # d_n as an F3 matrix (p*prev_rank) x (p*r)
+        # d_n as an F3 matrix (p*prev_rank) x (p*r): column (j, g) is
+        # g . v_j, whose entry (b, h) is v_j[b, g^-1 h]
         d = np.zeros((p * prev_rank, p * r), dtype=np.int64)
+        d4 = d.reshape(prev_rank, p, r, p)
         for j, v in enumerate(new_gens):
-            for g in range(p):
-                d[:, j * p + g] = _act_vector(G, g, v, prev_rank)
+            d4[:, :, j, :] = v.reshape(prev_rank, p)[:, ldiv.T]
         diffs.append(d)
         d_prev = d
         prev_rank = r
@@ -185,15 +159,14 @@ def inflation_matrices(
         r_big = res_big.ranks[n]
         r_small = res_small.ranks[n]
         prev = phis[n - 1]
-        gen_images = []
+        # the identity-translate of generator j is column j * pb of d_big
+        targets = np.zeros((d_small.shape[0], r_big), dtype=np.int64)
         for j in range(r_big):
-            e = np.zeros(d_big.shape[1], dtype=np.int64)
-            e[j * pb] = 1  # identity-translate of generator j
-            target = prev((d_big @ e) % 3)
-            x = linalg.solve(d_small, target, 1)
-            if x is None:
-                raise RuntimeError("chain lift failed; pullback complex not exact")
-            gen_images.append(x)
+            targets[:, j] = prev(d_big[:, j * pb] % 3)
+        X = linalg.solve(d_small, targets, 1)
+        if X is None:
+            raise RuntimeError("chain lift failed; pullback complex not exact")
+        gen_images = list(X.T)
 
         def phi_n(v, gen_images=gen_images, r_big=r_big, r_small=r_small):
             out = np.zeros(gen_images[0].shape[0] if gen_images else 0, dtype=np.int64)
@@ -203,10 +176,8 @@ def inflation_matrices(
                 for g in np.nonzero(vb[j])[0]:
                     coef = vb[j, g]
                     # g acts through its image in the small group
-                    gs = proj[g]
-                    perm = Gs.left_perm(int(gs))
                     moved = np.zeros_like(img)
-                    moved[:, perm] = img
+                    moved[:, Gs.mult[proj[g]]] = img
                     out = (out + coef * moved.ravel()) % 3
             return out
 

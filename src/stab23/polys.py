@@ -136,13 +136,6 @@ class WPoly:
     def total_degrees(self) -> set:
         return {sum(m) for m in self.coeffs}
 
-    def homogeneous_part(self, d: int) -> "WPoly":
-        return WPoly(
-            self.nvars,
-            self.precision,
-            {m: c for m, c in self.coeffs.items() if sum(m) == d},
-        )
-
     def reduce(self, precision: int) -> "WPoly":
         return WPoly(
             self.nvars, precision, {m: c.reduce(precision) for m, c in self.coeffs.items()}

@@ -48,6 +48,16 @@ def full_quotient_order(level) -> int:
     return 8 * 9 ** (k - 1)
 
 
+# products per ``mul`` call when a table is built block by block
+_PRODUCTS_PER_BLOCK = 2**15
+
+
+def _row_blocks(nrows: int, ncols: int):
+    """Row slices holding at most about _PRODUCTS_PER_BLOCK entries each."""
+    step = max(1, _PRODUCTS_PER_BLOCK // max(ncols, 1))
+    return (slice(i, i + step) for i in range(0, nrows, step))
+
+
 def _wmul(a0, a1, b0, b1, M):
     return (a0 * b0 - a1 * b1) % M, (a0 * b1 + a1 * b0) % M
 
@@ -63,6 +73,7 @@ class FiniteQuotient:
     coords: np.ndarray        # (n, 5): a0, a1, b0, b1, e
     keys: np.ndarray          # sorted int64 encodings, row-aligned with coords
     _sub_cache: dict = field(default_factory=dict, repr=False)
+    _gen_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
@@ -190,33 +201,42 @@ class FiniteQuotient:
         assert int(self.to_c3(k)) == 0
         return k, c
 
-    # -- cosets ----------------------------------------------------------
+    # -- tables ----------------------------------------------------------
+    def mul_table(self, left, right) -> np.ndarray:
+        """T[i, j] = left[i] * right[j], built in row blocks of at most
+        about 2^15 products so that no broadcast product grows large."""
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        out = np.empty((len(left), len(right)), dtype=np.int64)
+        for rows in _row_blocks(len(left), len(right)):
+            out[rows] = self.mul(left[rows, None], right[None, :])
+        return out
+
     def cosets(self, subgroup_idx: np.ndarray) -> tuple:
         """(coset_id array over elements, representative indices).
 
         Left cosets g*H; the representative is the smallest element
         index in each coset, and coset ids are ordered by representative.
         """
-        n = self.order
-        coset_id = np.full(n, -1, dtype=np.int64)
-        reps = []
-        for g in range(n):
-            if coset_id[g] >= 0:
-                continue
-            members = self.mul(np.full(len(subgroup_idx), g, dtype=np.int64), subgroup_idx)
-            cid = len(reps)
-            coset_id[members] = cid
-            reps.append(g)
-        return coset_id, np.array(reps, dtype=np.int64)
+        H = np.asarray(subgroup_idx, dtype=np.int64)
+        smallest = np.empty(self.order, dtype=np.int64)
+        for rows in _row_blocks(self.order, len(H)):
+            g = np.arange(self.order, dtype=np.int64)[rows]
+            smallest[rows] = self.mul(g[:, None], H[None, :]).min(axis=1)
+        reps = np.flatnonzero(smallest == np.arange(self.order))
+        return np.searchsorted(reps, smallest), reps
 
-    def left_action_on_cosets(self, g: int, coset_id: np.ndarray, reps: np.ndarray):
-        """Permutation p with g * (coset r) = coset p[r]."""
-        moved = self.mul(np.full(len(reps), g, dtype=np.int64), reps)
-        return coset_id[moved]
+    def left_action_on_cosets(self, g, coset_id: np.ndarray, reps: np.ndarray):
+        """Permutations p with g * (coset r) = coset p[r], one row per actor
+        in the array ``g``; a scalar actor gives one 1-d permutation."""
+        actors = np.asarray(g, dtype=np.int64)
+        return coset_id[self.mul_table(actors.reshape(-1), reps)].reshape(
+            actors.shape + (len(reps),)
+        )
 
     # -- generators -------------------------------------------------------
-    def generators(self) -> dict:
-        """A verified finite generating set, found from a candidate pool."""
+    def _generator_pool(self) -> dict:
+        """Indices of the candidate generators omega, phi, s, u1..u5."""
         pr = self.precision
         pool = {
             "omega": stab.omega_element(pr),
@@ -231,26 +251,31 @@ class FiniteQuotient:
             ("u5", witt.one(pr), witt.WittElement(0, 1, pr)),
         ]:
             pool[name] = stab.normalize_to_s21(StabilizerElement(a, b, 0))
-        gens = {k: int(self.project(v)) for k, v in pool.items()}
-        if self._closure_size(list(gens.values())) != self.order:
-            raise ResourceBoundExceeded("generator pool failed to generate G(l)")
-        return gens
+        return {k: int(self.project(v)) for k, v in pool.items()}
+
+    def generators(self) -> dict:
+        """A verified finite generating set of G(l): the whole pool."""
+        return self._verified_generators("G", self.order)
 
     def sylow_generators(self) -> dict:
-        pr = self.precision
-        pool = {"s": stab.s_element(pr)}
-        for name, a, b in [
-            ("u1", witt.WittElement(1, 3, pr), witt.zero(pr)),
-            ("u2", witt.one(pr), witt.from_int(3, pr)),
-            ("u3", witt.one(pr), witt.WittElement(0, 3, pr)),
-            ("u4", witt.WittElement(1, 9, pr), witt.zero(pr)),
-            ("u5", witt.one(pr), witt.WittElement(0, 1, pr)),
-        ]:
-            pool[name] = stab.normalize_to_s21(StabilizerElement(a, b, 0))
-        gens = {k: int(self.project(v)) for k, v in pool.items()}
-        if self._closure_size(list(gens.values())) != len(self.sylow_indices()):
-            raise ResourceBoundExceeded("generator pool failed to generate P(l)")
-        return gens
+        """A verified generating set of P(l): the pool without omega and phi."""
+        return self._verified_generators("P", len(self.sylow_indices()))
+
+    def _verified_generators(self, group: str, order: int) -> dict:
+        """The pool, or its part in P(l), checked once to generate a group
+        of the given order."""
+        if group not in self._gen_cache:
+            if "pool" not in self._gen_cache:
+                self._gen_cache["pool"] = self._generator_pool()
+            gens = {
+                k: v
+                for k, v in self._gen_cache["pool"].items()
+                if group == "G" or k not in ("omega", "phi")
+            }
+            if self._closure_size(list(gens.values())) != order:
+                raise ResourceBoundExceeded(f"generator pool failed to generate {group}(l)")
+            self._gen_cache[group] = gens
+        return dict(self._gen_cache[group])
 
     def _closure_size(self, gen_indices) -> int:
         seen = {self.identity_index()}

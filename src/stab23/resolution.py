@@ -42,7 +42,11 @@ class CosetSpace:
 
 @dataclass
 class ChiSpace:
-    """The sign-isotypic summand of (Z/3^m)[G/Q8] in paired coordinates."""
+    """The sign-isotypic summand of (Z/3^m)[G/Q8] in paired coordinates.
+
+    A vector v on the pairs stands for the antisymmetric coset vector
+    with v[p] at pair_rep[p] and -v[p] at its partner sigma[pair_rep[p]].
+    """
 
     cosets: CosetSpace
     sigma: np.ndarray        # involution on Q8-cosets (right omega)
@@ -54,58 +58,64 @@ class ChiSpace:
     def size(self) -> int:
         return len(self.pair_rep)
 
-    def restrict(self, full: np.ndarray) -> np.ndarray:
-        """Pair coordinates of antisymmetric coset-space vectors (last axis)."""
-        return full[..., self.pair_rep]
-
-    def embed(self, pairs: np.ndarray, M: int) -> np.ndarray:
-        full = np.zeros(pairs.shape[:-1] + (len(self.sigma),), dtype=np.int64)
-        full[..., self.pair_rep] = pairs % M
-        full[..., self.sigma[self.pair_rep]] = (-pairs) % M
-        return full
-
-
-def _perm_apply(perm: np.ndarray, vec: np.ndarray, M: int) -> np.ndarray:
-    out = np.zeros_like(vec)
-    out[..., perm] = vec
-    return out % M
-
 
 @dataclass
 class LevelData:
-    """Cosets, actions and subgroup images of one finite quotient."""
+    """Cosets, subgroup images and the cached group actions of one quotient.
+
+    Every action of G(l) used by the construction and its checks comes
+    from ``actions``: an element g acts on the space 'c24' (G24-cosets)
+    or 'chi' (chi pairs) by a signed permutation, g . e_p = sign[p] *
+    e_{perm[p]}, with all signs +1 on 'c24'.  Each (space, element) is
+    computed once.
+    """
 
     fq: FiniteQuotient
     m: int
     c24: CosetSpace
     chi: ChiSpace
-    act24: np.ndarray        # perm of G24-cosets under left mult by each Q8-coset rep
-    act8: np.ndarray         # perm of Q8-cosets under left mult by each Q8-coset rep
-    act8_by24: np.ndarray    # perm of Q8-cosets under left mult by each G24-coset rep
-    sd16_perm24: np.ndarray  # left perms on G24-cosets for the 16 SD16 elements
-    sd16_perm8: np.ndarray
-    sd16_sign: np.ndarray
+    sd16_sign: np.ndarray    # +1 on Q8, -1 off it, aligned with the SD16 image
     p_gens: list             # sylow generator indices in the quotient
     g_gens: list             # full generating set indices
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def M(self) -> int:
         return 3**self.m
 
+    def _fill(self, actors, space: str) -> None:
+        """Cache the actions of the actors not cached yet, from one table."""
+        todo = sorted({int(g) for g in actors if (space, int(g)) not in self._cache})
+        if not todo:
+            return
+        cos = self.c24 if space == "c24" else self.chi.cosets
+        perms = self.fq.left_action_on_cosets(np.array(todo), cos.coset_id, cos.reps)
+        if space == "c24":
+            signs = np.broadcast_to(np.ones(cos.size, dtype=np.int64), perms.shape)
+        else:
+            # g moves the pair led by x to the coset g x, which leads its
+            # pair (sign +1) or is the partner of its leader (sign -1)
+            moved = perms[:, self.chi.pair_rep]
+            perms, signs = self.chi.pair_of[moved], self.chi.sign_of[moved]
+        for g, perm, sign in zip(todo, perms, signs):
+            self._cache[space, g] = (perm, sign)
+
+    def action(self, g: int, space: str) -> tuple:
+        """(perm, sign) of one element on 'c24' or 'chi'."""
+        if (space, int(g)) not in self._cache:
+            self._fill([g], space)
+        return self._cache[space, int(g)]
+
+    def actions(self, actors, space: str) -> tuple:
+        """(perms, signs) with one row per actor, computed together."""
+        self._fill(actors, space)
+        hits = [self._cache[space, int(g)] for g in actors]
+        return np.array([h[0] for h in hits]), np.array([h[1] for h in hits])
+
 
 def _coset_space(fq: FiniteQuotient, name: str) -> CosetSpace:
     cid, reps = fq.cosets(fq.subgroup_image(name))
     return CosetSpace(name, cid, reps)
-
-
-def _left_perm_table(fq, actors: np.ndarray, cosets: CosetSpace) -> np.ndarray:
-    """Table[i, :] = permutation of cosets under left mult by actors[i]."""
-    n_act, n_cos = len(actors), cosets.size
-    out = np.empty((n_act, n_cos), dtype=np.int64)
-    for i, g in enumerate(actors):
-        moved = fq.mul(np.full(n_cos, int(g), dtype=np.int64), cosets.reps)
-        out[i, :] = cosets.coset_id[moved]
-    return out
 
 
 def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
@@ -114,43 +124,22 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
     c24 = _coset_space(fq, "G24")
     c8 = _coset_space(fq, "Q8")
     om_idx = int(fq.project(stab.omega_element(fq.precision)))
-    sigma = c8.coset_id[fq.mul(c8.reps, np.full(c8.size, om_idx, dtype=np.int64))]
-    if np.any(sigma == np.arange(c8.size)):
-        raise CheckFailed("right translation by omega fixes a Q8-coset")
-    pair_of = np.full(c8.size, -1, dtype=np.int64)
-    pair_rep = []
-    sign_of = np.zeros(c8.size, dtype=np.int64)
-    for x in range(c8.size):
-        if pair_of[x] >= 0:
-            continue
-        p = len(pair_rep)
-        pair_rep.append(x)
-        pair_of[x] = p
-        pair_of[sigma[x]] = p
-        sign_of[x] = 1
-        sign_of[sigma[x]] = -1
-    chi = ChiSpace(c8, sigma, np.array(pair_rep, dtype=np.int64), pair_of, sign_of)
-
-    act24 = _left_perm_table(fq, c8.reps, c24)
-    act8 = _left_perm_table(fq, c8.reps, c8)
-    act8_by24 = _left_perm_table(fq, c24.reps, c8)
-
-    sd16 = fq.subgroup_image("SD16")
-    q8 = set(int(x) for x in fq.subgroup_image("Q8"))
-    sd16_sign = np.array([1 if int(g) in q8 else -1 for g in sd16], dtype=np.int64)
-    sd16_perm24 = _left_perm_table(fq, sd16, c24)
-    sd16_perm8 = _left_perm_table(fq, sd16, c8)
-
+    sigma = c8.coset_id[fq.mul(c8.reps, om_idx)]
+    cos = np.arange(c8.size)
+    if np.any(sigma == cos) or np.any(sigma[sigma] != cos):
+        raise CheckFailed("right translation by omega is not a free involution on Q8-cosets")
+    # each pair is led by its smaller coset
+    pair_rep = np.nonzero(cos < sigma)[0]
+    pair_of = np.empty(c8.size, dtype=np.int64)
+    pair_of[pair_rep] = pair_of[sigma[pair_rep]] = np.arange(len(pair_rep))
+    sign_of = np.where(cos < sigma, 1, -1)
+    chi = ChiSpace(c8, sigma, pair_rep, pair_of, sign_of)
+    sd16_sign = np.where(np.isin(fq.subgroup_image("SD16"), fq.subgroup_image("Q8")), 1, -1)
     return LevelData(
         fq,
         m,
         c24,
         chi,
-        act24,
-        act8,
-        act8_by24,
-        sd16_perm24,
-        sd16_perm8,
         sd16_sign,
         [int(v) for v in fq.sylow_generators().values()],
         [int(v) for v in fq.generators().values()],
@@ -161,19 +150,13 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
 
 def chi_idempotent(ld: LevelData) -> np.ndarray:
     """e_chi = (1/16) sum eps(alpha) * (right translation by alpha) on Q8-cosets."""
-    n = ld.chi.cosets.size
+    cos = ld.chi.cosets
     M = ld.M
-    fq = ld.fq
-    E = np.zeros((n, n), dtype=np.int64)
-    inv16 = pow(16, -1, M)
-    for g, sgn in zip(fq.subgroup_image("SD16"), ld.sd16_sign):
-        perm = ld.chi.cosets.coset_id[
-            fq.mul(ld.chi.cosets.reps, np.full(n, int(g), dtype=np.int64))
-        ]
-        P = np.zeros((n, n), dtype=np.int64)
-        P[perm, np.arange(n)] = 1
-        E = (E + int(sgn) * P) % M
-    return (inv16 * E) % M
+    # right[x, k]: the coset of reps[x] * alpha_k
+    right = cos.coset_id[ld.fq.mul_table(cos.reps, ld.fq.subgroup_image("SD16"))]
+    E = np.zeros((cos.size, cos.size), dtype=np.int64)
+    np.add.at(E, (right, np.arange(cos.size)[:, None]), ld.sd16_sign)
+    return (pow(16, -1, M) * (E % M)) % M
 
 
 def verify_chi_summand(ld: LevelData) -> dict:
@@ -201,50 +184,33 @@ def verify_chi_summand(ld: LevelData) -> dict:
 
 # -- P-module span utilities ---------------------------------------------------------
 
-def _closure_f3(ld: LevelData, rows: np.ndarray, gens: list, space: str) -> linalg.HowellForm:
-    """Echelon basis over F3 of the F3[<gens>]-module generated by the rows."""
-    H = linalg.howell(rows % 3, 1)
-    while True:
-        fresh = []
-        for g in gens:
-            moved = _act_vector(ld, g, H.rows, 3, space)
-            fresh.append(moved[linalg.outside_span(H, moved, 1)])
-        fresh = np.vstack(fresh)
-        if not fresh.size:
-            return H
-        H = linalg.howell(np.vstack([H.rows, fresh]), 1)
-
-
-def _act_vector(ld: LevelData, g: int, v: np.ndarray, M: int, space: str) -> np.ndarray:
+def _act_vector(ld: LevelData, g: int, v: np.ndarray, space: str) -> np.ndarray:
     """Left action of a quotient element on C0 ('c24') or chi_up ('chi');
     ``v`` is one vector or a matrix of row vectors."""
-    fq = ld.fq
-    if space == "c24":
-        perm = ld.c24.coset_id[fq.mul(np.full(ld.c24.size, g, dtype=np.int64), ld.c24.reps)]
-        return _perm_apply(perm, v, M)
-    full = ld.chi.embed(v, M)
-    perm = ld.chi.cosets.coset_id[
-        fq.mul(np.full(ld.chi.cosets.size, g, dtype=np.int64), ld.chi.cosets.reps)
-    ]
-    moved = _perm_apply(perm, full, M)
-    return ld.chi.restrict(moved) % M
+    return linalg.signed_permute(v, *ld.action(g, space)) % ld.M
+
+
+def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> linalg.F3Space:
+    """I . span(V3) mod 3, for I the augmentation ideal of the group
+    generated by ``gens``: the rows (g - 1) V3, closed under the group."""
+    acts = [ld.action(g, space) for g in gens]
+    return linalg.module_closure_f3(
+        (linalg.signed_permute(V3, *a) - V3 for a in acts), acts, V3.shape[1]
+    )
 
 
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
-    """(dim over F3 of N/(3,I_P)N, Howell of the (3,I_P)-span mod 3)."""
+    """(dim over F3 of N/(3,I_P)N, the (3,I_P)-span mod 3, a basis of N mod 3)."""
     V3 = linalg.howell(kernel_rows % 3, 1).rows
-    ik = [(_act_vector(ld, g, V3, 3, space) - V3) % 3 for g in ld.p_gens]
-    H_IK = _closure_f3(ld, np.vstack(ik), ld.p_gens, space)
-    return len(V3) - H_IK.nrows, H_IK, V3
+    H_IK = _coinvariant_span(ld, V3, ld.p_gens, space)
+    return len(V3) - H_IK.dim, H_IK, V3
 
 
 def _sd16_average(ld: LevelData, d: np.ndarray, space: str) -> np.ndarray:
     """(1/16) sum over SD16 of eps(alpha) * alpha . d."""
     M = ld.M
-    out = np.zeros_like(d)
-    for g, sgn in zip(ld.fq.subgroup_image("SD16"), ld.sd16_sign):
-        out = (out + int(sgn) * _act_vector(ld, int(g), d, M, space)) % M
-    return (pow(16, -1, M) * out) % M
+    moved = linalg.signed_permute(d, *ld.actions(ld.fq.subgroup_image("SD16"), space)) % M
+    return (pow(16, -1, M) * ((ld.sd16_sign @ moved) % M)) % M
 
 
 def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
@@ -261,16 +227,16 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
         rng.shuffle(order)
     for j in order:
         v = kernel_rows[j] % ld.M
-        if linalg.in_span(H_IK, v % 3, 1):
+        if not H_IK.reduce(v).any():
             continue
         if rng is not None:
             noise = 3 * kernel_rows[rng.randrange(len(kernel_rows))]
             g = ld.p_gens[rng.randrange(len(ld.p_gens))]
             w = kernel_rows[rng.randrange(len(kernel_rows))] % ld.M
-            noise = (noise + _act_vector(ld, g, w, ld.M, space) - w) % ld.M
+            noise = (noise + _act_vector(ld, g, w, space) - w) % ld.M
             v = (v + noise) % ld.M
         c = _sd16_average(ld, v, space)
-        if c.size and not linalg.in_span(H_IK, c % 3, 1):
+        if c.size and H_IK.reduce(c).any():
             return c, tor_dim, j
     raise ConstructionRefused(f"no averaged generator found in {space} kernel")
 
@@ -293,49 +259,23 @@ class ComplexAtLevel:
         return [self.b1, self.b2, self.b3]
 
 
-def _boundary_from_c24(ld: LevelData, c: np.ndarray) -> np.ndarray:
-    """chi_up -> C0: pair p maps to (g_p - g_p omega) . c."""
-    M = ld.M
-    n24, nchi = ld.c24.size, ld.chi.size
-    B = np.zeros((n24, nchi), dtype=np.int64)
-    for p in range(nchi):
-        x = ld.chi.pair_rep[p]
-        y = ld.chi.sigma[x]
-        B[:, p] = (
-            _perm_apply(ld.act24[x], c, M) - _perm_apply(ld.act24[y], c, M)
-        ) % M
-    return B
+def _boundary_on_pairs(ld: LevelData, c: np.ndarray, space: str) -> np.ndarray:
+    """chi_up -> C0 (``c`` in 'c24') or chi_up -> chi_up (``c`` in 'chi'):
+    pair p maps to (g_p - g_p omega) . c, g_p the representative of the
+    coset leading pair p."""
+    reps, x = ld.chi.cosets.reps, ld.chi.pair_rep
+    at_x = linalg.signed_permute(c, *ld.actions(reps[x], space))
+    at_y = linalg.signed_permute(c, *ld.actions(reps[ld.chi.sigma[x]], space))
+    return (at_x - at_y).T % ld.M
 
 
-def _boundary_from_chi(ld: LevelData, c_pairs: np.ndarray, source: str) -> np.ndarray:
-    """chi_up or C3-term -> chi_up: columns are translates of the chi vector."""
-    M = ld.M
-    full = ld.chi.embed(c_pairs, M)
-    if source == "chi":
-        n_src = ld.chi.size
-        B = np.zeros((ld.chi.size, n_src), dtype=np.int64)
-        for p in range(n_src):
-            x = ld.chi.pair_rep[p]
-            y = ld.chi.sigma[x]
-            moved = (
-                _perm_apply(ld.act8[x], full, M) - _perm_apply(ld.act8[y], full, M)
-            ) % M
-            B[:, p] = ld.chi.restrict(moved)
-        return B
-    n_src = ld.c24.size
-    B = np.zeros((ld.chi.size, n_src), dtype=np.int64)
-    for yx in range(n_src):
-        moved = _perm_apply(ld.act8_by24[yx], full, M)
-        B[:, yx] = ld.chi.restrict(moved)
-    return B
+def _boundary_on_cosets(ld: LevelData, c_pairs: np.ndarray) -> np.ndarray:
+    """C3-term (G24-cosets) -> chi_up: coset y maps to g_y . c."""
+    return linalg.signed_permute(c_pairs, *ld.actions(ld.c24.reps, "chi")).T % ld.M
 
 
-def construct_complex(
-    fq: FiniteQuotient, m: int, ld: LevelData | None = None, rng=None
-) -> ComplexAtLevel:
-    if ld is None:
-        ld = prepare_level(fq, m)
-    M = ld.M
+def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
+    m = ld.m
     n24, nchi = ld.c24.size, ld.chi.size
     diagnostics = {}
 
@@ -348,22 +288,22 @@ def construct_complex(
     N1 = linalg.kernel(aug, m)
     c1, tor1, pick1 = _pick_averaged_generator(ld, N1, "c24", rng)
     _assert_q8_invariant(ld, c1, "c24")
-    b1 = _boundary_from_c24(ld, c1)
+    b1 = _boundary_on_pairs(ld, c1, "c24")
 
     N2 = linalg.kernel(b1, m)
     c2, tor2, pick2 = _pick_averaged_generator(ld, N2, "chi", rng)
     _assert_q8_invariant(ld, c2, "chi")
-    b2 = _boundary_from_chi(ld, c2, "chi")
+    b2 = _boundary_on_pairs(ld, c2, "chi")
 
     N3 = linalg.kernel(b2, m)
     c3, tor3 = _g24_invariant_generator(ld, N3)
-    b3 = _boundary_from_chi(ld, c3, "c24")
+    b3 = _boundary_on_cosets(ld, c3)
 
     diagnostics["tor0_dims"] = {"N1": tor1, "N2": tor2, "N3": tor3}
     diagnostics["generator_choice"] = {"N1": int(pick1), "N2": int(pick2)}
 
     cx = ComplexAtLevel(
-        fq.level,
+        ld.fq.level,
         m,
         (n24, nchi, nchi, n24),
         aug,
@@ -389,9 +329,9 @@ def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
     psi_idx = int(fq.project(stab.psi_element(fq.precision)))
     om_idx = int(fq.project(stab.omega_element(fq.precision)))
     for g in (t_idx, psi_idx):
-        if ((_act_vector(ld, g, c, M, space) - c) % M).any():
+        if ((_act_vector(ld, g, c, space) - c) % M).any():
             raise CheckFailed("averaged generator is not Q8-invariant")
-    if ((_act_vector(ld, om_idx, c, M, space) + c) % M).any():
+    if ((_act_vector(ld, om_idx, c, space) + c) % M).any():
         raise CheckFailed("averaged generator is not in the sign isotype")
 
 
@@ -410,18 +350,16 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     ]
     blocks = []
     for g in gens24:
-        blocks.append((_act_vector(ld, g, N3, M, "chi") - N3).T % M)
+        blocks.append((_act_vector(ld, g, N3, "chi") - N3).T % M)
     big = np.vstack(blocks) % M
     y_span = linalg.kernel(big, m)
     if y_span.size == 0:
         raise ConstructionRefused("no G24-invariant vectors in the last kernel")
     cands = (y_span @ N3) % M
-    tor_dim, H_IK, _ = _tor0_data(ld, N3, "chi")
+    tor_dim, _, V3 = _tor0_data(ld, N3, "chi")
     # full-group coinvariants for the generator test
-    V3 = linalg.howell(N3 % 3, 1).rows
-    ig = [(_act_vector(ld, g, V3, 3, "chi") - V3) % 3 for g in ld.g_gens]
-    H_IG = _closure_f3(ld, np.vstack(ig), ld.g_gens, "chi")
-    outside = linalg.outside_span(H_IG, cands % 3, 1).nonzero()[0]
+    H_IG = _coinvariant_span(ld, V3, ld.g_gens, "chi")
+    outside = H_IG.reduce(cands).any(axis=1).nonzero()[0]
     if outside.size:
         return cands[outside[0]], tor_dim
     raise ConstructionRefused("no G24-invariant generator survives the coinvariant test")
@@ -443,7 +381,7 @@ def nakayama_surjectivity(ld: LevelData, f: np.ndarray, target_rows: np.ndarray,
     span(target_rows); the two verdicts must agree (Nakayama)."""
     m = ld.m
     _, H_IK, V3 = _tor0_data(ld, target_rows, space)
-    cols3 = linalg.howell(np.vstack([H_IK.rows, (f.T % 3)]) if H_IK.rows.size else f.T % 3, 1)
+    cols3 = linalg.howell(np.vstack([H_IK.rows, f.T % 3]), 1)
     covered = linalg.span_contains(cols3, V3, 1)
     H_img = linalg.image(f, m)
     direct = linalg.span_contains(H_img, target_rows, m)
@@ -488,30 +426,12 @@ def _join(K: np.ndarray, I: np.ndarray) -> np.ndarray:
     return np.vstack([K, I])
 
 
-def _perm24_of(ld: LevelData, g: int) -> np.ndarray:
-    fq = ld.fq
-    return ld.c24.coset_id[
-        fq.mul(np.full(ld.c24.size, g, dtype=np.int64), ld.c24.reps)
-    ]
-
-
-def _chi_signed_perm(ld: LevelData, g: int) -> tuple:
-    """g . v_p = sign[p] * v_{perm[p]} on the paired chi coordinates."""
-    fq = ld.fq
-    n8 = ld.chi.cosets.size
-    p8 = ld.chi.cosets.coset_id[
-        fq.mul(np.full(n8, g, dtype=np.int64), ld.chi.cosets.reps)
-    ]
-    moved = p8[ld.chi.pair_rep]
-    return ld.chi.pair_of[moved], ld.chi.sign_of[moved]
-
-
 def equivariance_check(ld: LevelData, cx: ComplexAtLevel) -> bool:
     """Boundary matrices commute with every generator action, exactly."""
     M = ld.M
     for g in ld.g_gens:
-        p24 = _perm24_of(ld, g)
-        pchi, schi = _chi_signed_perm(ld, g)
+        p24, _ = ld.action(g, "c24")
+        pchi, schi = ld.action(g, "chi")
         for B, src, dst in (
             (cx.b1, "chi", "c24"),
             (cx.b2, "chi", "chi"),
@@ -569,9 +489,9 @@ def pushforward_complex(cx_hi: ComplexAtLevel, ld_hi: LevelData, ld_lo: LevelDat
     c1 = (P0 @ cx_hi.c_vectors["c1"]) % M
     c2 = (P1 @ cx_hi.c_vectors["c2"]) % M
     c3 = (P1 @ cx_hi.c_vectors["c3"]) % M
-    b1 = _boundary_from_c24(ld_lo, c1)
-    b2 = _boundary_from_chi(ld_lo, c2, "chi")
-    b3 = _boundary_from_chi(ld_lo, c3, "c24")
+    b1 = _boundary_on_pairs(ld_lo, c1, "c24")
+    b2 = _boundary_on_pairs(ld_lo, c2, "chi")
+    b3 = _boundary_on_cosets(ld_lo, c3)
     aug = np.ones((1, ld_lo.c24.size), dtype=np.int64)
     cx = ComplexAtLevel(
         ld_lo.fq.level,
@@ -609,23 +529,26 @@ def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
     return out
 
 
-def homology_pro_triviality(quotients: list, m: int) -> TransitionReport:
+def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionReport:
     """Interior homology transitions along a tower of levels (fine to coarse).
 
-    The top complex is built by lift-and-average and pushed down level by
-    level, so the projections are chain maps on the nose.  Reports the
-    per-step verdicts and the composite over the whole range; interior
-    classes observed in runs die after one full congruence step (two
-    half-integer levels), not necessarily after a single half-step.
+    ``lds`` are the prepared levels, finest first, and ``top_cx`` is the
+    complex built by lift-and-average at the finest one.  It is pushed
+    down level by level, so the projections are chain maps on the nose.
+    Reports the per-step verdicts and the composite over the whole range;
+    interior classes observed in runs die after one full congruence step
+    (two half-integer levels), not necessarily after a single half-step.
     """
-    if len(quotients) < 2:
+    if len(lds) < 2:
         raise ValueError("need at least two levels")
-    levels = [fq.level for fq in quotients]
+    levels = [ld.fq.level for ld in lds]
     if any(a <= b for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must strictly decrease")
+    m = top_cx.m
+    if top_cx.level != levels[0] or any(ld.m != m for ld in lds):
+        raise ValueError("the top complex and the levels must share the top level and m")
     M = 3**m
-    lds = [prepare_level(fq, m) for fq in quotients]
-    cxs = [construct_complex(quotients[0], m, lds[0])]
+    cxs = [top_cx]
     for hi, lo in zip(lds, lds[1:]):
         cxs.append(pushforward_complex(cxs[-1], hi, lo))
     chain_ok = True
@@ -651,7 +574,7 @@ def homology_pro_triviality(quotients: list, m: int) -> TransitionReport:
         [str(lv) for lv in levels],
         m,
         bool(chain_ok),
-        {str(fq.level): homology_cells(cx) for fq, cx in zip(quotients, cxs)},
+        {str(lv): homology_cells(cx) for lv, cx in zip(levels, cxs)},
         step_zero,
         composite,
     )

@@ -162,7 +162,7 @@ def resolution_runs():
     for (level, m) in ((Fraction(2), 1), (Fraction(2), 2), (Fraction(5, 2), 1)):
         fq = q.finite_quotient(level, N)
         ld = res.prepare_level(fq, m)
-        cx = res.construct_complex(fq, m, ld)
+        cx = res.construct_complex(ld)
         out[(level, m)] = (fq, ld, cx)
     return out
 
@@ -185,10 +185,10 @@ def test_criterion_7_resolution(resolution_runs):
             ok = ok and res.nakayama_surjectivity(ld, f, tgt, space)["nakayama_consistent"]
     # transitions 5/2 -> 2 -> 3/2 at m=1: the interior homology must be
     # pro-trivial (die within the tested tower); per-step verdicts reported
-    fq52 = resolution_runs[(Fraction(5, 2), 1)][0]
-    fq2 = resolution_runs[(Fraction(2), 1)][0]
-    fq32 = q.finite_quotient(Fraction(3, 2), N)
-    rep = res.homology_pro_triviality([fq52, fq2, fq32], 1)
+    _, ld52, cx52 = resolution_runs[(Fraction(5, 2), 1)]
+    ld2 = resolution_runs[(Fraction(2), 1)][1]
+    ld32 = res.prepare_level(q.finite_quotient(Fraction(3, 2), N), 1)
+    rep = res.homology_pro_triviality([ld52, ld2, ld32], cx52)
     print(f"  transition steps: {rep.step_zero}")
     print(f"  composite {rep.levels[0]} -> {rep.levels[-1]}: {rep.composite_zero}")
     ok = ok and rep.chain_maps_ok and rep.pro_trivial

@@ -132,10 +132,10 @@ def test_resolution_with_refused_top_and_built_lower_level_fails(runner, tmp_pat
 
     real = res_mod.construct_complex
 
-    def refuse_top(fq, m, ld=None, rng=None):
-        if fq.level == Fraction(5, 2):
+    def refuse_top(ld, rng=None):
+        if ld.fq.level == Fraction(5, 2):
             raise ConstructionRefused("no averaged generator found in chi kernel")
-        return real(fq, m, ld, rng)
+        return real(ld, rng)
 
     monkeypatch.setattr(res_mod, "construct_complex", refuse_top)
     r = invoke(runner, tmp_path, ["resolution", "--levels", "5/2,2", "--mod", "1"])
@@ -163,4 +163,32 @@ def test_malformed_input_is_a_usage_error(runner, tmp_path, args, option):
     r = invoke(runner, tmp_path, args)
     assert r.exit_code == 2, r.output
     assert f"Invalid value for '{option}'" in r.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_resolution_builds_each_level_once(runner, tmp_path, monkeypatch):
+    # the transition tower reuses the levels and the top complex of the
+    # per-level loop instead of building them again
+    from stab23 import resolution as res_mod
+
+    built = {"prepare_level": [], "construct_complex": []}
+    for name in built:
+        real = getattr(res_mod, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            built[name].append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(res_mod, name, counted)
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "2,3/2", "--mod", "1"])
+    assert r.exit_code == 0, r.output
+    assert len(built["prepare_level"]) == 2
+    assert [ld.fq.level for (ld,) in built["construct_complex"]] == [Fraction(2), Fraction(3, 2)]
+
+
+def test_exactness_bound_is_a_resource_abort(runner, tmp_path):
+    # 18 columns at m = 19 break the int64 bound n * 3^(2m) < 2^63
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "1", "--mod", "19"])
+    assert r.exit_code == 2, r.output
+    assert "aborted: int64 bound n * 3^(2m) < 2^63 fails for n = 18 columns, m = 19" in r.output
     assert not any(tmp_path.iterdir())

@@ -160,6 +160,23 @@ def test_valuations_table_and_split_lookup():
     assert linalg.valuations(Y, 12).tolist() == [13, 11, 10, 0, 9]
 
 
+def test_solve_matrix_right_hand_side():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3):
+        M = 3**m
+        A = rng.integers(0, M, size=(5, 4))
+        B = (A @ rng.integers(0, M, size=(4, 3))) % M
+        X = linalg.solve(A, B, m)
+        assert np.array_equal(X, np.column_stack([linalg.solve(A, b, m) for b in B.T]))
+        assert not ((A @ X - B) % M).any()
+        # one column without a solution makes the whole solve None
+        A[1] = 0
+        B = np.column_stack([A @ np.arange(4) % M, np.eye(5, dtype=np.int64)[1]])
+        assert linalg.solve(A, B[:, 0], m) is not None
+        assert linalg.solve(A, B[:, 1], m) is None
+        assert linalg.solve(A, B, m) is None
+
+
 def test_int64_bound_is_enforced():
     # n * 3^(2m) < 2^63 holds for n = 6, m = 19 and fails for n = 7
     linalg.smith_kernel(np.ones((1, 6), dtype=np.int64), 19)
