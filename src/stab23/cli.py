@@ -315,8 +315,6 @@ def resolution(cfg: RunConfig, levels, modulus):
     lvls = sorted(levels, reverse=True)
 
     def job():
-        from . import linalg
-
         per_level = {}
         ok = True
         lds, top_cx = [], None
@@ -332,13 +330,7 @@ def resolution(cfg: RunConfig, levels, modulus):
                 per_level[str(lv)] = {"construction_refused": str(exc)}
                 continue
             hom = res_mod.homology_cells(cx)
-            naka = {}
-            for f, tgt, space, tag in (
-                (cx.b1, linalg.kernel(cx.aug, cfg.modulus), "c24", "stage1"),
-                (cx.b2, linalg.kernel(cx.b1, cfg.modulus), "chi", "stage2"),
-                (cx.b3, linalg.kernel(cx.b2, cfg.modulus), "chi", "stage3"),
-            ):
-                naka[tag] = res_mod.nakayama_surjectivity(ld, f, tgt, space)
+            naka = res_mod.splice_nakayama(ld, cx)
             level_ok = (
                 all(cx.diagnostics["composites_zero"].values())
                 and hom["pos0"] == []
@@ -462,7 +454,7 @@ def chart(cfg: RunConfig, group_name, tower, stems):
 
 @main.command("sylow-cohomology")
 @click.option("--levels", default="1,3/2,2", show_default=True, callback=_parsed(parse_levels))
-@click.option("--nmax", default=4, show_default=True)
+@click.option("--nmax", default=4, show_default=True, type=click.IntRange(min=1))
 @click.pass_obj
 def sylow_cohomology(cfg: RunConfig, levels, nmax):
     """dim H^n of the 3-Sylow quotients, with inflation tracking."""

@@ -18,8 +18,11 @@ def parse_level(text) -> Fraction:
 
 
 def parse_levels(text: str) -> list:
-    """Comma-separated levels, e.g. ``2,3/2,1``."""
-    return [parse_level(x) for x in str(text).split(",")]
+    """Comma-separated distinct levels, e.g. ``2,3/2,1``."""
+    levels = [parse_level(x) for x in str(text).split(",")]
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"levels must be distinct: {text}")
+    return levels
 
 
 def parse_stems(text: str) -> tuple:

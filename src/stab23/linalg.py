@@ -430,11 +430,13 @@ def quotient_invariants(K_rows, I_rows, m: int) -> list:
         return []
     if I.size == 0:
         I = np.zeros((0, K.shape[1]), dtype=np.int64)
-    # sanity: I must sit inside K
-    if not span_contains(howell(K, m), I, m):
+    # sanity: I must sit inside K, so span(K + I) = span(K)
+    HK = howell(K, m)
+    if not span_contains(HK, I, m):
         raise ValueError("quotient_invariants: I is not contained in K")
     n = [0] * (m + 2)
-    for j in range(m + 1):
+    n[0] = HK.log3_size(m)
+    for j in range(1, m + 1):
         rows = np.vstack([(3**j * K) % M, I]) if I.size else (3**j * K) % M
         n[j] = span_log_size(rows, m)
     counts_gt = [n[j] - n[j + 1] for j in range(m + 1)]  # factors with exponent > j

@@ -148,27 +148,45 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
 
 # -- chi summand ------------------------------------------------------------------
 
-def chi_idempotent(ld: LevelData) -> np.ndarray:
-    """e_chi = (1/16) sum eps(alpha) * (right translation by alpha) on Q8-cosets."""
+def _sd16_right(ld: LevelData) -> np.ndarray:
+    """right[x, k]: the Q8-coset of reps[x] * alpha_k, alpha_k the SD16 image."""
     cos = ld.chi.cosets
-    M = ld.M
-    # right[x, k]: the coset of reps[x] * alpha_k
-    right = cos.coset_id[ld.fq.mul_table(cos.reps, ld.fq.subgroup_image("SD16"))]
-    E = np.zeros((cos.size, cos.size), dtype=np.int64)
-    np.add.at(E, (right, np.arange(cos.size)[:, None]), ld.sd16_sign)
-    return (pow(16, -1, M) * (E % M)) % M
+    return cos.coset_id[ld.fq.mul_table(cos.reps, ld.fq.subgroup_image("SD16"))]
+
+
+def chi_idempotent(ld: LevelData, right=None) -> np.ndarray:
+    """e_chi = (1/16) sum eps(alpha) * (right translation by alpha) on Q8-cosets."""
+    right = _sd16_right(ld) if right is None else right
+    n = right.shape[0]
+    E = np.zeros((n, n), dtype=np.int64)
+    np.add.at(E, (right, np.arange(n)[:, None]), ld.sd16_sign)
+    return (pow(16, -1, ld.M) * (E % ld.M)) % ld.M
+
+
+def times_chi_idempotent(ld: LevelData, X: np.ndarray, right=None) -> np.ndarray:
+    """X . e_chi mod 3^m by 16 signed column gathers of X.
+
+    Column x of the unscaled idempotent is sum_k eps_k e_{right[x, k]},
+    so X . e_chi = (1/16) sum_k eps_k X[:, right[:, k]].  The sum stays
+    below 16 * 3^m in absolute value, exact in int64.
+    """
+    right = _sd16_right(ld) if right is None else right
+    acc = np.zeros(X.shape, dtype=np.int64)
+    for k, eps in enumerate(ld.sd16_sign):
+        acc += eps * X[:, right[:, k]]
+    return (pow(16, -1, ld.M) * (acc % ld.M)) % ld.M
 
 
 def verify_chi_summand(ld: LevelData) -> dict:
     """Idempotency, rank |G|/16, and the chi + tau decomposition."""
     M = ld.M
-    E = chi_idempotent(ld)
+    right = _sd16_right(ld)
+    E = chi_idempotent(ld, right)
     n = E.shape[0]
-    idem = not ((E @ E - E) % M).any()
-    rank = linalg.free_rank(linalg.image(E, ld.m).rows, ld.m)
-    eye = np.eye(n, dtype=np.int64)
-    tau = (eye - E) % M
+    idem = not ((times_chi_idempotent(ld, E, right) - E) % M).any()
     chi_rows = linalg.image(E, ld.m).rows
+    rank = linalg.free_rank(chi_rows, ld.m)
+    tau = (np.eye(n, dtype=np.int64) - E) % M
     tau_rows = linalg.image(tau, ld.m).rows
     together = linalg.span_log_size(np.vstack([chi_rows, tau_rows]), ld.m)
     full = together == ld.m * n
@@ -213,15 +231,28 @@ def _sd16_average(ld: LevelData, d: np.ndarray, space: str) -> np.ndarray:
     return (pow(16, -1, M) * ((ld.sd16_sign @ moved) % M)) % M
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _kept_tor0(tor: tuple) -> tuple:
+    """The part of ``_tor0_data`` the Nakayama check reads again: the
+    (3, I_P)-span rows and the basis of N mod 3, read-only int8."""
+    _, H_IK, V3 = tor
+    return _read_only(H_IK.rows.astype(np.int8)), _read_only(V3.astype(np.int8))
+
+
 def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
     """Lift-and-average: first kernel generator whose average still
-    generates the coinvariants; returns (c, tor0_dim, choice_index).
+    generates the coinvariants; returns (c, tor0 data, choice_index).
 
     With ``rng`` the candidate order is shuffled and the lift is
     perturbed by a random element of (3, I_P) * N; the construction's
     verdicts must not depend on this choice.
     """
-    tor_dim, H_IK, V3 = _tor0_data(ld, kernel_rows, space)
+    tor = _tor0_data(ld, kernel_rows, space)
+    H_IK = tor[1]
     order = list(range(len(kernel_rows)))
     if rng is not None:
         rng.shuffle(order)
@@ -237,7 +268,7 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
             v = (v + noise) % ld.M
         c = _sd16_average(ld, v, space)
         if c.size and H_IK.reduce(c).any():
-            return c, tor_dim, j
+            return c, tor, j
     raise ConstructionRefused(f"no averaged generator found in {space} kernel")
 
 
@@ -245,6 +276,14 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
 
 @dataclass
 class ComplexAtLevel:
+    """The complex at one level, owner of the kernel and the image of each
+    boundary ('aug', 'b1', 'b2', 'b3'), each computed at most once: by the
+    construction or on first use.  Boundaries, kernel rows and image rows
+    are read-only, so a caller that writes into one raises instead of
+    corrupting a later verdict.  ``tor0`` holds the Tor0 data of each
+    kernel the construction built (``_kept_tor0``).
+    """
+
     level: Fraction
     m: int
     dims: tuple              # (n24, n_chi, n_chi, n24)
@@ -254,9 +293,27 @@ class ComplexAtLevel:
     b3: np.ndarray           # C3-term (G24-cosets) -> chi
     c_vectors: dict
     diagnostics: dict = field(default_factory=dict)
+    kernels: dict = field(default_factory=dict, repr=False)    # boundary name -> rows
+    tor0: dict = field(default_factory=dict, repr=False)       # boundary name -> (rows, rows)
+    _images: dict = field(default_factory=dict, repr=False)    # boundary name -> HowellForm
 
-    def boundaries(self):
-        return [self.b1, self.b2, self.b3]
+    def __post_init__(self):
+        for a in (self.aug, self.b1, self.b2, self.b3, *self.kernels.values()):
+            _read_only(a)
+
+    def kernel(self, name: str) -> np.ndarray:
+        """Rows spanning the kernel of the boundary ``name``."""
+        if name not in self.kernels:
+            self.kernels[name] = _read_only(linalg.kernel(getattr(self, name), self.m))
+        return self.kernels[name]
+
+    def image(self, name: str) -> linalg.HowellForm:
+        """Howell form of the image of the boundary ``name``."""
+        if name not in self._images:
+            H = linalg.image(getattr(self, name), self.m)
+            _read_only(H.rows)
+            self._images[name] = H
+        return self._images[name]
 
 
 def _boundary_on_pairs(ld: LevelData, c: np.ndarray, space: str) -> np.ndarray:
@@ -285,21 +342,28 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
         raise CheckFailed("chi summand failed its structural checks")
 
     aug = np.ones((1, n24), dtype=np.int64)
+    # the Tor0 spans are kept in compact form, one F3Space alive at a time
+    tor0 = {}
     N1 = linalg.kernel(aug, m)
-    c1, tor1, pick1 = _pick_averaged_generator(ld, N1, "c24", rng)
+    c1, tor, pick1 = _pick_averaged_generator(ld, N1, "c24", rng)
+    tor0["aug"] = _kept_tor0(tor)
     _assert_q8_invariant(ld, c1, "c24")
     b1 = _boundary_on_pairs(ld, c1, "c24")
 
     N2 = linalg.kernel(b1, m)
-    c2, tor2, pick2 = _pick_averaged_generator(ld, N2, "chi", rng)
+    c2, tor, pick2 = _pick_averaged_generator(ld, N2, "chi", rng)
+    tor0["b1"] = _kept_tor0(tor)
     _assert_q8_invariant(ld, c2, "chi")
     b2 = _boundary_on_pairs(ld, c2, "chi")
 
     N3 = linalg.kernel(b2, m)
-    c3, tor3 = _g24_invariant_generator(ld, N3)
+    c3, tor = _g24_invariant_generator(ld, N3)
+    tor0["b2"] = _kept_tor0(tor)
     b3 = _boundary_on_cosets(ld, c3)
 
-    diagnostics["tor0_dims"] = {"N1": tor1, "N2": tor2, "N3": tor3}
+    diagnostics["tor0_dims"] = {
+        f"N{i}": len(V3) - len(H) for i, (H, V3) in enumerate(tor0.values(), start=1)
+    }
     diagnostics["generator_choice"] = {"N1": int(pick1), "N2": int(pick2)}
 
     cx = ComplexAtLevel(
@@ -312,6 +376,8 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
         b3,
         {"c1": c1, "c2": c2, "c3": c3},
         diagnostics,
+        kernels={"aug": N1, "b1": N2, "b2": N3},
+        tor0=tor0,
     )
     comp = composite_checks(cx)
     diagnostics["composites_zero"] = comp
@@ -336,7 +402,8 @@ def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
 
 
 def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
-    """A G24-fixed vector of span(N3) generating mod (3, I_G)."""
+    """A G24-fixed vector of span(N3) generating mod (3, I_G), and the
+    Tor0 data of N3."""
     import stab23.stabilizer as stab
 
     fq, M, m = ld.fq, ld.M, ld.m
@@ -356,12 +423,12 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     if y_span.size == 0:
         raise ConstructionRefused("no G24-invariant vectors in the last kernel")
     cands = (y_span @ N3) % M
-    tor_dim, _, V3 = _tor0_data(ld, N3, "chi")
+    tor = _tor0_data(ld, N3, "chi")
     # full-group coinvariants for the generator test
-    H_IG = _coinvariant_span(ld, V3, ld.g_gens, "chi")
+    H_IG = _coinvariant_span(ld, tor[2], ld.g_gens, "chi")
     outside = H_IG.reduce(cands).any(axis=1).nonzero()[0]
     if outside.size:
-        return cands[outside[0]], tor_dim
+        return cands[outside[0]], tor
     raise ConstructionRefused("no G24-invariant generator survives the coinvariant test")
 
 
@@ -376,14 +443,24 @@ def composite_checks(cx: ComplexAtLevel) -> dict:
     }
 
 
-def nakayama_surjectivity(ld: LevelData, f: np.ndarray, target_rows: np.ndarray, space: str) -> dict:
+def nakayama_surjectivity(
+    ld: LevelData, f: np.ndarray, target_rows: np.ndarray, space: str, image=None, tor0=None
+) -> dict:
     """Compare F3-coinvariant surjectivity with direct surjectivity onto
-    span(target_rows); the two verdicts must agree (Nakayama)."""
+    span(target_rows); the two verdicts must agree (Nakayama).
+
+    ``image`` (the Howell form of the image of f) and ``tor0`` (as kept by
+    ``_kept_tor0`` for the target) are computed here unless given, as
+    ``splice_nakayama`` gives them from the complex.
+    """
     m = ld.m
-    _, H_IK, V3 = _tor0_data(ld, target_rows, space)
-    cols3 = linalg.howell(np.vstack([H_IK.rows, f.T % 3]), 1)
+    if tor0 is None:
+        _, H_IK, V3 = _tor0_data(ld, target_rows, space)
+        tor0 = (H_IK.rows, V3)
+    H_rows, V3 = tor0
+    cols3 = linalg.howell(np.vstack([H_rows, f.T % 3]), 1)
     covered = linalg.span_contains(cols3, V3, 1)
-    H_img = linalg.image(f, m)
+    H_img = linalg.image(f, m) if image is None else image
     direct = linalg.span_contains(H_img, target_rows, m)
     return {
         "f3_surjective": bool(covered),
@@ -393,37 +470,30 @@ def nakayama_surjectivity(ld: LevelData, f: np.ndarray, target_rows: np.ndarray,
     }
 
 
+# (stage, boundary, the boundary whose kernel is its target, target space)
+_SPLICES = (("stage1", "b1", "aug", "c24"), ("stage2", "b2", "b1", "chi"), ("stage3", "b3", "b2", "chi"))
+
+
+def splice_nakayama(ld: LevelData, cx: ComplexAtLevel) -> dict:
+    """Nakayama at every splice: b1 onto ker aug, b2 onto ker b1 and b3
+    onto ker b2, with targets, images and Tor0 data read from the complex."""
+    return {
+        stage: nakayama_surjectivity(
+            ld, getattr(cx, f), cx.kernel(src), space, cx.image(f), cx.tor0.get(src)
+        )
+        for stage, f, src, space in _SPLICES
+    }
+
+
 def homology_cells(cx: ComplexAtLevel) -> dict:
-    """Invariant factors of the homology at each position."""
+    """Invariant factors of the homology at each position: ker b_i / im b_(i+1)."""
     m = cx.m
-    M = 3**m
-    out = {}
-    out["coker_aug"] = [] if linalg.image(cx.aug, m).log3_size(m) == m else ["nonzero"]
-    N1 = linalg.kernel(cx.aug, m)
-    out["pos0"] = linalg.quotient_invariants(
-        _join(N1, linalg.image(cx.b1, m).rows), linalg.image(cx.b1, m).rows, m
-    )
-    Z1 = linalg.kernel(cx.b1, m)
-    out["pos1"] = linalg.quotient_invariants(
-        _join(Z1, linalg.image(cx.b2, m).rows), linalg.image(cx.b2, m).rows, m
-    )
-    Z2 = linalg.kernel(cx.b2, m)
-    out["pos2"] = linalg.quotient_invariants(
-        _join(Z2, linalg.image(cx.b3, m).rows), linalg.image(cx.b3, m).rows, m
-    )
-    Z3 = linalg.kernel(cx.b3, m)
-    out["pos3"] = linalg.quotient_invariants(
-        Z3, np.zeros((0, Z3.shape[1] if Z3.size else cx.dims[3]), dtype=np.int64), m
-    )
+    out = {"coker_aug": [] if cx.image("aug").log3_size(m) == m else ["nonzero"]}
+    for pos, (ker, im) in enumerate((("aug", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", None))):
+        Z = cx.kernel(ker)
+        B = cx.image(im).rows if im else np.zeros((0, Z.shape[1]), dtype=np.int64)
+        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m)
     return out
-
-
-def _join(K: np.ndarray, I: np.ndarray) -> np.ndarray:
-    if I.size == 0:
-        return K
-    if K.size == 0:
-        return I
-    return np.vstack([K, I])
 
 
 def equivariance_check(ld: LevelData, cx: ComplexAtLevel) -> bool:
@@ -458,7 +528,6 @@ class TransitionReport:
     levels: list             # fine to coarse
     m: int
     chain_maps_ok: bool
-    homology: dict           # level -> position -> invariant factors
     step_zero: dict          # (upper, lower) -> position -> bool
     composite_zero: dict     # position -> bool, over the full level range
 
@@ -512,20 +581,16 @@ def pushforward_complex(cx_hi: ComplexAtLevel, ld_hi: LevelData, ld_lo: LevelDat
 
 
 def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
-    """Per-position: does the induced map on interior homology vanish."""
+    """Per-position: does the induced map on interior homology vanish.
+    Kernels come from the higher complex, images from the lower one."""
     M = 3**m
     out = {}
-    for pos, (bker_hi, bim_lo, P) in {
-        "pos1": (cx_hi.b1, cx_lo.b2, P1),
-        "pos2": (cx_hi.b2, cx_lo.b3, P1),
-        "pos3": (cx_hi.b3, None, P0),
-    }.items():
-        Z = linalg.kernel(bker_hi, m)
-        if bim_lo is None:
-            im_H = linalg.howell(np.zeros((0, P.shape[0]), dtype=np.int64), m)
+    for pos, ker, im, P in (("pos1", "b1", "b2", P1), ("pos2", "b2", "b3", P1), ("pos3", "b3", None, P0)):
+        moved = (cx_hi.kernel(ker) @ P.T) % M
+        if im is None:
+            out[pos] = not moved.any()
         else:
-            im_H = linalg.image(bim_lo, m)
-        out[pos] = bool(linalg.span_contains(im_H, (Z @ P.T) % M, m))
+            out[pos] = bool(linalg.span_contains(cx_lo.image(im), moved, m))
     return out
 
 
@@ -574,7 +639,6 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
         [str(lv) for lv in levels],
         m,
         bool(chain_ok),
-        {str(lv): homology_cells(cx) for lv, cx in zip(levels, cxs)},
         step_zero,
         composite,
     )

@@ -1,5 +1,9 @@
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 from click.testing import CliRunner
@@ -156,6 +160,9 @@ def test_resolution_with_refused_top_and_built_lower_level_fails(runner, tmp_pat
         (["invariants", "--ring", "tame", "--group", "C3"], "--group"),
         (["--stems", "5", "chart", "--tower"], "--stems"),
         (["--level", "7/3", "group", "verify-relations"], "--level"),
+        (["resolution", "--levels", "2,2"], "--levels"),
+        (["sylow-cohomology", "--levels", "2,2"], "--levels"),
+        (["sylow-cohomology", "--nmax", "-1"], "--nmax"),
     ],
 )
 def test_malformed_input_is_a_usage_error(runner, tmp_path, args, option):
@@ -192,3 +199,38 @@ def test_exactness_bound_is_a_resource_abort(runner, tmp_path):
     assert r.exit_code == 2, r.output
     assert "aborted: int64 bound n * 3^(2m) < 2^63 fails for n = 18 columns, m = 19" in r.output
     assert not any(tmp_path.iterdir())
+
+
+def test_resolution_eliminates_nothing_twice(runner, tmp_path, monkeypatch):
+    # each complex owns the kernels and images of its boundaries, so no
+    # kernel or image is computed twice on the same matrix
+    from stab23 import linalg
+
+    seen = []
+    for name in ("kernel", "image"):
+        real = getattr(linalg, name)
+
+        def recorded(A, m, real=real, name=name):
+            a = np.ascontiguousarray(np.atleast_2d(np.asarray(A, dtype=np.int64)))
+            seen.append(hashlib.sha1(f"{name} {m} {a.shape}".encode() + a.tobytes()).hexdigest())
+            return real(A, m)
+
+        monkeypatch.setattr(linalg, name, recorded)
+    r = invoke(runner, tmp_path, ["resolution", "--levels", "2,3/2", "--mod", "1"])
+    assert r.exit_code == 0, r.output
+    assert seen and len(set(seen)) == len(seen)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "levels, mod, stem",
+    [("2,3/2,1", "1", "resolution_mod1"), ("2,3/2", "2", "resolution_mod2")],
+)
+def test_resolution_reports_match_the_golden_bytes(runner, tmp_path, levels, mod, stem):
+    # the JSON and text reports of both benchmark suites, byte for byte
+    r = invoke(runner, tmp_path, ["resolution", "--levels", levels, "--mod", mod])
+    assert r.exit_code == 0, r.output
+    for ext in ("json", "txt"):
+        assert (tmp_path / f"resolution.{ext}").read_bytes() == (FIXTURES / f"{stem}.{ext}").read_bytes()

@@ -101,6 +101,21 @@ def test_quotient_invariants_simple():
     assert linalg.quotient_invariants(K, np.zeros((0, 2), dtype=np.int64), 2) == [2, 2]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_quotient_invariants_matches_the_full_count(m):
+    # n[0] is read off the containment check's Howell form of K; the
+    # layer counts must agree with eliminating K together with I
+    rng = np.random.default_rng(m)
+    M = 3**m
+    for _ in range(5):
+        K = rng.integers(0, M, size=(4, 6))
+        I = (rng.integers(0, M, size=(3, 4)) * 3 ** rng.integers(0, m + 1, size=(3, 1))) @ K % M
+        n = [linalg.span_log_size(np.vstack([3**j * K % M, I]), m) for j in range(m + 1)]
+        gt = [n[j] - (n[j + 1] if j < m else 0) for j in range(m + 1)]
+        want = sorted(e for e in range(1, m + 1) for _ in range(gt[e - 1] - (gt[e] if e < m else 0)))
+        assert linalg.quotient_invariants(K, I, m) == want
+
+
 def test_quotient_invariants_rejects_non_submodule():
     K = np.array([[3, 0]], dtype=np.int64)
     I = np.array([[1, 0]], dtype=np.int64)

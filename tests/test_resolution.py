@@ -27,6 +27,30 @@ def test_chi_summand(lvl2):
     assert rep["chi_plus_tau_full"]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_chi_gathers_match_the_dense_product(lvl2, m):
+    # X . e_chi by 16 signed column gathers against the dense int64 oracle,
+    # on e_chi itself and on a matrix that is not idempotent
+    fq, _, _ = lvl2
+    ld = res.prepare_level(fq, m)
+    E = res.chi_idempotent(ld)
+    assert np.array_equal(res.times_chi_idempotent(ld, E), (E @ E) % ld.M)
+    X = np.random.default_rng(7).integers(0, ld.M, size=(5, E.shape[0]))
+    assert np.array_equal(res.times_chi_idempotent(ld, X), (X @ E) % ld.M)
+
+
+def test_complex_keeps_its_kernels_and_images_read_only(lvl2):
+    fq, ld, cx = lvl2
+    for name in ("aug", "b1", "b2", "b3"):
+        Z, H = cx.kernel(name), cx.image(name)
+        assert cx.kernel(name) is Z and cx.image(name) is H
+        assert np.array_equal(Z, linalg.kernel(getattr(cx, name), cx.m))
+        assert np.array_equal(H.rows, linalg.image(getattr(cx, name), cx.m).rows)
+        for a in (Z, H.rows, getattr(cx, name)):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
 def test_level_three_halves_is_too_shallow():
     # the stage-2 coinvariants carry no sign-isotypic class at level 3/2;
     # the construction must refuse with a clear error rather than fake a map
@@ -172,6 +196,20 @@ def test_pushforward_is_chain_map_and_transitions(lvl2):
     # one half-integer step: position 3 dies, interior positions may persist
     step = rep.step_zero[("2", "3/2")]
     assert step["pos3"] is True
+
+
+def test_tower_computes_no_homology(lvl2, monkeypatch):
+    # the transitions read kernels and images off the complexes; the
+    # invariant factors of each complex in the tower are not needed
+    fq2, ld2, cx2 = lvl2
+    ld32 = res.prepare_level(q.finite_quotient(Fraction(3, 2), N), 1)
+
+    def unexpected(cx):
+        raise AssertionError("homology_cells called by the tower")
+
+    monkeypatch.setattr(res, "homology_cells", unexpected)
+    rep = res.homology_pro_triviality([ld2, ld32], cx2)
+    assert rep.chain_maps_ok and not hasattr(rep, "homology")
 
 
 @pytest.mark.slow
