@@ -33,8 +33,9 @@ def _check_exact(n: int, m: int) -> None:
         )
 
 
-# rows per block of the F3 engine
+# rows per block of the F3 engine, and per leaf of its recursive RREF
 _F3_BLOCK = 128
+_F3_LEAF = 16
 
 
 def _check_exact_f3(ncols: int) -> None:
@@ -212,7 +213,7 @@ class F3Space:
     The basis is kept in reduced row echelon form: ``rows[:, pivots]`` is
     the identity.  Rows arrive in blocks of ``_F3_BLOCK``.  Each block is
     read mod 3 on its own, cleared against the basis by one float64
-    product, and only its surviving rows enter the column loop
+    product, and only its surviving rows enter the recursive block RREF
     (``_rref_block``).  A second product then clears the new pivot
     columns from the old rows (the FFLAS/FFPACK scheme of Dumas, Giorgi
     and Pernet).  ``rows`` is the basis in insertion order: the rows one
@@ -239,10 +240,10 @@ class F3Space:
             _mod3(Bf)
         return Bf
 
-    def reduce(self, B: np.ndarray) -> np.ndarray:
-        """Remainders mod 3 of the rows of B under the basis (int64)."""
+    def reduce(self, B: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """Remainders mod 3 of the rows of B under the basis, as ``dtype``."""
         B = np.atleast_2d(B)
-        out = np.empty(B.shape, dtype=np.int64)
+        out = np.empty(B.shape, dtype=dtype)
         for i in range(0, B.shape[0], _F3_BLOCK):
             out[i : i + _F3_BLOCK] = self._clear(B[i : i + _F3_BLOCK])
         return out
@@ -262,8 +263,7 @@ class F3Space:
             live = Bf.any(axis=1)
             if not live.any():
                 continue
-            R, new = _rref_block(Bf[live].astype(np.int8))
-            Rf = R.astype(np.float64)
+            Rf, new = _rref_block(Bf[live])
             # keep the basis reduced: clear the new pivot columns in old
             # rows, a block of rows at a time
             old = self._buf[: self.dim]
@@ -300,23 +300,14 @@ def signed_permute(rows, perm, sign=None) -> np.ndarray:
     return out
 
 
-def module_closure_f3(blocks, gens, ncols: int) -> F3Space:
-    """The F3-span of the rows of ``blocks`` closed under ``gens``.
-
-    Each generator is a signed column permutation ``(perm, sign)`` as in
-    ``signed_permute``.  Only the rows each round adds are moved again.
-    """
-    space = F3Space(ncols)
-    for B in blocks:
-        space.add(B)
-    frontier = space.rows
-    while frontier.size:
-        fresh = []
-        for perm, sign in gens:
-            before = space.dim
-            if space.add(signed_permute(frontier, perm, sign)):
-                fresh.append(space.rows[before:])
-        frontier = np.vstack(fresh) if fresh else frontier[:0]
+def augmentation_span(V: np.ndarray, acts) -> F3Space:
+    """I.span(V) mod 3 for a submodule span(V) and I the augmentation ideal
+    of the group generated by the signed permutations ``acts`` (tuples of
+    ``signed_permute`` arguments): the span of the blocks (g - 1)V, which
+    is already closed, since gh - 1 = (g - 1)h + (h - 1)."""
+    space = F3Space(V.shape[1])
+    for act in acts:
+        space.add(signed_permute(V, *act) - V)
     return space
 
 
@@ -335,6 +326,31 @@ def _mod3(X: np.ndarray) -> np.ndarray:
 
 
 def _rref_block(W: np.ndarray) -> tuple:
+    """RREF of a float64 block with entries in {0, 1, 2}; returns (rows, pivot_cols).
+
+    Above ``_F3_LEAF`` rows: reduce the top half, clear the bottom half by
+    one product with it and reduce what survives, then clear the bottom's
+    pivot columns from the top by a second product.  RREF is canonical, so
+    this is the column loop's result; ``_check_exact_f3`` covers the products.
+    """
+    if W.shape[0] <= _F3_LEAF:
+        R, pivots = _rref_leaf(W.astype(np.int8))
+        return R.astype(np.float64), pivots
+    T, top = _rref_block(W[: W.shape[0] // 2])
+    B = W[W.shape[0] // 2 :].copy()
+    if top:
+        _mod3(np.subtract(B, B[:, top] @ T, out=B))
+    live = B.any(axis=1)
+    if not live.any():
+        return T, top
+    S, bottom = _rref_block(B[live])
+    _mod3(np.subtract(T, T[:, bottom] @ S, out=T))
+    pivots = top + bottom
+    order = np.argsort(pivots, kind="stable")
+    return np.vstack([T, S])[order], [pivots[i] for i in order]
+
+
+def _rref_leaf(W: np.ndarray) -> tuple:
     """RREF of a small int8 block with entries in {0, 1, 2}, in place.
 
     Each step takes the first column that is nonzero below the rows
@@ -418,10 +434,11 @@ def span_log_size(rows, m: int) -> int:
     return howell(rows, m).log3_size(m)
 
 
-def quotient_invariants(K_rows, I_rows, m: int) -> list:
+def quotient_invariants(K_rows, I_rows, m: int, HK=None) -> list:
     """Invariant factor exponents of span(K)/span(I), I a submodule of K.
 
-    Returns a sorted list of exponents e, one per cyclic factor Z/3^e.
+    ``HK``, the Howell form of K, is computed unless given.  Returns a
+    sorted list of exponents e, one per cyclic factor Z/3^e.
     """
     M = modulus(m)
     K = _as_matrix(K_rows, m)
@@ -431,7 +448,7 @@ def quotient_invariants(K_rows, I_rows, m: int) -> list:
     if I.size == 0:
         I = np.zeros((0, K.shape[1]), dtype=np.int64)
     # sanity: I must sit inside K, so span(K + I) = span(K)
-    HK = howell(K, m)
+    HK = howell(K, m) if HK is None else HK
     if not span_contains(HK, I, m):
         raise ValueError("quotient_invariants: I is not contained in K")
     n = [0] * (m + 2)

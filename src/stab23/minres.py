@@ -31,20 +31,52 @@ class PermGroup:
         return self.mult.shape[0]
 
 
+def _relabel(indices: np.ndarray, x) -> np.ndarray:
+    """Positions of the elements x in the sorted array ``indices``."""
+    pos = np.searchsorted(indices, x)
+    if not np.array_equal(indices[np.minimum(pos, len(indices) - 1)], x):
+        raise ValueError("element outside the subgroup")
+    return pos
+
+
 def group_from_indices(fq, indices: np.ndarray, gen_indices: list) -> PermGroup:
     """Relabel a subgroup of a FiniteQuotient as 0..p-1 with its table."""
     indices = np.sort(np.asarray(indices, dtype=np.int64))
-
-    def relabel(x):
-        pos = np.searchsorted(indices, x)
-        if not np.array_equal(indices[np.minimum(pos, len(indices) - 1)], x):
-            raise ValueError("element outside the subgroup")
-        return pos
-
-    mult = relabel(fq.mul_table(indices, indices))
-    ident = int(relabel(fq.identity_index()))
-    gens = [int(i) for i in relabel(np.asarray(gen_indices, dtype=np.int64))]
+    mult = _relabel(indices, fq.mul_table(indices, indices))
+    ident = int(_relabel(indices, fq.identity_index()))
+    gens = [int(i) for i in _relabel(indices, np.asarray(gen_indices, dtype=np.int64))]
     return PermGroup(mult, ident, gens)
+
+
+def sylow_group(fq) -> PermGroup:
+    return group_from_indices(fq, fq.sylow_indices(), list(fq.sylow_generators().values()))
+
+
+def sylow_projection(fq_hi, fq_lo) -> np.ndarray:
+    """proj[i]: the image in P(lo) of element i of P(hi), labelled as in ``sylow_group``."""
+    image = fq_hi.projection_to(fq_lo)[np.sort(fq_hi.sylow_indices())]
+    return _relabel(np.sort(fq_lo.sylow_indices()), image)
+
+
+def _generated(G: PermGroup, gens: list) -> np.ndarray:
+    """Mask of the subgroup of G generated by ``gens``."""
+    seen = np.zeros(G.order, dtype=bool)
+    frontier = np.array([G.identity])
+    while frontier.size:
+        seen[frontier] = True
+        frontier = np.unique(G.mult[np.ix_(frontier, np.asarray(gens, dtype=np.int64))])
+        frontier = frontier[~seen[frontier]]
+    return seen
+
+
+def irredundant_generators(G: PermGroup) -> list:
+    """G.gens without each generator that lies in the subgroup the others
+    generate: d(P) elements for a p-group (Burnside's basis theorem)."""
+    gens = list(G.gens)
+    for i in reversed(range(len(gens))):
+        if _generated(G, gens[:i] + gens[i + 1 :])[gens[i]]:
+            del gens[i]
+    return gens
 
 
 def _regular_action(G: PermGroup, g: int, rank: int) -> np.ndarray:
@@ -52,6 +84,15 @@ def _regular_action(G: PermGroup, g: int, rank: int) -> np.ndarray:
     (rank, p), as a column permutation."""
     p = G.order
     return (np.arange(rank)[:, None] * p + G.mult[g]).ravel()
+
+
+def _new_generators(G: PermGroup, gens: list, K: np.ndarray, rank: int) -> list:
+    """The rows of K outside span(I.K, the rows chosen before them), in one
+    pass: reducing mod I.K is linear, so they are the pivot columns of R^T
+    for the remainders R."""
+    acts = [(_regular_action(G, g, rank),) for g in gens]
+    R = linalg.augmentation_span(K.astype(np.int8), acts).reduce(K, dtype=np.int8)
+    return [K[j] for j in linalg.rref_f3(R.T)[1]]
 
 
 @dataclass
@@ -67,6 +108,7 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     # ldiv[g, h] = g^-1 h
     inverse = np.argmax(G.mult == G.identity, axis=1)
     ldiv = G.mult[inverse]
+    gens = irredundant_generators(G)
     ranks = [1]
     diffs = []
     gens_per_stage = []
@@ -74,24 +116,7 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     prev_rank = 1
     d_prev = np.ones((1, p), dtype=np.int64)
     for n in range(1, n_max + 1):
-        K = linalg.kernel(d_prev, 1)
-        # IK: submodule generated by (g - 1) K
-        acts = [(_regular_action(G, g, prev_rank), None) for g in G.gens]
-        space = linalg.module_closure_f3(
-            (linalg.signed_permute(K, perm) - K for perm, _ in acts), acts, K.shape[1]
-        )
-        # greedy: each row of K outside the span of IK and the rows
-        # already chosen; one reduction of the remaining rows per choice
-        new_gens = []
-        start = 0
-        while True:
-            outside = space.reduce(K[start:]).any(axis=1).nonzero()[0]
-            if not outside.size:
-                break
-            start += int(outside[0])
-            new_gens.append(K[start])
-            space.add(K[start : start + 1])
-            start += 1
+        new_gens = _new_generators(G, gens, linalg.kernel(d_prev, 1), prev_rank)
         r = len(new_gens)
         ranks.append(r)
         gens_per_stage.append(new_gens)
@@ -111,14 +136,46 @@ def cohomology_dims(G: PermGroup, n_max: int) -> list:
     return minimal_resolution(G, n_max).ranks[: n_max + 1]
 
 
-def _block_augment(v: np.ndarray, p: int, rank: int) -> np.ndarray:
-    """Coinvariant reduction F3[P]^rank -> F3^rank (sum each block)."""
-    return v.reshape(rank, p).sum(axis=1) % 3
-
-
 def rank_f3(A: np.ndarray) -> int:
     """Rank over F3 of an integer matrix, read mod 3."""
     return len(linalg.rref_f3(A)[1])
+
+
+def apply_lift(X: np.ndarray, act: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phi(v) for the P_big-map phi : F3[P_big]^r_big -> F3[P_small]^r_small
+    with phi(e_j) = X[:, j], one scatter of v[j, g] * g.X[:, j] over the
+    nonzero v[j, g]; ``act`` = Gs.mult[proj] moves coordinate (b, k) to
+    (b, act[g, k])."""
+    pb, ps = act.shape
+    r_small = X.shape[0] // ps
+    vb = v.reshape(-1, pb)
+    j, g = np.nonzero(vb)
+    out = np.zeros((r_small, ps), dtype=np.int64)
+    moved = X.T.reshape(-1, r_small, ps)[j] * vb[j, g][:, None, None]
+    np.add.at(out, (np.arange(r_small)[:, None], act[g][:, None, :]), moved)
+    return out.ravel() % 3
+
+
+def chain_lift(res_big: MinimalResolution, res_small: MinimalResolution, proj, n_max: int) -> list:
+    """Generator matrices X_1..X_n_max (``apply_lift``) of a chain map F(big)
+    -> F(small) over the surjection proj: P_big -> P_small.  phi_0 sends
+    generator to generator, and X_n solves d_small X_n = phi_(n-1)(d_big e_j)
+    at the identity translate e_j of each generator j."""
+    Gb, Gs = res_big.group, res_small.group
+    act = Gs.mult[proj]
+    X = np.zeros((Gs.order, 1), dtype=np.int64)
+    X[Gs.identity] = 1
+    lifts = []
+    for n in range(1, n_max + 1):
+        d_big = res_big.diffs[n - 1]
+        targets = np.zeros((res_small.diffs[n - 1].shape[0], res_big.ranks[n]), dtype=np.int64)
+        for j in range(res_big.ranks[n]):
+            targets[:, j] = apply_lift(X, act, d_big[:, j * Gb.order + Gb.identity])
+        X = linalg.solve(res_small.diffs[n - 1], targets, 1)
+        if X is None:
+            raise RuntimeError("chain lift failed; pullback complex not exact")
+        lifts.append(X)
+    return lifts
 
 
 def inflation_matrices(
@@ -132,62 +189,12 @@ def inflation_matrices(
     proj[i] is the image in P_small of element i of P_big.  Returns, per
     n, the matrix of the inflation with respect to the minimal-generator
     bases (shape r_small x r_big after dualization; entry [i, j] pairs
-    small-generator i with big-generator j).
+    small-generator i with big-generator j): the coinvariant classes of
+    the columns of ``chain_lift``.
     """
-    Gb, Gs = res_big.group, res_small.group
-    pb, ps = Gb.order, Gs.order
-
-    def push(v: np.ndarray, rank: int) -> np.ndarray:
-        """F3[P_big]^rank -> F3[P_small]^rank along proj (sum over fibers)."""
-        out = np.zeros(rank * ps, dtype=np.int64)
-        vb = v.reshape(rank, pb)
-        vs = out.reshape(rank, ps)
-        np.add.at(vs, (slice(None), proj), vb)
-        return out % 3
-
-    # chain map phi_n : F_n(big) -> C_n = pullback of F_n(small);
-    # phi_0 = push; each next stage solves d_small x = phi(d_big e_j)
-    mats = []
-
-    def phi0(v):
-        return push(v, 1)
-
-    phis = [phi0]
-    for n in range(1, n_max + 1):
-        d_big = res_big.diffs[n - 1]
-        d_small = res_small.diffs[n - 1]
-        r_big = res_big.ranks[n]
-        r_small = res_small.ranks[n]
-        prev = phis[n - 1]
-        # the identity-translate of generator j is column j * pb of d_big
-        targets = np.zeros((d_small.shape[0], r_big), dtype=np.int64)
-        for j in range(r_big):
-            targets[:, j] = prev(d_big[:, j * pb] % 3)
-        X = linalg.solve(d_small, targets, 1)
-        if X is None:
-            raise RuntimeError("chain lift failed; pullback complex not exact")
-        gen_images = list(X.T)
-
-        def phi_n(v, gen_images=gen_images, r_big=r_big, r_small=r_small):
-            out = np.zeros(gen_images[0].shape[0] if gen_images else 0, dtype=np.int64)
-            vb = v.reshape(r_big, pb)
-            for j in range(r_big):
-                img = gen_images[j].reshape(r_small, ps)
-                for g in np.nonzero(vb[j])[0]:
-                    coef = vb[j, g]
-                    # g acts through its image in the small group
-                    moved = np.zeros_like(img)
-                    moved[:, Gs.mult[proj[g]]] = img
-                    out = (out + coef * moved.ravel()) % 3
-            return out
-
-        phis.append(phi_n)
-        # inflation pairing: coinvariant classes of the generator images
-        mat = np.zeros((r_small, r_big), dtype=np.int64)
-        for j, x in enumerate(gen_images):
-            mat[:, j] = _block_augment(x, ps, r_small)
-        mats.append(mat % 3)
-    return mats
+    ps = res_small.group.order
+    lifts = chain_lift(res_big, res_small, proj, n_max)
+    return [X.reshape(-1, ps, X.shape[1]).sum(axis=1) % 3 for X in lifts]
 
 
 def target_poincare_dims(n_max: int) -> list:

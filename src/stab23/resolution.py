@@ -210,11 +210,8 @@ def _act_vector(ld: LevelData, g: int, v: np.ndarray, space: str) -> np.ndarray:
 
 def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> linalg.F3Space:
     """I . span(V3) mod 3, for I the augmentation ideal of the group
-    generated by ``gens``: the rows (g - 1) V3, closed under the group."""
-    acts = [ld.action(g, space) for g in gens]
-    return linalg.module_closure_f3(
-        (linalg.signed_permute(V3, *a) - V3 for a in acts), acts, V3.shape[1]
-    )
+    generated by ``gens``."""
+    return linalg.augmentation_span(V3, [ld.action(g, space) for g in gens])
 
 
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
@@ -486,13 +483,18 @@ def splice_nakayama(ld: LevelData, cx: ComplexAtLevel) -> dict:
 
 
 def homology_cells(cx: ComplexAtLevel) -> dict:
-    """Invariant factors of the homology at each position: ker b_i / im b_(i+1)."""
+    """Invariant factors of the homology at each position: ker b_i / im b_(i+1).
+    At m = 1 the Howell form of ker b_i is the kept Tor0 basis of N mod 3."""
     m = cx.m
     out = {"coker_aug": [] if cx.image("aug").log3_size(m) == m else ["nonzero"]}
     for pos, (ker, im) in enumerate((("aug", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", None))):
         Z = cx.kernel(ker)
         B = cx.image(im).rows if im else np.zeros((0, Z.shape[1]), dtype=np.int64)
-        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m)
+        HZ = None
+        if m == 1 and ker in cx.tor0:
+            V3 = cx.tor0[ker][1]
+            HZ = linalg.HowellForm(V3, [int(c) for c in (V3 != 0).argmax(axis=1)], [0] * len(V3))
+        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m, HZ)
     return out
 
 

@@ -4,15 +4,17 @@
 ``stab23.linalg`` replaced with active-submatrix elimination over Z/3^m.
 ``rref_f3`` and ``reduce_mod_span`` are the column loop over F3 and the
 one-vector reduction that the blocked F3 engine (``linalg.F3Space``)
-replaced.  Tests compare old and new for exact equality.  They are a
-test oracle only.
+replaced.  ``module_closure_f3`` is the closure under a group that
+``minres`` and ``resolution`` ran before they took the plain span of the
+(g - 1) blocks.  Tests compare old and new for exact equality.  They are
+a test oracle only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stab23.linalg import HowellForm, _as_matrix, _check_exact, modulus
+from stab23.linalg import F3Space, HowellForm, _as_matrix, _check_exact, modulus, signed_permute
 
 
 def rref_f3(A: np.ndarray) -> tuple:
@@ -45,6 +47,26 @@ def rref_f3(A: np.ndarray) -> tuple:
         r += 1
     return W[:r].astype(np.int64), pivots
 
+
+
+def module_closure_f3(blocks, gens, ncols: int) -> F3Space:
+    """The F3-span of the rows of ``blocks`` closed under ``gens``.
+
+    Each generator is a signed column permutation ``(perm, sign)`` as in
+    ``signed_permute``.  Only the rows each round adds are moved again.
+    """
+    space = F3Space(ncols)
+    for B in blocks:
+        space.add(B)
+    frontier = space.rows
+    while frontier.size:
+        fresh = []
+        for perm, sign in gens:
+            before = space.dim
+            if space.add(signed_permute(frontier, perm, sign)):
+                fresh.append(space.rows[before:])
+        frontier = np.vstack(fresh) if fresh else frontier[:0]
+    return space
 
 
 def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:

@@ -8,7 +8,6 @@ verdicts and print the observed data alongside.
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from stab23 import charts
@@ -202,20 +201,13 @@ def test_criterion_8_sylow_cohomology():
     levels = [Fraction(1), Fraction(3, 2), Fraction(2)]
     fqs, resolutions = {}, {}
     for lv in levels:
-        fq = q.finite_quotient(lv, N)
-        fqs[lv] = fq
-        G = minres.group_from_indices(
-            fq, fq.sylow_indices(), list(fq.sylow_generators().values())
-        )
-        resolutions[lv] = minres.minimal_resolution(G, 4)
+        fqs[lv] = q.finite_quotient(lv, N)
+        resolutions[lv] = minres.minimal_resolution(minres.sylow_group(fqs[lv]), 4)
     target = minres.target_poincare_dims(4)
     deepest = levels[-1]
     through = {}
     for lv in levels[:-1]:
-        pf = fqs[deepest].projection_to(fqs[lv])
-        syl_hi = np.array(sorted(int(i) for i in fqs[deepest].sylow_indices()))
-        pos = {g: i for i, g in enumerate(sorted(int(i) for i in fqs[lv].sylow_indices()))}
-        proj = np.array([pos[int(pf[g])] for g in syl_hi], dtype=np.int64)
+        proj = minres.sylow_projection(fqs[deepest], fqs[lv])
         mats = minres.inflation_matrices(resolutions[deepest], resolutions[lv], proj, 4)
         through[lv] = [1] + [minres.rank_f3(m) for m in mats]
     ok = True

@@ -151,6 +151,16 @@ def test_resolution_with_refused_top_and_built_lower_level_fails(runner, tmp_pat
     assert "construction_refused" in data["transitions"]
 
 
+def test_sylow_cohomology_with_one_level_is_inconclusive(runner, tmp_path):
+    # one level gives no inflation, so no image rank is checked
+    r = invoke(runner, tmp_path, ["sylow-cohomology", "--levels", "2", "--nmax", "2"])
+    assert r.exit_code == 3, r.output
+    assert "INCONCLUSIVE" in r.output
+    assert "PASS" not in r.output
+    data = json.loads((tmp_path / "sylow-cohomology.json").read_text())
+    assert data["raw_dims"] == {"2": [1, 2, 4]} and data["through_image_ranks"] == {}
+
+
 @pytest.mark.parametrize(
     "args, option",
     [
@@ -234,3 +244,11 @@ def test_resolution_reports_match_the_golden_bytes(runner, tmp_path, levels, mod
     assert r.exit_code == 0, r.output
     for ext in ("json", "txt"):
         assert (tmp_path / f"resolution.{ext}").read_bytes() == (FIXTURES / f"{stem}.{ext}").read_bytes()
+
+
+def test_sylow_reports_match_the_golden_bytes(runner, tmp_path):
+    r = invoke(runner, tmp_path, ["sylow-cohomology", "--levels", "1,3/2,2", "--nmax", "3"])
+    assert r.exit_code == 0, r.output
+    for ext in ("json", "txt"):
+        got = (tmp_path / f"sylow-cohomology.{ext}").read_bytes()
+        assert got == (FIXTURES / f"sylow_cohomology.{ext}").read_bytes()

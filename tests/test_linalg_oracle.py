@@ -171,6 +171,41 @@ def test_rref_negative_int64_entries_match_oracle():
         assert_same_rref(-low_rank(rng, rows, cols, 5))
 
 
+def assert_same_block_rref(W):
+    # the recursive block RREF directly, on a float64 block read mod 3
+    R, piv = linalg._rref_block((np.asarray(W) % 3).astype(np.float64))
+    R_old, piv_old = oracle.rref_f3(W)
+    assert R.dtype == np.float64
+    assert np.array_equal(R.astype(np.int64), R_old)
+    assert piv == piv_old
+    assert all(type(c) is int for c in piv)
+    assert_same_rref(W)
+
+
+@pytest.mark.parametrize("rows", [15, 16, 17, 31, 32, 33])
+def test_recursive_block_rref_matches_oracle(rows):
+    rng = np.random.default_rng(100 + rows)
+    h = rows // 2
+    for cols in (5, rows, rows + 40):
+        assert_same_block_rref(rng.integers(0, 3, size=(rows, cols)))
+        # rank-deficient halves
+        assert_same_block_rref(np.vstack([low_rank(rng, h, cols, 2), low_rank(rng, rows - h, cols, 3)]))
+        # a bottom half in the span of the top one clears to zero
+        top = low_rank(rng, h, cols, min(4, cols))
+        assert_same_block_rref(np.vstack([top, rng.integers(0, 3, size=(rows - h, h)) @ top]))
+        # a zero top half, and zero rows scattered through both halves
+        assert_same_block_rref(np.vstack([np.zeros((h, cols), dtype=np.int64),
+                                          low_rank(rng, rows - h, cols, 3)]))
+        A = rng.integers(0, 3, size=(rows, cols))
+        A[rng.choice(rows, size=rows // 3, replace=False)] = 0
+        assert_same_block_rref(A)
+    # the bottom half's pivots lie left of the top half's
+    A = np.zeros((rows, rows + 3), dtype=np.int64)
+    A[np.arange(rows), rows - 1 - np.arange(rows)] = rng.choice([1, 2], size=rows)
+    A[:, rows:] = rng.integers(0, 3, size=(rows, 3))
+    assert_same_block_rref(A)
+
+
 def test_f3space_fed_in_chunks_matches_oracle():
     rng = np.random.default_rng(83)
     # an anti-diagonal block: one add spanning three engine blocks finds

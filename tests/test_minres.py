@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import linalg_oracle as oracle
+from stab23 import linalg
 from stab23 import minres
 from stab23 import quotients as q
 
@@ -90,3 +92,98 @@ def test_p_level_three_halves_dims():
     dims = minres.cohomology_dims(G, 4)
     assert dims[0] == 1
     assert dims[1] >= 2  # at least the abelianization rank
+
+
+# -- P(l) at levels 1, 3/2, 2: generators, I.K, and the lifted chain maps ------------------
+
+LEVELS = (Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+@pytest.fixture(scope="module")
+def sylow():
+    fqs = {lv: q.finite_quotient(lv, N) for lv in LEVELS}
+    return fqs, {lv: minres.minimal_resolution(minres.sylow_group(fqs[lv]), 3) for lv in LEVELS}
+
+
+def test_irredundant_generators_are_two(sylow):
+    # the pool has 6 entries; P(l) has Frattini rank 2 (Burnside's basis theorem)
+    _, res = sylow
+    for lv in LEVELS:
+        G = res[lv].group
+        gens = minres.irredundant_generators(G)
+        assert len(G.gens) == 6 and len(gens) == 2
+        assert minres._generated(G, gens).all()
+        assert not any(minres._generated(G, [g]).all() for g in gens)
+    assert minres.irredundant_generators(cyclic_group(1)) == []
+    assert minres.irredundant_generators(minres.PermGroup(product_c3_c3().mult, 0, [1, 4, 3, 0])) == [1, 4]
+
+
+def test_closure_of_the_augmentation_span_adds_no_rows(sylow):
+    # I.K from two generators, without closure rounds, against the old
+    # closure of the (g - 1) K blocks over the whole pool
+    _, res = sylow
+    for lv in LEVELS:
+        G = res[lv].group
+        d_prev, rank = np.ones((1, G.order), dtype=np.int64), 1
+        for d in res[lv].diffs:
+            K = linalg.kernel(d_prev, 1)
+            gens = minres.irredundant_generators(G)
+            plain = linalg.augmentation_span(
+                K, [(minres._regular_action(G, g, rank),) for g in gens]
+            )
+            acts = [(minres._regular_action(G, g, rank), None) for g in G.gens]
+            closed = oracle.module_closure_f3(
+                (linalg.signed_permute(K, perm) - K for perm, _ in acts), acts, K.shape[1]
+            )
+            assert closed.dim == plain.dim
+            assert np.array_equal(closed.rows[np.argsort(closed.pivots)], plain.rows[np.argsort(plain.pivots)])
+            d_prev, rank = d, d.shape[1] // G.order
+
+
+def dense_lift(X, act):
+    """The matrix of ``minres.apply_lift(X, act, .)``: column (j, g) is
+    X[:, j] moved by g, coordinate (b, k) going to (b, act[g, k])."""
+    pb, ps = act.shape
+    r_small, r_big = X.shape[0] // ps, X.shape[1]
+    Phi = np.zeros((r_small, ps, r_big, pb), dtype=np.int64)
+    for g in range(pb):
+        Phi[:, :, :, g][:, act[g], :] = X.reshape(r_small, ps, r_big)
+    return Phi.reshape(r_small * ps, r_big * pb)
+
+
+def mul3(A, B):
+    return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % 3
+
+
+def test_chain_lift_is_a_chain_map_on_every_translate(sylow):
+    # d_small phi_n = phi_(n-1) d_big on every column of d_big, not only
+    # on the identity translates that the lift solved for
+    fqs, res = sylow
+    big, small = res[Fraction(2)], res[Fraction(3, 2)]
+    proj = minres.sylow_projection(fqs[Fraction(2)], fqs[Fraction(3, 2)])
+    act = small.group.mult[proj]
+    X0 = np.zeros((small.group.order, 1), dtype=np.int64)
+    X0[small.group.identity] = 1
+    lifts = [X0] + minres.chain_lift(big, small, proj, 3)
+    phis = [dense_lift(X, act) for X in lifts]
+    rng = np.random.default_rng(11)
+    for n in range(1, 4):
+        assert np.array_equal(mul3(small.diffs[n - 1], phis[n]), mul3(phis[n - 1], big.diffs[n - 1]))
+        # the scatter of the library is the dense map
+        for v in rng.integers(0, 3, size=(5, phis[n].shape[1])):
+            assert np.array_equal(minres.apply_lift(lifts[n], act, v), mul3(phis[n], v))
+
+
+def test_inflation_is_functorial(sylow):
+    # inflation 1 -> 3/2 -> 2 is inflation 1 -> 2: on H_n = F_n (x) F3 the
+    # induced maps do not depend on the lift, so the matrices compose
+    fqs, res = sylow
+    one, mid, top = LEVELS
+
+    def infl(hi, lo):
+        proj = minres.sylow_projection(fqs[hi], fqs[lo])
+        return minres.inflation_matrices(res[hi], res[lo], proj, 3)
+
+    for A, B, C in zip(infl(mid, one), infl(top, mid), infl(top, one)):
+        assert minres.rank_f3(mul3(A, B)) == minres.rank_f3(C)
+        assert np.array_equal(mul3(A, B), C)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import linalg_oracle as oracle
 from stab23 import linalg
 from stab23 import quotients as q
 from stab23 import resolution as res
@@ -155,6 +156,53 @@ def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     rep = res.nakayama_surjectivity(ld, cx.b1, target, "c24")
     assert (rep["f3_surjective"], rep["surjective"]) == (False, True)
     assert not rep["nakayama_consistent"] and not rep["ok"]
+
+
+@pytest.mark.parametrize("level", [Fraction(3, 2), Fraction(2)])
+def test_coinvariant_span_needs_no_closure(lvl2, level):
+    # the plain span of the (g - 1) V3 blocks against the old closure under
+    # the group, for P and for G(l), on ker aug and on the chi kernels
+    if level == 2:
+        _, ld, cx = lvl2
+        kernels = [(cx.kernel("aug"), "c24"), (cx.kernel("b1"), "chi"), (cx.kernel("b2"), "chi")]
+    else:
+        # the construction stops at N2 here, so build ker aug and ker b1 by hand
+        ld = res.prepare_level(q.finite_quotient(level, N), 1)
+        N1 = linalg.kernel(np.ones((1, ld.c24.size), dtype=np.int64), 1)
+        c1 = res._pick_averaged_generator(ld, N1, "c24")[0]
+        kernels = [(N1, "c24"), (linalg.kernel(res._boundary_on_pairs(ld, c1, "c24"), 1), "chi")]
+    for Z, space in kernels:
+        V3 = linalg.howell(Z % 3, 1).rows
+        for gens in (ld.p_gens, ld.g_gens):
+            plain = res._coinvariant_span(ld, V3, gens, space)
+            acts = [ld.action(g, space) for g in gens]
+            closed = oracle.module_closure_f3(
+                (linalg.signed_permute(V3, *a) - V3 for a in acts), acts, V3.shape[1]
+            )
+            assert 0 < plain.dim == closed.dim
+            assert np.array_equal(closed.rows[np.argsort(closed.pivots)], plain.rows[np.argsort(plain.pivots)])
+
+
+def test_homology_cells_reuses_the_kept_kernel_forms(lvl2, monkeypatch):
+    # at m = 1 the Howell form of each kernel the construction kept comes
+    # from its Tor0 data, and the factors are those of a fresh elimination
+    _, _, cx = lvl2
+    want = {}
+    for pos, (ker, im) in enumerate((("aug", "b1"), ("b1", "b2"), ("b2", "b3"))):
+        want[f"pos{pos}"] = linalg.quotient_invariants(cx.kernel(ker), cx.image(im).rows, 1)
+    seen = []
+    real = linalg.howell
+
+    def recorded(rows, m):
+        seen.append(np.asarray(rows) % 3)
+        return real(rows, m)
+
+    monkeypatch.setattr(linalg, "howell", recorded)
+    hom = res.homology_cells(cx)
+    assert {k: hom[k] for k in want} == want
+    for name in cx.tor0:
+        Z = cx.kernel(name) % 3
+        assert not any(a.shape == Z.shape and np.array_equal(a, Z) for a in seen)
 
 
 def test_equivariance_of_boundaries(lvl2):
