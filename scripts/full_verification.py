@@ -9,7 +9,7 @@ SUITES = [
     ["group", "verify-relations"],
     ["group", "subgroup", "G24"],
     ["group", "subgroup", "SD16"],
-    ["group", "quotient", "--level", "2", "--mod", "1"],
+    ["group", "quotient", "--level", "2"],
     ["invariants", "--ring", "Srho", "--group", "C3", "--max-degree", "24"],
     ["invariants", "--ring", "tame", "--group", "SD16", "--max-degree", "24"],
     ["cohomology", "--group", "C3", "--smax", "8", "--tmin", "-12", "--tmax", "12"],

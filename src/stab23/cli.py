@@ -9,7 +9,7 @@ nothing could be verified.
 from __future__ import annotations
 
 import sys
-
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -23,7 +23,7 @@ from . import reportio
 from . import resolution as res_mod
 from . import stabilizer as stab
 from .config import RunConfig, parse_level, parse_levels, parse_stems
-from .errors import CheckFailed, ConstructionRefused, PrecisionUnstable, ResourceBoundExceeded
+from .errors import CheckFailed, PrecisionUnstable, ResourceBoundExceeded
 
 
 def _parsed(parse):
@@ -31,8 +31,6 @@ def _parsed(parse):
     usage error (exit 2)."""
 
     def callback(ctx, param, value):
-        if value is None:
-            return None
         try:
             return parse(value)
         except ValueError as exc:
@@ -41,11 +39,10 @@ def _parsed(parse):
     return callback
 
 
-def _validate(cfg: RunConfig) -> None:
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+def _check_precision(cfg: RunConfig, levels) -> None:
+    """A quotient at level l needs 3-adic precision at least l + 2."""
+    if Fraction(cfg.precision) < max(levels) + 2:
+        raise click.UsageError("need precision >= level + 2")
 
 
 def _finish(cfg: RunConfig, name: str, payload: dict, lines: list) -> None:
@@ -76,29 +73,15 @@ def _run(cfg, name, fn):
 
 
 @click.group()
-@click.option("--precision", default=8, show_default=True, help="3-adic precision N")
-@click.option("--mod", "modulus", default=1, show_default=True, help="modulus exponent m")
-@click.option("--level", default="2", show_default=True, callback=_parsed(parse_level),
-              help="quotient level (half-integer)")
-@click.option("--max-degree", default=48, show_default=True)
-@click.option("--stems", default="-1..73", show_default=True, callback=_parsed(parse_stems))
+@click.option("--precision", default=8, show_default=True, type=click.IntRange(min=1),
+              help="3-adic precision N")
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["json", "text", "svg"]))
 @click.option("--out", "out_dir", default="out", show_default=True)
 @click.pass_context
-def main(ctx, precision, modulus, level, max_degree, stems, fmt, out_dir):
+def main(ctx, precision, fmt, out_dir):
     """Exact verification suites for the height-2, p=3 stabilizer algebra."""
-    cfg = RunConfig(
-        precision=precision,
-        modulus=modulus,
-        level=level,
-        max_degree=max_degree,
-        stems=stems,
-        out_dir=Path(out_dir),
-        fmt=fmt,
-    )
-    _validate(cfg)
-    ctx.obj = cfg
+    ctx.obj = RunConfig(precision=precision, out_dir=Path(out_dir), fmt=fmt)
 
 
 @main.group()
@@ -154,40 +137,36 @@ def group_subgroup(cfg: RunConfig, name):
 
 
 @group.command("quotient")
-@click.option("--level", default=None, callback=_parsed(parse_level))
-@click.option("--mod", "modulus", default=None, type=int)
+@click.option("--level", default="2", show_default=True, callback=_parsed(parse_level),
+              help="quotient level (half-integer)")
 @click.pass_obj
-def group_quotient(cfg: RunConfig, level, modulus):
-    if level is not None:
-        cfg.level = level
-    if modulus is not None:
-        cfg.modulus = modulus
-    _validate(cfg)
+def group_quotient(cfg: RunConfig, level):
+    _check_precision(cfg, [level])
 
     def job():
-        fq = quotients.finite_quotient(cfg.level, cfg.precision)
+        fq = quotients.finite_quotient(level, cfg.precision)
         payload = fq.json_summary()
         expected = {"G24": 24, "SD16": 16, "C3": 3, "G12": 12, "Q8": 8}
         ok = all(
             payload["subgroup_image_orders"][k] == v
             for k, v in expected.items()
-            if cfg.level >= 1
+            if level >= 1
         )
         lines = [
-            f"quotient level {cfg.level}: order {payload['order']}",
+            f"quotient level {level}: order {payload['order']}",
             f"  sylow part {payload['sylow_order']}, K part {payload['k_order']}",
             "  subgroup image orders: "
             + ", ".join(f"{k}={v}" for k, v in sorted(payload["subgroup_image_orders"].items())),
         ]
         return payload, lines, ok
 
-    _run(cfg, f"group-quotient-{cfg.level.numerator}-{cfg.level.denominator}", job)
+    _run(cfg, f"group-quotient-{level.numerator}-{level.denominator}", job)
 
 
 @main.command()
 @click.option("--ring", default="Srho", type=click.Choice(["SF", "Srho", "SrhoLoc", "tame"]))
 @click.option("--group", "group_name", default="C3")
-@click.option("--max-degree", default=None, type=int)
+@click.option("--max-degree", default=48, show_default=True, type=click.IntRange(min=0))
 @click.pass_obj
 def invariants(cfg: RunConfig, ring, group_name, max_degree):
     """Invariant rings of the graded models, with Hilbert comparisons."""
@@ -197,14 +176,12 @@ def invariants(cfg: RunConfig, ring, group_name, max_degree):
             f"{group_name!r} is not one of {', '.join(groups)} for --ring {ring}",
             param_hint="'--group'",
         )
-    if max_degree is not None:
-        cfg.max_degree = max_degree
 
     def job():
         rows = []
         ok = True
         if ring == "tame":
-            for t in range(-cfg.max_degree, cfg.max_degree + 1, 2):
+            for t in range(-max_degree, max_degree + 1, 2):
                 got = inv.tame_fixed_rank(group_name, t, u1_window=10, precision=5)
                 want = inv.predicted_tame_rank(group_name, t, 10)
                 ok = ok and got == want
@@ -213,7 +190,7 @@ def invariants(cfg: RunConfig, ring, group_name, max_degree):
             from .cohomology import GradedModel
 
             model = GradedModel("SrhoLoc", 4)
-            for t in range(-cfg.max_degree, cfg.max_degree + 1, 2):
+            for t in range(-max_degree, max_degree + 1, 2):
                 got = inv.localized_fixed_rank(group_name, t, precision=4)
                 row = {"degree": t, "rank": got, "rank_over": "Z3"}
                 if group_name == "C3":
@@ -223,7 +200,7 @@ def invariants(cfg: RunConfig, ring, group_name, max_degree):
                     ok = ok and row["hilbert"] == got
                 rows.append(row)
         else:
-            for t in range(0, -cfg.max_degree - 1, -2):
+            for t in range(0, -max_degree - 1, -2):
                 b = inv.invariant_basis(group_name, t, ring=ring, precision=6)
                 row = {"degree": t, "rank": b.rank, "rank_over": b.rank_over}
                 if group_name == "C3" and ring == "Srho":
@@ -300,7 +277,7 @@ def cohomology(cfg: RunConfig, group_name, smax, tmin, tmax):
 
 @main.command()
 @click.option("--levels", default="5/2,2,3/2", show_default=True, callback=_parsed(parse_levels))
-@click.option("--mod", "modulus", default=None, type=int)
+@click.option("--mod", "modulus", default=1, show_default=True, help="modulus exponent m")
 @click.pass_obj
 def resolution(cfg: RunConfig, levels, modulus):
     """Finite-level resolution: construction, Nakayama, pro-triviality.
@@ -309,94 +286,13 @@ def resolution(cfg: RunConfig, levels, modulus):
     precision abort, 3 INCONCLUSIVE: no level could be constructed, so
     nothing was verified.
     """
-    if modulus is not None:
-        cfg.modulus = modulus
-        _validate(cfg)
-    lvls = sorted(levels, reverse=True)
+    if modulus < 1:
+        raise click.UsageError("modulus exponent must be >= 1")
+    _check_precision(cfg, levels)
 
     def job():
-        per_level = {}
-        ok = True
-        lds, top_cx = [], None
-        for lv in lvls:
-            fq = quotients.finite_quotient(lv, cfg.precision)
-            ld = res_mod.prepare_level(fq, cfg.modulus)
-            lds.append(ld)
-            try:
-                cx = res_mod.construct_complex(ld)
-            except ConstructionRefused as exc:
-                # shallow levels can lack the sign-isotypic generator; this
-                # is a reported outcome, the level still receives pushforwards
-                per_level[str(lv)] = {"construction_refused": str(exc)}
-                continue
-            hom = res_mod.homology_cells(cx)
-            naka = res_mod.splice_nakayama(ld, cx)
-            level_ok = (
-                all(cx.diagnostics["composites_zero"].values())
-                and hom["pos0"] == []
-                and hom["coker_aug"] == []
-                and naka["stage1"]["ok"]
-                and all(v["nakayama_consistent"] for v in naka.values())
-            )
-            ok = ok and level_ok
-            if lv == lvls[0]:
-                top_cx = cx
-            per_level[str(lv)] = {
-                "dims": list(cx.dims),
-                "composites_zero": cx.diagnostics["composites_zero"],
-                "tor0_dims": cx.diagnostics["tor0_dims"],
-                "homology": {k: v for k, v in hom.items()},
-                "nakayama": naka,
-                "ok": level_ok,
-            }
-        transitions = None
-        top = per_level[str(lvls[0])]
-        if len(lvls) >= 2 and "construction_refused" in top:
-            # the tower is built at the top level and pushed down, so a
-            # refused top level leaves the transitions unchecked: that is
-            # INCONCLUSIVE when no level was built, and FAIL otherwise,
-            # since the requested tower check did not run
-            transitions = {"construction_refused": top["construction_refused"]}
-            ok = False
-        elif len(lvls) >= 2:
-            rep = res_mod.homology_pro_triviality(lds, top_cx)
-            spans_full_level = lvls[0] - lvls[-1] >= 1
-            transitions = {
-                "levels": rep.levels,
-                "chain_maps_ok": rep.chain_maps_ok,
-                "step_zero": {f"{a}->{b}": v for (a, b), v in rep.step_zero.items()},
-                "composite_zero": rep.composite_zero,
-                "pro_trivial": rep.pro_trivial,
-                "spans_full_level": spans_full_level,
-            }
-            ok = ok and rep.chain_maps_ok
-            if spans_full_level and cfg.modulus == 1:
-                # one full congruence step at modulus 3 must kill the
-                # interior classes; shorter towers only report the data
-                ok = ok and rep.pro_trivial
-        lines = [f"resolution at levels {', '.join(str(l) for l in lvls)} mod 3^{cfg.modulus}"]
-        for lv, data in per_level.items():
-            if "construction_refused" in data:
-                lines.append(f"  level {lv}: construction refused ({data['construction_refused']})")
-                continue
-            lines.append(
-                f"  level {lv}: dims {data['dims']}, composites "
-                f"{'ok' if all(data['composites_zero'].values()) else 'FAIL'}, "
-                f"interior homology {data['homology']['pos1']}/"
-                f"{data['homology']['pos2']}/{data['homology']['pos3']}"
-            )
-        if transitions and "construction_refused" in transitions:
-            lines.append("  transitions: not checked, the top level's construction was refused")
-        elif transitions:
-            lines.append(f"  transitions: per-step {transitions['step_zero']}")
-            lines.append(
-                f"  pro-trivial (eventually zero in range): {transitions['pro_trivial']}"
-            )
-        if all("construction_refused" in d for d in per_level.values()):
-            ok = None
-        lines.append({True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[ok])
-        payload = {"levels": per_level, "transitions": transitions, "modulus": cfg.modulus}
-        return payload, lines, ok
+        payload, ok = res_mod.verify_tower(levels, modulus, cfg.precision)
+        return payload, reportio.render_resolution_text(payload, ok), ok
 
     _run(cfg, "resolution", job)
 
@@ -405,22 +301,19 @@ def resolution(cfg: RunConfig, levels, modulus):
 @click.option("--group", "group_name", default=None,
               type=click.Choice(charts_mod.THREE_TORSION + charts_mod.TAME))
 @click.option("--tower", is_flag=True)
-@click.option("--stems", default=None, callback=_parsed(parse_stems))
+@click.option("--stems", default="-1..73", show_default=True, callback=_parsed(parse_stems))
 @click.pass_obj
 def chart(cfg: RunConfig, group_name, tower, stems):
     """Spectral-sequence charts: E2 to E-infinity, or the tower layers."""
-    if stems is not None:
-        cfg.stems = stems
-        _validate(cfg)
 
     def tower_job():
-        tc = charts_mod.tower_chart(cfg.stems)
+        tc = charts_mod.tower_chart(stems)
         ok = (
             tc.vanishing_inputs["pi25_shifted_48"] == 0
             and tc.vanishing_inputs["pi26_shifted_48"] == 0
             and len(tc.vanishing_inputs["pi27_G24_is_one_class"]) == 1
         )
-        lines = [f"tower chart, stems {cfg.stems[0]}..{cfg.stems[1]}"]
+        lines = [f"tower chart, stems {stems[0]}..{stems[1]}"]
         for i, layer in enumerate(tc.layers):
             desc = " + ".join(f"S^{sh} E^h{g}" for g, sh in layer)
             lines.append(f"  resolution layer {i}: {desc}")
@@ -429,9 +322,9 @@ def chart(cfg: RunConfig, group_name, tower, stems):
         return tc.to_json(), lines, ok
 
     def chart_job():
-        ch = charts_mod.e_infinity(group_name, cfg.stems)
+        ch = charts_mod.e_infinity(group_name, stems)
         ok = True
-        if group_name == "G24" and cfg.stems[0] <= -1 and cfg.stems[1] >= 113:
+        if group_name == "G24" and stems[0] <= -1 and stems[1] >= 113:
             ok = charts_mod.verify_einf_generator_list(ch)
         lines = reportio.render_chart_text(ch)
         payload = ch.to_json()
@@ -459,54 +352,14 @@ def chart(cfg: RunConfig, group_name, tower, stems):
 def sylow_cohomology(cfg: RunConfig, levels, nmax):
     """dim H^n of the 3-Sylow quotients, with inflation tracking; exit codes as
     for ``resolution``, and one level is INCONCLUSIVE (exit 3)."""
-    lvls = sorted(levels)
+    _check_precision(cfg, levels)
 
     def job():
-        fqs = {lv: quotients.finite_quotient(lv, cfg.precision) for lv in lvls}
-        resolutions = {
-            lv: minres.minimal_resolution(minres.sylow_group(fq), nmax) for lv, fq in fqs.items()
-        }
-        deepest = lvls[-1]
-        target = minres.target_poincare_dims(nmax)
-        through_ranks = {}
-        for lv in lvls[:-1]:
-            proj = minres.sylow_projection(fqs[deepest], fqs[lv])
-            mats = minres.inflation_matrices(resolutions[deepest], resolutions[lv], proj, nmax)
-            through_ranks[str(lv)] = [1] + [minres.rank_f3(m) for m in mats]
-        raw = {str(lv): resolutions[lv].ranks for lv in lvls}
-        # colimit monotonicity: through-image ranks are non-decreasing in the
-        # level and bounded by (or flagged against) the detected target
-        ok = True
-        stabilized = {}
-        seq = list(through_ranks.values())
-        for n in range(nmax + 1):
-            col = [v[n] for v in seq]
-            ok = ok and all(a <= b for a, b in zip(col, col[1:]))
-            hit = [i for i, v in enumerate(col) if v == target[n]]
-            stabilized[n] = (
-                str(lvls[hit[0]]) if hit and all(col[i] == target[n] for i in range(hit[0], len(col))) else "beyond tested range"
-            )
-            ok = ok and all(v <= target[n] for v in col)
-        lines = [f"sylow cohomology dims, levels {', '.join(map(str, lvls))}"]
-        for lv in lvls:
-            lines.append(f"  P({lv}) raw dims: {resolutions[lv].ranks}")
-        for lv, ranks in through_ranks.items():
-            lines.append(f"  stable image ranks {lv} -> {deepest}: {ranks}")
-        lines.append(f"  detection target: {target}")
-        lines.append(f"  observed stabilization levels: {stabilized}")
-        if not through_ranks:
-            # one level: no inflation, so no rank was compared with anything
-            ok = None
-        lines.append({True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[ok])
-        payload = {
-            "raw_dims": raw,
-            "through_image_ranks": through_ranks,
-            "target": target,
-            "stabilization": {str(k): v for k, v in stabilized.items()},
-        }
-        return payload, lines, ok
+        payload, ok = minres.verify_inflation(levels, nmax, cfg.precision)
+        return payload, reportio.render_sylow_text(payload, ok), ok
 
     _run(cfg, "sylow-cohomology", job)
+
 
 if __name__ == "__main__":
     main()

@@ -38,25 +38,11 @@ def parse_stems(text: str) -> tuple:
     return lo, hi
 
 
-FORMATS = ("json", "text", "svg")
-
-
 @dataclass
 class RunConfig:
+    """The options every subcommand reads; each other option lives on the
+    one command that reads it."""
+
     precision: int = 8
-    modulus: int = 1
-    level: Fraction = Fraction(2)
-    max_degree: int = 48
-    stems: tuple = (-1, 73)
     out_dir: Path = field(default_factory=lambda: Path("out"))
     fmt: str = "json"
-
-    def validate(self) -> None:
-        if self.fmt not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
-        if Fraction(self.precision) < self.level + 2:
-            raise ValueError("need precision >= level + 2")
-        if self.modulus < 1:
-            raise ValueError("modulus exponent must be >= 1")
-        if self.max_degree < 0 or self.stems[1] < self.stems[0]:
-            raise ValueError("windows must be nonempty")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, quotients
 
 
 @dataclass
@@ -206,3 +206,44 @@ def target_poincare_dims(n_max: int) -> list:
         total = sum(num[k] for k in range(n % 2, min(n, 4) + 1, 2))
         out.append(total)
     return out
+
+
+def verify_inflation(levels, nmax: int, precision: int) -> tuple:
+    """Inflation-rank monotonicity of H^*(P(l); F3): (report, ok), with ok
+    True (PASS), False (FAIL) or None (INCONCLUSIVE: one level, so no
+    inflation and no rank was compared).
+
+    For each level below the deepest, the rank of the inflation into the
+    deepest level must not decrease as the level rises, and must not exceed
+    the detected target.  The report also names, per degree, the first
+    level from which the ranks sit at the target.
+    """
+    lvls = sorted(levels)
+    fqs = {lv: quotients.finite_quotient(lv, precision) for lv in lvls}
+    resolutions = {lv: minimal_resolution(sylow_group(fq), nmax) for lv, fq in fqs.items()}
+    deepest = lvls[-1]
+    target = target_poincare_dims(nmax)
+    through_ranks = {}
+    for lv in lvls[:-1]:
+        proj = sylow_projection(fqs[deepest], fqs[lv])
+        mats = inflation_matrices(resolutions[deepest], resolutions[lv], proj, nmax)
+        through_ranks[str(lv)] = [1] + [rank_f3(m) for m in mats]
+    ok = True
+    stabilized = {}
+    seq = list(through_ranks.values())
+    for n in range(nmax + 1):
+        col = [v[n] for v in seq]
+        ok = ok and all(a <= b for a, b in zip(col, col[1:]))
+        ok = ok and all(v <= target[n] for v in col)
+        hit = [i for i, v in enumerate(col) if v == target[n]]
+        stable = hit and all(v == target[n] for v in col[hit[0]:])
+        stabilized[str(n)] = str(lvls[hit[0]]) if stable else "beyond tested range"
+    if not through_ranks:
+        ok = None
+    payload = {
+        "raw_dims": {str(lv): resolutions[lv].ranks for lv in lvls},
+        "through_image_ranks": through_ranks,
+        "target": target,
+        "stabilization": stabilized,
+    }
+    return payload, ok

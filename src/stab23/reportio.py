@@ -19,6 +19,46 @@ def write_text(path: Path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_VERDICT = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}
+
+
+def render_resolution_text(report: dict, ok) -> list:
+    """Text lines of a ``resolution.verify_tower`` report."""
+    lines = [f"resolution at levels {', '.join(report['levels'])} mod 3^{report['modulus']}"]
+    for lv, data in report["levels"].items():
+        if "construction_refused" in data:
+            lines.append(f"  level {lv}: construction refused ({data['construction_refused']})")
+            continue
+        hom = data["homology"]
+        lines.append(
+            f"  level {lv}: dims {data['dims']}, composites "
+            f"{'ok' if all(data['composites_zero'].values()) else 'FAIL'}, "
+            f"interior homology {hom['pos1']}/{hom['pos2']}/{hom['pos3']}"
+        )
+    transitions = report["transitions"]
+    if transitions and "construction_refused" in transitions:
+        lines.append("  transitions: not checked, the top level's construction was refused")
+    elif transitions:
+        lines.append(f"  transitions: per-step {transitions['step_zero']}")
+        lines.append(f"  pro-trivial (eventually zero in range): {transitions['pro_trivial']}")
+    return lines + [_VERDICT[ok]]
+
+
+def render_sylow_text(report: dict, ok) -> list:
+    """Text lines of a ``minres.verify_inflation`` report."""
+    levels = list(report["raw_dims"])
+    lines = [f"sylow cohomology dims, levels {', '.join(levels)}"]
+    lines += [f"  P({lv}) raw dims: {dims}" for lv, dims in report["raw_dims"].items()]
+    lines += [
+        f"  stable image ranks {lv} -> {levels[-1]}: {ranks}"
+        for lv, ranks in report["through_image_ranks"].items()
+    ]
+    lines.append(f"  detection target: {report['target']}")
+    stabilized = {int(n): lv for n, lv in report["stabilization"].items()}
+    lines.append(f"  observed stabilization levels: {stabilized}")
+    return lines + [_VERDICT[ok]]
+
+
 def render_chart_text(chart) -> list:
     """Plain-text chart: filtration vertical, stem horizontal."""
     cells = chart.cells()

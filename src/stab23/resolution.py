@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import linalg, quotients
 from .errors import CheckFailed, ConstructionRefused
 from .quotients import FiniteQuotient
 
@@ -644,6 +644,94 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
         step_zero,
         composite,
     )
+
+
+# -- the protocol verdict ---------------------------------------------------------------
+
+def _level_report(ld: LevelData, cx: ComplexAtLevel) -> dict:
+    """One built level passes when its terms have ranks |G|/24, |G|/16,
+    |G|/16, |G|/24, its composites vanish, neither position 0 nor the
+    augmentation carries homology, b1 is onto ker aug, and Nakayama holds
+    at every splice."""
+    g = ld.fq.order
+    hom = homology_cells(cx)
+    naka = splice_nakayama(ld, cx)
+    ok = (
+        cx.dims == (g // 24, g // 16, g // 16, g // 24)
+        and all(cx.diagnostics["composites_zero"].values())
+        and hom["pos0"] == []
+        and hom["coker_aug"] == []
+        and naka["stage1"]["ok"]
+        and all(v["nakayama_consistent"] for v in naka.values())
+    )
+    return {
+        "dims": list(cx.dims),
+        "composites_zero": cx.diagnostics["composites_zero"],
+        "tor0_dims": cx.diagnostics["tor0_dims"],
+        "homology": hom,
+        "nakayama": naka,
+        "ok": ok,
+    }
+
+
+def verify_tower(levels, m: int, precision: int) -> tuple:
+    """The resolution protocol over Z/3^m on a tower of levels: (report, ok),
+    with ok True (PASS), False (FAIL) or None (INCONCLUSIVE: no level could
+    be constructed, so nothing was verified).
+
+    Each level is built and checked by ``_level_report``; a refused
+    construction is reported, not failed.  With two or more levels the
+    complex of the top level is pushed down the tower, and the projections
+    must be chain maps.  A tower spanning one full congruence step at m = 1
+    must also kill the interior homology; shorter towers, and m >= 2, only
+    report the transitions.
+    """
+    lvls = sorted(levels, reverse=True)
+    per_level = {}
+    ok = True
+    lds, top_cx = [], None
+    for lv in lvls:
+        ld = prepare_level(quotients.finite_quotient(lv, precision), m)
+        lds.append(ld)
+        try:
+            cx = construct_complex(ld)
+        except ConstructionRefused as exc:
+            # shallow levels can lack the sign-isotypic generator; this
+            # is a reported outcome, the level still receives pushforwards
+            per_level[str(lv)] = {"construction_refused": str(exc)}
+            continue
+        if lv == lvls[0]:
+            top_cx = cx
+        per_level[str(lv)] = _level_report(ld, cx)
+        ok = ok and per_level[str(lv)]["ok"]
+    transitions = None
+    top = per_level[str(lvls[0])]
+    if len(lvls) >= 2 and "construction_refused" in top:
+        # the tower is built at the top level and pushed down, so a
+        # refused top level leaves the transitions unchecked: that is
+        # INCONCLUSIVE when no level was built, and FAIL otherwise,
+        # since the requested tower check did not run
+        transitions = {"construction_refused": top["construction_refused"]}
+        ok = False
+    elif len(lvls) >= 2:
+        rep = homology_pro_triviality(lds, top_cx)
+        spans_full_level = lvls[0] - lvls[-1] >= 1
+        transitions = {
+            "levels": rep.levels,
+            "chain_maps_ok": rep.chain_maps_ok,
+            "step_zero": {f"{a}->{b}": v for (a, b), v in rep.step_zero.items()},
+            "composite_zero": rep.composite_zero,
+            "pro_trivial": rep.pro_trivial,
+            "spans_full_level": spans_full_level,
+        }
+        ok = ok and rep.chain_maps_ok
+        if spans_full_level and m == 1:
+            # one full congruence step at modulus 3 must kill the
+            # interior classes; shorter towers only report the data
+            ok = ok and rep.pro_trivial
+    if all("construction_refused" in d for d in per_level.values()):
+        ok = None
+    return {"levels": per_level, "transitions": transitions, "modulus": m}, ok
 
 
 # -- the doubled complex for the full extended group -----------------------------------

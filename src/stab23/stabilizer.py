@@ -151,10 +151,6 @@ def reduced_det(g: StabilizerElement) -> tuple:
     return torsion, principal
 
 
-def is_in_g2_1(g: StabilizerElement) -> bool:
-    return reduced_det(g)[1] == 1
-
-
 def filtration_valuation(g: StabilizerElement):
     """min(v(a-1), v(b)+1/2) as a Fraction, or None past the precision cap."""
     if g.galois != 0:
@@ -181,10 +177,6 @@ def to_c3(g: StabilizerElement) -> int:
     if v is None or v < Fraction(1, 2):
         raise ValueError("to_c3 needs filtration valuation >= 1/2")
     return g.b.c1 % 3
-
-
-def in_k(g: StabilizerElement) -> bool:
-    return is_in_g2_1(g) and to_c3(g) == 0
 
 
 def subgroup_closure(generators, cap: int = CLOSURE_CAP) -> list:

@@ -13,8 +13,7 @@ import pytest
 from stab23 import charts
 from stab23 import cohomology as coh
 from stab23 import invariants as inv
-from stab23 import linalg, minres
-from stab23 import quotients as q
+from stab23 import minres
 from stab23 import resolution as res
 from stab23 import stabilizer as stab
 from stab23 import witt
@@ -155,79 +154,28 @@ def test_criterion_6_spectral_sequence():
 
 # -- 7: resolution at finite level --------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def resolution_runs():
-    out = {}
-    for (level, m) in ((Fraction(2), 1), (Fraction(2), 2), (Fraction(5, 2), 1)):
-        fq = q.finite_quotient(level, N)
-        ld = res.prepare_level(fq, m)
-        cx = res.construct_complex(ld)
-        out[(level, m)] = (fq, ld, cx)
-    return out
-
-
 @pytest.mark.slow
-def test_criterion_7_resolution(resolution_runs):
-    ok = True
-    for (level, m), (fq, ld, cx) in resolution_runs.items():
-        g = fq.order
-        ok = ok and cx.dims == (g // 24, g // 16, g // 16, g // 24)
-        ok = ok and all(cx.diagnostics["composites_zero"].values())
-        hom = res.homology_cells(cx)
-        ok = ok and hom["pos0"] == [] and hom["coker_aug"] == []
-        n1 = linalg.kernel(cx.aug, m)
-        n2 = linalg.kernel(cx.b1, m)
-        n3 = linalg.kernel(cx.b2, m)
-        stage1 = res.nakayama_surjectivity(ld, cx.b1, n1, "c24")
-        ok = ok and stage1["ok"]
-        for f, tgt, space in ((cx.b2, n2, "chi"), (cx.b3, n3, "chi")):
-            ok = ok and res.nakayama_surjectivity(ld, f, tgt, space)["nakayama_consistent"]
+def test_criterion_7_resolution():
     # transitions 5/2 -> 2 -> 3/2 at m=1: the interior homology must be
     # pro-trivial (die within the tested tower); per-step verdicts reported
-    _, ld52, cx52 = resolution_runs[(Fraction(5, 2), 1)]
-    ld2 = resolution_runs[(Fraction(2), 1)][1]
-    ld32 = res.prepare_level(q.finite_quotient(Fraction(3, 2), N), 1)
-    rep = res.homology_pro_triviality([ld52, ld2, ld32], cx52)
-    print(f"  transition steps: {rep.step_zero}")
-    print(f"  composite {rep.levels[0]} -> {rep.levels[-1]}: {rep.composite_zero}")
-    ok = ok and rep.chain_maps_ok and rep.pro_trivial
-    _verdict(7, "finite-level resolution protocol", ok)
+    tower, ok_tower = res.verify_tower([Fraction(5, 2), Fraction(2), Fraction(3, 2)], 1, N)
+    print(f"  transition steps: {tower['transitions']['step_zero']}")
+    print(f"  composite 5/2 -> 3/2: {tower['transitions']['composite_zero']}")
+    _, ok_mod2 = res.verify_tower([Fraction(2)], 2, N)
+    _verdict(7, "finite-level resolution protocol", ok_tower is True and ok_mod2 is True)
 
 
 # -- 8: cohomology of the finite 3-quotients ------------------------------------------------
 
 @pytest.mark.slow
 def test_criterion_8_sylow_cohomology():
-    levels = [Fraction(1), Fraction(3, 2), Fraction(2)]
-    fqs, resolutions = {}, {}
-    for lv in levels:
-        fqs[lv] = q.finite_quotient(lv, N)
-        resolutions[lv] = minres.minimal_resolution(minres.sylow_group(fqs[lv]), 4)
-    target = minres.target_poincare_dims(4)
-    deepest = levels[-1]
-    through = {}
-    for lv in levels[:-1]:
-        proj = minres.sylow_projection(fqs[deepest], fqs[lv])
-        mats = minres.inflation_matrices(resolutions[deepest], resolutions[lv], proj, 4)
-        through[lv] = [1] + [minres.rank_f3(m) for m in mats]
-    ok = True
-    stabilization = {}
-    for n in range(5):
-        col = [through[lv][n] for lv in levels[:-1]]
-        # colimit monotonicity: stable-image ranks never decrease with the
-        # level and never exceed the detected limit dimensions
-        ok = ok and all(a <= b for a, b in zip(col, col[1:]))
-        ok = ok and all(v <= target[n] for v in col)
-        hit = [i for i, v in enumerate(col) if v == target[n]]
-        stabilization[n] = (
-            str(levels[hit[0]])
-            if hit and all(col[i] == target[n] for i in range(hit[0], len(col)))
-            else "beyond tested range"
-        )
+    # colimit monotonicity: stable-image ranks never decrease with the
+    # level and never exceed the detected limit dimensions
+    report, ok = minres.verify_inflation([Fraction(1), Fraction(3, 2), Fraction(2)], 4, N)
+    stabilization = report["stabilization"]
     # H^0 and H^1 must have reached their targets already at desk scale
-    ok = ok and stabilization[0] != "beyond tested range"
-    ok = ok and stabilization[1] != "beyond tested range"
-    print(f"  raw dims: { {str(lv): resolutions[lv].ranks for lv in levels} }")
-    print(f"  stable image ranks into P({deepest}): { {str(k): v for k, v in through.items()} }")
-    print(f"  target {target}; observed stabilization levels: {stabilization}")
+    ok = ok is True and all(stabilization[n] != "beyond tested range" for n in ("0", "1"))
+    print(f"  raw dims: {report['raw_dims']}")
+    print(f"  stable image ranks into P(2): {report['through_image_ranks']}")
+    print(f"  target {report['target']}; observed stabilization levels: {stabilization}")
     _verdict(8, "finite 3-quotient cohomology monotonicity", ok)

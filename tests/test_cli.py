@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ def test_subgroup_listing(runner, tmp_path):
 
 
 def test_quotient_report(runner, tmp_path):
-    r = invoke(runner, tmp_path, ["group", "quotient", "--level", "1", "--mod", "1"])
+    r = invoke(runner, tmp_path, ["group", "quotient", "--level", "1"])
     assert r.exit_code == 0
     data = json.loads((tmp_path / "group-quotient-1-1.json").read_text())
     assert data["order"] == 144
@@ -78,15 +79,37 @@ def test_cohomology_command(runner, tmp_path):
 
 
 def test_bad_config_rejected(runner, tmp_path):
-    # precision below level + 2 and a modulus exponent below 1 are usage errors
-    r = runner.invoke(
-        main,
-        ["--out", str(tmp_path), "--precision", "3", "--level", "2", "group", "verify-relations"],
-    )
-    assert r.exit_code == 2, r.output
+    # a precision below the deepest level + 2 and a modulus exponent below 1
+    # are usage errors, raised before any quotient is built (no traceback)
+    for args in (
+        ["--precision", "3", "group", "quotient", "--level", "2"],
+        ["--precision", "4", "resolution", "--levels", "5/2", "--mod", "1"],
+        ["--precision", "4", "sylow-cohomology", "--levels", "2,5/2"],
+    ):
+        r = invoke(runner, tmp_path, args)
+        assert r.exit_code == 2, r.output
+        assert "need precision >= level + 2" in r.output
     r = invoke(runner, tmp_path, ["resolution", "--levels", "2", "--mod", "0"])
     assert r.exit_code == 2, r.output
     assert "modulus exponent must be >= 1" in r.output
+    assert not any(tmp_path.iterdir())
+    # the precision is checked only against the levels a command reads
+    r = invoke(runner, tmp_path, ["--precision", "3", "group", "verify-relations"])
+    assert r.exit_code == 0, r.output
+
+
+def test_every_driver_suite_parses(runner, tmp_path):
+    # each argv of scripts/full_verification.py names options that exist;
+    # --help stops after parsing, so nothing is computed
+    spec = importlib.util.spec_from_file_location(
+        "full_verification", Path(__file__).parent.parent / "scripts" / "full_verification.py"
+    )
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    for suite in driver.SUITES:
+        r = invoke(runner, tmp_path, suite + ["--help"])
+        assert r.exit_code == 0, (suite, r.output)
+    assert not any(tmp_path.iterdir())
 
 
 def test_tower_chart_command(runner, tmp_path):
@@ -168,11 +191,13 @@ def test_sylow_cohomology_with_one_level_is_inconclusive(runner, tmp_path):
         (["chart", "--group", "XX"], "--group"),
         (["cohomology", "--group", "SD16"], "--group"),
         (["invariants", "--ring", "tame", "--group", "C3"], "--group"),
-        (["--stems", "5", "chart", "--tower"], "--stems"),
-        (["--level", "7/3", "group", "verify-relations"], "--level"),
+        (["chart", "--tower", "--stems", "5"], "--stems"),
+        (["group", "quotient", "--level", "7/3"], "--level"),
         (["resolution", "--levels", "2,2"], "--levels"),
         (["sylow-cohomology", "--levels", "2,2"], "--levels"),
         (["sylow-cohomology", "--nmax", "-1"], "--nmax"),
+        (["--precision", "0", "group", "verify-relations"], "--precision"),
+        (["invariants", "--max-degree", "-2"], "--max-degree"),
     ],
 )
 def test_malformed_input_is_a_usage_error(runner, tmp_path, args, option):
