@@ -109,6 +109,7 @@ class BigradedChart:
     unit_signs: tuple = (1, 1)     # (a1, a2)
     annotations: list = field(default_factory=list)
     differentials: list = field(default_factory=list)
+    engine_checked: int = 0        # E2 cells recomputed by the engine; not in the JSON
 
     def cells(self) -> dict:
         out: dict = {}
@@ -174,10 +175,11 @@ def e2_chart(
 ) -> BigradedChart:
     """E2 chart populated from the cohomology engine.
 
-    Positive filtration is enumerated by the monomial pattern; the
-    stated number of cells (spread over the window) is recomputed with
-    the exact engine and must agree, tying the chart to the computed E2.
-    Tame groups get charts concentrated on the 0-line.
+    Positive filtration is enumerated by the monomial pattern; up to
+    ``engine_cells`` cells with s <= 4 and -30 <= t <= 42 are recomputed
+    with the exact engine and must agree, tying the chart to the computed
+    E2.  ``engine_checked`` counts them.  Tame groups get charts
+    concentrated on the 0-line.
     """
     lo, hi = stems
     zero = {t: zero_line_rank(group, t) for t in range(lo, hi + s_max + 10)}
@@ -201,8 +203,7 @@ def e2_chart(
                 f"engine dim {got} != pattern dim {classes[c]} at {(c.s, c.t)}"
             )
         checked += 1
-    # independent emptiness spot-check between pattern cells
-    return BigradedChart(group, 2, stems, s_max, classes, zero)
+    return BigradedChart(group, 2, stems, s_max, classes, zero, engine_checked=checked)
 
 
 # -- the differential engine -----------------------------------------------------
@@ -293,6 +294,7 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
         unit_signs,
         annotations,
         diff_log,
+        chart.engine_checked,
     )
 
 
@@ -305,6 +307,21 @@ def e_infinity(group: str, stems: tuple = (-1, 73), **kw) -> BigradedChart:
         if alt.cells() != out.cells():
             raise CheckFailed(f"E-infinity ranks depend on unit choice {signs}")
     return out
+
+
+def verify_chart(group: str, stems: tuple = (-1, 73)) -> tuple:
+    """The E-infinity chart of one group and its verdict: (chart, ok).
+
+    ``e2_chart`` raises CheckFailed when an engine cell disagrees with the
+    pattern.  For G24 on a window covering both periodicity blocks
+    (stems -1..113) ok is the generator-list check; otherwise ok is True
+    when at least one engine cell was compared, and None when none was:
+    tame charts, and windows outside the engine's reach.
+    """
+    chart = e_infinity(group, stems)
+    if group == "G24" and stems[0] <= -1 and stems[1] >= 113:
+        return chart, verify_einf_generator_list(chart)
+    return chart, True if chart.engine_checked else None
 
 
 def d5_d9_are_the_only_pages(chart: BigradedChart) -> bool:
@@ -419,13 +436,17 @@ class TowerChart:
         }
 
 
+def _tower_base_window(stems: tuple) -> tuple:
+    """Stem window of the G24 and SD16 charts the tower layers are read from."""
+    shifts = {sh for layer in RESOLUTION_LAYERS for (_, sh) in layer}
+    return stems[0] - max(shifts) - 80, stems[1] + 10
+
+
 def tower_chart(stems: tuple = (-5, 48)) -> TowerChart:
     """Layer-by-layer homotopy tables for both towers, the E1 alternating
     sums of the induced spectral sequence, and the vanishing inputs."""
     lo, hi = stems
-    shifts = sorted({sh for layer in RESOLUTION_LAYERS for (_, sh) in layer})
-    pad_lo = lo - max(shifts) - 80
-    pad_hi = hi + 10
+    pad_lo, pad_hi = _tower_base_window(stems)
     base = {
         "G24": e_infinity("G24", (pad_lo, pad_hi)),
         "SD16": e_infinity("SD16", (pad_lo, pad_hi)),
@@ -472,6 +493,28 @@ def tower_chart(stems: tuple = (-5, 48)) -> TowerChart:
         alternating,
         vanishing,
     )
+
+
+def verify_tower(stems: tuple = (-5, 48)) -> tuple:
+    """The tower layers and the vanishing inputs of the resolution:
+    (report, ok), with ok True when pi_25 and pi_26 of the 48-fold
+    suspension vanish and pi_27 of E^hG24 is one class.
+
+    ok is None when the base charts do not reach stems -23..27, where
+    the vanishing inputs live: a window ending below stem 17 or starting
+    above 105.
+    """
+    tc = tower_chart(stems)
+    v = tc.vanishing_inputs
+    lo, hi = _tower_base_window(stems)
+    if not (lo <= 25 - 48 and 27 <= hi):
+        return tc.to_json(), None
+    ok = (
+        v["pi25_shifted_48"] == 0
+        and v["pi26_shifted_48"] == 0
+        and len(v["pi27_G24_is_one_class"]) == 1
+    )
+    return tc.to_json(), ok
 
 
 # -- headline extraction -------------------------------------------------------------

@@ -27,8 +27,8 @@ from .polys import (
     WPoly,
     embed_2_to_3,
     monomials_of_degree,
-
     substitute_x3,
+    w_coordinate_matrix,
 )
 from .witt import WittElement
 
@@ -81,56 +81,33 @@ def apply_gen(gen: str, p: WPoly) -> WPoly:
 
 
 @lru_cache(maxsize=None)
-def g24_words(precision: int = witt.DEFAULT_PRECISION) -> tuple:
-    """All 24 normal forms (i, j, k) <-> s^i t^j psi^k, with a lookup table."""
-    s = stab.s_element(precision)
-    t = stab.t_element(precision)
-    psi = stab.psi_element(precision)
-    table = {}
-    for i in range(3):
-        for j in range(4):
-            for k in range(2):
-                g = (s**i) * (t**j) * (psi**k)
-                table[g.key()] = (i, j, k)
+def _g24_table(precision: int) -> dict:
+    """Element key -> normal form (i, j, k) of s^i t^j psi^k, for all 24."""
+    s, t, psi = stab.s_element(precision), stab.t_element(precision), stab.psi_element(precision)
+    table = {
+        ((s**i) * (t**j) * (psi**k)).key(): (i, j, k)
+        for i in range(3) for j in range(4) for k in range(2)
+    }
     if len(table) != 24:
         raise CheckFailed("normal forms of the order-24 group are not distinct")
-    return tuple(sorted(table.values()))
+    return table
+
+
+def g24_words(precision: int = witt.DEFAULT_PRECISION) -> tuple:
+    """All 24 normal forms (i, j, k) <-> s^i t^j psi^k."""
+    return tuple(sorted(_g24_table(precision).values()))
 
 
 def word_of(g: stab.StabilizerElement) -> tuple:
-    pr = g.precision
-    s, t, psi = stab.s_element(pr), stab.t_element(pr), stab.psi_element(pr)
-    for i in range(3):
-        for j in range(4):
-            for k in range(2):
-                if ((s**i) * (t**j) * (psi**k)).key() == g.key():
-                    return (i, j, k)
-    raise KeyError("element is not in the order-24 subgroup")
+    word = _g24_table(g.precision).get(g.key())
+    if word is None:
+        raise KeyError("element is not in the order-24 subgroup")
+    return word
 
 
 def group_words(name: str, precision: int = witt.DEFAULT_PRECISION) -> list:
     """Normal-form words of one of the subgroups of the order-24 group."""
-    if name == "G24":
-        return list(g24_words(precision))
-    members = {
-        "C3": lambda i, j, k: j == 0 and k == 0,
-        "C6": lambda i, j, k: k == 0 and j in (0, 2),
-        "G12": lambda i, j, k: k == 0,
-        "Q8": lambda i, j, k: i == 0,
-        "C12": None,  # handled below: generated by s and psi
-    }
-    if name == "C12":
-        pr = precision
-        s, t, psi = stab.s_element(pr), stab.t_element(pr), stab.psi_element(pr)
-        keys = {g.key() for g in stab.named_subgroup("C12", pr)}
-        out = []
-        for (i, j, k) in g24_words(pr):
-            g = (s**i) * (t**j) * (psi**k)
-            if g.key() in keys:
-                out.append((i, j, k))
-        return out
-    pred = members[name]
-    return [w for w in g24_words(precision) if pred(*w)]
+    return sorted(word_of(g) for g in stab.named_subgroup(name, precision))
 
 
 def act_word(word: tuple, p: WPoly) -> WPoly:
@@ -212,26 +189,18 @@ def verify_action_pinning(precision: int = witt.DEFAULT_PRECISION) -> dict:
             p = apply_gen(gen, p)
         return p
 
-    checks = {}
-    for x in xs:
-        checks["s^3 = 1"] = checks.get("s^3 = 1", True) and act_seq(
-            ["s", "s", "s"], x
-        ) == x
-        checks["t^4 = 1"] = checks.get("t^4 = 1", True) and act_seq(
-            ["t"] * 4, x
-        ) == x
-        checks["psi^2 = t^2"] = checks.get("psi^2 = t^2", True) and act_seq(
-            ["psi", "psi"], x
-        ) == act_seq(["t", "t"], x)
-        checks["t s = s^2 t"] = checks.get("t s = s^2 t", True) and act_seq(
-            ["t", "s"], x
-        ) == act_seq(["s", "s", "t"], x)
-        checks["psi s = s psi"] = checks.get("psi s = s psi", True) and act_seq(
-            ["psi", "s"], x
-        ) == act_seq(["s", "psi"], x)
-        checks["t psi = psi t^3"] = checks.get("t psi = psi t^3", True) and act_seq(
-            ["t", "psi"], x
-        ) == act_seq(["psi", "t", "t", "t"], x)
+    relations = {
+        "s^3 = 1": (["s"] * 3, []),
+        "t^4 = 1": (["t"] * 4, []),
+        "psi^2 = t^2": (["psi", "psi"], ["t", "t"]),
+        "t s = s^2 t": (["t", "s"], ["s", "s", "t"]),
+        "psi s = s psi": (["psi", "s"], ["s", "psi"]),
+        "t psi = psi t^3": (["t", "psi"], ["psi", "t", "t", "t"]),
+    }
+    checks = {
+        name: all(act_seq(lhs, x) == act_seq(rhs, x) for x in xs)
+        for name, (lhs, rhs) in relations.items()
+    }
 
     s1, s2, s3 = (sigma(i, precision) for i in (1, 2, 3))
     eps = epsilon(precision)
@@ -442,48 +411,28 @@ class InvariantBasis:
     rank: int
     rank_over: str          # "W" or "Z3"
     stable: bool
-    basis: list             # polynomials (WPoly or TamePoly)
+    rows: np.ndarray        # fixed vectors in (c0, c1) coordinates on ``monomials``
+    monomials: list
+    precision: int
 
-
-def _poly_to_vec(p: WPoly, basis_monos: list, precision: int) -> np.ndarray:
-    v = np.zeros(2 * len(basis_monos), dtype=np.int64)
-    idx = {m: i for i, m in enumerate(basis_monos)}
-    for m, c in p.coeffs.items():
-        i = idx[m]
-        v[2 * i] = c.c0
-        v[2 * i + 1] = c.c1
-    return v
-
-
-def _vec_to_poly(v, basis_monos, nvars, precision) -> WPoly:
-    coeffs = {}
-    for i, m in enumerate(basis_monos):
-        c = WittElement(int(v[2 * i]), int(v[2 * i + 1]), precision)
-        if not c.is_zero():
-            coeffs[m] = c
-    return WPoly(nvars, precision, coeffs)
-
-
-def _gen_matrix(gen: str, basis_monos: list, nvars: int, precision: int) -> np.ndarray:
-    n = len(basis_monos)
-    A = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    one = witt.one(precision)
-    w = WittElement(0, 1, precision)
-    for i, m in enumerate(basis_monos):
-        for k, scalar in ((0, one), (1, w)):
-            p = WPoly(nvars, precision, {m: scalar})
-            img = apply_gen(gen, p)
-            A[:, 2 * i + k] = _poly_to_vec(img, basis_monos, precision)
-    return A
+    def polynomials(self, count: int | None = None) -> list:
+        """The first ``count`` basis rows (all by default) as polynomials."""
+        nvars, pr = (3 if self.ring == "SF" else 2), self.precision
+        return [
+            WPoly(nvars, pr, {m: WittElement(int(v[2 * i]), int(v[2 * i + 1]), pr)
+                              for i, m in enumerate(self.monomials)})
+            for v in self.rows[:count]
+        ]
 
 
 def _fixed_rank_once(group: str, degree: int, ring: str, precision: int):
     nvars = 3 if ring == "SF" else 2
     basis = monomials_of_degree(nvars, degree)
-    if not basis:
-        return 0, [], basis
     ops = [
-        _gen_matrix(g, basis, nvars, precision) for g in GROUP_GENS[group]
+        w_coordinate_matrix(
+            basis, basis, lambda m, c, g=g: apply_gen(g, WPoly(nvars, precision, {m: c})), precision
+        )
+        for g in GROUP_GENS[group]
     ]
     ker = linalg.fixed_basis(ops, precision)
     return ker.shape[0], ker, basis
@@ -501,7 +450,8 @@ def invariant_basis(
     it must be even and <= 0 for these polynomial models.
     """
     if internal_degree % 2 != 0 or internal_degree > 0:
-        return InvariantBasis(group, ring, internal_degree, 0, "W", True, [])
+        rows = np.zeros((0, 0), dtype=np.int64)
+        return InvariantBasis(group, ring, internal_degree, 0, "W", True, rows, [], precision)
     d = -internal_degree // 2
     rank, ker, basis = _fixed_rank_once(group, d, ring, precision)
     rank2, _, _ = _fixed_rank_once(group, d, ring, precision + 2)
@@ -511,29 +461,13 @@ def invariant_basis(
             f"invariant rank changed {rank} -> {rank2} at N+2 "
             f"({group}, degree {internal_degree})"
         )
-    nvars = 3 if ring == "SF" else 2
-    polys = [_vec_to_poly(v, basis, nvars, precision) for v in ker]
     if group in W_LINEAR_GROUPS:
         if rank % 2:
             raise CheckFailed("W-linear fixed module has odd Z3-rank")
-        return InvariantBasis(group, ring, internal_degree, rank // 2, "W", stable, polys)
-    return InvariantBasis(group, ring, internal_degree, rank, "Z3", stable, polys)
-
-
-def localized_fixed_rank(
-    group: str, internal_degree: int, precision: int = 4
-) -> int:
-    """Fixed rank of one degree piece of the sigma3-localized model.
-
-    The window truncation (denominator choice) follows the cohomology
-    model; the rank is the Z3-rank of the saturated fixed module, with
-    the two-route cross-check of the cohomology engine included.
-    """
-    from .cohomology import VariantTable
-
-    vt = VariantTable(group, "SrhoLoc", precision)
-    return vt.fixed_rank(internal_degree)
-
+        rank, over = rank // 2, "W"
+    else:
+        over = "Z3"
+    return InvariantBasis(group, ring, internal_degree, rank, over, stable, ker, basis, precision)
 
 
 def groups_for_ring(ring: str) -> tuple:
@@ -552,24 +486,12 @@ def groups_for_ring(ring: str) -> tuple:
 def _tame_ops(group: str, j: int, u1_window: int, precision: int) -> list:
     """Generator matrices on the u1-truncated piece spanned by u1^i u^j."""
     monos = [(i, j) for i in range(u1_window + 1)]
-    gens = _tame_gen_elements(group, precision)
-    n = len(monos)
-    ops = []
-    one = witt.one(precision)
-    w = WittElement(0, 1, precision)
-    for g in gens:
-        A = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        for col, m in enumerate(monos):
-            for k, scalar in ((0, one), (1, w)):
-                img = act_tame(g, TamePoly.monomial(m[0], m[1], precision, scalar))
-                v = np.zeros(2 * n, dtype=np.int64)
-                for (i2, j2), c in img.coeffs.items():
-                    row = monos.index((i2, j2))
-                    v[2 * row] = c.c0
-                    v[2 * row + 1] = c.c1
-                A[:, 2 * col + k] = v
-        ops.append(A)
-    return ops
+    return [
+        w_coordinate_matrix(
+            monos, monos, lambda m, c, g=g: act_tame(g, TamePoly.monomial(*m, precision, c)), precision
+        )
+        for g in _tame_gen_elements(group, precision)
+    ]
 
 
 def tame_fixed_rank(
@@ -632,3 +554,57 @@ def burnside_c3_rank_sf(x_degree: int) -> int:
     monos = monomials_of_degree(3, x_degree)
     fixed = sum(1 for (a, b, c) in monos if a == b == c)
     return (len(monos) - fixed) // 3 + fixed
+
+
+# -- the invariants suite ----------------------------------------------------------
+
+
+def verify_invariants(ring: str, group: str, max_degree: int = 48) -> tuple:
+    """Fixed ranks of ``ring`` under ``group`` against an independent count
+    in each degree of the window: (report, ok).
+
+    The counts are the predicted monomial spans on the tame model, the
+    Hilbert series of the C3 presentations on S(rho) and its localization,
+    and the Burnside orbit count on S(F).  On the localized model every
+    other group is checked by the two-route H^0 computation of the
+    cohomology engine.  ok is None when nothing was compared: S(F) or
+    S(rho) under a group other than C3, or a window of odd degrees only
+    (an odd --max-degree on the tame or localized model), where every
+    piece vanishes and the engine computes nothing.
+    """
+    rows, ok = [], True
+    if ring == "tame":
+        for t in range(-max_degree, max_degree + 1, 2):
+            got = tame_fixed_rank(group, t, u1_window=10, precision=5)
+            want = predicted_tame_rank(group, t, 10)
+            ok = ok and got == want
+            rows.append({"degree": t, "rank": got, "predicted": want})
+    elif ring == "SrhoLoc":
+        from .cohomology import VariantTable
+
+        vt = VariantTable(group, "SrhoLoc", 4)
+        for t in range(-max_degree, max_degree + 1, 2):
+            got = vt.fixed_rank(t)
+            row = {"degree": t, "rank": got, "rank_over": "Z3"}
+            if group == "C3":
+                # numerator window: W-rank matches the presentation count
+                r = vt.base.model.denominator(t)
+                row["hilbert"] = 2 * hilbert_srho_c3(6 * r - t)
+                ok = ok and row["hilbert"] == got
+            rows.append(row)
+    else:
+        for t in range(0, -max_degree - 1, -2):
+            b = invariant_basis(group, t, ring=ring, precision=6)
+            row = {"degree": t, "rank": b.rank, "rank_over": b.rank_over}
+            if group == "C3":
+                if ring == "Srho":
+                    key, want = "hilbert", hilbert_srho_c3(-t)
+                else:
+                    key, want = "burnside", burnside_c3_rank_sf(-t // 2)
+                row[key] = want
+                ok = ok and want == b.rank
+            row["basis"] = [p.render() for p in b.polynomials(4)]
+            rows.append(row)
+    counted = ring in ("tame", "SrhoLoc") or group == "C3"
+    compared = counted and any(r["degree"] % 2 == 0 for r in rows)
+    return {"ring": ring, "group": group, "rows": rows}, ok if compared else None

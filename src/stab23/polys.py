@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from . import witt
 from .errors import PrecisionMismatch
 from .witt import WittElement
@@ -186,6 +188,24 @@ def embed_2_to_3(p: WPoly) -> WPoly:
     return WPoly(
         3, p.precision, {(e1, e2, 0): c for (e1, e2), c in p.coeffs.items()}
     )
+
+
+def w_coordinate_matrix(source, target, image, precision: int) -> np.ndarray:
+    """Matrix over Z/3^N of a W-semilinear map between monomial spans.
+
+    Coordinates are (c0, c1) with c = c0 + c1*w: column 2i + k holds the
+    image of w^k times the i-th source monomial, row 2j + l its w^l
+    coordinate on the j-th target monomial.  ``image(mono, scalar)``
+    returns the image of scalar*mono, a polynomial on the target.
+    """
+    row = {m: i for i, m in enumerate(target)}
+    A = np.zeros((2 * len(target), 2 * len(source)), dtype=np.int64)
+    for col, mono in enumerate(source):
+        for k, scalar in enumerate((witt.one(precision), WittElement(0, 1, precision))):
+            for m, c in image(mono, scalar).coeffs.items():
+                A[2 * row[m], 2 * col + k] = c.c0
+                A[2 * row[m] + 1, 2 * col + k] = c.c1
+    return A
 
 
 def monomials_of_degree(nvars: int, d: int) -> list:

@@ -348,3 +348,17 @@ def finite_quotient(level, precision: int | None = None) -> FiniteQuotient:
     fq.coords = coords[order]
     fq.keys = keys[order]
     return fq
+
+
+def verify_quotient(level, precision: int | None = None) -> tuple:
+    """The summary of G(l) with the image orders of the named subgroups
+    checked: (report, ok).
+
+    The finite subgroups embed from level 1 on; below it their images are
+    not an independent count, nothing is compared and ok is None.
+    """
+    fq = finite_quotient(level, precision)
+    report = fq.json_summary()
+    if fq.level < 1:
+        return report, None
+    return report, report["subgroup_image_orders"] == stab.SUBGROUP_ORDERS

@@ -22,6 +22,70 @@ def write_text(path: Path, lines) -> None:
 _VERDICT = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}
 
 
+def render_relations_text(report: dict, ok, precision: int) -> list:
+    """Text lines of a ``stabilizer.verify_relations`` report at precision N."""
+    lines = [f"relations at N={precision}:"]
+    lines += [f"  {'PASS' if v else 'FAIL'}  {k}" for k, v in report["relations"].items()]
+    return lines + [f"  order {k} = {v}" for k, v in sorted(report["subgroup_orders"].items())]
+
+
+def render_subgroup_text(report: dict, ok) -> list:
+    """Text lines of a ``stabilizer.verify_subgroup`` report."""
+    return [f"subgroup {report['name']}: {report['order']} elements"] + [
+        f"  {e['a']} + ({e['b']})*S phi^{e['galois']}" for e in report["elements"]
+    ]
+
+
+def render_quotient_text(report: dict, ok) -> list:
+    """Text lines of a ``quotients.verify_quotient`` report."""
+    images = sorted(report["subgroup_image_orders"].items())
+    return [
+        f"quotient level {report['level']}: order {report['order']}",
+        f"  sylow part {report['sylow_order']}, K part {report['k_order']}",
+        "  subgroup image orders: " + ", ".join(f"{k}={v}" for k, v in images),
+    ]
+
+
+def render_invariants_text(report: dict, ok) -> list:
+    """Text lines of an ``invariants.verify_invariants`` report."""
+    lines = [f"invariants ring={report['ring']} group={report['group']}"]
+    lines += [
+        f"  t={r['degree']:>4}  rank {r['rank']}"
+        + (f" (predicted {r['predicted']})" if "predicted" in r else "")
+        for r in report["rows"]
+    ]
+    return lines + [f"comparison: {_VERDICT[ok]}"]
+
+
+def render_cohomology_text(report: dict, ok) -> list:
+    """Text lines of a ``cohomology.verify_pattern`` report: the verdict,
+    then a chart with filtration vertical and stem horizontal."""
+    win, cells = report["window"], report["cells"]
+    lines = [
+        f"cohomology {report['group']}: {len(cells)} nonzero cells, "
+        f"pattern match {_VERDICT[ok]}"
+    ]
+    by_stem = {(c["s"], c["t"] - c["s"]): c["rank"] for c in cells}
+    for s in range(win["smax"], 0, -1):
+        row = [f"s={s:>2} |"]
+        for n in range(win["tmin"] - win["smax"], win["tmax"] + 1):
+            v = by_stem.get((s, n), 0)
+            row.append(str(v) if 0 < v < 10 else ".")
+        lines.append(" ".join(row))
+    return lines
+
+
+def render_tower_text(report: dict, ok) -> list:
+    """Text lines of a ``charts.verify_tower`` report."""
+    lo, hi = report["stems"]
+    lines = [f"tower chart, stems {lo}..{hi}"]
+    for i, layer in enumerate(report["layers"]):
+        desc = " + ".join(f"S^{x['suspension']} E^h{x['group']}" for x in layer)
+        lines.append(f"  resolution layer {i}: {desc}")
+    lines.append(f"  vanishing inputs: {report['vanishing_inputs']}")
+    return lines + [_VERDICT[ok]]
+
+
 def render_resolution_text(report: dict, ok) -> list:
     """Text lines of a ``resolution.verify_tower`` report."""
     lines = [f"resolution at levels {', '.join(report['levels'])} mod 3^{report['modulus']}"]
@@ -59,8 +123,9 @@ def render_sylow_text(report: dict, ok) -> list:
     return lines + [_VERDICT[ok]]
 
 
-def render_chart_text(chart) -> list:
-    """Plain-text chart: filtration vertical, stem horizontal."""
+def render_chart_text(chart, ok=None) -> list:
+    """Plain-text chart: filtration vertical, stem horizontal.  It prints
+    no verdict line; the CLI reports ``ok`` by its exit code."""
     cells = chart.cells()
     if not cells:
         smax = 0

@@ -251,6 +251,29 @@ def g2_relations_check(precision: int = DEFAULT_PRECISION) -> dict:
     return checks
 
 
+def verify_relations(precision: int = DEFAULT_PRECISION) -> tuple:
+    """The defining relations of G2 and the orders of five named
+    subgroups: (report, ok); something is always compared."""
+    checks = g2_relations_check(precision)
+    orders = {
+        name: len(named_subgroup(name, precision)) for name in ("G12", "G24", "SD16", "Q8", "C3")
+    }
+    ok = all(checks.values()) and all(orders[k] == SUBGROUP_ORDERS[k] for k in orders)
+    return {"relations": checks, "subgroup_orders": orders}, ok
+
+
+def verify_subgroup(name: str, precision: int = DEFAULT_PRECISION) -> tuple:
+    """The element listing of one named subgroup, with its order and the
+    principal part 1 of every reduced determinant checked: (report, ok)."""
+    elems = named_subgroup(name, precision)
+    listing = [
+        {"a": g.a.encode(), "b": g.b.encode(), "galois": g.galois, "det_split": reduced_det(g)}
+        for g in elems
+    ]
+    ok = len(elems) == SUBGROUP_ORDERS[name] and all(e["det_split"][1] == 1 for e in listing)
+    return {"name": name, "order": len(elems), "elements": listing}, ok
+
+
 def normalize_to_s21(g: StabilizerElement) -> StabilizerElement:
     """Scale by a central unit in 1+3Z so the principal determinant is 1.
 

@@ -32,6 +32,17 @@ def test_e2_chart_empty_window():
     assert ch.classes == {} or all(c.stem == 5 for c in ch.classes)
 
 
+def test_engine_cells_are_counted_outside_the_json():
+    # the count survives the differentials but never enters the report
+    inside = charts.e_infinity("C6", (-1, 20))
+    assert inside.engine_checked > 0
+    assert "engine_checked" not in str(inside.to_json())
+    # every class of this window has t > 42, outside the engine's reach
+    assert charts.e_infinity("C6", (100, 120)).engine_checked == 0
+    assert charts.verify_chart("C6", (100, 120))[1] is None
+    assert charts.verify_chart("SD16", (-1, 17))[1] is None
+
+
 def test_names_follow_convention(g24_inf):
     names = {c.name("G24") for c in g24_inf.classes if 0 <= c.k <= 16}
     assert "a" in names and "D*a" in names

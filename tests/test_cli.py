@@ -62,10 +62,41 @@ def test_chart_command_and_determinism(runner, tmp_path):
 
 
 def test_chart_svg_written(runner, tmp_path):
+    # a tame chart compares nothing (exit 3), but its reports are written
     r = invoke(runner, tmp_path, ["--format", "svg", "chart", "--group", "SD16", "--stems", "-1..17"])
-    assert r.exit_code == 0
+    assert r.exit_code == 3, r.output
     svg = (tmp_path / "chart-SD16.svg").read_text()
     assert svg.startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "args, report",
+    [
+        # below level 1 the subgroup images are not an independent count
+        (["group", "quotient", "--level", "1/2"], "group-quotient-1-2"),
+        # a tame chart has no engine cell and no generator list
+        (["chart", "--group", "SD16", "--stems=-1..17"], "chart-SD16"),
+        # no class lies in the engine window s <= 4, -30 <= t <= 42
+        (["chart", "--group", "C6", "--stems=100..120"], "chart-C6"),
+        # the tower's base charts do not reach the vanishing inputs
+        (["chart", "--tower", "--stems=-4..10"], "chart-tower"),
+        # no count to compare S(rho) invariants of G24 with
+        (["invariants", "--ring", "Srho", "--group", "G24", "--max-degree", "12"], "invariants-Srho-G24"),
+        # odd degrees only, where the tame pieces vanish
+        (["invariants", "--ring", "tame", "--group", "SD16", "--max-degree", "3"], "invariants-tame-SD16"),
+        # odd degrees only, where the model vanishes
+        (["cohomology", "--group", "C3", "--smax", "2", "--tmin", "-5", "--tmax", "5"], "cohomology-C3"),
+    ],
+    ids=["quotient-1/2", "chart-SD16", "chart-C6-high", "tower-low", "invariants-Srho-G24",
+         "invariants-tame-odd", "cohomology-odd"],
+)
+def test_a_run_that_compares_nothing_is_inconclusive(runner, tmp_path, args, report):
+    r = invoke(runner, tmp_path, args)
+    assert r.exit_code == 3, r.output
+    assert "INCONCLUSIVE" in r.output
+    assert "PASS" not in r.output
+    assert json.loads((tmp_path / f"{report}.json").read_text())
+    assert (tmp_path / f"{report}.txt").exists()
 
 
 def test_cohomology_command(runner, tmp_path):
@@ -198,6 +229,8 @@ def test_sylow_cohomology_with_one_level_is_inconclusive(runner, tmp_path):
         (["sylow-cohomology", "--nmax", "-1"], "--nmax"),
         (["--precision", "0", "group", "verify-relations"], "--precision"),
         (["invariants", "--max-degree", "-2"], "--max-degree"),
+        (["cohomology", "--smax", "0"], "--smax"),
+        (["cohomology", "--tmin", "10", "--tmax", "-10"], "--tmin"),
     ],
 )
 def test_malformed_input_is_a_usage_error(runner, tmp_path, args, option):
@@ -258,22 +291,27 @@ def test_resolution_eliminates_nothing_twice(runner, tmp_path, monkeypatch):
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# (fixture stem, report name, argv): the benchmark suites and the group suites
+GOLDEN = [
+    ("resolution_mod1", "resolution", ["resolution", "--levels", "2,3/2,1", "--mod", "1"]),
+    ("resolution_mod2", "resolution", ["resolution", "--levels", "2,3/2", "--mod", "2"]),
+    ("sylow_cohomology", "sylow-cohomology", ["sylow-cohomology", "--levels", "1,3/2,2", "--nmax", "3"]),
+    ("invariants_SF_C3", "invariants-SF-C3",
+     ["invariants", "--ring", "SF", "--group", "C3", "--max-degree", "36"]),
+    ("cohomology_G24", "cohomology-G24",
+     ["cohomology", "--group", "G24", "--smax", "8", "--tmin", "-24", "--tmax", "24"]),
+    ("chart_G24", "chart-G24", ["chart", "--group", "G24", "--stems=-1..73"]),
+    ("chart_tower", "chart-tower", ["chart", "--tower", "--stems=-4..30"]),
+    ("group_verify_relations", "group-verify-relations", ["group", "verify-relations"]),
+    ("group_subgroup_G24", "group-subgroup-G24", ["group", "subgroup", "G24"]),
+    ("group_quotient_2", "group-quotient-2-1", ["group", "quotient", "--level", "2"]),
+]
 
-@pytest.mark.parametrize(
-    "levels, mod, stem",
-    [("2,3/2,1", "1", "resolution_mod1"), ("2,3/2", "2", "resolution_mod2")],
-)
-def test_resolution_reports_match_the_golden_bytes(runner, tmp_path, levels, mod, stem):
-    # the JSON and text reports of both benchmark suites, byte for byte
-    r = invoke(runner, tmp_path, ["resolution", "--levels", levels, "--mod", mod])
+
+@pytest.mark.parametrize("stem, report, args", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_reports_match_the_golden_bytes(runner, tmp_path, stem, report, args):
+    # the JSON and text reports, byte for byte
+    r = invoke(runner, tmp_path, args)
     assert r.exit_code == 0, r.output
     for ext in ("json", "txt"):
-        assert (tmp_path / f"resolution.{ext}").read_bytes() == (FIXTURES / f"{stem}.{ext}").read_bytes()
-
-
-def test_sylow_reports_match_the_golden_bytes(runner, tmp_path):
-    r = invoke(runner, tmp_path, ["sylow-cohomology", "--levels", "1,3/2,2", "--nmax", "3"])
-    assert r.exit_code == 0, r.output
-    for ext in ("json", "txt"):
-        got = (tmp_path / f"sylow-cohomology.{ext}").read_bytes()
-        assert got == (FIXTURES / f"sylow_cohomology.{ext}").read_bytes()
+        assert (tmp_path / f"{report}.{ext}").read_bytes() == (FIXTURES / f"{stem}.{ext}").read_bytes()

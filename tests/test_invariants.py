@@ -103,6 +103,15 @@ def test_invariant_rank_cubics_sf():
     assert b.rank == inv.burnside_c3_rank_sf(3) == 4
 
 
+def test_invariant_basis_rows_give_fixed_polynomials():
+    # the rows are kept; only the requested ones become polynomials
+    b = inv.invariant_basis("C3", -12, ring="SF", precision=6)
+    polys = b.polynomials()
+    assert len(polys) == b.rows.shape[0] == 2 * b.rank
+    assert b.polynomials(4) == polys[:4]
+    assert all(not p.is_zero() and inv.apply_gen("s", p) == p for p in polys)
+
+
 @pytest.mark.parametrize("deg", range(0, 26, 2))
 def test_burnside_oracle_matches_kernel_sf(deg):
     b = inv.invariant_basis("C3", -deg, ring="SF", precision=6)
@@ -169,10 +178,10 @@ def test_loc_poly_canonicalization():
 
 @pytest.mark.parametrize("t", [-12, -6, 0, 6, 12])
 def test_localized_fixed_rank_matches_window_hilbert(t):
-    from stab23.cohomology import GradedModel
+    from stab23.cohomology import GradedModel, VariantTable
 
     r = GradedModel("SrhoLoc", 4).denominator(t)
-    got = inv.localized_fixed_rank("C3", t, precision=4)
+    got = VariantTable("C3", "SrhoLoc", 4).fixed_rank(t)
     assert got == 2 * inv.hilbert_srho_c3(6 * r - t)
 
 

@@ -11,6 +11,7 @@ from stab23.polys import (
     monomials_of_degree,
     sigma3_rho,
     substitute_x3,
+    w_coordinate_matrix,
 )
 
 N = 5
@@ -33,6 +34,18 @@ def test_wpoly_ring_axioms(f, g, h):
     assert (f + g) * h == f * h + g * h
     assert f * g == g * f
     assert (f * g) * h == f * (g * h)
+
+
+def test_w_coordinate_matrix_columns_are_the_images_of_1_and_w():
+    src, dst = monomials_of_degree(2, 1), monomials_of_degree(2, 2)
+    f = WPoly(2, N, {(1, 0): witt.WittElement(2, 3, N), (0, 1): witt.one(N)})
+    A = w_coordinate_matrix(src, dst, lambda m, c: WPoly(2, N, {m: c}) * f, N)
+    assert A.shape == (2 * len(dst), 2 * len(src))
+    for i, m in enumerate(src):
+        for k, c in enumerate((witt.one(N), witt.WittElement(0, 1, N))):
+            col = A[:, 2 * i + k]
+            got = {d: witt.WittElement(int(col[2 * j]), int(col[2 * j + 1]), N) for j, d in enumerate(dst)}
+            assert WPoly(2, N, got) == WPoly(2, N, {m: c}) * f
 
 
 def test_monomials_of_degree_count():
