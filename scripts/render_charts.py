@@ -20,8 +20,8 @@ if __name__ == "__main__":
     out = Path(sys.argv[1] if len(sys.argv) > 1 else "out/charts")
     out.mkdir(parents=True, exist_ok=True)
     for group, window in WINDOWS.items():
-        ch = charts.e_infinity(group, window)
+        ch, ok = charts.verify_chart(group, window)
         (out / f"{group}.svg").write_text(reportio.render_chart_svg(ch))
-        reportio.write_text(out / f"{group}.txt", reportio.render_chart_text(ch))
+        reportio.write_text(out / f"{group}.txt", reportio.render_chart_text(ch, ok))
         reportio.write_json(out / f"{group}.json", ch.to_json())
         print(f"{group}: {len(ch.classes)} classes, files in {out}")

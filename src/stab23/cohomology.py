@@ -142,7 +142,7 @@ def _empty_cell() -> Cell:
 def _norm_matrix(S: np.ndarray, m: int) -> np.ndarray:
     M = 3**m
     n = S.shape[0]
-    return (np.eye(n, dtype=np.int64) + S + (S @ S) % M) % M
+    return (np.eye(n, dtype=np.int64) + S + linalg.matmul_mod(S, S, m)) % M
 
 
 SAT_SLACK = 2
@@ -263,7 +263,7 @@ def _ops_for(model: GradedModel, group: str, s: int, t: int, m: int, r=None) -> 
         if s % 2 == 1:
             i = (s - 1) // 2
             Q = eye if k == 1 else (eye + S) % M
-            op = (pow(k, i, M) * (G @ Q)) % M
+            op = pow(k, i, M) * linalg.matmul_mod(G, Q, m) % M
         else:
             i = s // 2
             op = (pow(k, i, M) * G) % M
@@ -282,7 +282,7 @@ def invariant_cell(cell: Cell, ops: list, m: int) -> Cell:
     ni = I.shape[0]
     blocks = []
     for pos, op in enumerate(ops):
-        T = (op @ K.T - K.T) % M          # (op - 1) on the K-basis, columns = y
+        T = (linalg.matmul_mod(op, K.T, m) - K.T) % M  # (op - 1) on the K-basis, columns = y
         row = np.zeros((n, r + len(ops) * ni), dtype=np.int64)
         row[:, :r] = T
         if ni:
@@ -292,7 +292,7 @@ def invariant_cell(cell: Cell, ops: list, m: int) -> Cell:
     big = np.vstack(blocks) % M
     ker = linalg.kernel(big, m)
     y_span = ker[:, :r] if ker.size else np.zeros((0, r), dtype=np.int64)
-    L = (y_span @ K) % M if y_span.size else np.zeros((0, n), dtype=np.int64)
+    L = linalg.matmul_mod(y_span, K, m) if y_span.size else np.zeros((0, n), dtype=np.int64)
     L_all = np.vstack([L, I]) if I.size else L
     return Cell(L_all, I, linalg.quotient_invariants(L_all, I, m))
 

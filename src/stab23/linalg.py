@@ -50,6 +50,11 @@ def _check_exact_f3(ncols: int) -> None:
         raise ExactnessBoundExceeded(f"float64 bound 4 * ncols + 2 < 2^51 fails for ncols = {ncols}")
 
 
+# columns per panel of the Z/3^m engine, and the width (or pivot count)
+# at or below which its loop runs unblocked, as the engine's leaf
+_ZM_PANEL = 64
+_ZM_LEAF = 128
+
 _VAL_TABLE_MAX_M = 10
 
 
@@ -130,6 +135,14 @@ def howell(rows, m: int) -> HowellForm:
     The returned rows satisfy the Howell property: every span element
     whose first j coordinates vanish is a combination of the returned
     rows whose pivots lie beyond column j.
+
+    At m >= 2, inputs wider than ``_ZM_LEAF`` columns are eliminated in
+    panels of ``_ZM_PANEL`` columns (the blocked scheme of FFLAS-FFPACK,
+    Dumas, Giorgi and Pernet): the column loop runs on the panel's
+    columns only and records its row operations as T = I + Z S^T, S
+    selecting the rows it picked, so one ``matmul_mod`` updates the
+    trailing columns and gives the pivot rows there.  The Howell form is
+    canonical, so the output is the unblocked loop's.
     """
     if m == 1:
         R, pivots = rref_f3(rows)
@@ -139,16 +152,93 @@ def howell(rows, m: int) -> HowellForm:
     if A.size == 0:
         return HowellForm(A.reshape(0, A.shape[1] if A.ndim == 2 else 0), [], [])
     ncols = A.shape[1]
-    # A holds the pending rows; every pending row vanishes left of ``col``
-    # and a spent row is zero, so the rows led by ``col`` are its nonzeros
-    piv_cols, piv_vals, piv_rows = [], [], []
-    for col in range(ncols):
+    width = ncols if ncols <= _ZM_LEAF else _ZM_PANEL
+    piv_cols, piv_vals, blocks, panels = [], [], [], []
+    for c0 in range(0, ncols, width):
+        c1 = min(c0 + width, ncols)
+        trail = c1 < ncols
+        if trail:
+            # only the rows that meet the panel take part in its loop
+            live = A[:, c0:c1].any(axis=1).nonzero()[0]
+            cols, vals, P, Z, Y, S = _howell_panel(A[live, c0:c1], m, True)
+        else:
+            cols, vals, P, Z, Y, S = _howell_panel(A[:, c0:], m, False)
+        if not cols:
+            continue
+        R = np.pad(P, ((0, 0), (c0, ncols - c1))) if c0 or trail else P
+        if trail:
+            # A <- T A and the pivot rows, on the trailing columns S meets
+            touched = Z.any(axis=1)
+            hit = live[touched][:, None]
+            B = A[live[S], c1:]
+            nz = B.any(axis=0).nonzero()[0]
+            upd = matmul_mod(np.vstack([Z[touched], Y]), B[:, nz], m)
+            nz += c1
+            A[hit, nz] = (A[hit, nz] + upd[: hit.size]) % M
+            R[:, nz] = upd[hit.size :]
+        piv_cols += [c0 + j for j in cols]
+        piv_vals += vals
+        blocks.append(R)
+        panels.append((c0, c1, len(cols)))
+    if not piv_cols:
+        return HowellForm(np.zeros((0, ncols), dtype=np.int64), [], [])
+    R = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    _reduce_above(R, panels, piv_cols, piv_vals, m)
+    return HowellForm(R, piv_cols, piv_vals)
+
+
+def _reduce_above(R: np.ndarray, panels: list, piv_cols: list, piv_vals: list, m: int) -> None:
+    """Reduce the entries above each pivot of R to [0, 3^v), in place, a
+    panel (c0, c1, number of pivots) at a time: its loop runs on the
+    panel's columns, and one product with the panel's rows clears the
+    rest.  Those rows are read on the trailing columns, which neither
+    this loop nor an earlier panel's changes."""
+    M = modulus(m)
+    ncols = R.shape[1]
+    i0 = 0
+    for c0, c1, k in panels:
+        i1 = i0 + k
+        B = R[i0:i1]
+        Q = np.zeros((i1, i1 - i0), dtype=np.int64) if c1 < ncols else None
+        for i in range(i0, i1):
+            col, v = piv_cols[i], piv_vals[i]
+            q = R[:i, col] // 3**v
+            t = q.nonzero()[0]
+            if t.size:
+                s = R[i, c0:c1].nonzero()[0] + c0
+                R[t[:, None], s] = (R[t[:, None], s] - q[t, None] * R[i, s]) % M
+                if Q is not None:
+                    Q[t, i - i0] = q[t]
+        if Q is not None and Q.any():
+            nz = c1 + B[:, c1:].any(axis=0).nonzero()[0]
+            hit = Q.any(axis=1).nonzero()[0][:, None]
+            R[hit, nz] = (R[hit, nz] - matmul_mod(Q[hit[:, 0]], B[:, nz], m)) % M
+        i0 = i1
+
+
+def _howell_panel(A: np.ndarray, m: int, track: bool) -> tuple:
+    """The column loop of ``howell`` on the pending rows ``A`` of one panel.
+    Every pending row vanishes left of the current column and a spent row
+    is zero, so the rows led by a column are its nonzeros.
+
+    Returns (cols, vals, P, Z, Y, S): the pivot columns and valuations and
+    the pivot rows on the panel.  With ``track`` the loop runs on [A | I],
+    so the identity block records its row operations T = I + Z S^T: the
+    rows become A + Z A[S] and the pivot rows Y A[S].  Without it, A
+    itself is eliminated in place.
+    """
+    M = modulus(m)
+    n, w = A.shape
+    if track:
+        A = np.hstack([A, np.eye(n, dtype=np.int64)])
+    cols, vals, prows, picked = [], [], [], {}
+    for col in range(w):
         idx = A[:, col].nonzero()[0]
         if not idx.size:
             continue
-        vals = valuations(A[idx, col], m)
-        k = int(vals.argmin())
-        v = int(vals[k])
+        vj = valuations(A[idx, col], m)
+        k = int(vj.argmin())
+        v = int(vj[k])
         r = idx[k]
         p = A[r] * pow(int(A[r, col]) // 3**v, -1, M) % M
         # clear the column in every row that meets it; row r itself goes
@@ -158,25 +248,45 @@ def howell(rows, m: int) -> HowellForm:
         idx = idx[:, None]
         A[idx, s] = (A[idx, s] - q * p[s]) % M
         A[r] = 3 ** (m - v) * p % M
-        piv_cols.append(col)
-        piv_vals.append(v)
-        piv_rows.append(p)
-    if not piv_rows:
-        return HowellForm(np.zeros((0, ncols), dtype=np.int64), [], [])
-    R = np.array(piv_rows, dtype=np.int64)
-    # reduce entries above each pivot to their canonical range [0, 3^v)
-    for i, (col, v) in enumerate(zip(piv_cols, piv_vals)):
-        q = R[:i, col] // 3**v
-        t = q.nonzero()[0]
-        if t.size:
-            s = R[i].nonzero()[0]
-            R[t[:, None], s] = (R[t[:, None], s] - q[t, None] * R[i, s]) % M
-    return HowellForm(R, piv_cols, piv_vals)
+        cols.append(col)
+        vals.append(v)
+        prows.append(p)
+        if track:
+            picked[int(r)] = None
+    P = np.array(prows, dtype=np.int64).reshape(len(prows), A.shape[1])
+    if not track:
+        return cols, vals, P, None, None, None
+    S = list(picked)
+    Z = A[:, w:][:, S]
+    Z[S, np.arange(len(S))] -= 1
+    return cols, vals, P[:, :w], Z % M, P[:, w:][:, S], S
+
+
+def matmul_mod(A, B, m: int) -> np.ndarray:
+    """A @ B mod 3^m as int64, exactly; entries are read mod 3^m.
+
+    With k the inner dimension, the product runs on float64 BLAS while
+    k (3^m - 1)^2 < 2^53, where every partial sum is an exact integer,
+    and otherwise on int64 under ``_check_exact``.
+    """
+    M = modulus(m)
+    A = np.asarray(A) % M
+    B = np.asarray(B) % M
+    k = A.shape[-1]
+    if k * (M - 1) ** 2 < 2**53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % M
+    _check_exact(k, m)
+    return (A.astype(np.int64) @ B.astype(np.int64)) % M
 
 
 def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     """Canonical remainder under the Howell basis ``H`` of a vector, or of
-    every row of a matrix at once."""
+    every row of a matrix at once.
+
+    At m >= 2 with more than ``_ZM_LEAF`` columns and pivots, the pivot
+    loop runs on each panel's pivot columns and one ``matmul_mod`` with
+    the panel's rows clears the rest.
+    """
     M = modulus(m)
     r = np.asarray(vec, dtype=np.int64) % M
     _check_exact(r.shape[-1], m)
@@ -187,11 +297,27 @@ def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
             q = r[..., H.pivot_cols].astype(np.float64) @ H.rows.astype(np.float64)
             r = (r - q.astype(np.int64)) % 3
         return r
-    for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
-        q = r[..., col] // 3**v
-        if q.any():
-            r = (r - q[..., None] * row) % M
-    return r
+    npiv = len(H.pivot_cols)
+    if npiv <= _ZM_LEAF or r.shape[-1] <= _ZM_LEAF:
+        for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
+            q = r[..., col] // 3**v
+            if q.any():
+                r = (r - q[..., None] * row) % M
+        return r
+    R = r.reshape(-1, r.shape[-1])
+    for i0 in range(0, npiv, _ZM_PANEL):
+        rows, cols = H.rows[i0 : i0 + _ZM_PANEL], H.pivot_cols[i0 : i0 + _ZM_PANEL]
+        X, P = R[:, cols], rows[:, cols]
+        Q = np.zeros_like(X)
+        for j, v in enumerate(H.pivot_vals[i0 : i0 + _ZM_PANEL]):
+            q = X[:, j] // 3**v
+            t = q.nonzero()[0]
+            if t.size:
+                Q[t, j] = q[t]
+                X[t, j:] = (X[t, j:] - q[t, None] * P[j, j:]) % M
+        hit = Q.any(axis=1)
+        R[hit] = (R[hit] - matmul_mod(Q[hit], rows, m)) % M
+    return R.reshape(r.shape)
 
 
 def in_span(H: HowellForm, vec, m: int) -> bool:
@@ -385,17 +511,23 @@ def kernel(A, m: int) -> np.ndarray:
     """Rows spanning {x : A @ x == 0 mod 3^m}."""
     if m == 1:
         return kernel_f3(A)
-    M = modulus(m)
+    return kernel_and_image(A, m)[0].rows
+
+
+def kernel_and_image(A, m: int) -> tuple:
+    """Howell forms (of ker A, of the image of A), read off one Howell form
+    of [A^T | I]: its rows with pivots left of the bar, cut to that side,
+    are ``howell(A^T)``, and its rows right of the bar are the kernel, in
+    their own Howell form."""
     A = _as_matrix(A, m)
     b, a = A.shape
-    if a == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    aug = np.hstack([A.T % M, np.eye(a, dtype=np.int64)])
-    H = howell(aug, m)
-    out = [row[b:] for row in H.rows if not row[:b].any()]
-    if not out:
-        return np.zeros((0, a), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    H = howell(np.hstack([A.T, np.eye(a, dtype=np.int64)]), m)
+    n = sum(c < b for c in H.pivot_cols)
+    ker = HowellForm(
+        np.ascontiguousarray(H.rows[n:, b:]), [c - b for c in H.pivot_cols[n:]], H.pivot_vals[n:]
+    )
+    img = HowellForm(np.ascontiguousarray(H.rows[:n, :b]), H.pivot_cols[:n], H.pivot_vals[:n])
+    return ker, img
 
 
 def image(A, m: int) -> HowellForm:

@@ -89,10 +89,10 @@ def _regular_action(G: PermGroup, g: int, rank: int) -> np.ndarray:
 def _new_generators(G: PermGroup, gens: list, K: np.ndarray, rank: int) -> list:
     """The rows of K outside span(I.K, the rows chosen before them), in one
     pass: reducing mod I.K is linear, so they are the pivot columns of R^T
-    for the remainders R."""
+    for the remainders R, copied so that K can be freed."""
     acts = [(_regular_action(G, g, rank),) for g in gens]
     R = linalg.augmentation_span(K.astype(np.int8), acts).reduce(K, dtype=np.int8)
-    return [K[j] for j in linalg.rref_f3(R.T)[1]]
+    return [K[j].copy() for j in linalg.rref_f3(R.T)[1]]
 
 
 @dataclass

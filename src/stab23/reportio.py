@@ -123,9 +123,9 @@ def render_sylow_text(report: dict, ok) -> list:
     return lines + [_VERDICT[ok]]
 
 
-def render_chart_text(chart, ok=None) -> list:
-    """Plain-text chart: filtration vertical, stem horizontal.  It prints
-    no verdict line; the CLI reports ``ok`` by its exit code."""
+def render_chart_text(chart, ok) -> list:
+    """Plain-text chart: filtration vertical, stem horizontal, and a
+    verdict line when ``ok`` is not True (INCONCLUSIVE or FAIL)."""
     cells = chart.cells()
     if not cells:
         smax = 0
@@ -150,7 +150,7 @@ def render_chart_text(chart, ok=None) -> list:
         lines.append(" ".join(row))
     axis = ["      |"] + [("|" if n % 10 == 0 else " ") for n in range(lo, hi + 1)]
     lines.append(" ".join(axis))
-    return lines
+    return lines if ok is True else lines + [f"verdict: {_VERDICT[ok]}"]
 
 
 def render_chart_svg(chart) -> str:

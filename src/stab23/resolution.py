@@ -274,11 +274,11 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
 @dataclass
 class ComplexAtLevel:
     """The complex at one level, owner of the kernel and the image of each
-    boundary ('aug', 'b1', 'b2', 'b3'), each computed at most once: by the
-    construction or on first use.  Boundaries, kernel rows and image rows
-    are read-only, so a caller that writes into one raises instead of
-    corrupting a later verdict.  ``tor0`` holds the Tor0 data of each
-    kernel the construction built (``_kept_tor0``).
+    boundary ('aug', 'b1', 'b2', 'b3'), both computed once by ``_eliminate``:
+    by the construction or on first use.  Boundaries, kernel rows and image
+    rows are read-only, so a caller that writes into one raises instead of
+    corrupting a later verdict.  ``tor0`` holds the Tor0 data of each kernel
+    the construction built (``_kept_tor0``).
     """
 
     level: Fraction
@@ -290,27 +290,49 @@ class ComplexAtLevel:
     b3: np.ndarray           # C3-term (G24-cosets) -> chi
     c_vectors: dict
     diagnostics: dict = field(default_factory=dict)
-    kernels: dict = field(default_factory=dict, repr=False)    # boundary name -> rows
-    tor0: dict = field(default_factory=dict, repr=False)       # boundary name -> (rows, rows)
-    _images: dict = field(default_factory=dict, repr=False)    # boundary name -> HowellForm
+    solved: dict = field(default_factory=dict, repr=False)   # boundary name -> _eliminate(...)
+    tor0: dict = field(default_factory=dict, repr=False)     # boundary name -> (rows, rows)
 
     def __post_init__(self):
-        for a in (self.aug, self.b1, self.b2, self.b3, *self.kernels.values()):
+        for a in (self.aug, self.b1, self.b2, self.b3):
             _read_only(a)
+
+    def _solved(self, name: str) -> tuple:
+        if name not in self.solved:
+            self.solved[name] = _eliminate(getattr(self, name), self.m)
+        return self.solved[name]
 
     def kernel(self, name: str) -> np.ndarray:
         """Rows spanning the kernel of the boundary ``name``."""
-        if name not in self.kernels:
-            self.kernels[name] = _read_only(linalg.kernel(getattr(self, name), self.m))
-        return self.kernels[name]
+        return self._solved(name)[0]
 
     def image(self, name: str) -> linalg.HowellForm:
         """Howell form of the image of the boundary ``name``."""
-        if name not in self._images:
-            H = linalg.image(getattr(self, name), self.m)
-            _read_only(H.rows)
-            self._images[name] = H
-        return self._images[name]
+        return self._solved(name)[2]
+
+    def kernel_form(self, name: str) -> linalg.HowellForm | None:
+        """Howell form of the kernel of ``name``; at m = 1 the kept Tor0
+        basis of N mod 3, or None when the construction kept none."""
+        if self.m > 1:
+            return self._solved(name)[1]
+        if name not in self.tor0:
+            return None
+        V3 = self.tor0[name][1]
+        return linalg.HowellForm(V3, [int(c) for c in (V3 != 0).argmax(axis=1)], [0] * len(V3))
+
+
+def _eliminate(A: np.ndarray, m: int) -> tuple:
+    """(kernel rows, Howell form of the kernel, Howell form of the image)
+    of A, read-only.  At m >= 2 all three come off one Howell form of
+    [A^T | I]; at m = 1 the kernel is the F3 kernel basis, whose Howell
+    form the Tor0 data holds, and the image its own RREF."""
+    if m == 1:
+        K, HK, HI = linalg.kernel(A, 1), None, linalg.image(A, 1)
+    else:
+        HK, HI = linalg.kernel_and_image(A, m)
+        K = HK.rows
+    _read_only(HI.rows)
+    return _read_only(K), HK, HI
 
 
 def _boundary_on_pairs(ld: LevelData, c: np.ndarray, space: str) -> np.ndarray:
@@ -340,21 +362,20 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
 
     aug = np.ones((1, n24), dtype=np.int64)
     # the Tor0 spans are kept in compact form, one F3Space alive at a time
-    tor0 = {}
-    N1 = linalg.kernel(aug, m)
-    c1, tor, pick1 = _pick_averaged_generator(ld, N1, "c24", rng)
+    tor0, solved = {}, {"aug": _eliminate(aug, m)}
+    c1, tor, pick1 = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
     tor0["aug"] = _kept_tor0(tor)
     _assert_q8_invariant(ld, c1, "c24")
     b1 = _boundary_on_pairs(ld, c1, "c24")
 
-    N2 = linalg.kernel(b1, m)
-    c2, tor, pick2 = _pick_averaged_generator(ld, N2, "chi", rng)
+    solved["b1"] = _eliminate(b1, m)
+    c2, tor, pick2 = _pick_averaged_generator(ld, solved["b1"][0], "chi", rng)
     tor0["b1"] = _kept_tor0(tor)
     _assert_q8_invariant(ld, c2, "chi")
     b2 = _boundary_on_pairs(ld, c2, "chi")
 
-    N3 = linalg.kernel(b2, m)
-    c3, tor = _g24_invariant_generator(ld, N3)
+    solved["b2"] = _eliminate(b2, m)
+    c3, tor = _g24_invariant_generator(ld, solved["b2"][0])
     tor0["b2"] = _kept_tor0(tor)
     b3 = _boundary_on_cosets(ld, c3)
 
@@ -373,7 +394,7 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
         b3,
         {"c1": c1, "c2": c2, "c3": c3},
         diagnostics,
-        kernels={"aug": N1, "b1": N2, "b2": N3},
+        solved=solved,
         tor0=tor0,
     )
     comp = composite_checks(cx)
@@ -419,7 +440,7 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     y_span = linalg.kernel(big, m)
     if y_span.size == 0:
         raise ConstructionRefused("no G24-invariant vectors in the last kernel")
-    cands = (y_span @ N3) % M
+    cands = linalg.matmul_mod(y_span, N3, m)
     tor = _tor0_data(ld, N3, "chi")
     # full-group coinvariants for the generator test
     H_IG = _coinvariant_span(ld, tor[2], ld.g_gens, "chi")
@@ -432,11 +453,10 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
 # -- checks ------------------------------------------------------------------------
 
 def composite_checks(cx: ComplexAtLevel) -> dict:
-    M = 3**cx.m
     return {
-        "aug_b1": not ((cx.aug @ cx.b1) % M).any(),
-        "b1_b2": not ((cx.b1 @ cx.b2) % M).any(),
-        "b2_b3": not ((cx.b2 @ cx.b3) % M).any(),
+        "aug_b1": not linalg.matmul_mod(cx.aug, cx.b1, cx.m).any(),
+        "b1_b2": not linalg.matmul_mod(cx.b1, cx.b2, cx.m).any(),
+        "b2_b3": not linalg.matmul_mod(cx.b2, cx.b3, cx.m).any(),
     }
 
 
@@ -483,18 +503,14 @@ def splice_nakayama(ld: LevelData, cx: ComplexAtLevel) -> dict:
 
 
 def homology_cells(cx: ComplexAtLevel) -> dict:
-    """Invariant factors of the homology at each position: ker b_i / im b_(i+1).
-    At m = 1 the Howell form of ker b_i is the kept Tor0 basis of N mod 3."""
+    """Invariant factors of the homology at each position: ker b_i / im b_(i+1),
+    with the Howell form of ker b_i the complex keeps."""
     m = cx.m
     out = {"coker_aug": [] if cx.image("aug").log3_size(m) == m else ["nonzero"]}
     for pos, (ker, im) in enumerate((("aug", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", None))):
         Z = cx.kernel(ker)
         B = cx.image(im).rows if im else np.zeros((0, Z.shape[1]), dtype=np.int64)
-        HZ = None
-        if m == 1 and ker in cx.tor0:
-            V3 = cx.tor0[ker][1]
-            HZ = linalg.HowellForm(V3, [int(c) for c in (V3 != 0).argmax(axis=1)], [0] * len(V3))
-        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m, HZ)
+        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m, cx.kernel_form(ker))
     return out
 
 
@@ -555,11 +571,11 @@ def pushforward_maps(ld_hi: LevelData, ld_lo: LevelData) -> tuple:
 
 def pushforward_complex(cx_hi: ComplexAtLevel, ld_hi: LevelData, ld_lo: LevelData) -> ComplexAtLevel:
     """The compatible complex at the lower level: push the generators down."""
-    M = 3**ld_lo.m
+    m = ld_lo.m
     P0, P1 = pushforward_maps(ld_hi, ld_lo)
-    c1 = (P0 @ cx_hi.c_vectors["c1"]) % M
-    c2 = (P1 @ cx_hi.c_vectors["c2"]) % M
-    c3 = (P1 @ cx_hi.c_vectors["c3"]) % M
+    c1 = linalg.matmul_mod(P0, cx_hi.c_vectors["c1"], m)
+    c2 = linalg.matmul_mod(P1, cx_hi.c_vectors["c2"], m)
+    c3 = linalg.matmul_mod(P1, cx_hi.c_vectors["c3"], m)
     b1 = _boundary_on_pairs(ld_lo, c1, "c24")
     b2 = _boundary_on_pairs(ld_lo, c2, "chi")
     b3 = _boundary_on_cosets(ld_lo, c3)
@@ -585,10 +601,9 @@ def pushforward_complex(cx_hi: ComplexAtLevel, ld_hi: LevelData, ld_lo: LevelDat
 def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
     """Per-position: does the induced map on interior homology vanish.
     Kernels come from the higher complex, images from the lower one."""
-    M = 3**m
     out = {}
     for pos, ker, im, P in (("pos1", "b1", "b2", P1), ("pos2", "b2", "b3", P1), ("pos3", "b3", None, P0)):
-        moved = (cx_hi.kernel(ker) @ P.T) % M
+        moved = linalg.matmul_mod(cx_hi.kernel(ker), P.T, m)
         if im is None:
             out[pos] = not moved.any()
         else:
@@ -624,10 +639,11 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
     for i, (hi, lo) in enumerate(zip(lds, lds[1:])):
         P0, P1 = pushforward_maps(hi, lo)
         cx_hi, cx_lo = cxs[i], cxs[i + 1]
-        chain_ok = chain_ok and (
-            not ((P0 @ cx_hi.b1 - cx_lo.b1 @ P1) % M).any()
-            and not ((P1 @ cx_hi.b2 - cx_lo.b2 @ P1) % M).any()
-            and not ((P1 @ cx_hi.b3 - cx_lo.b3 @ P0) % M).any()
+        chain_ok = chain_ok and all(
+            np.array_equal(linalg.matmul_mod(X, b_hi, m), linalg.matmul_mod(b_lo, Y, m))
+            for X, b_hi, b_lo, Y in (
+                (P0, cx_hi.b1, cx_lo.b1, P1), (P1, cx_hi.b2, cx_lo.b2, P1), (P1, cx_hi.b3, cx_lo.b3, P0)
+            )
         )
         step_zero[(str(levels[i]), str(levels[i + 1]))] = _transition_zero(
             cx_hi, cx_lo, P0, P1, m
@@ -635,7 +651,7 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
         if P0_acc is None:
             P0_acc, P1_acc = P0 % M, P1 % M
         else:
-            P0_acc, P1_acc = (P0 @ P0_acc) % M, (P1 @ P1_acc) % M
+            P0_acc, P1_acc = linalg.matmul_mod(P0, P0_acc, m), linalg.matmul_mod(P1, P1_acc, m)
     composite = _transition_zero(cxs[0], cxs[-1], P0_acc, P1_acc, m)
     return TransitionReport(
         [str(lv) for lv in levels],
@@ -774,11 +790,10 @@ def doubled_complex_boundaries(cx: ComplexAtLevel, central_level: int = 1) -> li
 
 
 def doubled_composites_zero(cx: ComplexAtLevel, central_level: int = 1) -> bool:
-    M = 3**cx.m
     bs = doubled_complex_boundaries(cx, central_level)
     for A, B in zip(bs, bs[1:]):
         if A.shape[1] != B.shape[0]:
             return False
-        if ((A @ B) % M).any():
+        if linalg.matmul_mod(A, B, cx.m).any():
             return False
     return True

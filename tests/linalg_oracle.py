@@ -6,15 +6,25 @@
 one-vector reduction that the blocked F3 engine (``linalg.F3Space``)
 replaced.  ``module_closure_f3`` is the closure under a group that
 ``minres`` and ``resolution`` ran before they took the plain span of the
-(g - 1) blocks.  Tests compare old and new for exact equality.  They are
-a test oracle only.
+(g - 1) blocks.  ``howell_unblocked`` and ``reduce_mod_span_unblocked``
+are the m >= 2 loops of the active-submatrix engine, as they ran on the
+whole matrix before ``stab23.linalg`` split them into panels.  Tests
+compare old and new for exact equality.  They are a test oracle only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stab23.linalg import F3Space, HowellForm, _as_matrix, _check_exact, modulus, signed_permute
+from stab23.linalg import (
+    F3Space,
+    HowellForm,
+    _as_matrix,
+    _check_exact,
+    modulus,
+    signed_permute,
+    valuations,
+)
 
 
 def rref_f3(A: np.ndarray) -> tuple:
@@ -221,3 +231,59 @@ def smith_kernel(A, m: int):
     ker = C[:, zero_cols].T % M
     return ker, divisors
 
+
+def howell_unblocked(rows, m: int) -> HowellForm:
+    """The m >= 2 column loop of ``linalg.howell`` before its panels: the
+    whole matrix is one panel, and the above-pivot pass is one loop."""
+    assert m >= 2
+    M = modulus(m)
+    A = _as_matrix(rows, m)
+    if A.size == 0:
+        return HowellForm(A.reshape(0, A.shape[1] if A.ndim == 2 else 0), [], [])
+    ncols = A.shape[1]
+    # A holds the pending rows; every pending row vanishes left of ``col``
+    # and a spent row is zero, so the rows led by ``col`` are its nonzeros
+    piv_cols, piv_vals, piv_rows = [], [], []
+    for col in range(ncols):
+        idx = A[:, col].nonzero()[0]
+        if not idx.size:
+            continue
+        vals = valuations(A[idx, col], m)
+        k = int(vals.argmin())
+        v = int(vals[k])
+        r = idx[k]
+        p = A[r] * pow(int(A[r, col]) // 3**v, -1, M) % M
+        # clear the column in every row that meets it; row r itself goes
+        # to zero and then holds 3^(m-v) p, which is zero when v == 0
+        q = (A[idx, col] // 3**v)[:, None]  # exact: v is minimal in the column
+        s = p.nonzero()[0]
+        idx = idx[:, None]
+        A[idx, s] = (A[idx, s] - q * p[s]) % M
+        A[r] = 3 ** (m - v) * p % M
+        piv_cols.append(col)
+        piv_vals.append(v)
+        piv_rows.append(p)
+    if not piv_rows:
+        return HowellForm(np.zeros((0, ncols), dtype=np.int64), [], [])
+    R = np.array(piv_rows, dtype=np.int64)
+    # reduce entries above each pivot to their canonical range [0, 3^v)
+    for i, (col, v) in enumerate(zip(piv_cols, piv_vals)):
+        q = R[:i, col] // 3**v
+        t = q.nonzero()[0]
+        if t.size:
+            s = R[i].nonzero()[0]
+            R[t[:, None], s] = (R[t[:, None], s] - q[t, None] * R[i, s]) % M
+    return HowellForm(R, piv_cols, piv_vals)
+
+
+def reduce_mod_span_unblocked(H: HowellForm, vec, m: int) -> np.ndarray:
+    """The m >= 2 pivot loop of ``linalg.reduce_mod_span`` before its panels."""
+    assert m >= 2
+    M = modulus(m)
+    r = np.asarray(vec, dtype=np.int64) % M
+    _check_exact(r.shape[-1], m)
+    for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
+        q = r[..., col] // 3**v
+        if q.any():
+            r = (r - q[..., None] * row) % M
+    return r

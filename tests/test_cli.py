@@ -99,6 +99,34 @@ def test_a_run_that_compares_nothing_is_inconclusive(runner, tmp_path, args, rep
     assert (tmp_path / f"{report}.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "args, report",
+    [
+        (["chart", "--group", "SD16", "--stems=-1..17"], "chart-SD16"),
+        (["chart", "--group", "C6", "--stems=100..120"], "chart-C6"),
+    ],
+    ids=["tame", "outside-the-engine-window"],
+)
+def test_chart_text_of_a_run_that_is_not_pass_states_its_verdict(runner, tmp_path, args, report):
+    # the text report alone must not read like a PASS
+    r = invoke(runner, tmp_path, args)
+    assert r.exit_code == 3, r.output
+    lines = (tmp_path / f"{report}.txt").read_text().splitlines()
+    assert lines[-1] == "verdict: INCONCLUSIVE"
+    assert "verdict: INCONCLUSIVE" in r.output.splitlines()
+
+
+def test_chart_text_verdict_line_only_off_pass():
+    from stab23 import charts, reportio
+
+    chart, ok = charts.verify_chart("C3", (-1, 20))
+    assert ok is True
+    lines = reportio.render_chart_text(chart, True)
+    assert not any(line.startswith("verdict:") for line in lines)
+    assert reportio.render_chart_text(chart, False) == lines + ["verdict: FAIL"]
+    assert reportio.render_chart_text(chart, None) == lines + ["verdict: INCONCLUSIVE"]
+
+
 def test_cohomology_command(runner, tmp_path):
     r = invoke(
         runner,

@@ -260,3 +260,154 @@ def test_batched_reduce_mod_span_matches_oracle(m):
             assert np.array_equal(r, want)
         assert np.array_equal(linalg.outside_span(H, V, m), got.any(axis=1))
         assert linalg.span_contains(H, V, m) == (not got.any())
+
+
+# -- the blocked Z/3^m engine against the unblocked loops ------------------------
+
+PANEL, LEAF = linalg._ZM_PANEL, linalg._ZM_LEAF
+BLOCKED_MODULI = [2, 3, 4, 6, 8]
+# around the panel width, the leaf limit and later panel boundaries
+WIDTHS = [PANEL - 1, PANEL, PANEL + 1, LEAF - 1, LEAF, LEAF + 1, LEAF + PANEL + 1, 2 * LEAF + 1]
+ROWS = PANEL + 37  # more rows than the panel width
+
+
+def assert_same_blocked(A, m):
+    new, old = linalg.howell(A, m), oracle.howell_unblocked(A, m)
+    assert new.rows.dtype == old.rows.dtype
+    assert np.array_equal(new.rows, old.rows)
+    assert new.pivot_cols == old.pivot_cols
+    assert new.pivot_vals == old.pivot_vals
+    return new
+
+
+def repicked_rows(rows, ncols, m, starts):
+    """Rows (3, 1) at each start column: the row is a pivot of valuation 1,
+    and its saturation 3^(m-1) (3, 1) = (0, 3^(m-1)) is picked again at the
+    next column."""
+    A = np.zeros((rows, ncols), dtype=np.int64)
+    for i, c in enumerate(starts):
+        A[i, c : c + 2] = (3, 1)
+    return A
+
+
+@pytest.mark.parametrize("ncols", WIDTHS)
+@pytest.mark.parametrize("m", BLOCKED_MODULI)
+def test_blocked_howell_matches_the_unblocked_loop(m, ncols):
+    rng = np.random.default_rng(1000 * m + ncols)
+    M = 3**m
+    for _ in range(3):
+        assert_same_blocked(random_matrix(rng, (ROWS, ncols), m), m)
+    # rank-deficient, with pivots of every valuation
+    k = int(rng.integers(5, 40))
+    low = rng.integers(0, M, size=(ROWS, k)) @ rng.integers(0, M, size=(k, ncols))
+    assert_same_blocked(low * 3 ** rng.integers(0, m, size=(1, ncols)) % M, m)
+    # an all-zero panel between live ones
+    A = random_matrix(rng, (ROWS, ncols), m)
+    A[:, PANEL : 2 * PANEL] = 0
+    assert_same_blocked(A, m)
+    # a row picked again after saturation, inside a panel and across the
+    # panel boundaries, under random rows that leave those columns alone
+    starts = [c for c in (3, PANEL - 1, PANEL + 10, LEAF - 1, LEAF + 7) if c + 1 < ncols]
+    A = repicked_rows(ROWS, ncols, m, starts)
+    A[len(starts) :, -5:] = rng.integers(0, M, size=(ROWS - len(starts), 5))
+    H = assert_same_blocked(A, m)
+    for c in starts:
+        assert H.pivot_cols[H.pivot_cols.index(c) + 1] == c + 1
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_blocked_howell_on_stacked_signed_permutations(m):
+    # the boundaries of the resolution are sums of signed permutations of
+    # 486 columns; stack two of them, and two op - 1 blocks
+    rng = np.random.default_rng(300 + m)
+    n = 486
+    P = [signed_permutation(rng, n) for _ in range(3)]
+    I = np.eye(n, dtype=np.int64)
+    assert_same_blocked(np.vstack([P[0], P[1]]), m)
+    assert_same_blocked(np.vstack([P[0] - I, P[1] - I]), m)
+    assert_same_blocked((P[0] + P[1] - P[2])[: n // 2], m)
+
+
+@pytest.mark.parametrize("m", BLOCKED_MODULI)
+def test_blocked_reduce_mod_span_matches_the_unblocked_loop(m):
+    # more than LEAF pivots and columns run in panels; fewer pivots on a
+    # wide matrix is the leaf
+    rng = np.random.default_rng(400 + m)
+    M = 3**m
+    for rows, cols, blocked in [(LEAF + 40, LEAF + 60, True), (2 * LEAF + 3, 2 * LEAF + 10, True),
+                                (PANEL, 3 * LEAF, False)]:
+        A = random_matrix(rng, (rows, cols), m) + np.eye(rows, cols, dtype=np.int64)
+        H = linalg.howell(A, m)
+        assert (H.nrows > LEAF) == blocked
+        in_span = rng.integers(0, M, size=(10, H.nrows)) @ H.rows
+        V = np.vstack([rng.integers(-M, M, size=(10, cols)), in_span])
+        want = oracle.reduce_mod_span_unblocked(H, V, m)
+        assert np.array_equal(linalg.reduce_mod_span(H, V, m), want)
+        assert np.array_equal(linalg.reduce_mod_span(H, V[3], m), want[3])
+        assert want[:10].any() and not want[10:].any()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kernel_and_image_read_off_one_howell_form(m):
+    rng = np.random.default_rng(500 + m)
+    M = 3**m
+    for b, a in [(3, 5), (40, 30), (LEAF, PANEL + 3), (90, 200), (0, 4), (4, 0)]:
+        A = random_matrix(rng, (b, a), m) if a and b else np.zeros((b, a), dtype=np.int64)
+        K, I = linalg.kernel_and_image(A, m)
+        H = linalg.image(A, m)
+        assert np.array_equal(I.rows, H.rows)
+        assert (I.pivot_cols, I.pivot_vals) == (H.pivot_cols, H.pivot_vals)
+        if m > 1:
+            assert np.array_equal(K.rows, linalg.kernel(A, m))
+        if m > 1 and a and b:
+            aug = oracle.howell_unblocked(np.hstack([A.T % M, np.eye(a, dtype=np.int64)]), m)
+            want = [row[b:] for row in aug.rows if not row[:b].any()]
+            assert np.array_equal(K.rows, np.array(want, dtype=np.int64).reshape(len(want), a))
+            assert np.array_equal(I.rows, oracle.howell_unblocked(A.T, m).rows)
+        # the kernel rows are their own Howell form, and A kills them
+        if K.nrows:
+            again = linalg.howell(K.rows, m)
+            assert np.array_equal(again.rows, K.rows)
+            assert (again.pivot_cols, again.pivot_vals) == (K.pivot_cols, K.pivot_vals)
+            assert not linalg.matmul_mod(A, K.rows.T, m).any()
+        assert K.log3_size(m) + I.log3_size(m) == m * a
+
+
+@pytest.mark.parametrize("m", [2, 3, 8, 16])
+def test_matmul_mod_is_the_exact_product(m):
+    # the float64 branch up to k (3^m - 1)^2 < 2^53, int64 beyond; at m = 16
+    # the branch changes between k = 4 and k = 5
+    rng = np.random.default_rng(600 + m)
+    M = 3**m
+    for k in (1, 4, 5, 37, 300):
+        if k * 9**m >= 2**63:
+            continue
+        A = rng.integers(-2 * M, 2 * M, size=(7, k))
+        B = rng.integers(0, M, size=(k, 9))
+        want = (A.astype(object) % M).dot(B.astype(object)) % M
+        got = linalg.matmul_mod(A, B, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want.astype(np.int64))
+        assert np.array_equal(linalg.matmul_mod(A, B[:, 0], m), got[:, 0])
+
+
+def test_matmul_mod_and_the_engine_at_m_19():
+    # the int64 bound admits inner dimensions up to 6 at m = 19; the float64
+    # branch admits none, and no input there is wide enough for a panel
+    from stab23.errors import ExactnessBoundExceeded
+
+    rng = np.random.default_rng(19)
+    M = 3**19
+    A = rng.integers(0, M, size=(3, 6))
+    B = rng.integers(0, M, size=(6, 4))
+    want = A.astype(object).dot(B.astype(object)) % M
+    assert np.array_equal(linalg.matmul_mod(A, B, 19), want.astype(np.int64))
+    with pytest.raises(ExactnessBoundExceeded):
+        linalg.matmul_mod(rng.integers(0, M, size=(2, 7)), rng.integers(0, M, size=(7, 2)), 19)
+    for shape in [(5, 6), (8, 3), (2, 6)]:
+        A = rng.integers(0, M, size=shape) * 3 ** rng.integers(0, 15, size=shape) % M
+        H = assert_same_blocked(A, 19)
+        V = rng.integers(0, M, size=(4, shape[1]))
+        assert np.array_equal(linalg.reduce_mod_span(H, V, 19), oracle.reduce_mod_span_unblocked(H, V, 19))
+    with pytest.raises(ExactnessBoundExceeded):
+        linalg.howell(np.ones((2, LEAF + 1), dtype=np.int64), 19)

@@ -52,6 +52,41 @@ def test_complex_keeps_its_kernels_and_images_read_only(lvl2):
                 a[...] = 0
 
 
+def test_complex_at_m2_reads_kernel_and_image_off_one_elimination(lvl2, monkeypatch):
+    # at m >= 2 one Howell form of [A^T | I] gives the kernel, its Howell
+    # form and the image of each boundary; the construction keeps those of
+    # aug, b1 and b2, b3 is eliminated on first use, and homology_cells
+    # eliminates no kernel again
+    fq, _, _ = lvl2
+    ld = res.prepare_level(fq, 2)
+    calls = []
+    real = linalg.howell
+
+    def recorded(rows, m):
+        if m > 1:
+            calls.append(np.asarray(rows) % 3**m)
+        return real(rows, m)
+
+    monkeypatch.setattr(linalg, "howell", recorded)
+    cx = res.construct_complex(ld)
+    built = len(calls)
+    for name in ("aug", "b1", "b2", "b3"):
+        A = getattr(cx, name)
+        Z, HK, H = cx.kernel(name), cx.kernel_form(name), cx.image(name)
+        assert HK.rows is Z and cx.image(name) is H
+        assert np.array_equal(H.rows, oracle.howell_unblocked(A.T, 2).rows)
+        b, a = A.shape
+        aug = oracle.howell_unblocked(np.hstack([A.T, np.eye(a, dtype=np.int64)]), 2)
+        assert np.array_equal(Z, np.array([r[b:] for r in aug.rows if not r[:b].any()]))
+        for rows in (Z, H.rows):
+            with pytest.raises(ValueError):
+                rows[...] = 0
+    assert len(calls) == built + 1
+    res.homology_cells(cx)
+    kernels = [cx.kernel(name) for name in ("aug", "b1", "b2", "b3")]
+    assert not any(c.shape == Z.shape and np.array_equal(c, Z) for c in calls for Z in kernels)
+
+
 def test_level_three_halves_is_too_shallow():
     # the stage-2 coinvariants carry no sign-isotypic class at level 3/2;
     # the construction must refuse with a clear error rather than fake a map
