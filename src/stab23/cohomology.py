@@ -195,10 +195,10 @@ def c3_degree(
     norm_hi = _norm_matrix(S_hi, m_work)
     fixed = saturated_kernel_reduced((S_hi - eye) % Mw, m_work, m)
     ker_norm = saturated_kernel_reduced(norm_hi, m_work, m)
-    im_s1 = linalg.image((S_hi - eye) % M, m).rows
-    im_norm = linalg.image(norm_hi % M, m).rows
-    odd = Cell(ker_norm, im_s1, linalg.quotient_invariants(ker_norm, im_s1, m))
-    even = Cell(fixed, im_norm, linalg.quotient_invariants(fixed, im_norm, m))
+    im_s1 = linalg.image((S_hi - eye) % M, m)
+    im_norm = linalg.image(norm_hi % M, m)
+    odd = Cell(ker_norm, im_s1.rows, linalg.quotient_invariants(ker_norm, im_s1.rows, m, HI=im_s1))
+    even = Cell(fixed, im_norm.rows, linalg.quotient_invariants(fixed, im_norm.rows, m, HI=im_norm))
     return C3Degree(t, fixed, odd, even)
 
 

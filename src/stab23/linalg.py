@@ -566,11 +566,11 @@ def span_log_size(rows, m: int) -> int:
     return howell(rows, m).log3_size(m)
 
 
-def quotient_invariants(K_rows, I_rows, m: int, HK=None) -> list:
+def quotient_invariants(K_rows, I_rows, m: int, HK=None, HI=None) -> list:
     """Invariant factor exponents of span(K)/span(I), I a submodule of K.
 
-    ``HK``, the Howell form of K, is computed unless given.  Returns a
-    sorted list of exponents e, one per cyclic factor Z/3^e.
+    ``HK`` and ``HI``, the Howell forms of K and of I, are computed unless
+    given.  Returns a sorted list of exponents e, one per cyclic factor Z/3^e.
     """
     M = modulus(m)
     K = _as_matrix(K_rows, m)
@@ -585,9 +585,11 @@ def quotient_invariants(K_rows, I_rows, m: int, HK=None) -> list:
         raise ValueError("quotient_invariants: I is not contained in K")
     n = [0] * (m + 2)
     n[0] = HK.log3_size(m)
-    for j in range(1, m + 1):
+    for j in range(1, m):
         rows = np.vstack([(3**j * K) % M, I]) if I.size else (3**j * K) % M
         n[j] = span_log_size(rows, m)
+    # 3^m K = 0, so the last layer is span(I)
+    n[m] = span_log_size(I, m) if HI is None else HI.log3_size(m)
     counts_gt = [n[j] - n[j + 1] for j in range(m + 1)]  # factors with exponent > j
     exps = []
     for e in range(1, m + 1):

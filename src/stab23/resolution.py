@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg, quotients
+from . import stabilizer as stab
 from .errors import CheckFailed, ConstructionRefused
 from .quotients import FiniteQuotient
 
@@ -77,6 +78,7 @@ class LevelData:
     sd16_sign: np.ndarray    # +1 on Q8, -1 off it, aligned with the SD16 image
     p_gens: list             # sylow generator indices in the quotient
     g_gens: list             # full generating set indices
+    named: dict              # 'omega', 's', 't', 'psi' -> index in the quotient
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -118,13 +120,14 @@ def _coset_space(fq: FiniteQuotient, name: str) -> CosetSpace:
     return CosetSpace(name, cid, reps)
 
 
-def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
-    import stab23.stabilizer as stab
+_NAMED = {"omega": stab.omega_element, "s": stab.s_element, "t": stab.t_element, "psi": stab.psi_element}
 
+
+def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
+    named = {name: int(fq.project(element(fq.precision))) for name, element in _NAMED.items()}
     c24 = _coset_space(fq, "G24")
     c8 = _coset_space(fq, "Q8")
-    om_idx = int(fq.project(stab.omega_element(fq.precision)))
-    sigma = c8.coset_id[fq.mul(c8.reps, om_idx)]
+    sigma = c8.coset_id[fq.mul(c8.reps, named["omega"])]
     cos = np.arange(c8.size)
     if np.any(sigma == cos) or np.any(sigma[sigma] != cos):
         raise CheckFailed("right translation by omega is not a free involution on Q8-cosets")
@@ -143,6 +146,7 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
         sd16_sign,
         [int(v) for v in fq.sylow_generators().values()],
         [int(v) for v in fq.generators().values()],
+        named,
     )
 
 
@@ -154,49 +158,31 @@ def _sd16_right(ld: LevelData) -> np.ndarray:
     return cos.coset_id[ld.fq.mul_table(cos.reps, ld.fq.subgroup_image("SD16"))]
 
 
-def chi_idempotent(ld: LevelData, right=None) -> np.ndarray:
-    """e_chi = (1/16) sum eps(alpha) * (right translation by alpha) on Q8-cosets."""
-    right = _sd16_right(ld) if right is None else right
-    n = right.shape[0]
-    E = np.zeros((n, n), dtype=np.int64)
-    np.add.at(E, (right, np.arange(n)[:, None]), ld.sd16_sign)
-    return (pow(16, -1, ld.M) * (E % ld.M)) % ld.M
-
-
-def times_chi_idempotent(ld: LevelData, X: np.ndarray, right=None) -> np.ndarray:
-    """X . e_chi mod 3^m by 16 signed column gathers of X.
-
-    Column x of the unscaled idempotent is sum_k eps_k e_{right[x, k]},
-    so X . e_chi = (1/16) sum_k eps_k X[:, right[:, k]].  The sum stays
-    below 16 * 3^m in absolute value, exact in int64.
-    """
-    right = _sd16_right(ld) if right is None else right
-    acc = np.zeros(X.shape, dtype=np.int64)
-    for k, eps in enumerate(ld.sd16_sign):
-        acc += eps * X[:, right[:, k]]
-    return (pow(16, -1, ld.M) * (acc % ld.M)) % ld.M
-
-
 def verify_chi_summand(ld: LevelData) -> dict:
-    """Idempotency, rank |G|/16, and the chi + tau decomposition."""
-    M = ld.M
+    """The chi idempotent e = (1/16) sum eps(alpha) * (right translation by
+    alpha) on Q8-cosets is (1 - sigma)/2.
+
+    Q8 is normal in SD16, so right translation by alpha is well defined on
+    G/Q8: the identity for alpha in Q8 and sigma (right omega) off it.  The
+    n x 16 table of right translations is checked against that, with eight
+    signs of each kind.  Since sigma is a free involution (``prepare_level``
+    checks it) and 2 is a unit mod 3^m, e is then idempotent, its image is
+    the span of the n/2 pair vectors e_x - e_sigma(x), free of rank n/2,
+    and chi + tau is the whole module.  ``rank`` is the pair count, the
+    rank of (1 - sigma)/2; the other verdicts are False when the table
+    check fails.
+    """
     right = _sd16_right(ld)
-    E = chi_idempotent(ld, right)
-    n = E.shape[0]
-    idem = not ((times_chi_idempotent(ld, E, right) - E) % M).any()
-    chi_rows = linalg.image(E, ld.m).rows
-    rank = linalg.free_rank(chi_rows, ld.m)
-    tau = (np.eye(n, dtype=np.int64) - E) % M
-    tau_rows = linalg.image(tau, ld.m).rows
-    together = linalg.span_log_size(np.vstack([chi_rows, tau_rows]), ld.m)
-    full = together == ld.m * n
-    expected = ld.fq.order // 16
+    plus = ld.sd16_sign > 0
+    want = np.where(plus, np.arange(len(right))[:, None], ld.chi.sigma[:, None])
+    table = bool(np.array_equal(right, want) and len(plus) == 16 and plus.sum() == 8)
+    rank, expected = ld.chi.size, ld.fq.order // 16
     return {
-        "idempotent": idem,
-        "rank": int(rank),
+        "idempotent": table,
+        "rank": rank,
         "rank_expected": expected,
-        "chi_plus_tau_full": bool(full),
-        "ok": idem and rank == expected and full,
+        "chi_plus_tau_full": table,
+        "ok": table and rank == expected,
     }
 
 
@@ -406,35 +392,19 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
 
 def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
     M = ld.M
-    fq = ld.fq
-    import stab23.stabilizer as stab
-
-    t_idx = int(fq.project(stab.t_element(fq.precision)))
-    psi_idx = int(fq.project(stab.psi_element(fq.precision)))
-    om_idx = int(fq.project(stab.omega_element(fq.precision)))
-    for g in (t_idx, psi_idx):
+    for g in (ld.named["t"], ld.named["psi"]):
         if ((_act_vector(ld, g, c, space) - c) % M).any():
             raise CheckFailed("averaged generator is not Q8-invariant")
-    if ((_act_vector(ld, om_idx, c, space) + c) % M).any():
+    if ((_act_vector(ld, ld.named["omega"], c, space) + c) % M).any():
         raise CheckFailed("averaged generator is not in the sign isotype")
 
 
 def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     """A G24-fixed vector of span(N3) generating mod (3, I_G), and the
     Tor0 data of N3."""
-    import stab23.stabilizer as stab
-
-    fq, M, m = ld.fq, ld.M, ld.m
-    gens24 = [
-        int(fq.project(g_el))
-        for g_el in (
-            stab.s_element(fq.precision),
-            stab.t_element(fq.precision),
-            stab.psi_element(fq.precision),
-        )
-    ]
+    M, m = ld.M, ld.m
     blocks = []
-    for g in gens24:
+    for g in (ld.named["s"], ld.named["t"], ld.named["psi"]):
         blocks.append((_act_vector(ld, g, N3, "chi") - N3).T % M)
     big = np.vstack(blocks) % M
     y_span = linalg.kernel(big, m)
@@ -509,8 +479,9 @@ def homology_cells(cx: ComplexAtLevel) -> dict:
     out = {"coker_aug": [] if cx.image("aug").log3_size(m) == m else ["nonzero"]}
     for pos, (ker, im) in enumerate((("aug", "b1"), ("b1", "b2"), ("b2", "b3"), ("b3", None))):
         Z = cx.kernel(ker)
-        B = cx.image(im).rows if im else np.zeros((0, Z.shape[1]), dtype=np.int64)
-        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m, cx.kernel_form(ker))
+        HI = cx.image(im) if im else None
+        B = HI.rows if im else np.zeros((0, Z.shape[1]), dtype=np.int64)
+        out[f"pos{pos}"] = linalg.quotient_invariants(Z, B, m, cx.kernel_form(ker), HI)
     return out
 
 

@@ -8,8 +8,12 @@ replaced.  ``module_closure_f3`` is the closure under a group that
 ``minres`` and ``resolution`` ran before they took the plain span of the
 (g - 1) blocks.  ``howell_unblocked`` and ``reduce_mod_span_unblocked``
 are the m >= 2 loops of the active-submatrix engine, as they ran on the
-whole matrix before ``stab23.linalg`` split them into panels.  Tests
-compare old and new for exact equality.  They are a test oracle only.
+whole matrix before ``stab23.linalg`` split them into panels.
+``chi_idempotent`` and ``verify_chi_summand_dense`` are the dense n x n
+chi idempotent on Q8-cosets and the check that ran on it before
+``stab23.resolution`` checked the right-translation table against
+(1 - sigma)/2.  Tests compare old and new for exact equality.  They are
+a test oracle only.
 """
 
 from __future__ import annotations
@@ -21,8 +25,12 @@ from stab23.linalg import (
     HowellForm,
     _as_matrix,
     _check_exact,
+    free_rank,
+    image,
+    matmul_mod,
     modulus,
     signed_permute,
+    span_log_size,
     valuations,
 )
 
@@ -287,3 +295,35 @@ def reduce_mod_span_unblocked(H: HowellForm, vec, m: int) -> np.ndarray:
         if q.any():
             r = (r - q[..., None] * row) % M
     return r
+
+
+def chi_idempotent(ld) -> np.ndarray:
+    """e_chi = (1/16) sum eps(alpha) * (right translation by alpha) on the
+    Q8-cosets of a ``resolution.LevelData``, as a dense n x n matrix."""
+    cos = ld.chi.cosets
+    right = cos.coset_id[ld.fq.mul_table(cos.reps, ld.fq.subgroup_image("SD16"))]
+    n = right.shape[0]
+    E = np.zeros((n, n), dtype=np.int64)
+    np.add.at(E, (right, np.arange(n)[:, None]), ld.sd16_sign)
+    return (pow(16, -1, ld.M) * (E % ld.M)) % ld.M
+
+
+def verify_chi_summand_dense(ld) -> dict:
+    """Idempotency, rank |G|/16 and the chi + tau decomposition, computed
+    on the dense idempotent by Howell forms over Z/3^m."""
+    M, m = ld.M, ld.m
+    E = chi_idempotent(ld)
+    n = E.shape[0]
+    idem = np.array_equal(matmul_mod(E, E, m), E)
+    chi_rows = image(E, m).rows
+    rank = free_rank(chi_rows, m)
+    tau_rows = image((np.eye(n, dtype=np.int64) - E) % M, m).rows
+    full = span_log_size(np.vstack([chi_rows, tau_rows]), m) == m * n
+    expected = ld.fq.order // 16
+    return {
+        "idempotent": idem,
+        "rank": int(rank),
+        "rank_expected": expected,
+        "chi_plus_tau_full": bool(full),
+        "ok": idem and rank == expected and full,
+    }

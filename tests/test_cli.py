@@ -290,10 +290,12 @@ def test_resolution_builds_each_level_once(runner, tmp_path, monkeypatch):
 
 
 def test_exactness_bound_is_a_resource_abort(runner, tmp_path):
-    # 18 columns at m = 19 break the int64 bound n * 3^(2m) < 2^63
+    # the first elimination at level 1 is the Howell form of [aug^T | I]
+    # on the six G24-cosets: 7 columns at m = 19 break the int64 bound
+    # n * 3^(2m) < 2^63
     r = invoke(runner, tmp_path, ["resolution", "--levels", "1", "--mod", "19"])
     assert r.exit_code == 2, r.output
-    assert "aborted: int64 bound n * 3^(2m) < 2^63 fails for n = 18 columns, m = 19" in r.output
+    assert "aborted: int64 bound n * 3^(2m) < 2^63 fails for n = 7 columns, m = 19" in r.output
     assert not any(tmp_path.iterdir())
 
 

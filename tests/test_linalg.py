@@ -103,8 +103,9 @@ def test_quotient_invariants_simple():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_quotient_invariants_matches_the_full_count(m):
-    # n[0] is read off the containment check's Howell form of K; the
-    # layer counts must agree with eliminating K together with I
+    # n[0] is read off the containment check's Howell form of K and n[m]
+    # off the Howell form of I when it is given; the layer counts must
+    # agree with eliminating K together with I
     rng = np.random.default_rng(m)
     M = 3**m
     for _ in range(5):
@@ -114,6 +115,8 @@ def test_quotient_invariants_matches_the_full_count(m):
         gt = [n[j] - (n[j + 1] if j < m else 0) for j in range(m + 1)]
         want = sorted(e for e in range(1, m + 1) for _ in range(gt[e - 1] - (gt[e] if e < m else 0)))
         assert linalg.quotient_invariants(K, I, m) == want
+        assert linalg.quotient_invariants(K, I, m, HI=linalg.howell(I, m)) == want
+        assert linalg.quotient_invariants(K, I, m, linalg.howell(K, m), linalg.image(I.T, m)) == want
 
 
 def test_quotient_invariants_rejects_non_submodule():

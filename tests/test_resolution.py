@@ -8,6 +8,7 @@ import linalg_oracle as oracle
 from stab23 import linalg
 from stab23 import quotients as q
 from stab23 import resolution as res
+from stab23.errors import CheckFailed
 
 N = 8
 
@@ -29,15 +30,61 @@ def test_chi_summand(lvl2):
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_chi_gathers_match_the_dense_product(lvl2, m):
-    # X . e_chi by 16 signed column gathers against the dense int64 oracle,
-    # on e_chi itself and on a matrix that is not idempotent
+@pytest.mark.parametrize("level", [1, Fraction(3, 2), 2])
+def test_chi_summand_matches_the_dense_oracle(level, m):
+    # the table check against (1 - sigma)/2 gives the report the Howell
+    # forms of the dense idempotent give
+    ld = res.prepare_level(q.finite_quotient(level, N), m)
+    got = res.verify_chi_summand(ld)
+    assert got == oracle.verify_chi_summand_dense(ld)
+    assert got["ok"] and got["rank"] == ld.fq.order // 16
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_dense_chi_idempotent_is_one_minus_sigma_over_two(lvl2, m):
     fq, _, _ = lvl2
     ld = res.prepare_level(fq, m)
-    E = res.chi_idempotent(ld)
-    assert np.array_equal(res.times_chi_idempotent(ld, E), (E @ E) % ld.M)
-    X = np.random.default_rng(7).integers(0, ld.M, size=(5, E.shape[0]))
-    assert np.array_equal(res.times_chi_idempotent(ld, X), (X @ E) % ld.M)
+    n = ld.chi.cosets.size
+    sigma = np.zeros((n, n), dtype=np.int64)
+    sigma[ld.chi.sigma, np.arange(n)] = 1
+    half = pow(2, -1, ld.M)
+    want = half * (np.eye(n, dtype=np.int64) - sigma) % ld.M
+    assert np.array_equal(oracle.chi_idempotent(ld), want)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chi_summand_fails_on_a_corrupted_translation_table(lvl2, monkeypatch, sign):
+    # one column of the SD16 right-translation table, on Q8 or off it,
+    # moved by one coset: the check fails, and the construction stops
+    fq, _, _ = lvl2
+    ld = res.prepare_level(fq, 1)
+    k = int(np.flatnonzero(ld.sd16_sign == sign)[0])
+    real = res._sd16_right
+
+    def corrupted(ld):
+        right = real(ld).copy()
+        right[:, k] = np.roll(right[:, k], 1)
+        return right
+
+    monkeypatch.setattr(res, "_sd16_right", corrupted)
+    rep = res.verify_chi_summand(ld)
+    assert not rep["ok"] and not rep["idempotent"] and not rep["chi_plus_tau_full"]
+    with pytest.raises(CheckFailed):
+        res.construct_complex(ld)
+
+
+def test_chi_summand_at_level_three(monkeypatch):
+    # n = 13,122 Q8-cosets: the dense idempotent would be 13,122^2, and
+    # the table check runs no elimination
+    ld = res.prepare_level(q.finite_quotient(3, N), 1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the chi check eliminated a matrix")
+
+    for name in ("howell", "image", "free_rank", "span_log_size", "kernel"):
+        monkeypatch.setattr(linalg, name, refused)
+    rep = res.verify_chi_summand(ld)
+    assert rep["ok"] and rep["rank"] == rep["rank_expected"] == 6561
 
 
 def test_complex_keeps_its_kernels_and_images_read_only(lvl2):
