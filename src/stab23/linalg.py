@@ -50,6 +50,19 @@ def _check_exact_f3(ncols: int) -> None:
         raise ExactnessBoundExceeded(f"float64 bound 4 * ncols + 2 < 2^51 fails for ncols = {ncols}")
 
 
+# The F3 engine's float32 bound: below it the partial sums of every
+# product are non-negative integers under 2^24, exact in float32, and
+# fl(X / 3) is off by at most a quarter, less than 1/3, so ``_mod3`` is exact.
+_F32_BOUND = 2**24
+
+
+def _f3_dtype(ncols: int):
+    """The F3 engine's float type for ``ncols`` columns: float32 while
+    4 * ncols + 2 < 2^24, float64 under ``_check_exact_f3`` beyond."""
+    _check_exact_f3(ncols)
+    return np.float32 if 4 * ncols + 2 < _F32_BOUND else np.float64
+
+
 # columns per panel of the Z/3^m engine, and the width (or pivot count)
 # at or below which its loop runs unblocked, as the engine's leaf
 _ZM_PANEL = 64
@@ -114,19 +127,21 @@ def rref_f3(A: np.ndarray) -> tuple:
     return space.rows, space.pivots
 
 
-def kernel_f3(A) -> np.ndarray:
-    """Kernel basis over F3 via RREF (field fast path)."""
-    a = np.atleast_2d(np.asarray(A)).shape[1]
+def kernel_f3(A, dtype=np.int64) -> tuple:
+    """Kernel basis over F3 via RREF (field fast path): (rows, free), one
+    ``dtype`` row per free column of the RREF of A, the rows being the
+    identity on the columns ``free`` and read off the basis elsewhere."""
+    A = np.atleast_2d(np.asarray(A))
+    a = A.shape[1]
     if a == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    R, pivots = rref_f3(A)
-    pivot_set = set(pivots)
-    free = [j for j in range(a) if j not in pivot_set]
-    out = np.zeros((len(free), a), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    if pivots and free:
-        out[:, pivots] = (-R[:, free].T) % 3
-    return out
+        return np.zeros((0, 0), dtype=dtype), np.zeros(0, dtype=np.intp)
+    space = F3Space(a)
+    space.add(A)
+    piv, free, F = space._free_part()
+    out = np.zeros((free.size, a), dtype=dtype)
+    out[np.arange(free.size), free] = 1
+    out[:, piv] = _mod3(-F.T)
+    return out, free
 
 
 def howell(rows, m: int) -> HowellForm:
@@ -337,34 +352,62 @@ class F3Space:
     """Row space over F3 grown block by block; the one F3 elimination engine.
 
     The basis is kept in reduced row echelon form: ``rows[:, pivots]`` is
-    the identity.  Rows arrive in blocks of ``_F3_BLOCK``.  Each block is
-    read mod 3 on its own, cleared against the basis by one float64
-    product, and only its surviving rows enter the recursive block RREF
-    (``_rref_block``).  A second product then clears the new pivot
-    columns from the old rows (the FFLAS/FFPACK scheme of Dumas, Giorgi
-    and Pernet).  ``rows`` is the basis in insertion order: the rows one
-    ``add`` contributes are appended in pivot-column order.
+    the identity.  It is stored as float32 while 4 * ncols + 2 < 2^24
+    (``_f3_dtype``; float64 beyond), and ``rows`` is its int64 copy, built
+    when read.  Rows arrive in blocks of ``_F3_BLOCK``, in any integer
+    dtype, and each is read mod 3 on its own.  Within one ``add`` a block
+    is cleared by one product against the old basis, on its free columns
+    only (cached between calls), and by one against the rows this ``add``
+    has found so far; its surviving rows enter the recursive block RREF
+    (``_rref_block``), and a product clears their pivots from the rows
+    found before them.  The old rows are back-cleared once, at the end of
+    the ``add`` (the FFLAS-FFPACK scheme of Dumas, Giorgi and Pernet).
+    ``rows`` is the basis in insertion order: the rows one ``add``
+    contributes are appended in pivot-column order.
     """
 
     def __init__(self, ncols: int):
-        _check_exact_f3(ncols)
+        self.dtype = _f3_dtype(ncols)
         self.ncols = ncols
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
         self.pivots: list = []
-        # float64 copy of the basis for BLAS, with room for more rows
-        self._buf = np.zeros((0, ncols), dtype=np.float64)
+        # the basis for BLAS, with room for more rows
+        self._buf = np.zeros((0, ncols), dtype=self.dtype)
+        self._rows = None      # int64 copy of the basis, once read
+        self._free = None      # (pivots, free columns, basis on them)
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = self._buf[: self.dim].astype(np.int64)
+        return self._rows
+
+    def _free_part(self) -> tuple:
+        """(pivot columns, free columns, the basis on the free columns)."""
+        if self._free is None:
+            piv = np.array(self.pivots, dtype=np.intp)
+            free = np.setdiff1d(np.arange(self.ncols), piv)
+            self._free = (piv, free, self._buf[: self.dim][:, free])
+        return self._free
+
     def _clear(self, block: np.ndarray) -> np.ndarray:
-        """One block read mod 3 and cleared against the basis, as float64."""
-        Bf = np.remainder(block, 3).astype(np.float64)
-        if self.pivots:
-            Bf -= Bf[:, self.pivots] @ self._buf[: self.dim]
-            _mod3(Bf)
-        return Bf
+        """One block read mod 3 and cleared against the basis, as ``dtype``.
+        The basis is the identity on its pivot columns, so the block is
+        zero there and the product runs over the free columns only."""
+        if block.dtype.kind in "iu" and block.dtype.itemsize <= 2:
+            # exact in either float type, and reduced faster there
+            X = _mod3(block.astype(self.dtype))
+        else:
+            X = np.remainder(block, 3).astype(self.dtype)
+        piv, free, F = self._free_part()
+        if piv.size:
+            P = X[:, piv]
+            X[:, piv] = 0
+            X[:, free] = _mod3(X[:, free] - P @ F)
+        return X
 
     def reduce(self, B: np.ndarray, dtype=np.int64) -> np.ndarray:
         """Remainders mod 3 of the rows of B under the basis, as ``dtype``."""
@@ -381,32 +424,32 @@ class F3Space:
         # reserve room for every row B could add; untouched rows cost no memory
         room = start + min(B.shape[0], self.ncols - start)
         if room > self._buf.shape[0]:
-            buf = np.empty((room, self.ncols))
+            buf = np.empty((room, self.ncols), dtype=self.dtype)
             buf[:start] = self._buf[:start]
             self._buf = buf
+        self._free_part()      # the old basis, fixed for this add
         for i in range(0, B.shape[0], _F3_BLOCK):
-            Bf = self._clear(B[i : i + _F3_BLOCK])
-            live = Bf.any(axis=1)
+            X = self._clear(B[i : i + _F3_BLOCK])
+            # the new rows are zero on the old pivots and reduced among
+            # themselves, so clearing X on theirs keeps it zero there
+            new, N = self.pivots[start:], self._buf[start : self.dim]
+            if new:
+                _mod3(np.subtract(X, X[:, new] @ N, out=X))
+            live = X.any(axis=1)
             if not live.any():
                 continue
-            Rf, new = _rref_block(Bf[live])
-            # keep the basis reduced: clear the new pivot columns in old
-            # rows, a block of rows at a time
-            old = self._buf[: self.dim]
-            C = old[:, new]
-            hit = C.any(axis=1).nonzero()[0]
-            for j in range(0, hit.size, _F3_BLOCK):
-                h = hit[j : j + _F3_BLOCK]
-                old[h] = _mod3(old[h] - C[h] @ Rf)
-            self._buf[self.dim : self.dim + len(new)] = Rf
-            self.pivots.extend(new)
+            S, piv = _rref_block(X[live])
+            _clear_columns(N, piv, S)
+            self._buf[self.dim : self.dim + len(piv)] = S
+            self.pivots.extend(piv)
         if self.dim == start:
             return 0
-        basis = self._buf[: self.dim]
-        order = start + np.argsort(self.pivots[start:], kind="stable")
-        basis[start:] = basis[order]
-        self.pivots[start:] = [self.pivots[j] for j in order]
-        self.rows = basis.astype(np.int64)
+        new, N = self.pivots[start:], self._buf[start : self.dim]
+        _clear_columns(self._buf[:start], new, N)
+        order = np.argsort(new, kind="stable")
+        N[:] = N[order]
+        self.pivots[start:] = [new[j] for j in order]
+        self._rows = self._free = None
         return self.dim - start
 
 
@@ -438,8 +481,8 @@ def augmentation_span(V: np.ndarray, acts) -> F3Space:
 
 
 def _mod3(X: np.ndarray) -> np.ndarray:
-    """X mod 3 in place, for a float64 array of integers of absolute value
-    below 2^51.
+    """X mod 3 in place, for a float array of integers of absolute value
+    below 2^51 (float64) or 2^24 (float32).
 
     Division by 3 is correctly rounded, so floor(X / 3) is exact there;
     np.remainder on floats gives the same values about eight times slower.
@@ -451,8 +494,20 @@ def _mod3(X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _clear_columns(R: np.ndarray, cols: list, S: np.ndarray) -> None:
+    """R <- R - R[:, cols] @ S mod 3 in place, for S zero on the pivot
+    columns of R's rows and the identity on ``cols``; only the rows that
+    meet ``cols`` change, a block of rows at a time."""
+    C = R[:, cols]
+    hit = C.any(axis=1).nonzero()[0]
+    for j in range(0, hit.size, _F3_BLOCK):
+        h = hit[j : j + _F3_BLOCK]
+        R[h] = _mod3(R[h] - C[h] @ S)
+
+
 def _rref_block(W: np.ndarray) -> tuple:
-    """RREF of a float64 block with entries in {0, 1, 2}; returns (rows, pivot_cols).
+    """RREF of a float block with entries in {0, 1, 2}; returns (rows of
+    its dtype, pivot_cols).
 
     Above ``_F3_LEAF`` rows: reduce the top half, clear the bottom half by
     one product with it and reduce what survives, then clear the bottom's
@@ -461,7 +516,7 @@ def _rref_block(W: np.ndarray) -> tuple:
     """
     if W.shape[0] <= _F3_LEAF:
         R, pivots = _rref_leaf(W.astype(np.int8))
-        return R.astype(np.float64), pivots
+        return R.astype(W.dtype), pivots
     T, top = _rref_block(W[: W.shape[0] // 2])
     B = W[W.shape[0] // 2 :].copy()
     if top:
@@ -476,12 +531,18 @@ def _rref_block(W: np.ndarray) -> tuple:
     return np.vstack([T, S])[order], [pivots[i] for i in order]
 
 
+# x mod 3 for the int8 values 0 <= x <= 6 that one step of the leaf makes
+_MOD3_SMALL = np.array([0, 1, 2, 0, 1, 2, 0], dtype=np.int8)
+
+
 def _rref_leaf(W: np.ndarray) -> tuple:
     """RREF of a small int8 block with entries in {0, 1, 2}, in place.
 
     Each step takes the first column that is nonzero below the rows
     already placed, swaps its first nonzero row up, scales it to 1 and
-    clears the column in every other row.  Returns (rows, pivot_cols).
+    clears the column in every other row.  The pivot row is zero left of
+    its column, so a step touches only the columns from there on, and
+    reduces mod 3 by table lookup.  Returns (rows, pivot_cols).
     """
     nrows = W.shape[0]
     r = col = 0
@@ -494,13 +555,14 @@ def _rref_leaf(W: np.ndarray) -> tuple:
         i = r + int(W[r:, col].nonzero()[0][0])
         if i != r:
             W[[r, i]] = W[[i, r]]
-        if W[r, col] == 2:
-            W[r] = (2 * W[r]) % 3
-        colvals = W[:, col].copy()
-        colvals[r] = 0
-        mask = colvals != 0
-        if mask.any():
-            W[mask] = (W[mask] + np.outer((3 - colvals[mask]) % 3, W[r])) % 3
+        T = W[:, col:]
+        if T[r, 0] == 2:
+            T[r] = _MOD3_SMALL[2 * T[r]]
+        c = T[:, 0].copy()
+        c[r] = 0
+        rows = c.nonzero()[0]
+        if rows.size:
+            T[rows] = _MOD3_SMALL[T[rows] + (3 - c[rows, None]) * T[r]]
         pivots.append(col)
         r += 1
         col += 1
@@ -510,7 +572,7 @@ def _rref_leaf(W: np.ndarray) -> tuple:
 def kernel(A, m: int) -> np.ndarray:
     """Rows spanning {x : A @ x == 0 mod 3^m}."""
     if m == 1:
-        return kernel_f3(A)
+        return kernel_f3(A)[0]
     return kernel_and_image(A, m)[0].rows
 
 
@@ -540,15 +602,20 @@ def solve(A, b, m: int):
     """One x with A @ x == b mod 3^m, or None.
 
     A 2-d ``b`` is solved column by column: x has one column per column
-    of b, and the result is None if any column has no solution.
+    of b, and the result is None if any column has no solution.  At m = 1
+    this is one RREF of the int8 matrix [A | b] in the F3 engine.
     """
+    b = np.asarray(b, dtype=np.int64)
+    r = b[:, None] if b.ndim == 1 else b
+    if m == 1:
+        x = _solve_f3(np.atleast_2d(np.asarray(A)), r)
+        return x[:, 0] if x is not None and b.ndim == 1 else x
     M = modulus(m)
     A = _as_matrix(A, m)
     nb, na = A.shape
     aug = np.hstack([A.T % M, np.eye(na, dtype=np.int64)])
     H = howell(aug, m)
-    b = np.asarray(b, dtype=np.int64)
-    r = (b[:, None] if b.ndim == 1 else b) % M
+    r = r % M
     x = np.zeros((na, r.shape[1]), dtype=np.int64)
     for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
         if col >= nb:
@@ -560,6 +627,24 @@ def solve(A, b, m: int):
     if r.any():
         return None
     return x[:, 0] if b.ndim == 1 else x
+
+
+def _solve_f3(A: np.ndarray, B: np.ndarray):
+    """One X with A @ X == B over F3, or None.  With [A | B] in reduced
+    echelon form and every pivot in A's columns, X is the B-part of the
+    pivot rows, placed at their pivot columns; a pivot in B's columns is
+    a row 0 = nonzero."""
+    nb, na = A.shape
+    AB = np.empty((nb, na + B.shape[1]), dtype=np.int8)
+    AB[:, :na] = A % 3
+    AB[:, na:] = B % 3
+    space = F3Space(AB.shape[1])
+    space.add(AB)
+    if space.pivots and max(space.pivots) >= na:
+        return None
+    X = np.zeros((na, B.shape[1]), dtype=np.int64)
+    X[space.pivots] = space._buf[: space.dim, na:]
+    return X
 
 
 def span_log_size(rows, m: int) -> int:

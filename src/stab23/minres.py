@@ -86,12 +86,23 @@ def _regular_action(G: PermGroup, g: int, rank: int) -> np.ndarray:
     return (np.arange(rank)[:, None] * p + G.mult[g]).ravel()
 
 
-def _new_generators(G: PermGroup, gens: list, K: np.ndarray, rank: int) -> list:
-    """The rows of K outside span(I.K, the rows chosen before them), in one
-    pass: reducing mod I.K is linear, so they are the pivot columns of R^T
-    for the remainders R, copied so that K can be freed."""
-    acts = [(_regular_action(G, g, rank),) for g in gens]
-    R = linalg.augmentation_span(K.astype(np.int8), acts).reduce(K, dtype=np.int8)
+def _new_generators(G: PermGroup, gens: list, K: np.ndarray, free: np.ndarray, rank: int) -> list:
+    """The rows of K (int8 kernel rows, the identity on the columns
+    ``free``) outside span(I.K, the rows chosen before them), in one pass.
+
+    I.K lies in span(K), so it is eliminated in K's coordinates, a vector's
+    entries on ``free``: there (g - 1).K is K[:, g^-1 free] - 1, as
+    ``linalg.augmentation_span`` would give it restricted to ``free``, and
+    row j of K is e_j.  Reducing mod I.K is linear, so the rows are the
+    pivot columns of R^T for the remainders R of the e_j; they are copied
+    so that K can be freed."""
+    n = len(free)
+    space = linalg.F3Space(n)
+    for g in gens:
+        block = K[:, np.argsort(_regular_action(G, g, rank))[free]]
+        block[np.arange(n), np.arange(n)] -= 1
+        space.add(block)
+    R = space.reduce(np.eye(n, dtype=np.int8), dtype=np.int8)
     return [K[j].copy() for j in linalg.rref_f3(R.T)[1]]
 
 
@@ -99,7 +110,7 @@ def _new_generators(G: PermGroup, gens: list, K: np.ndarray, rank: int) -> list:
 class MinimalResolution:
     group: PermGroup
     ranks: list             # dim H^n for n = 0..n_max
-    diffs: list             # F3 matrices d_n : F_n -> F_{n-1}, n >= 1
+    diffs: list             # int8 F3 matrices d_n : F_n -> F_{n-1}, n >= 1
     generators: list        # chosen minimal generator vectors per stage
 
 
@@ -114,15 +125,16 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     gens_per_stage = []
     # d_0: augmentation F3[P] -> F3
     prev_rank = 1
-    d_prev = np.ones((1, p), dtype=np.int64)
+    d_prev = np.ones((1, p), dtype=np.int8)
     for n in range(1, n_max + 1):
-        new_gens = _new_generators(G, gens, linalg.kernel(d_prev, 1), prev_rank)
+        new_gens = _new_generators(G, gens, *linalg.kernel_f3(d_prev, np.int8), prev_rank)
         r = len(new_gens)
         ranks.append(r)
         gens_per_stage.append(new_gens)
         # d_n as an F3 matrix (p*prev_rank) x (p*r): column (j, g) is
-        # g . v_j, whose entry (b, h) is v_j[b, g^-1 h]
-        d = np.zeros((p * prev_rank, p * r), dtype=np.int64)
+        # g . v_j, whose entry (b, h) is v_j[b, g^-1 h]; entries are in
+        # {0, 1, 2}, so int8, and a product reads it through an upcast
+        d = np.zeros((p * prev_rank, p * r), dtype=np.int8)
         d4 = d.reshape(prev_rank, p, r, p)
         for j, v in enumerate(new_gens):
             d4[:, :, j, :] = v.reshape(prev_rank, p)[:, ldiv.T]
@@ -130,10 +142,6 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
         d_prev = d
         prev_rank = r
     return MinimalResolution(G, ranks, diffs, gens_per_stage)
-
-
-def cohomology_dims(G: PermGroup, n_max: int) -> list:
-    return minimal_resolution(G, n_max).ranks[: n_max + 1]
 
 
 def rank_f3(A: np.ndarray) -> int:
@@ -148,7 +156,7 @@ def apply_lift(X: np.ndarray, act: np.ndarray, v: np.ndarray) -> np.ndarray:
     (b, act[g, k])."""
     pb, ps = act.shape
     r_small = X.shape[0] // ps
-    vb = v.reshape(-1, pb)
+    vb = np.asarray(v, dtype=np.int64).reshape(-1, pb)   # v may be an int8 column
     j, g = np.nonzero(vb)
     out = np.zeros((r_small, ps), dtype=np.int64)
     moved = X.T.reshape(-1, r_small, ps)[j] * vb[j, g][:, None, None]

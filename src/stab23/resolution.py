@@ -60,6 +60,10 @@ class ChiSpace:
         return len(self.pair_rep)
 
 
+# entries per block of actors in the int64 table an action is read from
+_ACTION_BLOCK = 2**20
+
+
 @dataclass
 class LevelData:
     """Cosets, subgroup images and the cached group actions of one quotient.
@@ -68,7 +72,7 @@ class LevelData:
     from ``actions``: an element g acts on the space 'c24' (G24-cosets)
     or 'chi' (chi pairs) by a signed permutation, g . e_p = sign[p] *
     e_{perm[p]}, with all signs +1 on 'c24'.  Each (space, element) is
-    computed once.
+    computed once and cached as an int32 permutation and an int8 sign row.
     """
 
     fq: FiniteQuotient
@@ -86,21 +90,24 @@ class LevelData:
         return 3**self.m
 
     def _fill(self, actors, space: str) -> None:
-        """Cache the actions of the actors not cached yet, from one table."""
+        """Cache the actions of the actors not cached yet, from one table
+        per block of actors, so that no int64 table outlives its block."""
         todo = sorted({int(g) for g in actors if (space, int(g)) not in self._cache})
-        if not todo:
-            return
         cos = self.c24 if space == "c24" else self.chi.cosets
-        perms = self.fq.left_action_on_cosets(np.array(todo), cos.coset_id, cos.reps)
-        if space == "c24":
-            signs = np.broadcast_to(np.ones(cos.size, dtype=np.int64), perms.shape)
-        else:
-            # g moves the pair led by x to the coset g x, which leads its
-            # pair (sign +1) or is the partner of its leader (sign -1)
-            moved = perms[:, self.chi.pair_rep]
-            perms, signs = self.chi.pair_of[moved], self.chi.sign_of[moved]
-        for g, perm, sign in zip(todo, perms, signs):
-            self._cache[space, g] = (perm, sign)
+        step = max(1, _ACTION_BLOCK // cos.size)
+        for i in range(0, len(todo), step):
+            block = todo[i : i + step]
+            perms = self.fq.left_action_on_cosets(np.array(block), cos.coset_id, cos.reps)
+            if space == "c24":
+                perms = perms.astype(np.int32)
+                signs = np.broadcast_to(np.ones(cos.size, dtype=np.int8), perms.shape)
+            else:
+                # g moves the pair led by x to the coset g x, which leads its
+                # pair (sign +1) or is the partner of its leader (sign -1)
+                moved = perms[:, self.chi.pair_rep]
+                perms, signs = self.chi.pair_of[moved], self.chi.sign_of[moved]
+            for g, perm, sign in zip(block, perms, signs):
+                self._cache[space, g] = (perm, sign)
 
     def action(self, g: int, space: str) -> tuple:
         """(perm, sign) of one element on 'c24' or 'chi'."""
@@ -111,8 +118,9 @@ class LevelData:
     def actions(self, actors, space: str) -> tuple:
         """(perms, signs) with one row per actor, computed together."""
         self._fill(actors, space)
-        hits = [self._cache[space, int(g)] for g in actors]
-        return np.array([h[0] for h in hits]), np.array([h[1] for h in hits])
+        return tuple(
+            np.stack([self._cache[space, int(g)][k] for g in actors]) for k in (0, 1)
+        )
 
 
 def _coset_space(fq: FiniteQuotient, name: str) -> CosetSpace:
@@ -133,9 +141,10 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
         raise CheckFailed("right translation by omega is not a free involution on Q8-cosets")
     # each pair is led by its smaller coset
     pair_rep = np.nonzero(cos < sigma)[0]
-    pair_of = np.empty(c8.size, dtype=np.int64)
+    # int32 and int8, the dtypes of the cached actions read through them
+    pair_of = np.empty(c8.size, dtype=np.int32)
     pair_of[pair_rep] = pair_of[sigma[pair_rep]] = np.arange(len(pair_rep))
-    sign_of = np.where(cos < sigma, 1, -1)
+    sign_of = np.where(cos < sigma, 1, -1).astype(np.int8)
     chi = ChiSpace(c8, sigma, pair_rep, pair_of, sign_of)
     sd16_sign = np.where(np.isin(fq.subgroup_image("SD16"), fq.subgroup_image("Q8")), 1, -1)
     return LevelData(

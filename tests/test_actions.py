@@ -86,6 +86,22 @@ def test_batched_actions_equal_single_ones(ld):
     assert np.array_equal(perms[1], np.arange(ld.c24.size))
 
 
+def test_actions_are_cached_compact_and_block_by_block(ld, monkeypatch):
+    # int32 permutations and int8 signs, the same when each table is read
+    # for a few actors at a time
+    fresh = res.prepare_level(ld.fq, 1)
+    monkeypatch.setattr(res, "_ACTION_BLOCK", 3 * fresh.chi.cosets.size)
+    actors = np.arange(ld.fq.order)[::-1]
+    for space in ("c24", "chi"):
+        perms, signs = fresh.actions(actors, space)
+        assert perms.dtype == np.int32 and signs.dtype == np.int8
+        want = ld.actions(actors, space)
+        assert np.array_equal(perms, want[0]) and np.array_equal(signs, want[1])
+        for g in actors[:10]:
+            perm, sign = fresh.action(g, space)
+            assert perm.dtype == np.int32 and sign.dtype == np.int8
+
+
 @pytest.mark.parametrize("level", [Fraction(1), Fraction(3, 2)], ids=["1", "3/2"])
 @pytest.mark.parametrize("name", ["G24", "Q8"])
 def test_cosets_match_brute_force(level, name):

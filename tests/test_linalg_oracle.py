@@ -172,13 +172,15 @@ def test_rref_negative_int64_entries_match_oracle():
 
 
 def assert_same_block_rref(W):
-    # the recursive block RREF directly, on a float64 block read mod 3
-    R, piv = linalg._rref_block((np.asarray(W) % 3).astype(np.float64))
+    # the recursive block RREF directly, on a float32 and a float64 block
+    # read mod 3; it returns rows of its input's dtype
     R_old, piv_old = oracle.rref_f3(W)
-    assert R.dtype == np.float64
-    assert np.array_equal(R.astype(np.int64), R_old)
-    assert piv == piv_old
-    assert all(type(c) is int for c in piv)
+    for dtype in (np.float32, np.float64):
+        R, piv = linalg._rref_block((np.asarray(W) % 3).astype(dtype))
+        assert R.dtype == dtype
+        assert np.array_equal(R.astype(np.int64), R_old)
+        assert piv == piv_old
+        assert all(type(c) is int for c in piv)
     assert_same_rref(W)
 
 
@@ -242,6 +244,134 @@ def test_f3space_fed_in_chunks_matches_oracle():
         assert not got[:20].any()
         for v, r in zip(probe, got):
             assert np.array_equal(r, oracle.reduce_mod_span(H, v, 1))
+
+
+def assert_space_matches_oracle(space, A, probe):
+    """``space`` holds span(A): a reduced basis equal to the column loop's
+    RREF, and the one-vector reduction's remainders on ``probe``."""
+    R_old, piv_old = oracle.rref_f3(A)
+    rows = space.rows
+    assert rows.dtype == np.int64 and space._buf.dtype == space.dtype
+    assert space.dim == len(piv_old) and sorted(space.pivots) == piv_old
+    assert np.array_equal(rows[:, space.pivots], np.eye(space.dim, dtype=np.int64))
+    assert np.array_equal(rows[np.argsort(space.pivots)], R_old)
+    H = linalg.HowellForm(R_old, piv_old, [0] * len(piv_old))
+    got = space.reduce(probe)
+    assert got.dtype == np.int64
+    assert np.array_equal(space.reduce(probe, dtype=np.int8), got)
+    for v, r in zip(probe, got):
+        assert np.array_equal(r, oracle.reduce_mod_span(H, v, 1))
+
+
+def kills(A, K):
+    """A @ K^T == 0 mod 3, upcast first: int8 @ int8 wraps without an error."""
+    return not ((A.astype(np.int64) % 3) @ K.T.astype(np.int64) % 3).any()
+
+
+def extreme_inputs(rng, rows, cols):
+    """int8 entries down to -128 and int64 entries at both ends of the range."""
+    i8, i64 = np.iinfo(np.int8), np.iinfo(np.int64)
+    A8 = rng.integers(i8.min, i8.max + 1, size=(rows, cols), dtype=np.int8)
+    A8[0], A8[:, -1], A8[-1, : cols // 2] = i8.min, i8.min, i8.max
+    # rank at most 7 over F3, with entries of absolute value at most 112
+    low8 = low_rank(rng, rows, cols, 7).astype(np.int8)
+    A64 = rng.choice(np.array([i64.min, i64.min + 1, -2, -1, 0, 1, i64.max - 1, i64.max]),
+                     size=(rows, cols))
+    return A8, low8, A64
+
+
+def test_f3space_on_int8_and_int64_extremes_matches_oracle():
+    rng = np.random.default_rng(84)
+    for rows, cols in [(50, 30), (2 * BLOCK + 7, 60), (BLOCK + 1, 300)]:
+        for A in extreme_inputs(rng, rows, cols):
+            space = linalg.F3Space(cols)
+            assert space.dtype == np.float32
+            space.add(A)
+            assert_space_matches_oracle(space, A, np.vstack([A[:5], -A[-5:]]))
+            assert_same_rref(A)
+            # the kernel as int8 rows is the int64 one, and A kills it
+            (K, free), (K8, free8) = linalg.kernel_f3(A), linalg.kernel_f3(A, np.int8)
+            assert K8.dtype == np.int8 and np.array_equal(K8, K) and np.array_equal(free8, free)
+            assert K.shape == (cols - space.dim, cols)
+            assert np.array_equal(free, np.setdiff1d(np.arange(cols), space.pivots))
+            assert np.array_equal(K[:, free], np.eye(free.size, dtype=np.int64))
+            assert kills(A, K)
+
+
+def test_f3_dtype_switches_at_the_float32_bound(monkeypatch):
+    # 4 * ncols + 2 < 2^24 holds for ncols = 2^22 - 1 and fails for 2^22;
+    # beyond it the float64 bound of _check_exact_f3 still applies
+    assert linalg._f3_dtype(2**22 - 1) is np.float32
+    assert linalg._f3_dtype(2**22) is np.float64
+    assert linalg.F3Space(2**22 - 1).dtype is np.float32
+    assert linalg.F3Space(2**22).dtype is np.float64
+    rng = np.random.default_rng(86)
+    cols = 2 * BLOCK + 10
+    inputs = [low_rank(rng, 3 * BLOCK + 5, cols, BLOCK + 30), *extreme_inputs(rng, BLOCK + 9, cols)]
+    # the bound moved to this width: the same inputs on both sides of it
+    for bound, dtype in [(4 * cols + 2, np.float64), (4 * cols + 3, np.float32)]:
+        monkeypatch.setattr(linalg, "_F32_BOUND", bound)
+        assert linalg._f3_dtype(cols) is dtype
+        for A in inputs:
+            space = linalg.F3Space(cols)
+            assert space.dtype is dtype
+            for lo in range(0, A.shape[0], 100):
+                space.add(A[lo : lo + 100])
+            assert_space_matches_oracle(space, A, A[::7])
+            assert_same_rref(A)
+            X = linalg.kernel_f3(A, np.int8)[0]
+            assert np.array_equal(X, linalg.kernel_f3(A)[0]) and kills(A, X)
+
+
+def test_f3space_multi_block_adds_match_oracle():
+    # several adds of several blocks each: pivots only in a later block,
+    # all-zero blocks, blocks inside the old span, and blocks that become
+    # dependent only on rows an earlier block of the same add found.  A
+    # missed back-clear of the old rows, or a free-column part left from
+    # an earlier add, shows in the basis or in the remainders.
+    rng = np.random.default_rng(87)
+    cols = 3 * BLOCK
+    zero = np.zeros((BLOCK, cols), dtype=np.int64)
+    first = low_rank(rng, BLOCK + 20, cols, 60)
+    fresh = low_rank(rng, BLOCK, cols, 50)
+    late = low_rank(rng, BLOCK - 3, cols, 40)
+    adds = [
+        first,
+        # zero, then the old span, then pivots (left of and among the old
+        # ones) only in the third block, whose rows the fourth repeats
+        np.vstack([zero, rng.integers(0, 3, size=(BLOCK, first.shape[0])) @ first,
+                   fresh, rng.integers(-2, 3, size=(BLOCK, BLOCK)) @ fresh
+                   + rng.integers(-2, 3, size=(BLOCK, first.shape[0])) @ first]),
+        zero[:5],
+        np.vstack([late, zero, rng.integers(0, 3, size=(BLOCK + 7, late.shape[0])) @ late]).astype(np.int8),
+        rng.integers(0, 3, size=(2 * BLOCK + 1, cols)).astype(np.int8),
+    ]
+    space = linalg.F3Space(cols)
+    seen = np.zeros((0, cols), dtype=np.int64)
+    probe = np.vstack([first[:4], fresh[:4], late[:4], rng.integers(0, 3, size=(8, cols))])
+    for A in adds:
+        before = space.dim
+        seen = np.vstack([seen, A])
+        added = space.add(A)
+        assert added == space.dim - before == len(oracle.rref_f3(seen)[1]) - before
+        assert space.pivots[before:] == sorted(space.pivots[before:])
+        assert_space_matches_oracle(space, seen, probe)
+
+
+def test_solve_over_f3_on_int8_matches_the_int64_input():
+    rng = np.random.default_rng(88)
+    for rows, cols, rank in [(40, 30, 12), (BLOCK + 9, 2 * BLOCK, 70), (5, 300, 5)]:
+        A = (low_rank(rng, rows, cols, rank) % 3 - 1).astype(np.int8)  # entries -1, 0, 1
+        B = A.astype(np.int64) @ rng.integers(-1, 2, size=(cols, 4))
+        for a in (A, A.astype(np.int64)):
+            X = linalg.solve(a, B, 1)
+            assert X.dtype == np.int64 and not ((A.astype(np.int64) @ X - B) % 3).any()
+        # a right-hand side outside the column span makes the solve None
+        out = B[:, 0] + np.eye(rows, dtype=np.int64)[0]
+        rank_a = len(oracle.rref_f3(A)[1])
+        inconsistent = len(oracle.rref_f3(np.column_stack([A, out]))[1]) > rank_a
+        assert (linalg.solve(A, out, 1) is None) == inconsistent
+        assert (linalg.solve(A, np.column_stack([B, out]), 1) is None) == inconsistent
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])

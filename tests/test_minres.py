@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,23 +32,23 @@ def product_c3_c3():
 
 def test_trivial_group():
     G = cyclic_group(1)
-    assert minres.cohomology_dims(G, 4) == [1, 0, 0, 0, 0]
+    assert minres.minimal_resolution(G, 4).ranks[:5] == [1, 0, 0, 0, 0]
 
 
 def test_cyclic_c3():
     G = cyclic_group(3)
-    assert minres.cohomology_dims(G, 5) == [1, 1, 1, 1, 1, 1]
+    assert minres.minimal_resolution(G, 5).ranks[:6] == [1, 1, 1, 1, 1, 1]
 
 
 def test_cyclic_c9():
     G = cyclic_group(9)
-    assert minres.cohomology_dims(G, 4) == [1, 1, 1, 1, 1]
+    assert minres.minimal_resolution(G, 4).ranks[:5] == [1, 1, 1, 1, 1]
 
 
 def test_elementary_abelian_rank_two():
     # known: dim H^n(C3 x C3) = n + 1
     G = product_c3_c3()
-    assert minres.cohomology_dims(G, 4) == [1, 2, 3, 4, 5]
+    assert minres.minimal_resolution(G, 4).ranks[:5] == [1, 2, 3, 4, 5]
 
 
 def test_p_level_one_is_elementary_of_rank_two():
@@ -55,7 +57,7 @@ def test_p_level_one_is_elementary_of_rank_two():
     gens = list(fq.sylow_generators().values())
     G = minres.group_from_indices(fq, syl, gens)
     assert G.order == 9
-    assert minres.cohomology_dims(G, 4) == [1, 2, 3, 4, 5]
+    assert minres.minimal_resolution(G, 4).ranks[:5] == [1, 2, 3, 4, 5]
 
 
 def test_inflation_c3_to_c9():
@@ -89,7 +91,7 @@ def test_p_level_three_halves_dims():
     gens = list(fq.sylow_generators().values())
     G = minres.group_from_indices(fq, syl, gens)
     assert G.order == 27
-    dims = minres.cohomology_dims(G, 4)
+    dims = minres.minimal_resolution(G, 4).ranks[:5]
     assert dims[0] == 1
     assert dims[1] >= 2  # at least the abelianization rank
 
@@ -140,6 +142,24 @@ def test_closure_of_the_augmentation_span_adds_no_rows(sylow):
             d_prev, rank = d, d.shape[1] // G.order
 
 
+def test_generators_chosen_in_coordinates_are_the_ambient_choice(sylow):
+    # I.K eliminated in K's coordinates picks the rows of K that the span
+    # of the (g - 1) K blocks in F3[P]^r picks
+    _, res = sylow
+    for lv in LEVELS:
+        G = res[lv].group
+        gens = minres.irredundant_generators(G)
+        d_prev, rank = np.ones((1, G.order), dtype=np.int8), 1
+        for d, chosen in zip(res[lv].diffs, res[lv].generators):
+            K, free = linalg.kernel_f3(d_prev, np.int8)
+            assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int8))
+            acts = [(minres._regular_action(G, g, rank),) for g in gens]
+            R = linalg.augmentation_span(K, acts).reduce(K, dtype=np.int8)
+            want = [K[j] for j in linalg.rref_f3(R.T)[1]]
+            assert np.array_equal(np.array(chosen), np.array(want))
+            d_prev, rank = d, d.shape[1] // G.order
+
+
 def dense_lift(X, act):
     """The matrix of ``minres.apply_lift(X, act, .)``: column (j, g) is
     X[:, j] moved by g, coordinate (b, k) going to (b, act[g, k])."""
@@ -187,3 +207,68 @@ def test_inflation_is_functorial(sylow):
     for A, B, C in zip(infl(mid, one), infl(top, mid), infl(top, one)):
         assert minres.rank_f3(mul3(A, B)) == minres.rank_f3(C)
         assert np.array_equal(mul3(A, B), C)
+
+
+# -- int8 differentials: the int64 construction, the lifts, and the memory ---------------
+
+def int64_diffs(res):
+    """d_n built in int64 from the chosen generators and ldiv, one column
+    at a time: column (j, g) is g . v_j, whose entry (b, h) is v_j[b, g^-1 h]."""
+    G = res.group
+    p = G.order
+    ldiv = G.mult[np.argmax(G.mult == G.identity, axis=1)]
+    out, prev = [], 1
+    for gens in res.generators:
+        d = np.zeros((p * prev, p * len(gens)), dtype=np.int64)
+        for j, v in enumerate(gens):
+            v = v.astype(np.int64).reshape(prev, p)
+            for g in range(p):
+                d[:, j * p + g] = v[:, ldiv[g]].ravel()
+        out.append(d)
+        prev = len(gens)
+    return out
+
+
+def test_int8_differentials_lift_as_the_int64_ones(sylow):
+    # apply_lift and chain_lift read the int8 differentials through an
+    # upcast; with the int64 construction they give the same matrices
+    fqs, res = sylow
+    wide = {lv: dataclasses.replace(res[lv], diffs=int64_diffs(res[lv])) for lv in LEVELS}
+    for lv in LEVELS:
+        for d8, d64 in zip(res[lv].diffs, wide[lv].diffs):
+            assert d8.dtype == np.int8 and np.array_equal(d8, d64)
+    rng = np.random.default_rng(12)
+    one, mid, top = LEVELS
+    for hi, lo in [(mid, one), (top, mid), (top, one)]:
+        proj = minres.sylow_projection(fqs[hi], fqs[lo])
+        lifts = minres.chain_lift(res[hi], res[lo], proj, 3)
+        for X, Y in zip(lifts, minres.chain_lift(wide[hi], wide[lo], proj, 3)):
+            assert X.dtype == np.int64 and np.array_equal(X, Y)
+        act = res[lo].group.mult[proj]
+        for X, d8, d64 in zip(lifts, res[hi].diffs[1:], wide[hi].diffs[1:]):
+            for c in rng.integers(0, d8.shape[1], size=6):
+                got = minres.apply_lift(X, act, d8[:, c])
+                assert got.dtype == np.int64
+                assert np.array_equal(got, minres.apply_lift(X, act, d64[:, c]))
+
+
+def test_p2_resolution_is_int8_under_a_memory_bound(sylow):
+    # the resolution's tracemalloc peak was 30.3 MB with int64 differentials
+    # and a float64 basis; each d_n is the int64 construction, as int8
+    fqs, _ = sylow
+    G = minres.sylow_group(fqs[Fraction(2)])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = minres.minimal_resolution(G, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+    assert res.ranks == [1, 2, 4, 8]
+    for d8, d64 in zip(res.diffs, int64_diffs(res)):
+        assert d8.dtype == np.int8 and np.array_equal(d8, d64)
