@@ -165,39 +165,25 @@ def _class_window(group: str, stems: tuple, s_max: int):
                     yield c
 
 
-def e2_chart(
-    group: str,
-    stems: tuple = (-1, 73),
-    s_max: int = 24,
-    m: int = coh.DEFAULT_COHO_PRECISION,
-    engine: coh.VariantTable | None = None,
-    engine_cells: int = 40,
-) -> BigradedChart:
+def e2_chart(group: str, stems: tuple = (-1, 73), s_max: int = 24) -> BigradedChart:
     """E2 chart populated from the cohomology engine.
 
-    Positive filtration is enumerated by the monomial pattern; up to
-    ``engine_cells`` cells with s <= 4 and -30 <= t <= 42 are recomputed
-    with the exact engine and must agree, tying the chart to the computed
-    E2.  ``engine_checked`` counts them.  Tame groups get charts
-    concentrated on the 0-line.
+    Positive filtration is enumerated by the monomial pattern; up to 40
+    cells with s <= 4 and -30 <= t <= 42 are recomputed with the exact
+    engine and must agree, tying the chart to the computed E2.
+    ``engine_checked`` counts them.  Tame groups get charts concentrated
+    on the 0-line.
     """
     lo, hi = stems
     zero = {t: zero_line_rank(group, t) for t in range(lo, hi + s_max + 10)}
     if group in TAME:
         return BigradedChart(group, 2, stems, 0, {}, zero)
     classes = {c: LINE_DIM[group] for c in _class_window(group, stems, s_max)}
-    if engine is None:
-        engine = coh.VariantTable(group, "SrhoLoc", m) if group != "C3" else None
-    table = coh.C3Table("SrhoLoc", m) if group == "C3" else None
     checked = 0
     for c in sorted(classes):
-        if checked >= engine_cells or c.s > 4 or not (-30 <= c.t <= 42):
+        if checked >= 40 or c.s > 4 or not (-30 <= c.t <= 42):
             continue
-        got = (
-            table.h_dim(c.s, c.t)
-            if group == "C3"
-            else engine.h_dim(c.s, c.t)
-        )
+        got = coh.h_dim(group, "SrhoLoc", c.s, c.t)
         if got != classes[c]:
             raise CheckFailed(
                 f"engine dim {got} != pattern dim {classes[c]} at {(c.s, c.t)}"

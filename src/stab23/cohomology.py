@@ -12,23 +12,29 @@ periodic resolution: an element g with g^-1 s g = s^k acts on H^{2i} by
 k^i times the coefficient action and on H^{2i+1} by k^i times the
 coefficient action composed with 1 + s + ... + s^{k-1}.  Cohomology of
 the larger groups is the simultaneous invariant part, the group order
-prime to 3 being invertible mod 3.
+prime to 3 being invertible mod 3; C3 is the group with no normalizer
+operators.
+
+The engine is functions memoized on their values: the generator matrices
+(``invariants.gen_matrix``), the C3 cells of one degree (``c3_degree``) and
+the invariant cells (``invariant_cell``), so every suite of a process
+shares them.  Their arrays are read-only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import linalg, witt
+from . import linalg
 from .errors import PrecisionUnstable
-from .invariants import apply_gen
-from .polys import WPoly, monomials_of_degree, w_coordinate_matrix
+from .invariants import denominator, gen_matrix, model_basis
+from .polys import WPoly, w_coordinate_matrix
 
-DEFAULT_COHO_PRECISION = 4
+# reporting precision N of every table; ranks are re-checked at N + 2
+PRECISION = 4
 
 # conjugation exponents: g^-1 s g = s^k
 CONJ_EXP = {"s": 1, "t": 2, "t2": 1, "psi": 1}
@@ -42,82 +48,14 @@ VARIANT_OPS = {
 }
 
 
-# -- graded module providers -------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelPiece:
-    basis: tuple          # monomial exponent tuples
-    nvars: int
-    precision: int
-    r: int                # sigma3 denominator exponent
-    twists: dict          # gen -> unit scalar multiplying the acted polynomial
-
-    def dim(self) -> int:
-        return 2 * len(self.basis)
-
-
-class GradedModel:
-    """S(F), S(rho), or S(rho) localized at sigma3 with fixed denominators."""
-
-    def __init__(self, kind: str, precision: int):
-        if kind not in ("SF", "Srho", "SrhoLoc"):
-            raise ValueError(kind)
-        self.kind = kind
-        self.precision = precision
-
-    def denominator(self, t: int) -> int:
-        """Default truncation exponent; one unit of slack past stabilization."""
-        if self.kind != "SrhoLoc":
-            return 0
-        return max(0, math.ceil((t + 2) / 6) + 1)
-
-    def piece(self, t: int, r: int | None = None) -> ModelPiece | None:
-        """The degree-t graded piece, or None when it vanishes."""
-        if t % 2:
-            return None
-        pr = self.precision
-        om = witt.omega(pr)
-        one = witt.one(pr)
-        if self.kind == "SrhoLoc":
-            if r is None:
-                r = self.denominator(t)
-            d = (6 * r - t) // 2
-            if d < 0:
-                return None
-            twists = {
-                "s": one,
-                "t": (om**6).inv() ** r,
-                "t2": witt.from_int(-1, pr) ** r,
-                "psi": (om**3).inv() ** r,
-            }
-            return ModelPiece(tuple(monomials_of_degree(2, d)), 2, pr, r, twists)
-        d = -t // 2
-        if d < 0:
-            return None
-        nvars = 3 if self.kind == "SF" else 2
-        return ModelPiece(
-            tuple(monomials_of_degree(nvars, d)),
-            nvars,
-            pr,
-            0,
-            {g: one for g in ("s", "t", "t2", "psi")},
-        )
-
-    @lru_cache(maxsize=None)
-    def gen_matrix(self, gen: str, t: int, r: int | None = None) -> np.ndarray:
-        """Z/3^N matrix of one generator on the degree-t piece."""
-        piece = self.piece(t, r)
-        tw = piece.twists[gen]
-
-        def image(mono, scalar):
-            return apply_gen(gen, WPoly(piece.nvars, self.precision, {mono: scalar})).scale(tw)
-
-        return w_coordinate_matrix(piece.basis, piece.basis, image, self.precision)
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 # -- C3 cells -----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Cell:
     """One subquotient K/I of a graded piece, with its invariant factors."""
 
@@ -132,11 +70,6 @@ class Cell:
     @property
     def elementary(self) -> bool:
         return all(e == 1 for e in self.invariants)
-
-
-def _empty_cell() -> Cell:
-    z = np.zeros((0, 0), dtype=np.int64)
-    return Cell(z, z, [])
 
 
 def _norm_matrix(S: np.ndarray, m: int) -> np.ndarray:
@@ -163,103 +96,61 @@ def saturated_kernel_reduced(A_hi: np.ndarray, m_work: int, m_report: int) -> np
     return ker % 3**m_report
 
 
-@dataclass
+@dataclass(frozen=True)
 class C3Degree:
     """H*(C3, M_t) in one internal degree: fixed line plus the two parities."""
 
     t: int
-    fixed: np.ndarray        # saturated basis of M_t^{C3} (free)
+    fixed: Cell              # H^0: saturated basis of M_t^{C3} (free), no relations
     odd: Cell                # H^{2i+1}, any i >= 0
     even: Cell               # H^{2i+2}, any i >= 0; also coker(tr) at s=0
 
-    def h_dim(self, s: int) -> int:
+    def cell(self, s: int) -> Cell:
         if s == 0:
-            return self.fixed.shape[0]
-        return (self.odd if s % 2 else self.even).dim_f3
+            return self.fixed
+        return self.odd if s % 2 else self.even
 
 
-def c3_degree(
-    model_hi: GradedModel, t: int, m: int, r: int | None = None
-) -> C3Degree:
-    """Cohomology cells at reporting precision m; model_hi carries slack."""
-    if model_hi.precision < m + SAT_SLACK:
-        raise ValueError("model precision must exceed reporting precision by the slack")
-    piece = model_hi.piece(t, r)
-    if piece is None or not piece.basis:
-        return C3Degree(t, np.zeros((0, 0), dtype=np.int64), _empty_cell(), _empty_cell())
-    m_work = model_hi.precision
+@lru_cache(maxsize=None)
+def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
+    """Cohomology cells at reporting precision m, from generator matrices
+    at the working precision m + SAT_SLACK."""
+    n = 2 * len(model_basis(kind, t, r))
+    if not n:
+        z = np.zeros((0, 0), dtype=np.int64)
+        _read_only(z)
+        empty = Cell(z, z, [])
+        return C3Degree(t, empty, empty, empty)
+    m_work = m + SAT_SLACK
     Mw, M = 3**m_work, 3**m
-    S_hi = model_hi.gen_matrix("s", t, r) % Mw
-    n = S_hi.shape[0]
+    S_hi = gen_matrix(kind, m_work, "s", t, r)
     eye = np.eye(n, dtype=np.int64)
     norm_hi = _norm_matrix(S_hi, m_work)
     fixed = saturated_kernel_reduced((S_hi - eye) % Mw, m_work, m)
     ker_norm = saturated_kernel_reduced(norm_hi, m_work, m)
     im_s1 = linalg.image((S_hi - eye) % M, m)
     im_norm = linalg.image(norm_hi % M, m)
-    odd = Cell(ker_norm, im_s1.rows, linalg.quotient_invariants(ker_norm, im_s1.rows, m, HI=im_s1))
-    even = Cell(fixed, im_norm.rows, linalg.quotient_invariants(fixed, im_norm.rows, m, HI=im_norm))
-    return C3Degree(t, fixed, odd, even)
-
-
-class C3Table:
-    """Degreewise H*(C3, M) with precision-stability rechecks."""
-
-    def __init__(self, kind: str, m: int = DEFAULT_COHO_PRECISION):
-        self.kind = kind
-        self.m = m
-        # reporting-precision models for operator membership arithmetic,
-        # working-precision models (slack 2) for saturated kernels
-        self.model = GradedModel(kind, m)
-        self.model_work = GradedModel(kind, m + SAT_SLACK)
-        self.model_hi = GradedModel(kind, m + 2)
-        self.model_hi_work = GradedModel(kind, m + 2 + SAT_SLACK)
-        self._cache: dict = {}
-        self._cache_hi: dict = {}
-
-    def degree(self, t: int, hi: bool = False) -> C3Degree:
-        cache = self._cache_hi if hi else self._cache
-        if t not in cache:
-            cache[t] = c3_degree(
-                self.model_hi_work if hi else self.model_work,
-                t,
-                self.m + 2 if hi else self.m,
-            )
-        return cache[t]
-
-    def h_dim(self, s: int, t: int, check_stability: bool = True) -> int:
-        d = self.degree(t).h_dim(s)
-        if check_stability:
-            d2 = self.degree(t, hi=True).h_dim(s)
-            if d != d2:
-                raise PrecisionUnstable(
-                    f"H^{s}(C3, {self.kind}_{t}) rank {d} -> {d2} at N+2"
-                )
-        return d
-
-    def h_dim_truncation_stable(self, s: int, t: int) -> bool:
-        """Recompute one cell with denominator bumped by one."""
-        if self.kind != "SrhoLoc":
-            return True
-        r = self.model.denominator(t)
-        d1 = self.degree(t).h_dim(s)
-        d2 = c3_degree(self.model_work, t, self.m, r + 1).h_dim(s)
-        return d1 == d2
+    no_rel = np.zeros((0, n), dtype=np.int64)
+    _read_only(fixed, ker_norm, im_s1.rows, im_norm.rows, no_rel)
+    return C3Degree(
+        t,
+        Cell(fixed, no_rel, [m] * fixed.shape[0]),
+        Cell(ker_norm, im_s1.rows, linalg.quotient_invariants(ker_norm, im_s1.rows, m, HI=im_s1)),
+        Cell(fixed, im_norm.rows, linalg.quotient_invariants(fixed, im_norm.rows, m, HI=im_norm)),
+    )
 
 
 # -- normalizer operators on the cells ------------------------------------------
 
-def _ops_for(model: GradedModel, group: str, s: int, t: int, m: int, r=None) -> list:
+def _ops_for(group: str, kind: str, s: int, t: int, m: int, r: int) -> list:
     """Matrices of the quotient-group generators acting on H^s(C3, M_t)."""
     M = 3**m
-    piece = model.piece(t, r)
-    n = 2 * len(piece.basis)
-    eye = np.eye(n, dtype=np.int64)
-    S = model.gen_matrix("s", t, r) % M
+    S = gen_matrix(kind, m, "s", t, r)
+    eye = np.eye(S.shape[0], dtype=np.int64)
     ops = []
     for gen in VARIANT_OPS[group]:
         k = CONJ_EXP[gen]
-        G = model.gen_matrix(gen, t, r) % M
+        G = gen_matrix(kind, m, gen, t, r)
         if s % 2 == 1:
             i = (s - 1) // 2
             Q = eye if k == 1 else (eye + S) % M
@@ -271,13 +162,11 @@ def _ops_for(model: GradedModel, group: str, s: int, t: int, m: int, r=None) -> 
     return ops
 
 
-def invariant_cell(cell: Cell, ops: list, m: int) -> Cell:
+def _fixed_subquotient(cell: Cell, ops: list, m: int) -> Cell:
     """The fixed subquotient (K/I)^{ops} as a new Cell in the same ambient."""
     M = 3**m
     K, I = cell.K, cell.I
     r = K.shape[0]
-    if r == 0 or not ops:
-        return Cell(K, I, cell.invariants)
     n = K.shape[1]
     ni = I.shape[0]
     blocks = []
@@ -294,103 +183,70 @@ def invariant_cell(cell: Cell, ops: list, m: int) -> Cell:
     y_span = ker[:, :r] if ker.size else np.zeros((0, r), dtype=np.int64)
     L = linalg.matmul_mod(y_span, K, m) if y_span.size else np.zeros((0, n), dtype=np.int64)
     L_all = np.vstack([L, I]) if I.size else L
+    _read_only(L_all)
     return Cell(L_all, I, linalg.quotient_invariants(L_all, I, m))
 
 
-class VariantTable:
-    """H*(F, M) for F one of C3, C6, C12, G12, G24, as C3-cell invariants."""
+@lru_cache(maxsize=None)
+def invariant_cell(group: str, kind: str, s: int, t: int, m: int) -> Cell:
+    """H^s(F, M_t) at precision m for 0 <= s <= 4, as the subquotient of
+    the C3 cell fixed by the normalizer operators of F."""
+    r = denominator(kind, t)
+    cell = c3_degree(kind, t, m, r).cell(s)
+    if cell.dim_f3 == 0 or not VARIANT_OPS[group]:
+        return cell
+    return _fixed_subquotient(cell, _ops_for(group, kind, s, t, m, r), m)
 
-    def __init__(self, group: str, kind: str = "SrhoLoc", m: int = DEFAULT_COHO_PRECISION):
-        self.group = group
-        self.kind = kind
-        self.m = m
-        self.base = C3Table(kind, m)
-        self._cells: dict = {}
 
-    def _cell(self, s: int, t: int, hi: bool = False) -> Cell:
-        key = (s, t, hi)
-        if key in self._cells:
-            return self._cells[key]
-        mm = self.m + 2 if hi else self.m
-        model = self.base.model_hi if hi else self.base.model
-        deg = self.base.degree(t, hi=hi)
-        base_cell = deg.odd if s % 2 else deg.even
-        piece = model.piece(t)
-        if piece is None or not piece.basis or base_cell.dim_f3 == 0:
-            out = base_cell
-        else:
-            out = invariant_cell(base_cell, _ops_for(model, self.group, s, t, mm), mm)
-        self._cells[key] = out
-        return out
+def h_dim(group: str, kind: str, s: int, t: int) -> int:
+    """dim_F3 H^s(F, M_t) for s >= 1, re-checked at N+2; s reduces mod 4
+    (the operator period)."""
+    if s < 1:
+        raise ValueError("use fixed_rank for the s = 0 line")
+    s_red = (s - 1) % 4 + 1
+    d = invariant_cell(group, kind, s_red, t, PRECISION).dim_f3
+    d2 = invariant_cell(group, kind, s_red, t, PRECISION + 2).dim_f3
+    if d != d2:
+        raise PrecisionUnstable(f"H^{s}({group}, {kind}_{t}) dim {d} -> {d2} at N+2")
+    return d
 
-    def h_dim(self, s: int, t: int, check_stability: bool = True) -> int:
-        """dim_F3 H^s(F, M_t) for s >= 1; s reduces mod 4 (operator period)."""
-        if s < 1:
-            raise ValueError("use fixed_rank for the s = 0 line")
-        s_red = (s - 1) % 4 + 1
-        d = self._cell(s_red, t).dim_f3
-        if check_stability:
-            d2 = self._cell(s_red, t, hi=True).dim_f3
-            if d != d2:
-                raise PrecisionUnstable(
-                    f"H^{s}({self.group}, M_{t}) dim {d} -> {d2} at N+2"
-                )
-        return d
 
-    def fixed_rank(self, t: int, cross_check: bool = True) -> int:
-        """Free rank of H^0(F, M_t), computed two independent ways."""
-        m, M = self.m, 3**self.m
-        model = self.base.model
-        piece = model.piece(t)
-        if piece is None or not piece.basis:
-            return 0
-        gens = ("s",) + VARIANT_OPS[self.group]
-        work = self.base.model_work
-        mats_hi = [work.gen_matrix(g, t) for g in gens]
-        n_hi = mats_hi[0].shape[0]
-        stacked = np.vstack([(A - np.eye(n_hi, dtype=np.int64)) for A in mats_hi])
-        direct = saturated_kernel_reduced(stacked, work.precision, m).shape[0]
-        if cross_check:
-            deg = self.base.degree(t)
-            K = deg.fixed
-            if K.shape[0] == 0:
-                via_c3 = 0
-            else:
-                ops = _ops_for(model, self.group, 0, t, m)
-                if not ops:
-                    via_c3 = K.shape[0]
-                else:
-                    empty_I = np.zeros((0, K.shape[1]), dtype=np.int64)
-                    cell = invariant_cell(Cell(K, empty_I, []), ops, m)
-                    via_c3 = linalg.free_rank(cell.K, m)
-            if via_c3 != direct:
-                raise PrecisionUnstable(
-                    f"H^0 two-route mismatch for {self.group} at t={t}: "
-                    f"{direct} vs {via_c3}"
-                )
-        return direct
+def fixed_rank(group: str, kind: str, t: int) -> int:
+    """Free rank of H^0(F, M_t), computed two independent ways: the
+    saturated common kernel of all generators, and the invariants of the
+    normalizer operators on the C3-fixed line."""
+    r = denominator(kind, t)
+    n = 2 * len(model_basis(kind, t, r))
+    if not n:
+        return 0
+    work = PRECISION + SAT_SLACK
+    eye = np.eye(n, dtype=np.int64)
+    stacked = np.vstack([gen_matrix(kind, work, g, t, r) - eye for g in ("s",) + VARIANT_OPS[group]])
+    direct = saturated_kernel_reduced(stacked, work, PRECISION).shape[0]
+    via_c3 = linalg.free_rank(invariant_cell(group, kind, 0, t, PRECISION).K, PRECISION)
+    if via_c3 != direct:
+        raise PrecisionUnstable(
+            f"H^0 two-route mismatch for {group} at t={t}: {direct} vs {via_c3}"
+        )
+    return direct
 
 
 # -- transfer -------------------------------------------------------------------
 
-def transfer_cokernel_dim(table: C3Table, t: int) -> int:
+def transfer_cokernel_dim(kind: str, t: int) -> int:
     """dim_F3 of coker(tr : M_t -> M_t^{C3}); equals the even cell."""
-    return table.degree(t).even.dim_f3
+    return c3_degree(kind, t, PRECISION, denominator(kind, t)).even.dim_f3
 
 
-def transfer_times_restriction_is_3(table: C3Table, t: int) -> bool:
+def transfer_times_restriction_is_3(kind: str, t: int) -> bool:
     """tr(res(x)) = 3x for fixed vectors x."""
-    m = table.m
-    M = 3**m
-    deg = table.degree(t)
-    if deg.fixed.shape[0] == 0:
+    m, M = PRECISION, 3**PRECISION
+    r = denominator(kind, t)
+    fixed = c3_degree(kind, t, m, r).fixed.K
+    if fixed.shape[0] == 0:
         return True
-    S = table.model.gen_matrix("s", t) % M
-    norm = _norm_matrix(S, m)
-    for v in deg.fixed:
-        if ((norm @ v - 3 * v) % M).any():
-            return False
-    return True
+    norm = _norm_matrix(gen_matrix(kind, m, "s", t, r), m)
+    return not ((fixed @ norm.T - 3 * fixed) % M).any()
 
 
 # -- bidegree patterns ------------------------------------------------------------
@@ -450,14 +306,10 @@ def verify_pattern(group: str, smax: int = 8, tmin: int = -24, tmax: int = 24) -
     compared: an empty window, or one holding only odd degrees, where the
     model vanishes.
     """
-    if group == "C3":
-        get = C3Table("SrhoLoc", DEFAULT_COHO_PRECISION).h_dim
-    else:
-        get = VariantTable(group, "SrhoLoc", DEFAULT_COHO_PRECISION).h_dim
     ok, cells = True, []
     for s in range(1, smax + 1):
         for t in range(tmin, tmax + 1, 2):
-            got, want = get(s, t), pattern_dim(group, s, t)
+            got, want = h_dim(group, "SrhoLoc", s, t), pattern_dim(group, s, t)
             ok = ok and got == want
             if got or want:
                 cells.append({"s": s, "t": t, "rank": got, "torsion": "elementary", "pattern": want})
@@ -477,36 +329,29 @@ def verify_pattern(group: str, smax: int = 8, tmin: int = -24, tmax: int = 24) -
 
 # -- module structure: multiplication by invariant classes --------------------------
 
-def multiplication_kills(
-    table: C3Table,
-    s: int,
-    t: int,
-    mult_num: WPoly,
-    mult_r: int,
-    t_shift: int,
-) -> bool:
+def multiplication_kills(s: int, t: int, mult_num: WPoly, mult_r: int, t_shift: int) -> bool:
     """True when multiplying H^s(C3, A_t) by mult_num/sigma3^mult_r lands in
-    the transfer image (i.e. the product classes vanish in the cokernel).
+    the transfer image (i.e. the product classes vanish in the cokernel),
+    A the localized model.
 
     The multiplier must be C3-invariant with internal degree t_shift.
     """
-    m, M = table.m, 3**table.m
-    model = table.model
-    deg_src = table.degree(t)
-    cell = deg_src.odd if s % 2 else deg_src.even
+    kind, m, M = "SrhoLoc", PRECISION, 3**PRECISION
+    r = denominator(kind, t)
+    cell = c3_degree(kind, t, m, r).cell(s)
     if cell.dim_f3 == 0:
         return True
     x_deg = {sum(mm) for mm in mult_num.coeffs}
     if len(x_deg) != 1 or -2 * next(iter(x_deg)) + 6 * mult_r != t_shift:
         raise ValueError("multiplier degree does not match t_shift")
-    src = model.piece(t)
-    R = src.r + mult_r
-    dst_deg = c3_degree(table.model_work, t + t_shift, m, R)
-    dst = model.piece(t + t_shift, R)
+    R = r + mult_r
     T = w_coordinate_matrix(
-        src.basis, dst.basis, lambda mono, c: WPoly(2, m, {mono: c}) * mult_num, m
+        model_basis(kind, t, r),
+        model_basis(kind, t + t_shift, R),
+        lambda mono, c: WPoly(2, m, {mono: c}) * mult_num,
+        m,
     )
-    tgt_cell = dst_deg.odd if s % 2 else dst_deg.even
+    tgt_cell = c3_degree(kind, t + t_shift, m, R).cell(s)
     HI = linalg.howell(tgt_cell.I, m) if tgt_cell.I.size else None
     for v in cell.K:
         img = (T @ v) % M

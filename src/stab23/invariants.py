@@ -6,14 +6,23 @@ The order-24 group acts on W[x1,x2,x3] through the generators
     t:   x1 -> w^2 x1, x2 -> w^2 x3, x3 -> w^2 x2   (W-linear, w = omega)
     psi: x_i -> w x_i, Frobenius on coefficients
 
-The generator images on the x_i are derived data: they are pinned by a
-startup assertion that every group relation and all eight of the
-t/psi formulas on sigma_1..3 and the antisymmetric cubic hold exactly.
-Groups of order prime to 3 act on the u1/u model instead.
+The generator images on the x_i are derived data: they are pinned by
+``verify_action_pinning``, which ``model_matrix`` runs before it builds the
+first generator matrix at each precision, so no table or rank is computed
+from an action that breaks a group relation or one of the eight t/psi
+formulas on sigma_1..3 and the antisymmetric cubic.
+
+``gen_matrix(kind, precision, gen, t, r)`` is the Z/3^N matrix of one
+generator on the degree-t piece of S(F), S(rho), or S(rho) localized at
+sigma3 (numerators over sigma3^r), memoized on those values and read-only;
+the cohomology engine and the invariant bases read their generator
+matrices from ``model_matrix``, the one builder behind it.  Groups of
+order prime to 3 act on the u1/u model instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +53,10 @@ GROUP_GENS = {
 }
 
 W_LINEAR_GROUPS = {"C3", "C6", "G12"}
+
+# g(sigma3) = omega^k sigma3: on the localized model a generator acts on a
+# numerator over sigma3^r as on the polynomial, times omega^(-k r)
+SIGMA3_EXP = {"s": 0, "t": 6, "t2": 12, "psi": 3}
 
 
 # -- generator ring maps on the 3-variable model ---------------------------
@@ -128,11 +141,8 @@ def act_loc(word: tuple, f: LocPoly) -> LocPoly:
     i, j, k = word
     om = witt.omega(f.precision)
     out = f
-    for gen, lam in [("psi", om**3)] * k + [("t", om**6)] * j + [("s", None)] * i:
-        num = apply_gen(gen, out.num)
-        if lam is not None:
-            num = num.scale(lam.inv() ** out.r)
-        out = LocPoly(num, out.r)
+    for gen in ["psi"] * k + ["t"] * j + ["s"] * i:
+        out = LocPoly(apply_gen(gen, out.num).scale(om ** (-SIGMA3_EXP[gen] * out.r)), out.r)
     return out.canonical()
 
 
@@ -174,7 +184,7 @@ def norm_product(precision: int) -> WPoly:
     return out
 
 
-# -- startup pinning ---------------------------------------------------------
+# -- action pinning ------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -400,6 +410,48 @@ def _tame_gen_elements(name: str, precision: int) -> list:
     return out
 
 
+# -- generator matrices on the graded models ------------------------------------
+
+MODEL_NVARS = {"SF": 3, "Srho": 2, "SrhoLoc": 2}
+
+def denominator(kind: str, t: int) -> int:
+    """The sigma3-exponent r of the degree-t piece: on the localized model
+    the default truncation, one unit of slack past stabilization; 0 on the
+    polynomial models."""
+    if kind != "SrhoLoc":
+        return 0
+    return max(0, math.ceil((t + 2) / 6) + 1)
+
+
+def model_basis(kind: str, t: int, r: int) -> tuple:
+    """Monomial basis of the degree-t piece (numerators of degree (6r - t)/2
+    over sigma3^r; r = 0 on S(F) and S(rho)); empty where the piece vanishes."""
+    d = (6 * r - t) // 2
+    if t % 2 or d < 0:
+        return ()
+    return tuple(monomials_of_degree(MODEL_NVARS[kind], d))
+
+
+def model_matrix(kind: str, precision: int, gen: str, t: int, r: int) -> np.ndarray:
+    """Z/3^precision matrix of one generator on the degree-t piece."""
+    verify_action_pinning(precision)
+    basis, nvars = model_basis(kind, t, r), MODEL_NVARS[kind]
+    twist = witt.omega(precision) ** (-SIGMA3_EXP[gen] * r)
+
+    def image(mono, scalar):
+        return apply_gen(gen, WPoly(nvars, precision, {mono: scalar})).scale(twist)
+
+    return w_coordinate_matrix(basis, basis, image, precision)
+
+
+@lru_cache(maxsize=None)
+def gen_matrix(kind: str, precision: int, gen: str, t: int, r: int) -> np.ndarray:
+    """``model_matrix``, built once per key; the cached array is read-only."""
+    A = model_matrix(kind, precision, gen, t, r)
+    A.flags.writeable = False
+    return A
+
+
 # -- invariant bases -------------------------------------------------------------
 
 
@@ -426,16 +478,11 @@ class InvariantBasis:
 
 
 def _fixed_rank_once(group: str, degree: int, ring: str, precision: int):
-    nvars = 3 if ring == "SF" else 2
-    basis = monomials_of_degree(nvars, degree)
-    ops = [
-        w_coordinate_matrix(
-            basis, basis, lambda m, c, g=g: apply_gen(g, WPoly(nvars, precision, {m: c})), precision
-        )
-        for g in GROUP_GENS[group]
-    ]
+    # built, not cached: no other suite reads these matrices, and the S(F)
+    # ones of degrees 0..-36 at precisions 6 and 8 would hold about 10 MB
+    ops = [model_matrix(ring, precision, g, -2 * degree, 0) for g in GROUP_GENS[group]]
     ker = linalg.fixed_basis(ops, precision)
-    return ker.shape[0], ker, basis
+    return ker.shape[0], ker, list(model_basis(ring, -2 * degree, 0))
 
 
 def invariant_basis(
@@ -580,16 +627,14 @@ def verify_invariants(ring: str, group: str, max_degree: int = 48) -> tuple:
             ok = ok and got == want
             rows.append({"degree": t, "rank": got, "predicted": want})
     elif ring == "SrhoLoc":
-        from .cohomology import VariantTable
+        from .cohomology import fixed_rank
 
-        vt = VariantTable(group, "SrhoLoc", 4)
         for t in range(-max_degree, max_degree + 1, 2):
-            got = vt.fixed_rank(t)
+            got = fixed_rank(group, ring, t)
             row = {"degree": t, "rank": got, "rank_over": "Z3"}
             if group == "C3":
                 # numerator window: W-rank matches the presentation count
-                r = vt.base.model.denominator(t)
-                row["hilbert"] = 2 * hilbert_srho_c3(6 * r - t)
+                row["hilbert"] = 2 * hilbert_srho_c3(6 * denominator(ring, t) - t)
                 ok = ok and row["hilbert"] == got
             rows.append(row)
     else:

@@ -598,42 +598,18 @@ def image(A, m: int) -> HowellForm:
     return howell(A.T, m)
 
 
-def solve(A, b, m: int):
-    """One x with A @ x == b mod 3^m, or None.
+def solve(A, b):
+    """One x with A @ x == b over F3, or None.
 
     A 2-d ``b`` is solved column by column: x has one column per column
-    of b, and the result is None if any column has no solution.  At m = 1
-    this is one RREF of the int8 matrix [A | b] in the F3 engine.
+    of b, and the result is None if any column has no solution.  With
+    [A | b] in reduced echelon form and every pivot in A's columns, x is
+    the b-part of the pivot rows, placed at their pivot columns; a pivot
+    in b's columns is a row 0 = nonzero.
     """
     b = np.asarray(b, dtype=np.int64)
-    r = b[:, None] if b.ndim == 1 else b
-    if m == 1:
-        x = _solve_f3(np.atleast_2d(np.asarray(A)), r)
-        return x[:, 0] if x is not None and b.ndim == 1 else x
-    M = modulus(m)
-    A = _as_matrix(A, m)
-    nb, na = A.shape
-    aug = np.hstack([A.T % M, np.eye(na, dtype=np.int64)])
-    H = howell(aug, m)
-    r = r % M
-    x = np.zeros((na, r.shape[1]), dtype=np.int64)
-    for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
-        if col >= nb:
-            break
-        q = r[col] // 3**v
-        if q.any():
-            r = (r - np.outer(row[:nb], q)) % M
-            x = (x + np.outer(row[nb:], q)) % M
-    if r.any():
-        return None
-    return x[:, 0] if b.ndim == 1 else x
-
-
-def _solve_f3(A: np.ndarray, B: np.ndarray):
-    """One X with A @ X == B over F3, or None.  With [A | B] in reduced
-    echelon form and every pivot in A's columns, X is the B-part of the
-    pivot rows, placed at their pivot columns; a pivot in B's columns is
-    a row 0 = nonzero."""
+    B = b[:, None] if b.ndim == 1 else b
+    A = np.atleast_2d(np.asarray(A))
     nb, na = A.shape
     AB = np.empty((nb, na + B.shape[1]), dtype=np.int8)
     AB[:, :na] = A % 3
@@ -644,7 +620,7 @@ def _solve_f3(A: np.ndarray, B: np.ndarray):
         return None
     X = np.zeros((na, B.shape[1]), dtype=np.int64)
     X[space.pivots] = space._buf[: space.dim, na:]
-    return X
+    return X[:, 0] if b.ndim == 1 else X
 
 
 def span_log_size(rows, m: int) -> int:

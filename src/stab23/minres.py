@@ -179,7 +179,7 @@ def chain_lift(res_big: MinimalResolution, res_small: MinimalResolution, proj, n
         targets = np.zeros((res_small.diffs[n - 1].shape[0], res_big.ranks[n]), dtype=np.int64)
         for j in range(res_big.ranks[n]):
             targets[:, j] = apply_lift(X, act, d_big[:, j * Gb.order + Gb.identity])
-        X = linalg.solve(res_small.diffs[n - 1], targets, 1)
+        X = linalg.solve(res_small.diffs[n - 1], targets)
         if X is None:
             raise RuntimeError("chain lift failed; pullback complex not exact")
         lifts.append(X)

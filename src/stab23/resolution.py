@@ -549,10 +549,10 @@ def pushforward_maps(ld_hi: LevelData, ld_lo: LevelData) -> tuple:
     return P0 % 3**ld_lo.m, P1 % 3**ld_lo.m
 
 
-def pushforward_complex(cx_hi: ComplexAtLevel, ld_hi: LevelData, ld_lo: LevelData) -> ComplexAtLevel:
-    """The compatible complex at the lower level: push the generators down."""
+def pushforward_complex(cx_hi: ComplexAtLevel, ld_lo: LevelData, P0, P1) -> ComplexAtLevel:
+    """The compatible complex at the lower level: push the generators down
+    along ``pushforward_maps`` P0, P1 to ``ld_lo``."""
     m = ld_lo.m
-    P0, P1 = pushforward_maps(ld_hi, ld_lo)
     c1 = linalg.matmul_mod(P0, cx_hi.c_vectors["c1"], m)
     c2 = linalg.matmul_mod(P1, cx_hi.c_vectors["c2"], m)
     c3 = linalg.matmul_mod(P1, cx_hi.c_vectors["c3"], m)
@@ -610,14 +610,14 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
     if top_cx.level != levels[0] or any(ld.m != m for ld in lds):
         raise ValueError("the top complex and the levels must share the top level and m")
     M = 3**m
+    maps = [pushforward_maps(hi, lo) for hi, lo in zip(lds, lds[1:])]
     cxs = [top_cx]
-    for hi, lo in zip(lds, lds[1:]):
-        cxs.append(pushforward_complex(cxs[-1], hi, lo))
+    for lo, (P0, P1) in zip(lds[1:], maps):
+        cxs.append(pushforward_complex(cxs[-1], lo, P0, P1))
     chain_ok = True
     step_zero = {}
     P0_acc = P1_acc = None
-    for i, (hi, lo) in enumerate(zip(lds, lds[1:])):
-        P0, P1 = pushforward_maps(hi, lo)
+    for i, (P0, P1) in enumerate(maps):
         cx_hi, cx_lo = cxs[i], cxs[i + 1]
         chain_ok = chain_ok and all(
             np.array_equal(linalg.matmul_mod(X, b_hi, m), linalg.matmul_mod(b_lo, Y, m))

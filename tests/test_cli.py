@@ -137,6 +137,28 @@ def test_cohomology_command(runner, tmp_path):
     assert "PASS" in r.output
 
 
+def test_cohomology_with_a_wrong_action_fails_the_pinning(runner, tmp_path, monkeypatch):
+    # t acting as t^2 commutes with s: the pinning refuses it before any
+    # generator matrix is built
+    from stab23 import cohomology as coh
+    from stab23 import invariants as inv
+
+    caches = (inv.verify_action_pinning, inv.gen_matrix, coh.c3_degree, coh.invariant_cell)
+    real = inv._apply_gen_3
+    monkeypatch.setattr(inv, "_apply_gen_3", lambda gen, p: real("t2" if gen == "t" else gen, p))
+    try:
+        for f in caches:
+            f.cache_clear()
+        r = invoke(runner, tmp_path, ["cohomology", "--group", "G24", "--smax", "2",
+                                      "--tmin", "0", "--tmax", "4"])
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert r.exit_code == 1, r.output
+    assert "assertion failed: action pinning failed" in r.output
+    assert "t s = s^2 t" in r.output
+
+
 def test_bad_config_rejected(runner, tmp_path):
     # a precision below the deepest level + 2 and a modulus exponent below 1
     # are usage errors, raised before any quotient is built (no traceback)

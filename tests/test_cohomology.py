@@ -6,121 +6,139 @@ from stab23 import invariants as inv
 from stab23 import witt
 
 
-@pytest.fixture(scope="module")
-def sf():
-    return coh.C3Table("SF", 4)
+LOC = "SrhoLoc"
 
 
-@pytest.fixture(scope="module")
-def loc():
-    return coh.C3Table("SrhoLoc", 4)
-
-
-def test_h1_c3_sf_vanishes(sf):
+def test_h1_c3_sf_vanishes():
     for t in range(0, -25, -2):
-        assert sf.h_dim(1, t) == 0, t
-        assert sf.h_dim(3, t) == 0, t
+        assert coh.h_dim("C3", "SF", 1, t) == 0, t
+        assert coh.h_dim("C3", "SF", 3, t) == 0, t
 
 
-def test_sf_transfer_cokernel_is_f9_b_d(sf):
+def test_sf_transfer_cokernel_is_f9_b_d():
     # F9[b, d] pattern: rank 2 over F3 at (2k, -6j)
     for s in (0, 2, 4):
         for t in range(0, -25, -2):
-            got = coh.transfer_cokernel_dim(sf, t) if s == 0 else sf.h_dim(s, t)
+            got = coh.transfer_cokernel_dim("SF", t) if s == 0 else coh.h_dim("C3", "SF", s, t)
             assert got == coh.pattern_dim_unlocalized("SF", max(s, 2), t), (s, t)
 
 
-def test_h0_c3_sf_degree_zero(sf):
+def test_h0_c3_sf_degree_zero():
     # constants: W is free of rank 2 over Z3
-    assert sf.h_dim(0, 0) == 2
+    assert coh.fixed_rank("C3", "SF", 0) == 2
 
 
-def test_localized_c3_matches_pattern(loc):
+def test_localized_c3_matches_pattern():
     for s in range(1, 5):
         for t in range(-26, 27, 2):
-            assert loc.h_dim(s, t) == coh.pattern_dim("C3", s, t), (s, t)
+            assert coh.h_dim("C3", LOC, s, t) == coh.pattern_dim("C3", s, t), (s, t)
 
 
-def test_localized_transfer_cokernel(loc):
+def test_localized_transfer_cokernel():
     # s = 0 line of the pattern: the F9 delta-power lines
     for t in range(-26, 27, 2):
-        assert coh.transfer_cokernel_dim(loc, t) == coh.pattern_dim("C3", 0, t), t
+        assert coh.transfer_cokernel_dim(LOC, t) == coh.pattern_dim("C3", 0, t), t
 
 
-def test_specific_bidegrees(loc):
-    assert loc.h_dim(1, -2) == 2      # the class a
-    assert loc.h_dim(1, -8) == 2      # a*d
-    assert loc.h_dim(1, 0) == 0
-    assert loc.h_dim(1, 4) == 2       # alpha line over F9
-    assert loc.h_dim(2, 12) == 2      # beta line over F9
+def test_specific_bidegrees():
+    assert coh.h_dim("C3", LOC, 1, -2) == 2      # the class a
+    assert coh.h_dim("C3", LOC, 1, -8) == 2      # a*d
+    assert coh.h_dim("C3", LOC, 1, 0) == 0
+    assert coh.h_dim("C3", LOC, 1, 4) == 2       # alpha line over F9
+    assert coh.h_dim("C3", LOC, 2, 12) == 2      # beta line over F9
 
 
-def test_truncation_stability(loc):
+def test_truncation_stability():
+    # one more power of sigma3 in the denominator leaves the cell unchanged
     for (s, t) in [(1, 4), (2, 12), (1, -2), (2, 0)]:
-        assert loc.h_dim_truncation_stable(s, t)
+        r = coh.denominator(LOC, t)
+        cells = [coh.c3_degree(LOC, t, coh.PRECISION, rr).cell(s) for rr in (r, r + 1)]
+        assert cells[0].dim_f3 == cells[1].dim_f3, (s, t)
 
 
-def test_cells_are_elementary(loc):
+def test_cells_are_elementary():
     for t in (-6, 0, 4, 12):
-        deg = loc.degree(t)
+        deg = coh.c3_degree(LOC, t, coh.PRECISION, coh.denominator(LOC, t))
         assert deg.odd.elementary and deg.even.elementary
+
+
+def test_cached_arrays_are_read_only():
+    t = 12
+    r = coh.denominator(LOC, t)
+    deg = coh.c3_degree(LOC, t, coh.PRECISION, r)
+    cell = coh.invariant_cell("G24", LOC, 2, t, coh.PRECISION)
+    for a in (inv.gen_matrix(LOC, 6, "s", t, r), deg.fixed.K, deg.odd.K, deg.odd.I,
+              deg.even.I, cell.K):
+        assert a.size
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
 
 
 @pytest.mark.parametrize("group", ["C6", "C12", "G12", "G24"])
 def test_variant_tables_match_patterns(group):
-    vt = coh.VariantTable(group, "SrhoLoc", 4)
     for s in range(1, 5):
         for t in range(-14, 29, 2):
-            assert vt.h_dim(s, t) == coh.pattern_dim(group, s, t), (group, s, t)
+            assert coh.h_dim(group, LOC, s, t) == coh.pattern_dim(group, s, t), (group, s, t)
 
 
 def test_g24_alpha_beta_cells():
-    vt = coh.VariantTable("G24", "SrhoLoc", 4)
-    assert vt.h_dim(1, 4) == 1        # alpha
-    assert vt.h_dim(2, 12) == 1       # beta
-    assert vt.h_dim(1, 28) == 1       # Delta*alpha
-    assert vt.h_dim(5, 4) == 1        # period-4 reduction
+    assert coh.h_dim("G24", LOC, 1, 4) == 1        # alpha
+    assert coh.h_dim("G24", LOC, 2, 12) == 1       # beta
+    assert coh.h_dim("G24", LOC, 1, 28) == 1       # Delta*alpha
+    assert coh.h_dim("G24", LOC, 5, 4) == 1        # period-4 reduction
 
 
 def test_fixed_rank_two_routes_agree():
     for group in ("C3", "C6", "G24"):
-        vt = coh.VariantTable(group, "SrhoLoc", 4)
         for t in (-6, 0, 8, 12, 24):
-            vt.fixed_rank(t, cross_check=True)
+            coh.fixed_rank(group, LOC, t)
 
 
-def test_transfer_after_restriction_is_multiplication_by_3(loc):
+def test_unstable_rank_and_two_route_mismatch_are_refused(monkeypatch):
+    from stab23.errors import PrecisionUnstable
+
+    real = coh.invariant_cell.__wrapped__
+
+    def fake(group, kind, s, t, m):
+        cell = real(group, kind, s, t, m)
+        if m > coh.PRECISION:  # one class more at N+2
+            return coh.Cell(cell.K, cell.I, cell.invariants + [1])
+        return coh.Cell(cell.K[:0], cell.I, cell.invariants)  # no fixed vectors
+
+    monkeypatch.setattr(coh, "invariant_cell", fake)
+    with pytest.raises(PrecisionUnstable, match="two-route"):
+        coh.fixed_rank("G24", LOC, 24)
+    with pytest.raises(PrecisionUnstable, match="at N\\+2"):
+        coh.h_dim("G24", LOC, 2, 12)
+
+
+def test_transfer_after_restriction_is_multiplication_by_3():
     for t in (0, -6, 12):
-        assert coh.transfer_times_restriction_is_3(loc, t)
+        assert coh.transfer_times_restriction_is_3(LOC, t)
 
 
-def test_c4_c6_kill_alpha_and_beta(loc):
+def test_c4_c6_kill_alpha_and_beta():
     om = witt.omega(4)
     half = witt.from_int(2, 4).inv()
     c4_num = inv.sigma(2, 4, nvars=2).scale(-(om**2))
     c6_num = inv.epsilon(4, nvars=2).scale(om**3 * half)
     for (s, t) in [(1, 4), (2, 12)]:  # alpha and beta lines
-        assert coh.multiplication_kills(loc, s, t, c4_num, 2, 8), (s, t, "c4")
-        assert coh.multiplication_kills(loc, s, t, c6_num, 3, 12), (s, t, "c6")
+        assert coh.multiplication_kills(s, t, c4_num, 2, 8), (s, t, "c4")
+        assert coh.multiplication_kills(s, t, c6_num, 3, 12), (s, t, "c6")
 
 
-def test_delta_multiplication_is_iso_on_positive_filtration(loc):
+def test_delta_multiplication_is_iso_on_positive_filtration():
     # d-periodicity: multiplication by sigma3 shifts (s, t) -> (s, t - 6)
     one2 = inv.sigma(3, 4, nvars=2)
     # sigma3 * (class at (1, 4)) must NOT die: dims match at (1, -2)
-    assert not coh.multiplication_kills(loc, 1, 4, one2, 0, -6)
+    assert not coh.multiplication_kills(1, 4, one2, 0, -6)
 
 
 def test_restriction_chain_dims_are_compatible():
     # invariants of larger groups embed: dims shrink along C3 < C6 < C12
-    base = coh.C3Table("SrhoLoc", 4)
-    c6 = coh.VariantTable("C6", "SrhoLoc", 4)
-    c12 = coh.VariantTable("C12", "SrhoLoc", 4)
     for s in (1, 2):
         for t in range(-8, 17, 2):
-            d3 = base.h_dim(s, t)
-            d6 = c6.h_dim(s, t)
-            d12 = c12.h_dim(s, t)
+            d3, d6, d12 = (coh.h_dim(g, LOC, s, t) for g in ("C3", "C6", "C12"))
             assert d12 <= d6 <= d3, (s, t)
 
 

@@ -178,11 +178,10 @@ def test_loc_poly_canonicalization():
 
 @pytest.mark.parametrize("t", [-12, -6, 0, 6, 12])
 def test_localized_fixed_rank_matches_window_hilbert(t):
-    from stab23.cohomology import GradedModel, VariantTable
+    from stab23.cohomology import fixed_rank
 
-    r = GradedModel("SrhoLoc", 4).denominator(t)
-    got = VariantTable("C3", "SrhoLoc", 4).fixed_rank(t)
-    assert got == 2 * inv.hilbert_srho_c3(6 * r - t)
+    got = fixed_rank("C3", "SrhoLoc", t)
+    assert got == 2 * inv.hilbert_srho_c3(6 * inv.denominator("SrhoLoc", t) - t)
 
 
 def test_tame_fixed_rank_rechecks_at_higher_precision(monkeypatch):

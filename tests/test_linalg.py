@@ -74,20 +74,19 @@ def test_howell_is_idempotent_and_deterministic():
 
 def test_solve_round_trips():
     rng = np.random.default_rng(7)
-    for m in (1, 2, 3):
-        M = 3**m
-        for _ in range(20):
-            A = rng.integers(0, M, size=(4, 3)).astype(np.int64)
-            x = rng.integers(0, M, size=3).astype(np.int64)
-            b = (A @ x) % M
-            got = linalg.solve(A, b, m)
-            assert got is not None
-            assert not ((A @ got - b) % M).any()
+    for _ in range(20):
+        A = rng.integers(0, 3, size=(4, 3)).astype(np.int64)
+        x = rng.integers(0, 3, size=3).astype(np.int64)
+        b = (A @ x) % 3
+        got = linalg.solve(A, b)
+        assert got is not None
+        assert not ((A @ got - b) % 3).any()
 
 
 def test_solve_detects_inconsistency():
-    A = np.array([[3, 0], [0, 3]], dtype=np.int64)
-    assert linalg.solve(A, np.array([1, 0]), 2) is None
+    A = np.array([[1, 2], [2, 1]], dtype=np.int64)  # rank 1 over F3
+    assert linalg.solve(A, np.array([1, 0])) is None
+    assert linalg.solve(A, np.array([1, 2])) is not None
 
 
 def test_quotient_invariants_simple():
@@ -180,19 +179,17 @@ def test_valuations_table_and_split_lookup():
 
 def test_solve_matrix_right_hand_side():
     rng = np.random.default_rng(11)
-    for m in (1, 2, 3):
-        M = 3**m
-        A = rng.integers(0, M, size=(5, 4))
-        B = (A @ rng.integers(0, M, size=(4, 3))) % M
-        X = linalg.solve(A, B, m)
-        assert np.array_equal(X, np.column_stack([linalg.solve(A, b, m) for b in B.T]))
-        assert not ((A @ X - B) % M).any()
-        # one column without a solution makes the whole solve None
-        A[1] = 0
-        B = np.column_stack([A @ np.arange(4) % M, np.eye(5, dtype=np.int64)[1]])
-        assert linalg.solve(A, B[:, 0], m) is not None
-        assert linalg.solve(A, B[:, 1], m) is None
-        assert linalg.solve(A, B, m) is None
+    A = rng.integers(0, 3, size=(5, 4))
+    B = (A @ rng.integers(0, 3, size=(4, 3))) % 3
+    X = linalg.solve(A, B)
+    assert np.array_equal(X, np.column_stack([linalg.solve(A, b) for b in B.T]))
+    assert not ((A @ X - B) % 3).any()
+    # one column without a solution makes the whole solve None
+    A[1] = 0
+    B = np.column_stack([A @ np.arange(4) % 3, np.eye(5, dtype=np.int64)[1]])
+    assert linalg.solve(A, B[:, 0]) is not None
+    assert linalg.solve(A, B[:, 1]) is None
+    assert linalg.solve(A, B) is None
 
 
 def test_int64_bound_is_enforced():

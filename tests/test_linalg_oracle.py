@@ -364,14 +364,14 @@ def test_solve_over_f3_on_int8_matches_the_int64_input():
         A = (low_rank(rng, rows, cols, rank) % 3 - 1).astype(np.int8)  # entries -1, 0, 1
         B = A.astype(np.int64) @ rng.integers(-1, 2, size=(cols, 4))
         for a in (A, A.astype(np.int64)):
-            X = linalg.solve(a, B, 1)
+            X = linalg.solve(a, B)
             assert X.dtype == np.int64 and not ((A.astype(np.int64) @ X - B) % 3).any()
         # a right-hand side outside the column span makes the solve None
         out = B[:, 0] + np.eye(rows, dtype=np.int64)[0]
         rank_a = len(oracle.rref_f3(A)[1])
         inconsistent = len(oracle.rref_f3(np.column_stack([A, out]))[1]) > rank_a
-        assert (linalg.solve(A, out, 1) is None) == inconsistent
-        assert (linalg.solve(A, np.column_stack([B, out]), 1) is None) == inconsistent
+        assert (linalg.solve(A, out) is None) == inconsistent
+        assert (linalg.solve(A, np.column_stack([B, out])) is None) == inconsistent
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])

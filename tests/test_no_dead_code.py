@@ -1,0 +1,71 @@
+"""Every public top-level function and class of the library has a caller
+in the library or its scripts; tests alone do not keep code alive."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stab23"
+
+# checks that only the acceptance tests run today; each leaves this list
+# when a suite calls it or when it is deleted, and none joins it
+TEST_ONLY_CHECKS = {
+    "invariants.verify_epsilon_square",
+    "invariants.g24_invariance_of_modular_quantities",
+    "invariants.norm_product",
+    "cohomology.multiplication_kills",
+    "cohomology.transfer_cokernel_dim",
+    "cohomology.transfer_times_restriction_is_3",
+    "cohomology.pattern_dim_unlocalized",
+    "charts.homotopy_table",
+    "charts.periodicity_check",
+    "charts.d5_d9_are_the_only_pages",
+    "resolution.equivariance_check",
+    "resolution.doubled_composites_zero",
+    "quotients.full_quotient_order",
+}
+
+
+def _is_click_command(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and not _is_click_command(node)):
+                yield path, node
+
+
+def _references():
+    """(file, line) of every identifier that code, not a string, names."""
+    refs: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node.lineno))
+    return refs
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    refs = _references()
+    unreferenced = set()
+    for path, node in _definitions():
+        first = node.lineno - len(node.decorator_list)
+        if all(p == path and first <= line <= node.end_lineno for p, line in refs.get(node.name, [])):
+            unreferenced.add(f"{path.stem}.{node.name}")
+    assert unreferenced - TEST_ONLY_CHECKS == set()
+    # the allowlist only shrinks: an entry that gained a caller leaves it
+    assert TEST_ONLY_CHECKS - unreferenced == set()
