@@ -52,14 +52,15 @@ def full_quotient_order(level) -> int:
 _PRODUCTS_PER_BLOCK = 2**15
 
 
+def _mod(x, M: int):
+    """x mod M: numpy divides by a scalar much faster than it takes %."""
+    return x - M * (x // M)
+
+
 def _row_blocks(nrows: int, ncols: int):
     """Row slices holding at most about _PRODUCTS_PER_BLOCK entries each."""
     step = max(1, _PRODUCTS_PER_BLOCK // max(ncols, 1))
     return (slice(i, i + step) for i in range(0, nrows, step))
-
-
-def _wmul(a0, a1, b0, b1, M):
-    return (a0 * b0 - a1 * b1) % M, (a0 * b1 + a1 * b0) % M
 
 
 @dataclass
@@ -70,14 +71,14 @@ class FiniteQuotient:
     precision: int
     alpha: int
     beta: int
-    coords: np.ndarray        # (n, 5): a0, a1, b0, b1, e
-    keys: np.ndarray          # sorted int64 encodings, row-aligned with coords
+    coords: np.ndarray        # (5, n) int32: rows a0, a1, b0, b1, e; columns in key order
+    slot: np.ndarray          # slot[key] = index of the element with that key, -1 off G(l)
     _sub_cache: dict = field(default_factory=dict, repr=False)
     _gen_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def order(self) -> int:
-        return self.coords.shape[0]
+        return self.coords.shape[1]
 
     @property
     def Ma(self) -> int:
@@ -90,57 +91,57 @@ class FiniteQuotient:
     # -- encoding ------------------------------------------------------
     def _encode(self, a0, a1, b0, b1, e):
         Ma, Mb = self.Ma, self.Mb
-        return (((np.int64(e) * Mb + b1) * Mb + b0) * Ma + a1) * Ma + a0
+        return (((e * Mb + b1) * Mb + b0) * Ma + a1) * Ma + a0
+
+    def _lookup(self, key):
+        idx = self.slot[key]
+        if np.any(idx < 0):
+            raise KeyError("coordinates do not satisfy the quotient membership test")
+        return idx
 
     def index_of(self, a0, a1, b0, b1, e):
-        key = self._encode(
+        return self._lookup(self._encode(
             np.asarray(a0, dtype=np.int64) % self.Ma,
             np.asarray(a1, dtype=np.int64) % self.Ma,
             np.asarray(b0, dtype=np.int64) % self.Mb,
             np.asarray(b1, dtype=np.int64) % self.Mb,
             np.asarray(e, dtype=np.int64) % 2,
-        )
-        pos = np.searchsorted(self.keys, key)
-        if not np.all(self.keys[np.minimum(pos, len(self.keys) - 1)] == key):
-            raise KeyError("coordinates do not satisfy the quotient membership test")
-        return pos
+        ))
 
     # -- group structure -----------------------------------------------
     def identity_index(self) -> int:
         return int(self.index_of(1, 0, 0, 0, 0))
 
     def mul(self, i, j):
-        """Vectorized product of element indices."""
+        """Vectorized product of element indices.
+
+        (a + bS) * phi^e1(c + dS) = (a c' + 3 b phi(d')) + (a d' + b phi(c')) S
+        with x' = phi^e1(x), phi negating the w-coordinate.  The signs of
+        the twist and of the product sit on the left factor, reduced to
+        [0, 3^alpha) or [0, 3^beta), so every term is non-negative and each
+        coordinate is reduced once.  Coordinates below 3^3 keep every sum
+        and key far inside int32.
+        """
         Ma, Mb = self.Ma, self.Mb
-        x = self.coords[np.asarray(i, dtype=np.int64)]
-        y = self.coords[np.asarray(j, dtype=np.int64)]
-        a0, a1, b0, b1, e1 = (x[..., k] for k in range(5))
-        c0, c1, d0, d1, e2 = (y[..., k] for k in range(5))
-        # apply phi^{e1} to the right unit part
-        c1 = np.where(e1 == 1, -c1, c1) % Ma
-        d1 = np.where(e1 == 1, -d1, d1) % Mb
-        p0, p1 = _wmul(a0, a1, c0, c1, Ma)
-        q0, q1 = _wmul(b0 % Ma, b1 % Ma, d0 % Ma, -d1 % Ma, Ma)  # b*phi(d)
-        A0, A1 = (p0 + 3 * q0) % Ma, (p1 + 3 * q1) % Ma
-        r0, r1 = _wmul(a0 % Mb, a1 % Mb, d0, d1, Mb)
-        s0, s1 = _wmul(b0, b1, c0 % Mb, -c1 % Mb, Mb)  # b*phi(c)
-        B0, B1 = (r0 + s0) % Mb, (r1 + s1) % Mb
-        return self.index_of(A0, A1, B0, B1, (e1 + e2) % 2)
+        a0, a1, b0, b1, e1 = self.coords.take(i, axis=1)
+        c0, c1, d0, d1, e2 = self.coords.take(j, axis=1)
+        s = 1 - 2 * e1
+        sa0, na1, sb1, nb0 = s * a0 % Ma, -s * a1 % Ma, s * b1 % Mb, -s * b0 % Mb
+        A0 = _mod(a0 * c0 + na1 * c1 + 3 * (b0 * d0 + sb1 * d1), Ma)
+        A1 = _mod(sa0 * c1 + a1 * c0 + 3 * (b1 * d0 + nb0 * d1), Ma)
+        B0 = _mod(a0 * d0 + na1 * d1 + b0 * c0 + sb1 * c1, Mb)
+        B1 = _mod(sa0 * d1 + a1 * d0 + b1 * c0 + nb0 * c1, Mb)
+        return self._lookup(self._encode(A0, A1, B0, B1, e1 ^ e2))
 
     def inv(self, i):
-        Ma, Mb = self.Ma, self.Mb
-        x = self.coords[np.asarray(i, dtype=np.int64)]
-        a0, a1, b0, b1, e = (x[..., k] for k in range(5))
-        det = (a0 * a0 + a1 * a1 - 3 * (b0 * b0 + b1 * b1)) % Ma
-        dinv = np.array(
-            [pow(int(d), -1, Ma) for d in np.atleast_1d(det)], dtype=np.int64
-        ).reshape(det.shape)
-        ia0, ia1 = (a0 * dinv) % Ma, (-a1 * dinv) % Ma
-        ib0, ib1 = (-b0 * dinv) % Mb, (-b1 * dinv) % Mb
-        # Galois twist: (u, e)^-1 = (phi^e(u^-1), e)
-        ia1 = np.where(e == 1, -ia1, ia1) % Ma
-        ib1 = np.where(e == 1, -ib1, ib1) % Mb
-        return self.index_of(ia0, ia1, ib0, ib1, e)
+        a0, a1, b0, b1, e = self.coords.take(i, axis=1)
+        # det = +-1 mod 3^alpha on G(l), and +-1 is its own inverse
+        det = (a0 * a0 + a1 * a1 - 3 * (b0 * b0 + b1 * b1)) % self.Ma
+        if not np.all((det == 1) | (det == self.Ma - 1)):
+            raise KeyError("determinant is not +-1 mod 3^alpha")
+        # (u, e)^-1 = (phi^e(u^-1), e) with u^-1 = (phi(a) - b S) / det
+        twist = (2 * e - 1) * det
+        return self.index_of(a0 * det, a1 * twist, -b0 * det, b1 * twist, e)
 
     def project(self, g: StabilizerElement) -> int:
         """Index of the class of an element of G2^1.
@@ -159,7 +160,7 @@ class FiniteQuotient:
         )
 
     def lift(self, i: int) -> StabilizerElement:
-        a0, a1, b0, b1, e = (int(v) for v in self.coords[int(i)])
+        a0, a1, b0, b1, e = (int(v) for v in self.coords[:, int(i)])
         return StabilizerElement(
             witt.WittElement(a0, a1, self.precision),
             witt.WittElement(b0, b1, self.precision),
@@ -177,12 +178,12 @@ class FiniteQuotient:
 
     def sylow_indices(self) -> np.ndarray:
         """Image of S2^1 (the pro-3 part): Galois-trivial, a = 1 mod 3."""
-        c = self.coords
-        mask = (c[:, 4] == 0) & (c[:, 0] % 3 == 1) & (c[:, 1] % 3 == 0)
+        a0, a1, _, _, e = self.coords
+        mask = (e == 0) & (a0 % 3 == 1) & (a1 % 3 == 0)
         return np.nonzero(mask)[0].astype(np.int64)
 
     def to_c3(self, i) -> np.ndarray:
-        return self.coords[np.asarray(i, dtype=np.int64), 3] % 3
+        return self.coords[3].take(i) % 3
 
     def k_indices(self) -> np.ndarray:
         syl = self.sylow_indices()
@@ -278,24 +279,21 @@ class FiniteQuotient:
         return dict(self._gen_cache[group])
 
     def _closure_size(self, gen_indices) -> int:
-        seen = {self.identity_index()}
-        frontier = list(seen)
-        gen_arr = np.array(sorted(set(gen_indices)), dtype=np.int64)
-        while frontier:
-            base = np.repeat(np.array(frontier, dtype=np.int64), len(gen_arr))
-            step = self.mul(base, np.tile(gen_arr, len(frontier)))
-            fresh = set(int(x) for x in step) - seen
-            seen |= fresh
-            frontier = list(fresh)
-        return len(seen)
+        seen = np.zeros(self.order, dtype=bool)
+        frontier = np.array([self.identity_index()])
+        gens = np.unique(np.asarray(gen_indices, dtype=np.int64))
+        while frontier.size:
+            seen[frontier] = True
+            frontier = np.unique(self.mul(frontier[:, None], gens[None, :]))
+            frontier = frontier[~seen[frontier]]
+        return int(seen.sum())
 
     # -- transitions -------------------------------------------------------
     def projection_to(self, coarser: "FiniteQuotient") -> np.ndarray:
         """index map G(l) -> G(l') for l' <= l (coordinate truncation)."""
         if coarser.level > self.level:
             raise ValueError("projection goes to a coarser level")
-        c = self.coords
-        return coarser.index_of(c[:, 0], c[:, 1], c[:, 2], c[:, 3], c[:, 4])
+        return coarser.index_of(*self.coords)
 
     def json_summary(self) -> dict:
         gens = self.generators()
@@ -324,30 +322,17 @@ def finite_quotient(level, precision: int | None = None) -> FiniteQuotient:
     if Fraction(precision) < lv + 2:
         raise ValueError("need precision >= level + 2")
     Ma, Mb = 3**alpha, 3**beta
-    a0, a1, b0, b1 = np.meshgrid(
-        np.arange(Ma), np.arange(Ma), np.arange(Mb), np.arange(Mb), indexing="ij"
-    )
-    a0, a1, b0, b1 = (x.ravel().astype(np.int64) for x in (a0, a1, b0, b1))
+    # the raveled grid runs through the keys _encode(a0, a1, b0, b1, e) in order
+    e, b1, b0, a1, a0 = (x.ravel() for x in np.meshgrid(
+        np.arange(2), np.arange(Mb), np.arange(Mb), np.arange(Ma), np.arange(Ma), indexing="ij"
+    ))
     unit = (a0 % 3 != 0) | (a1 % 3 != 0)
     det = (a0 * a0 + a1 * a1 - 3 * (b0 * b0 + b1 * b1)) % Ma
     member = unit & ((det == 1 % Ma) | (det == (-1) % Ma))
-    a0, a1, b0, b1 = (x[member] for x in (a0, a1, b0, b1))
-    n = len(a0)
-    coords = np.empty((2 * n, 5), dtype=np.int64)
-    for e in (0, 1):
-        coords[e * n : (e + 1) * n, 0] = a0
-        coords[e * n : (e + 1) * n, 1] = a1
-        coords[e * n : (e + 1) * n, 2] = b0
-        coords[e * n : (e + 1) * n, 3] = b1
-        coords[e * n : (e + 1) * n, 4] = e
-    fq = FiniteQuotient(lv, precision, alpha, beta, coords, np.zeros(1))
-    keys = fq._encode(
-        coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3], coords[:, 4]
-    )
-    order = np.argsort(keys)
-    fq.coords = coords[order]
-    fq.keys = keys[order]
-    return fq
+    slot = np.full(member.size, -1)
+    slot[member] = np.arange(np.count_nonzero(member))
+    coords = np.array([a0, a1, b0, b1, e], dtype=np.int32).compress(member, axis=1)
+    return FiniteQuotient(lv, precision, alpha, beta, coords, slot)
 
 
 def verify_quotient(level, precision: int | None = None) -> tuple:

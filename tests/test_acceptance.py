@@ -94,6 +94,7 @@ def test_criterion_4_invariant_hilbert_series():
 # -- 5: cohomology tables --------------------------------------------------------------
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("drop_sf_caches")
 def test_criterion_5_cohomology_tables():
     ok = True
     for t in range(0, -49, -2):

@@ -9,12 +9,14 @@ from stab23 import witt
 LOC = "SrhoLoc"
 
 
+@pytest.mark.usefixtures("drop_sf_caches")
 def test_h1_c3_sf_vanishes():
     for t in range(0, -25, -2):
         assert coh.h_dim("C3", "SF", 1, t) == 0, t
         assert coh.h_dim("C3", "SF", 3, t) == 0, t
 
 
+@pytest.mark.usefixtures("drop_sf_caches")
 def test_sf_transfer_cokernel_is_f9_b_d():
     # F9[b, d] pattern: rank 2 over F3 at (2k, -6j)
     for s in (0, 2, 4):
@@ -23,6 +25,7 @@ def test_sf_transfer_cokernel_is_f9_b_d():
             assert got == coh.pattern_dim_unlocalized("SF", max(s, 2), t), (s, t)
 
 
+@pytest.mark.usefixtures("drop_sf_caches")
 def test_h0_c3_sf_degree_zero():
     # constants: W is free of rank 2 over Z3
     assert coh.fixed_rank("C3", "SF", 0) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -169,3 +170,43 @@ def test_json_summary_is_stable(g1):
     assert s1 == s2
     assert s1["order"] == 144
     assert s1["subgroup_image_orders"]["G24"] == 24
+
+
+@pytest.mark.parametrize("level", [1, Fraction(3, 2), 2, Fraction(5, 2)])
+def test_products_and_inverses_match_the_stabilizer_group(level):
+    # the one-pass coordinate product against the exact product in G2^1
+    fq = q.finite_quotient(level, N)
+    rng = np.random.default_rng(11)
+    i, j = rng.integers(0, fq.order, size=(2, 100))
+    for a, b, ab, a_inv in zip(i, j, fq.mul(i, j), fq.inv(i)):
+        assert int(ab) == fq.project(fq.lift(a) * fq.lift(b))
+        assert int(a_inv) == fq.project(fq.lift(a).inv())
+
+
+def test_index_of_refuses_non_members(g2):
+    with pytest.raises(KeyError):
+        g2.index_of(3, 0, 0, 0, 0)      # not a unit
+    with pytest.raises(KeyError):
+        g2.index_of(2, 0, 0, 0, 0)      # det = 4, not +-1 mod 9
+
+
+def test_slot_table_inverts_the_encoding(g1, g32, g2):
+    for fq in (g1, g32, g2):
+        keys = fq._encode(*fq.coords)
+        assert np.all(np.diff(keys) > 0)        # indices follow the key order
+        assert len(fq.slot) == 2 * fq.Ma**2 * fq.Mb**2
+        assert np.array_equal(fq.slot[keys], np.arange(fq.order))
+        assert np.count_nonzero(fq.slot == -1) == len(fq.slot) - fq.order
+
+
+def test_inverse_of_every_element(g32):
+    idx = np.arange(g32.order)
+    assert np.all(g32.mul(idx, g32.inv(idx)) == g32.identity_index())
+    assert np.all(g32.mul(g32.inv(idx), idx) == g32.identity_index())
+
+
+def test_inv_refuses_a_determinant_other_than_plus_minus_one(g1):
+    bad = dataclasses.replace(g1, coords=g1.coords.copy())
+    bad.coords[:, 0] = 0
+    with pytest.raises(KeyError):
+        bad.inv(0)
