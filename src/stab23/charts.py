@@ -295,72 +295,54 @@ def e_infinity(group: str, stems: tuple = (-1, 73), **kw) -> BigradedChart:
     return out
 
 
+# stems whose homotopy vanishes: pi_25 for every group, pi_26 where the
+# group contains -1 (all but C3), and pi_1 for the tame groups
+VANISHING_STEMS = {
+    "C3": (25,), "C6": (25, 26), "C12": (25, 26), "G12": (25, 26), "G24": (25, 26),
+    "SD16": (1, 25, 26), "Q8": (1, 25, 26),
+}
+
+
+def _check_stems(chart: BigradedChart) -> None:
+    """The vanishing stems inside the window, and the stem-translation
+    isomorphism by one period when the window spans two; raises CheckFailed."""
+    group, period = chart.group, PERIODS[chart.group]
+    lo, hi = chart.stem_range
+    by_stem: dict = {}
+    for c, d in chart.classes.items():
+        by_stem.setdefault(c.stem, []).append((c.s, d))
+
+    def content(n):
+        return chart.zero_line.get(n, 0), sorted(by_stem.get(n, []))
+
+    if hi - lo + 1 >= 2 * period:
+        for n in range(lo, hi - period + 1):
+            if content(n) != content(n + period):
+                raise CheckFailed(
+                    f"E-infinity of {group} is not {period}-periodic: stems {n} and {n + period} differ"
+                )
+    for n in VANISHING_STEMS[group]:
+        if lo <= n <= hi and content(n) != (0, []):
+            raise CheckFailed(f"pi_{n} of the {group} chart does not vanish: {content(n)}")
+
+
 def verify_chart(group: str, stems: tuple = (-1, 73)) -> tuple:
     """The E-infinity chart of one group and its verdict: (chart, ok).
 
     ``e2_chart`` raises CheckFailed when an engine cell disagrees with the
-    pattern.  For G24 on a window covering both periodicity blocks
-    (stems -1..113) ok is the generator-list check; otherwise ok is True
-    when at least one engine cell was compared, and None when none was:
-    tame charts, and windows outside the engine's reach.
+    pattern, and so does this function when a stem of ``VANISHING_STEMS``
+    inside the window is not zero, or when a window spanning two periods
+    is not isomorphic to itself translated by one period.  For G24 on a
+    window covering both periodicity blocks (stems -1..113) ok is the
+    generator-list check; otherwise ok is True when at least one engine
+    cell was compared, and None when none was: tame charts, and windows
+    outside the engine's reach.
     """
     chart = e_infinity(group, stems)
+    _check_stems(chart)
     if group == "G24" and stems[0] <= -1 and stems[1] >= 113:
         return chart, verify_einf_generator_list(chart)
     return chart, True if chart.engine_checked else None
-
-
-def d5_d9_are_the_only_pages(chart: BigradedChart) -> bool:
-    """Structural audit: the engine never emits differentials on other pages."""
-    return all(entry["page"] in (5, 9) for entry in chart.differentials)
-
-
-# -- homotopy tables ---------------------------------------------------------------
-
-@dataclass
-class StemEntry:
-    stem: int
-    zero_line_rank: int
-    classes: list                  # (s, name, dim), order-3 torsion each
-
-    @property
-    def vanishes(self) -> bool:
-        return self.zero_line_rank == 0 and not self.classes
-
-
-def homotopy_table(chart: BigradedChart, stems) -> dict:
-    """Per-stem associated-graded data from an E-infinity chart."""
-    if chart.page < 10 and chart.group not in TAME:
-        raise ValueError("homotopy tables need the E-infinity chart")
-    out = {}
-    lo, hi = chart.stem_range
-    for n in stems:
-        if not lo <= n <= hi:
-            raise ValueError(f"stem {n} outside the chart window {chart.stem_range}")
-        out[n] = StemEntry(n, chart.zero_line.get(n, 0), chart.stem_entries(n))
-    return out
-
-
-def periodicity_check(group: str, stems: tuple | None = None) -> dict:
-    """Stem-translation isomorphism over at least two periods."""
-    period = PERIODS[group]
-    if stems is None:
-        stems = (-1, 2 * period + 2)
-    lo, hi = stems
-    if hi - lo + 1 < 2 * period:
-        raise ValueError("periodicity window must span at least two periods")
-    chart = e_infinity(group, stems)
-    compared = 0
-    for n in range(lo, hi - period + 1):
-        a = chart.zero_line.get(n, 0), chart.stem_entries(n)
-        b = chart.zero_line.get(n + period, 0), [
-            (s, "", d) for (s, _, d) in chart.stem_entries(n + period)
-        ]
-        a_anon = a[0], [(s, "", d) for (s, _, d) in a[1]]
-        if a_anon != b:
-            return {"group": group, "period": period, "ok": False, "failed_stem": n}
-        compared += 1
-    return {"group": group, "period": period, "ok": True, "stems_compared": compared}
 
 
 # -- towers -------------------------------------------------------------------------
@@ -391,7 +373,7 @@ REDUCED_TOWER_FIBERS = [
 class TowerChart:
     stem_range: tuple
     layers: list                   # per layer: list of (group, shift)
-    layer_tables: list             # per layer: stem -> StemEntry
+    layer_tables: list             # per layer: stem -> zero-line rank and finite dim
     fibers: list
     reduced_fibers: list
     alternating_sums: dict         # stem -> alternating sum of F3 dims
@@ -438,37 +420,30 @@ def tower_chart(stems: tuple = (-5, 48)) -> TowerChart:
         "SD16": e_infinity("SD16", (pad_lo, pad_hi)),
     }
 
-    def table_at(g, n):
+    def parts_at(g, n):
+        """(zero-line rank, finite F3 dim) of stem n of one base chart."""
         ch = base[g]
-        return StemEntry(n, ch.zero_line.get(n, 0), ch.stem_entries(n))
+        return ch.zero_line.get(n, 0), sum(d for (_, _, d) in ch.stem_entries(n))
 
     layer_tables = []
     for layer in RESOLUTION_LAYERS:
         tab = {}
         for n in range(lo, hi + 1):
-            entries = [table_at(g, n - sh) for (g, sh) in layer]
+            parts = [parts_at(g, n - sh) for (g, sh) in layer]
             tab[n] = {
-                "zero_line_rank": sum(e.zero_line_rank for e in entries),
-                "finite_dim": sum(d for e in entries for (_, _, d) in e.classes),
+                "zero_line_rank": sum(z for z, _ in parts),
+                "finite_dim": sum(f for _, f in parts),
             }
         layer_tables.append(tab)
     alternating = {
         n: sum((-1) ** p * layer_tables[p][n]["finite_dim"] for p in range(5))
         for n in range(lo, hi + 1)
     }
-    g24 = base["G24"]
-
-    def dim_at(g, n):
-        e = table_at(g, n)
-        return e.zero_line_rank + sum(d for (_, _, d) in e.classes)
-
     vanishing = {
-        "pi25_shifted_48": dim_at("G24", 25 - 48),
-        "pi26_shifted_48": dim_at("G24", 26 - 48),
-        "pi27_shifted_48": dim_at("G24", 27 - 48),
-        "pi27_G24_is_one_class": [
-            (s, name, d) for (s, name, d) in g24.stem_entries(27)
-        ],
+        "pi25_shifted_48": sum(parts_at("G24", 25 - 48)),
+        "pi26_shifted_48": sum(parts_at("G24", 26 - 48)),
+        "pi27_shifted_48": sum(parts_at("G24", 27 - 48)),
+        "pi27_G24_is_one_class": base["G24"].stem_entries(27),
     }
     return TowerChart(
         stems,
@@ -484,7 +459,8 @@ def tower_chart(stems: tuple = (-5, 48)) -> TowerChart:
 def verify_tower(stems: tuple = (-5, 48)) -> tuple:
     """The tower layers and the vanishing inputs of the resolution:
     (report, ok), with ok True when pi_25 and pi_26 of the 48-fold
-    suspension vanish and pi_27 of E^hG24 is one class.
+    suspension vanish and pi_27 of E^hG24 is the one class D*a in
+    filtration 1.
 
     ok is None when the base charts do not reach stems -23..27, where
     the vanishing inputs live: a window ending below stem 17 or starting
@@ -498,7 +474,7 @@ def verify_tower(stems: tuple = (-5, 48)) -> tuple:
     ok = (
         v["pi25_shifted_48"] == 0
         and v["pi26_shifted_48"] == 0
-        and len(v["pi27_G24_is_one_class"]) == 1
+        and v["pi27_G24_is_one_class"] == [(1, "D*a", 1)]
     )
     return tc.to_json(), ok
 

@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import PrecisionUnstable
-from .invariants import denominator, gen_matrix, model_basis
+from .errors import CheckFailed, PrecisionUnstable
+from .invariants import denominator, gen_matrix, model_basis, modular_quantities
 from .polys import WPoly, w_coordinate_matrix
 
 # reporting precision N of every table; ranks are re-checked at N + 2
@@ -114,7 +114,8 @@ class C3Degree:
 @lru_cache(maxsize=None)
 def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
     """Cohomology cells at reporting precision m, from generator matrices
-    at the working precision m + SAT_SLACK."""
+    at the working precision m + SAT_SLACK.  The norm (transfer after
+    restriction) must be 3 on the fixed line, or CheckFailed is raised."""
     n = 2 * len(model_basis(kind, t, r))
     if not n:
         z = np.zeros((0, 0), dtype=np.int64)
@@ -130,6 +131,8 @@ def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
     ker_norm = saturated_kernel_reduced(norm_hi, m_work, m)
     im_s1 = linalg.image((S_hi - eye) % M, m)
     im_norm = linalg.image(norm_hi % M, m)
+    if ((linalg.matmul_mod(fixed, (norm_hi % M).T, m) - 3 * fixed) % M).any():
+        raise CheckFailed(f"transfer after restriction is not 3 on the fixed line of {kind}_{t}")
     no_rel = np.zeros((0, n), dtype=np.int64)
     _read_only(fixed, ker_norm, im_s1.rows, im_norm.rows, no_rel)
     return C3Degree(
@@ -231,24 +234,6 @@ def fixed_rank(group: str, kind: str, t: int) -> int:
     return direct
 
 
-# -- transfer -------------------------------------------------------------------
-
-def transfer_cokernel_dim(kind: str, t: int) -> int:
-    """dim_F3 of coker(tr : M_t -> M_t^{C3}); equals the even cell."""
-    return c3_degree(kind, t, PRECISION, denominator(kind, t)).even.dim_f3
-
-
-def transfer_times_restriction_is_3(kind: str, t: int) -> bool:
-    """tr(res(x)) = 3x for fixed vectors x."""
-    m, M = PRECISION, 3**PRECISION
-    r = denominator(kind, t)
-    fixed = c3_degree(kind, t, m, r).fixed.K
-    if fixed.shape[0] == 0:
-        return True
-    norm = _norm_matrix(gen_matrix(kind, m, "s", t, r), m)
-    return not ((fixed @ norm.T - 3 * fixed) % M).any()
-
-
 # -- bidegree patterns ------------------------------------------------------------
 
 GROUP_DELTA_STEP = {"C3": 1, "C6": 2, "C12": 2, "G12": 4, "G24": 4}
@@ -282,21 +267,6 @@ def pattern_dim(group: str, s: int, t: int) -> int:
     return count * line
 
 
-def pattern_dim_unlocalized(kind: str, s: int, t: int) -> int:
-    """F9[b,d] over S(F), F9[a,b,d]/(a^2) over S(rho); d-powers >= 0."""
-    count = 0
-    eps_range = (0,) if kind == "SF" else (0, 1)
-    for eps in eps_range:
-        j2 = s - eps
-        if j2 < 0 or j2 % 2:
-            continue
-        rem = -(t + 2 * eps)
-        if rem % 6 or rem < 0:
-            continue
-        count += 1
-    return 2 * count
-
-
 def verify_pattern(group: str, smax: int = 8, tmin: int = -24, tmax: int = 24) -> tuple:
     """H^s(F, M_t) of the localized model against ``pattern_dim`` for
     1 <= s <= smax and t = tmin, tmin + 2, ..., tmax: (report, ok).
@@ -304,7 +274,8 @@ def verify_pattern(group: str, smax: int = 8, tmin: int = -24, tmax: int = 24) -
     Every rank is re-checked at N+2.  The report lists the cells where the
     engine or the pattern is nonzero.  ok is None when no engine cell was
     compared: an empty window, or one holding only odd degrees, where the
-    model vanishes.
+    model vanishes.  For C3, c4 and c6 must act trivially on the alpha and
+    beta cells inside the window, or CheckFailed is raised.
     """
     ok, cells = True, []
     for s in range(1, smax + 1):
@@ -324,6 +295,8 @@ def verify_pattern(group: str, smax: int = 8, tmin: int = -24, tmax: int = 24) -
     }
     # every t has the parity of tmin, and odd degrees of the model vanish
     compared = smax >= 1 and tmin <= tmax and tmin % 2 == 0
+    if group == "C3" and compared:
+        _check_c4_c6_on_alpha_beta(smax, tmin, tmax)
     return report, ok if compared else None
 
 
@@ -361,3 +334,15 @@ def multiplication_kills(s: int, t: int, mult_num: WPoly, mult_r: int, t_shift: 
         elif not linalg.in_span(HI, img, m):
             return False
     return True
+
+
+def _check_c4_c6_on_alpha_beta(smax: int, tmin: int, tmax: int) -> None:
+    """c4 and c6 act trivially on the alpha line (1, 4) and the beta line
+    (2, 12), on those of the two cells inside the window; raises CheckFailed."""
+    q = modular_quantities(PRECISION)
+    for s, t in ((1, 4), (2, 12)):
+        if s > smax or not tmin <= t <= tmax:
+            continue
+        for name, f, t_shift in (("c4", q.c4, 8), ("c6", q.c6, 12)):
+            if not multiplication_kills(s, t, f.num, f.r, t_shift):
+                raise CheckFailed(f"{name} does not act trivially on H^{s}(C3, A_{t})")

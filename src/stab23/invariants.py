@@ -349,6 +349,9 @@ def modular_quantities(precision: int = witt.DEFAULT_PRECISION) -> ModularQuanti
 
 
 def g24_invariance_of_modular_quantities(precision: int = witt.DEFAULT_PRECISION) -> bool:
+    """c4, c6 and Delta are G24-invariant, delta and (-Delta)^(1/2) have
+    their stated characters, and the norm product of x1 is G12-invariant
+    and negated by psi; raises CheckFailed on any failure."""
     q = modular_quantities(precision)
     for w in g24_words(precision):
         for f in (q.c4, q.c6, q.Delta):
@@ -363,6 +366,11 @@ def g24_invariance_of_modular_quantities(precision: int = witt.DEFAULT_PRECISION
         raise CheckFailed("t^2 moves (-Delta)^(1/2)")
     if act_loc((0, 0, 1), q.sqrt_neg_Delta) != q.sqrt_neg_Delta:
         raise CheckFailed("psi moves (-Delta)^(1/2)")
+    Np = norm_product(precision)
+    if any(act_word(w, Np) != Np for w in group_words("G12", precision)):
+        raise CheckFailed("the norm product of x1 moved under G12")
+    if act_word((0, 0, 1), Np) != -Np:
+        raise CheckFailed("psi(norm product) != -norm product")
     return True
 
 
@@ -614,10 +622,13 @@ def verify_invariants(ring: str, group: str, max_degree: int = 48) -> tuple:
     Hilbert series of the C3 presentations on S(rho) and its localization,
     and the Burnside orbit count on S(F).  On the localized model every
     other group is checked by the two-route H^0 computation of the
-    cohomology engine.  ok is None when nothing was compared: S(F) or
-    S(rho) under a group other than C3, or a window of odd degrees only
-    (an odd --max-degree on the tame or localized model), where every
-    piece vanishes and the engine computes nothing.
+    cohomology engine, and the identities of ``verify_epsilon_square``,
+    ``modular_quantities`` and ``g24_invariance_of_modular_quantities``
+    must hold at the default precision, or CheckFailed is raised.  ok is
+    None when nothing was compared: S(F) or S(rho) under a group other
+    than C3, or a window of odd degrees only (an odd --max-degree on the
+    tame or localized model), where every piece vanishes and the engine
+    computes nothing.
     """
     rows, ok = [], True
     if ring == "tame":
@@ -629,6 +640,9 @@ def verify_invariants(ring: str, group: str, max_degree: int = 48) -> tuple:
     elif ring == "SrhoLoc":
         from .cohomology import fixed_rank
 
+        # the identities of the modular quantities that live on this ring
+        verify_epsilon_square()
+        g24_invariance_of_modular_quantities()
         for t in range(-max_degree, max_degree + 1, 2):
             got = fixed_rank(group, ring, t)
             row = {"degree": t, "rank": got, "rank_over": "Z3"}

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import stabilizer as stab
 from . import witt
-from .errors import ResourceBoundExceeded
+from .errors import CheckFailed, ResourceBoundExceeded
 from .stabilizer import StabilizerElement
 
 MAX_LEVEL = Fraction(3)
@@ -312,7 +312,8 @@ class FiniteQuotient:
 
 
 def finite_quotient(level, precision: int | None = None) -> FiniteQuotient:
-    """Enumerate G(l) = G2^1 / (F_l intersect S2^1)."""
+    """Enumerate G(l) = G2^1 / (F_l intersect S2^1); the count must match
+    ``full_quotient_order``, or CheckFailed is raised."""
     lv = _as_level(level)
     if lv > MAX_LEVEL:
         raise ResourceBoundExceeded(f"level {lv} beyond configured bound {MAX_LEVEL}")
@@ -332,6 +333,11 @@ def finite_quotient(level, precision: int | None = None) -> FiniteQuotient:
     slot = np.full(member.size, -1)
     slot[member] = np.arange(np.count_nonzero(member))
     coords = np.array([a0, a1, b0, b1, e], dtype=np.int32).compress(member, axis=1)
+    # det = +-1 keeps 2 of the 2 * 3^(alpha-1) units mod 3^alpha, and the
+    # Galois exponent doubles the count
+    want = 2 * full_quotient_order(lv) // 3 ** (alpha - 1)
+    if coords.shape[1] != want:
+        raise CheckFailed(f"G({lv}) has {coords.shape[1]} elements, not {want}")
     return FiniteQuotient(lv, precision, alpha, beta, coords, slot)
 
 

@@ -494,31 +494,6 @@ def homology_cells(cx: ComplexAtLevel) -> dict:
     return out
 
 
-def equivariance_check(ld: LevelData, cx: ComplexAtLevel) -> bool:
-    """Boundary matrices commute with every generator action, exactly."""
-    M = ld.M
-    for g in ld.g_gens:
-        p24, _ = ld.action(g, "c24")
-        pchi, schi = ld.action(g, "chi")
-        for B, src, dst in (
-            (cx.b1, "chi", "c24"),
-            (cx.b2, "chi", "chi"),
-            (cx.b3, "c24", "chi"),
-        ):
-            lhs = np.zeros_like(B)
-            if dst == "c24":
-                lhs[p24, :] = B                      # matrix of g o B
-            else:
-                lhs[pchi, :] = schi[:, None] * B
-            if src == "c24":
-                rhs = B[:, p24]                      # matrix of B o g
-            else:
-                rhs = B[:, pchi] * schi[None, :]
-            if ((lhs - rhs) % M).any():
-                return False
-    return True
-
-
 # -- level transitions ----------------------------------------------------------------
 
 @dataclass
@@ -728,52 +703,3 @@ def verify_tower(levels, m: int, precision: int) -> tuple:
     if all("construction_refused" in d for d in per_level.values()):
         ok = None
     return {"levels": per_level, "transitions": transitions, "modulus": m}, ok
-
-
-# -- the doubled complex for the full extended group -----------------------------------
-
-def doubled_complex_boundaries(cx: ComplexAtLevel, central_level: int = 1) -> list:
-    """The six-term complex for the extended group: tensor with the
-    two-term resolution 0 -> R -> R -> R/(gamma-1) -> 0 of the central
-    factor modeled at level 3^c.  D_k = C_k (x) R + C_{k-1} (x) R with
-    the usual total-complex signs.  Returns [aug_D, d1, d2, d3, d4]."""
-    M = 3**cx.m
-    q = 3**central_level
-    gam = np.zeros((q, q), dtype=np.int64)
-    gam[(np.arange(q) + 1) % q, np.arange(q)] = 1
-    gm1 = (gam - np.eye(q, dtype=np.int64)) % M
-    dC = [cx.aug, cx.b1, cx.b2, cx.b3]          # dC[k] : C_k -> C_{k-1}
-    dims = list(cx.dims)                        # C_0..C_3
-    Iq = np.eye(q, dtype=np.int64)
-
-    def top_dim(k):   # rank of C_k (x) R0, with C_4 = 0
-        return dims[k] * q if 0 <= k <= 3 else 0
-
-    boundaries = []
-    # augmentation of the doubled complex: C_0 (x) R -> Z/3^m
-    aug_D = np.kron(cx.aug, np.ones((1, q), dtype=np.int64)) % M
-    boundaries.append(aug_D)
-    for k in range(1, 5):
-        rows = top_dim(k - 1) + (top_dim(k - 2) if k >= 2 else 0)
-        cols = top_dim(k) + top_dim(k - 1)
-        D = np.zeros((rows, cols), dtype=np.int64)
-        if top_dim(k):
-            D[: top_dim(k - 1), : top_dim(k)] = np.kron(dC[k], Iq)
-        sign = 1 if (k - 1) % 2 == 0 else -1
-        D[: top_dim(k - 1), top_dim(k) :] = (
-            sign * np.kron(np.eye(dims[k - 1], dtype=np.int64), gm1)
-        ) % M
-        if k >= 2:
-            D[top_dim(k - 1) :, top_dim(k) :] = np.kron(dC[k - 1], Iq)
-        boundaries.append(D % M)
-    return boundaries
-
-
-def doubled_composites_zero(cx: ComplexAtLevel, central_level: int = 1) -> bool:
-    bs = doubled_complex_boundaries(cx, central_level)
-    for A, B in zip(bs, bs[1:]):
-        if A.shape[1] != B.shape[0]:
-            return False
-        if linalg.matmul_mod(A, B, cx.m).any():
-            return False
-    return True

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import witt
-from .errors import ClosureBoundExceeded, NonUnitError, PrecisionMismatch
+from .errors import CheckFailed, ClosureBoundExceeded, NonUnitError, PrecisionMismatch
 from .witt import DEFAULT_PRECISION, WittElement
 
 CLOSURE_CAP = 10_000
@@ -251,9 +251,27 @@ def g2_relations_check(precision: int = DEFAULT_PRECISION) -> dict:
     return checks
 
 
+def _check_unit_identities(precision: int) -> None:
+    """On fixed sample elements a = c0 + c1 w: S a = phi(a) S and
+    det(c0) = c0^2; and det omega = -1, with reduced determinant (-1, 1).
+    Raises CheckFailed."""
+    S, M = S_element(precision), 3**precision
+    for c0, c1 in ((1, 0), (2, 1), (4, 7), (5, 3), (10, 11), (-1, 6), (13, -2), (0, 1)):
+        a = witt.WittElement(c0, c1, precision)
+        if S * from_witt(a) != from_witt(a.frobenius()) * S:
+            raise CheckFailed(f"S a != phi(a) S at a = {a.encode()}")
+        if central(c0, precision).det() != c0 * c0 % M:
+            raise CheckFailed(f"det of the central element {c0} is not {c0}^2")
+    om = omega_element(precision)
+    if om.det() != M - 1 or reduced_det(om) != (-1, 1):
+        raise CheckFailed(f"det omega = {om.det()}, reduced {reduced_det(om)}; want -1, (-1, 1)")
+
+
 def verify_relations(precision: int = DEFAULT_PRECISION) -> tuple:
     """The defining relations of G2 and the orders of five named
-    subgroups: (report, ok); something is always compared."""
+    subgroups: (report, ok); something is always compared.  The identities
+    of ``_check_unit_identities`` must hold, or CheckFailed is raised."""
+    _check_unit_identities(precision)
     checks = g2_relations_check(precision)
     orders = {
         name: len(named_subgroup(name, precision)) for name in ("G12", "G24", "SD16", "Q8", "C3")

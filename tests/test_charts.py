@@ -2,6 +2,12 @@ import pytest
 
 from stab23 import charts
 from stab23.charts import PosClass
+from stab23.errors import CheckFailed
+
+
+def _vanishes(chart, n) -> bool:
+    """Stem n of an E-infinity chart is zero: no 0-line rank, no class."""
+    return chart.zero_line.get(n, 0) == 0 and not chart.stem_entries(n)
 
 
 @pytest.fixture(scope="module")
@@ -70,48 +76,40 @@ def test_total_rank_never_increases():
     e2 = charts.e2_chart("C3", (-2, 40), s_max=12)
     einf = charts.run_differentials(e2)
     assert einf.total_rank() <= e2.total_rank()
-    assert charts.d5_d9_are_the_only_pages(einf)
+    assert all(entry["page"] in (5, 9) for entry in einf.differentials)
 
 
 def test_homotopy_vanishing_stems(g24_inf):
-    tab = charts.homotopy_table(g24_inf, [25, 26, 27, 1])
-    assert tab[25].vanishes
-    assert tab[26].vanishes
-    assert not tab[27].vanishes
-    assert tab[27].classes == [(1, "D*a", 1)]
-    assert tab[1].vanishes  # no odd-stem classes here
+    assert _vanishes(g24_inf, 25)
+    assert _vanishes(g24_inf, 26)
+    assert not _vanishes(g24_inf, 27)
+    assert g24_inf.stem_entries(27) == [(1, "D*a", 1)]
+    assert _vanishes(g24_inf, 1)  # no odd-stem classes here
 
 
 def test_pi25_vanishes_for_all_groups():
     for g in ("C3", "C6", "C12", "G12", "G24"):
-        ch = charts.e_infinity(g, (20, 30), s_max=16)
-        assert charts.homotopy_table(ch, [25])[25].vanishes, g
+        assert _vanishes(charts.e_infinity(g, (20, 30), s_max=16), 25), g
     for g in ("SD16", "Q8"):
-        ch = charts.e_infinity(g, (20, 30))
-        assert charts.homotopy_table(ch, [25])[25].vanishes, g
+        assert _vanishes(charts.e_infinity(g, (20, 30)), 25), g
 
 
 def test_pi1_vanishes_for_tame_groups():
     for g in ("SD16", "Q8"):
-        ch = charts.e_infinity(g, (0, 4))
-        assert charts.homotopy_table(ch, [1])[1].vanishes, g
+        assert _vanishes(charts.e_infinity(g, (0, 4)), 1), g
 
 
 def test_pi26_vanishes_when_minus_one_present():
     for g in ("C6", "C12", "G12", "G24", "SD16", "Q8"):
-        ch = charts.e_infinity(g, (22, 30), s_max=16)
-        assert charts.homotopy_table(ch, [26])[26].vanishes, g
+        assert _vanishes(charts.e_infinity(g, (22, 30), s_max=16), 26), g
     # negative control: C3 does not contain -1 and has pi26 nonzero
-    ch = charts.e_infinity("C3", (22, 30), s_max=16)
-    assert not charts.homotopy_table(ch, [26])[26].vanishes
+    assert not _vanishes(charts.e_infinity("C3", (22, 30), s_max=16), 26)
 
 
 def test_pi0_matches_invariant_ring_rank():
     for g in ("C3", "C6", "C12", "G12", "G24", "SD16", "Q8"):
         ch = charts.e_infinity(g, (-1, 5), s_max=8)
-        tab = charts.homotopy_table(ch, [0])
-        assert tab[0].zero_line_rank == charts.zero_line_rank(g, 0)
-        assert tab[0].zero_line_rank >= 1
+        assert ch.zero_line[0] == charts.zero_line_rank(g, 0) >= 1
 
 
 @pytest.mark.parametrize(
@@ -119,8 +117,19 @@ def test_pi0_matches_invariant_ring_rank():
     [("C3", 18), ("C6", 36), ("C12", 36), ("G12", 72), ("G24", 72), ("SD16", 16), ("Q8", 8)],
 )
 def test_periodicities(group, period):
-    rep = charts.periodicity_check(group)
-    assert rep["ok"] and rep["period"] == period
+    # verify_chart asserts the translation by one period on two periods
+    assert charts.PERIODS[group] == period
+    ok = charts.verify_chart(group, (-1, 2 * period + 2))[1]
+    assert ok is (None if group in charts.TAME else True)
+
+
+@pytest.mark.parametrize("group", charts.THREE_TORSION)
+@pytest.mark.parametrize("start", [-1, 40, 100])
+def test_periodicity_holds_on_user_windows(group, start):
+    # the s_max = 24 truncation keeps each stem's classes up to the same
+    # filtration after a translation, so no two-period window fails
+    period = charts.PERIODS[group]
+    assert charts.verify_chart(group, (start, start + 2 * period - 1))[1] is not False
 
 
 def test_sd16_chart_concentrated_in_filtration_zero():
@@ -152,6 +161,14 @@ def test_annotations_present(g24_inf):
     assert any("b^3" in a for a in g24_inf.annotations)
 
 
-def test_periodicity_rejects_small_window():
-    with pytest.raises(ValueError):
-        charts.periodicity_check("G24", (0, 30))
+def _lose_the_period(group, c):
+    # d9 on a third of the delta-powers it should leave the chart from
+    return c.eps == 1 and c.k % 9 == 2
+
+
+def test_periodicity_rejects_small_window(monkeypatch):
+    # a window shorter than two periods is not compared, one of two is
+    monkeypatch.setattr(charts, "_d9_kills", _lose_the_period)
+    assert charts.verify_chart("C3", (27, 61))[1] is True
+    with pytest.raises(CheckFailed, match="not 18-periodic"):
+        charts.verify_chart("C3", (27, 62))

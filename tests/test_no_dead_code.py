@@ -7,25 +7,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stab23"
 
-# checks that only the acceptance tests run today; each leaves this list
-# when a suite calls it or when it is deleted, and none joins it
-TEST_ONLY_CHECKS = {
-    "invariants.verify_epsilon_square",
-    "invariants.g24_invariance_of_modular_quantities",
-    "invariants.norm_product",
-    "cohomology.multiplication_kills",
-    "cohomology.transfer_cokernel_dim",
-    "cohomology.transfer_times_restriction_is_3",
-    "cohomology.pattern_dim_unlocalized",
-    "charts.homotopy_table",
-    "charts.periodicity_check",
-    "charts.d5_d9_are_the_only_pages",
-    "resolution.equivariance_check",
-    "resolution.doubled_composites_zero",
-    "quotients.full_quotient_order",
-}
-
-
 def _is_click_command(node) -> bool:
     return any(
         isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
@@ -66,6 +47,4 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         first = node.lineno - len(node.decorator_list)
         if all(p == path and first <= line <= node.end_lineno for p, line in refs.get(node.name, [])):
             unreferenced.add(f"{path.stem}.{node.name}")
-    assert unreferenced - TEST_ONLY_CHECKS == set()
-    # the allowlist only shrinks: an entry that gained a caller leaves it
-    assert TEST_ONLY_CHECKS - unreferenced == set()
+    assert unreferenced == set()

@@ -287,9 +287,26 @@ def test_homology_cells_reuses_the_kept_kernel_forms(lvl2, monkeypatch):
         assert not any(a.shape == Z.shape and np.array_equal(a, Z) for a in seen)
 
 
+def _boundaries_are_equivariant(ld, cx) -> bool:
+    """Oracle: each boundary commutes with every generator action, exactly."""
+    for g in ld.g_gens:
+        p24, _ = ld.action(g, "c24")
+        pchi, schi = ld.action(g, "chi")
+        for B, src, dst in ((cx.b1, "chi", "c24"), (cx.b2, "chi", "chi"), (cx.b3, "c24", "chi")):
+            lhs = np.zeros_like(B)
+            if dst == "c24":
+                lhs[p24, :] = B                      # matrix of g o B
+            else:
+                lhs[pchi, :] = schi[:, None] * B
+            rhs = B[:, p24] if src == "c24" else B[:, pchi] * schi[None, :]   # B o g
+            if ((lhs - rhs) % ld.M).any():
+                return False
+    return True
+
+
 def test_equivariance_of_boundaries(lvl2):
     fq, ld, cx = lvl2
-    assert res.equivariance_check(ld, cx)
+    assert _boundaries_are_equivariant(ld, cx)
 
 
 def test_tor0_dims_reported(lvl2):
@@ -340,9 +357,3 @@ def test_tower_computes_no_homology(lvl2, monkeypatch):
     monkeypatch.setattr(res, "homology_cells", unexpected)
     rep = res.homology_pro_triviality([ld2, ld32], cx2)
     assert rep.chain_maps_ok and not hasattr(rep, "homology")
-
-
-@pytest.mark.slow
-def test_doubled_complex_composites_zero(lvl2):
-    fq, ld, cx = lvl2
-    assert res.doubled_composites_zero(cx, central_level=1)
