@@ -67,10 +67,6 @@ class Cell:
     def dim_f3(self) -> int:
         return len(self.invariants)
 
-    @property
-    def elementary(self) -> bool:
-        return all(e == 1 for e in self.invariants)
-
 
 def _norm_matrix(S: np.ndarray, m: int) -> np.ndarray:
     M = 3**m
@@ -325,15 +321,10 @@ def multiplication_kills(s: int, t: int, mult_num: WPoly, mult_r: int, t_shift: 
         m,
     )
     tgt_cell = c3_degree(kind, t + t_shift, m, R).cell(s)
-    HI = linalg.howell(tgt_cell.I, m) if tgt_cell.I.size else None
-    for v in cell.K:
-        img = (T @ v) % M
-        if HI is None:
-            if img.any():
-                return False
-        elif not linalg.in_span(HI, img, m):
-            return False
-    return True
+    images = (cell.K @ T.T) % M
+    if not tgt_cell.I.size:
+        return not images.any()
+    return linalg.span_contains(linalg.howell(tgt_cell.I, m), images, m)
 
 
 def _check_c4_c6_on_alpha_beta(smax: int, tmin: int, tmax: int) -> None:

@@ -32,7 +32,6 @@ from . import linalg, stabilizer as stab, witt
 from .errors import CheckFailed, PrecisionUnstable
 from .polys import (
     LocPoly,
-    TamePoly,
     WPoly,
     embed_2_to_3,
     monomials_of_degree,
@@ -233,80 +232,40 @@ def verify_action_pinning(precision: int = witt.DEFAULT_PRECISION) -> dict:
 
 # -- exact integer identity ---------------------------------------------------
 
-
-def _int_mul(p: dict, q: dict) -> dict:
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def _int_scale(p: dict, n: int) -> dict:
-    return {m: n * c for m, c in p.items() if n * c}
-
-
-def _int_add(*ps) -> dict:
-    out = {}
-    for p in ps:
-        for m, c in p.items():
-            out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def _int_sigma_eps():
-    x1, x2, x3 = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
-    s1 = _int_add(x1, x2, x3)
-    s2 = _int_add(_int_mul(x1, x2), _int_mul(x1, x3), _int_mul(x2, x3))
-    s3 = _int_mul(_int_mul(x1, x2), x3)
-    eps = _int_add(
-        _int_mul(_int_mul(x1, x1), x2),
-        _int_mul(_int_mul(x2, x2), x3),
-        _int_mul(_int_mul(x3, x3), x1),
-        _int_scale(_int_mul(_int_mul(x2, x2), x1), -1),
-        _int_scale(_int_mul(_int_mul(x1, x1), x3), -1),
-        _int_scale(_int_mul(_int_mul(x3, x3), x2), -1),
-    )
-    return s1, s2, s3, eps
+# The identity has integer coefficients, so it is checked in W/3^8: every
+# coefficient of either difference is an integer no larger in absolute value
+# than the sum of the l1 norms of its terms.  With |s1| = |s2| = 3, |s3| = 1
+# and |eps| = 6, the full difference is bounded by 36+27+108+108+162+81 = 522.
+# After x3 -> -x1-x2 a term c*x1^a x2^b x3^e has l1 norm at most |c|*2^e, so
+# |s2| <= 5, |s3| <= 2, |eps| <= 14, and the reduced difference is bounded by
+# 196+108+500 = 804.  Both are below 3^8 = 6561: zero mod 3^8 means zero.
+EPS_PRECISION = 8
 
 
 def verify_epsilon_square() -> dict:
     """The discriminant identity for the antisymmetric cubic, over Z.
 
-    Checks eps^2 = -27 s3^2 - 4 s2^3 - 4 s3 s1^3 + 18 s1 s2 s3 + s1^2 s2^2
-    with exact integer coefficients, and its image modulo s1.
+    Checks eps^2 = -27 s3^2 - 4 s2^3 - 4 s3 s1^3 + 18 s1 s2 s3 + s1^2 s2^2,
+    and its image modulo s1, exactly (see EPS_PRECISION).
     """
-    s1, s2, s3, eps = _int_sigma_eps()
-    rhs = _int_add(
-        _int_scale(_int_mul(s3, s3), -27),
-        _int_scale(_int_mul(_int_mul(s2, s2), s2), -4),
-        _int_scale(_int_mul(s3, _int_mul(_int_mul(s1, s1), s1)), -4),
-        _int_scale(_int_mul(_int_mul(s1, s2), s3), 18),
-        _int_mul(_int_mul(s1, s1), _int_mul(s2, s2)),
+    N = EPS_PRECISION
+
+    def times(n: int, p: WPoly) -> WPoly:
+        return p.scale(witt.from_int(n, N))
+
+    s1, s2, s3 = (sigma(i, N) for i in (1, 2, 3))
+    eps = epsilon(N)
+    rhs = (
+        times(-27, s3 * s3)
+        + times(-4, s2**3)
+        + times(-4, s3 * s1**3)
+        + times(18, s1 * s2 * s3)
+        + s1 * s1 * s2 * s2
     )
-    full = _int_add(_int_mul(eps, eps), _int_scale(rhs, -1)) == {}
+    full = eps * eps == rhs
 
-    # image with s1 = 0: substitute x3 = -x1 - x2 over Z
-    def sub3(p):
-        out = {}
-        from math import comb
-
-        for (e1, e2, e3), c in p.items():
-            for k in range(e3 + 1):
-                m = (e1 + k, e2 + e3 - k)
-                out[m] = out.get(m, 0) + c * comb(e3, k) * (-1) ** e3
-        return {m: c for m, c in out.items() if c}
-
-    eps_r, s2_r, s3_r = sub3(eps), sub3(s2), sub3(s3)
-    reduced = (
-        _int_add(
-            _int_mul(eps_r, eps_r),
-            _int_scale(_int_mul(s3_r, s3_r), 27),
-            _int_scale(_int_mul(_int_mul(s2_r, s2_r), s2_r), 4),
-        )
-        == {}
-    )
+    s2_r, s3_r, eps_r = sigma(2, N, 2), sigma(3, N, 2), epsilon(N, 2)
+    reduced = (eps_r * eps_r + times(27, s3_r * s3_r) + times(4, s2_r**3)).is_zero()
     if not (full and reduced):
         raise CheckFailed("epsilon^2 identity failed")
     return {"full_identity": full, "sigma1_zero_image": reduced}
@@ -387,18 +346,17 @@ def sd16_exponents(g: stab.StabilizerElement) -> tuple:
     raise ValueError("element is not in the omega/phi subgroup of order 16")
 
 
-def act_tame(g: stab.StabilizerElement, f: TamePoly) -> TamePoly:
-    """Exact prime-to-3 action: alpha(u) = alpha*u, alpha(u*u1) = alpha^3*u*u1,
-    Frobenius acting on coefficients only."""
+def act_tame(g: stab.StabilizerElement, f: WPoly) -> WPoly:
+    """Exact prime-to-3 action on the tame model, exponents (i, j) for
+    u1^i u^j: alpha(u) = alpha*u, alpha(u*u1) = alpha^3*u*u1, Frobenius
+    acting on coefficients only."""
     a, e = sd16_exponents(g)
     om = witt.omega(f.precision)
-    out = {}
-    for (i, j), c in f.coeffs.items():
-        coef = c.frobenius() if e else c
-        coef = om ** (a * ((2 * i + j) % 8)) * coef
-        if not coef.is_zero():
-            out[(i, j)] = coef
-    return TamePoly(f.precision, out)
+    return WPoly(2, f.precision, {
+        (i, j): om ** (a * ((2 * i + j) % 8)) * (c.frobenius() if e else c)
+        for (i, j), c in f.coeffs.items()
+    })
+
 
 TAME_GROUP_GENS = {
     "SD16": (("omega",), ("phi",)),
@@ -538,23 +496,24 @@ def groups_for_ring(ring: str) -> tuple:
     return tuple(GROUP_GENS)
 
 
-def _tame_ops(group: str, j: int, u1_window: int, precision: int) -> list:
+# the tame pieces are truncated to u1^i u^j with i <= TAME_U1_WINDOW, and
+# their fixed ranks are computed over Z/3^TAME_PRECISION (re-checked at +2)
+TAME_U1_WINDOW = 10
+TAME_PRECISION = 5
+
+
+def _tame_ops(group: str, j: int, precision: int) -> list:
     """Generator matrices on the u1-truncated piece spanned by u1^i u^j."""
-    monos = [(i, j) for i in range(u1_window + 1)]
+    monos = [(i, j) for i in range(TAME_U1_WINDOW + 1)]
     return [
         w_coordinate_matrix(
-            monos, monos, lambda m, c, g=g: act_tame(g, TamePoly.monomial(*m, precision, c)), precision
+            monos, monos, lambda m, c, g=g: act_tame(g, WPoly(2, precision, {m: c})), precision
         )
         for g in _tame_gen_elements(group, precision)
     ]
 
 
-def tame_fixed_rank(
-    group: str,
-    internal_degree: int,
-    u1_window: int,
-    precision: int = witt.DEFAULT_PRECISION,
-) -> int:
+def tame_fixed_rank(group: str, internal_degree: int) -> int:
     """Z3-rank of the group-fixed part of the degree piece, u1-truncated.
 
     The rank is recomputed from operators rebuilt at precision N+2 and
@@ -563,9 +522,9 @@ def tame_fixed_rank(
     if internal_degree % 2 != 0:
         return 0
     j = -internal_degree // 2
-    rank = linalg.fixed_basis(_tame_ops(group, j, u1_window, precision), precision).shape[0]
-    hi = precision + 2
-    rank2 = linalg.fixed_basis(_tame_ops(group, j, u1_window, hi), hi).shape[0]
+    lo, hi = TAME_PRECISION, TAME_PRECISION + 2
+    rank = linalg.fixed_basis(_tame_ops(group, j, lo), lo).shape[0]
+    rank2 = linalg.fixed_basis(_tame_ops(group, j, hi), hi).shape[0]
     if rank != rank2:
         raise PrecisionUnstable(
             f"invariant rank changed {rank} -> {rank2} at N+2 "
@@ -574,7 +533,7 @@ def tame_fixed_rank(
     return rank
 
 
-def predicted_tame_rank(group: str, internal_degree: int, u1_window: int) -> int:
+def predicted_tame_rank(group: str, internal_degree: int) -> int:
     """Monomial span predicted for the tame fixed rings.
 
     SD16: Z3 lines at u1^i u^j with 2i + j = 0 mod 8 (the span of
@@ -585,7 +544,7 @@ def predicted_tame_rank(group: str, internal_degree: int, u1_window: int) -> int
         return 0
     j = -internal_degree // 2
     mod = 8 if group == "SD16" else 4
-    return sum(1 for i in range(u1_window + 1) if (2 * i + j) % mod == 0)
+    return sum(1 for i in range(TAME_U1_WINDOW + 1) if (2 * i + j) % mod == 0)
 
 
 # -- Hilbert series of the fixed-ring presentations ------------------------------
@@ -633,8 +592,8 @@ def verify_invariants(ring: str, group: str, max_degree: int = 48) -> tuple:
     rows, ok = [], True
     if ring == "tame":
         for t in range(-max_degree, max_degree + 1, 2):
-            got = tame_fixed_rank(group, t, u1_window=10, precision=5)
-            want = predicted_tame_rank(group, t, 10)
+            got = tame_fixed_rank(group, t)
+            want = predicted_tame_rank(group, t)
             ok = ok and got == want
             rows.append({"degree": t, "rank": got, "predicted": want})
     elif ring == "SrhoLoc":

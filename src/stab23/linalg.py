@@ -106,10 +106,6 @@ class HowellForm:
     pivot_cols: list
     pivot_vals: list       # 3-adic valuation of each pivot entry
 
-    @property
-    def nrows(self) -> int:
-        return self.rows.shape[0]
-
     def log3_size(self, m: int) -> int:
         """log_3 of the number of elements of the span."""
         return sum(m - v for v in self.pivot_vals)
@@ -335,17 +331,10 @@ def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     return R.reshape(r.shape)
 
 
-def in_span(H: HowellForm, vec, m: int) -> bool:
-    return not reduce_mod_span(H, vec, m).any()
-
-
-def outside_span(H: HowellForm, rows, m: int) -> np.ndarray:
-    """Mask of the rows of ``rows`` that are not in the span of ``H``."""
-    return reduce_mod_span(H, np.atleast_2d(rows), m).any(axis=1)
-
-
 def span_contains(H: HowellForm, rows, m: int) -> bool:
-    return not outside_span(H, rows, m).any()
+    """True when every row of ``rows`` (one vector or a matrix) lies in the
+    span of ``H``."""
+    return not reduce_mod_span(H, np.atleast_2d(rows), m).any()
 
 
 class F3Space:

@@ -1,14 +1,15 @@
 """Graded polynomial carriers for the Lubin-Tate ring models.
 
-Three concrete models share WittElement coefficients:
+Two carriers share WittElement coefficients:
 
 * ``WPoly`` over x1,x2,x3 (the symmetric-algebra model, deg x_i = -2),
   or over x1,x2 after the substitution x3 = -x1-x2 (the quotient by
-  the first elementary symmetric function);
+  the first elementary symmetric function).  The tame model of the
+  groups of order prime to 3 is a 2-variable ``WPoly`` too: the term
+  u1^i u^j (deg u = -2, deg u1 = 0) has exponent tuple (i, j), with j
+  of either sign;
 * ``LocPoly``: a pair (numerator, r) representing f / sigma3^r in
-  canonical form with minimal r;
-* ``TamePoly`` over u1, u^{+-1} (deg u = -2, deg u1 = 0) for the
-  groups of order prime to 3.
+  canonical form with minimal r.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ class WPoly:
         return hash((self.nvars, self.precision, frozenset(self.coeffs.items())))
 
     # -- structure ---------------------------------------------------------
-    def total_degrees(self) -> set:
-        return {sum(m) for m in self.coeffs}
-
     def reduce(self, precision: int) -> "WPoly":
         return WPoly(
             self.nvars, precision, {m: c.reduce(precision) for m, c in self.coeffs.items()}
@@ -151,7 +149,7 @@ class WPoly:
         for m in sorted(self.coeffs, reverse=True):
             c = self.coeffs[m]
             mono = "*".join(
-                f"{names[i]}^{e}" if e > 1 else names[i]
+                f"{names[i]}^{e}" if e != 1 else names[i]
                 for i, e in enumerate(m)
                 if e
             )
@@ -334,88 +332,6 @@ class LocPoly:
         a, b = self.canonical(), other.canonical()
         return a.r == b.r and a.num == b.num
 
-    def internal_degree(self):
-        degs = {(-2) * d + 6 * self.r for d in self.num.total_degrees()}
-        return degs
-
     def render(self) -> str:
         base = self.num.render()
         return base if self.r == 0 else f"({base})/sigma3^{self.r}"
-
-
-class TamePoly:
-    """Map (i, j) -> coefficient for monomials u1^i * u^j, j of either sign."""
-
-    __slots__ = ("coeffs", "precision")
-
-    def __init__(self, precision: int, coeffs=None):
-        self.precision = precision
-        self.coeffs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if i < 0:
-                    raise ValueError("u1 exponent must be >= 0")
-                if not c.is_zero():
-                    self.coeffs[(i, j)] = c
-
-    @classmethod
-    def monomial(cls, i: int, j: int, precision: int, coeff=None):
-        return cls(precision, {(i, j): coeff or witt.one(precision)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return TamePoly(self.precision, out)
-
-    def __neg__(self):
-        return TamePoly(self.precision, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                m = (i1 + i2, j1 + j2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return TamePoly(self.precision, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TamePoly)
-            and self.precision == other.precision
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def render(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            mono = []
-            if i:
-                mono.append(f"u1^{i}" if i > 1 else "u1")
-            if j:
-                mono.append(f"u^{j}")
-            parts.append(f"({c.c0}+{c.c1}w)" + ("*" + "*".join(mono) if mono else ""))
-        return " + ".join(parts)

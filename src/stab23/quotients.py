@@ -159,14 +159,6 @@ class FiniteQuotient:
             self.index_of(g.a.c0, g.a.c1, g.b.c0, g.b.c1, g.galois)
         )
 
-    def lift(self, i: int) -> StabilizerElement:
-        a0, a1, b0, b1, e = (int(v) for v in self.coords[:, int(i)])
-        return StabilizerElement(
-            witt.WittElement(a0, a1, self.precision),
-            witt.WittElement(b0, b1, self.precision),
-            int(e),
-        )
-
     # -- distinguished subsets ------------------------------------------
     def subgroup_image(self, name: str) -> np.ndarray:
         """Sorted element indices of the image of a named finite subgroup."""
@@ -188,19 +180,6 @@ class FiniteQuotient:
     def k_indices(self) -> np.ndarray:
         syl = self.sylow_indices()
         return syl[self.to_c3(syl) == 0]
-
-    def decompose_sylow(self, i: int) -> tuple:
-        """Unique k * c with k in image(K), c in image(C3), for i in P(l)."""
-        s_idx = self.project(stab.s_element(self.precision))
-        c3_of_s = int(self.to_c3(s_idx))
-        inv_gen = pow(c3_of_s, -1, 3)
-        mpow = (int(self.to_c3(i)) * inv_gen) % 3
-        c = self.identity_index()
-        for _ in range(mpow):
-            c = int(self.mul(c, s_idx))
-        k = int(self.mul(i, self.inv(c)))
-        assert int(self.to_c3(k)) == 0
-        return k, c
 
     # -- tables ----------------------------------------------------------
     def mul_table(self, left, right) -> np.ndarray:

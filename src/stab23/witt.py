@@ -108,9 +108,6 @@ class WittElement:
             raise ValueError("cannot increase precision by reduction")
         return WittElement(self.c0, self.c1, precision)
 
-    def residue(self) -> tuple:
-        return (self.c0 % 3, self.c1 % 3)
-
     def encode(self) -> str:
         return f"{self.c0}+{self.c1}*w mod 3^{self.precision}"
 

@@ -357,6 +357,10 @@ GOLDEN = [
     ("group_verify_relations", "group-verify-relations", ["group", "verify-relations"]),
     ("group_subgroup_G24", "group-subgroup-G24", ["group", "subgroup", "G24"]),
     ("group_quotient_2", "group-quotient-2-1", ["group", "quotient", "--level", "2"]),
+    ("invariants_tame_SD16", "invariants-tame-SD16",
+     ["invariants", "--ring", "tame", "--group", "SD16", "--max-degree", "24"]),
+    ("invariants_SrhoLoc_G24", "invariants-SrhoLoc-G24",
+     ["invariants", "--ring", "SrhoLoc", "--group", "G24", "--max-degree", "24"]),
 ]
 
 

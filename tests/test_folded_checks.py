@@ -85,6 +85,22 @@ def test_localized_invariants_assert_the_characters(tmp_path, monkeypatch):
     assert "assertion failed: psi(delta) != w^5 delta" in r.output
 
 
+def test_localized_invariants_assert_the_epsilon_square(tmp_path, monkeypatch):
+    # an extra x1^3 term in the antisymmetric cubic breaks eps^2 = disc
+    real = inv.epsilon
+
+    def wrong(precision, nvars=3):
+        x1 = WPoly.variable(0, nvars, precision)
+        return real(precision, nvars) + x1 * x1 * x1
+
+    monkeypatch.setattr(inv, "epsilon", wrong)
+    with pytest.raises(CheckFailed, match="epsilon\\^2 identity failed"):
+        inv.verify_epsilon_square()
+    r = _cli(tmp_path, ["invariants", "--ring", "SrhoLoc", "--group", "G24", "--max-degree", "6"])
+    assert r.exit_code == 1, r.output
+    assert "assertion failed: epsilon^2 identity failed" in r.output
+
+
 @pytest.mark.parametrize("wrong, message", [
     # one factor too many: t scales sigma3 by w^6
     (lambda Np, n: Np * inv.sigma(3, n), "moved under G12"),

@@ -4,7 +4,7 @@ from stab23 import invariants as inv
 from stab23 import stabilizer as stab
 from stab23 import witt
 from stab23.errors import PrecisionUnstable
-from stab23.polys import LocPoly, TamePoly, WPoly, sigma3_rho, substitute_x3
+from stab23.polys import LocPoly, WPoly, sigma3_rho, substitute_x3
 
 N = 8
 
@@ -17,6 +17,34 @@ def test_action_pinning_passes():
 def test_epsilon_square_exact_integer_identity():
     out = inv.verify_epsilon_square()
     assert out["full_identity"] and out["sigma1_zero_image"]
+
+
+def test_epsilon_square_bounds_fit_the_precision():
+    # the l1 norms bound every integer coefficient of the two differences,
+    # so vanishing mod 3^EPS_PRECISION is vanishing over Z
+    prec = inv.EPS_PRECISION
+    M = 3**prec
+
+    def signed(c):
+        assert c.c1 == 0
+        return c.c0 if c.c0 <= M // 2 else c.c0 - M
+
+    def l1(p):
+        return sum(abs(signed(c)) for c in p.coeffs.values())
+
+    def l1_after_substitution(p):
+        # x3 -> -x1-x2 sends c*x1^a x2^b x3^e to at most |c|*2^e in l1
+        return sum(abs(signed(c)) * 2 ** m[2] for m, c in p.coeffs.items())
+
+    s1, s2, s3 = (l1(inv.sigma(i, prec)) for i in (1, 2, 3))
+    eps = l1(inv.epsilon(prec))
+    full = eps**2 + 27 * s3**2 + 4 * s2**3 + 4 * s3 * s1**3 + 18 * s1 * s2 * s3 + s1**2 * s2**2
+    eps_r, s2_r, s3_r = (
+        l1_after_substitution(p) for p in (inv.epsilon(prec), inv.sigma(2, prec), inv.sigma(3, prec))
+    )
+    reduced = eps_r**2 + 27 * s3_r**2 + 4 * s2_r**3
+    assert (full, reduced) == (522, 804)
+    assert max(full, reduced) < 3**prec
 
 
 def test_epsilon_specialization_trivial():
@@ -131,29 +159,34 @@ def test_degree_zero_invariants_every_subgroup():
         assert b.rank == 1, name
 
 
+def _tame(i, j, coeff=None):
+    """coeff * u1^i u^j on the tame model, a 2-variable WPoly."""
+    return WPoly(2, N, {(i, j): coeff or witt.one(N)})
+
+
 def test_act_tame_examples():
     om_el = stab.omega_element(N)
     om = witt.omega(N)
-    u = TamePoly.monomial(0, 1, N)
-    assert inv.act_tame(om_el, u) == TamePoly.monomial(0, 1, N, om)
+    u = _tame(0, 1)
+    assert inv.act_tame(om_el, u) == _tame(0, 1, om)
     # v1 = u1 u^-2 is fixed by omega
-    v1 = TamePoly.monomial(1, -2, N)
+    v1 = _tame(1, -2)
     assert inv.act_tame(om_el, v1) == v1
     # phi fixes u and cubes omega
     phi = stab.phi_element(N)
     assert inv.act_tame(phi, u) == u
-    om_u = TamePoly.monomial(0, 1, N, om)
-    assert inv.act_tame(phi, om_u) == TamePoly.monomial(0, 1, N, om**3)
+    om_u = _tame(0, 1, om)
+    assert inv.act_tame(phi, om_u) == _tame(0, 1, om**3)
 
 
 def test_act_tame_rejects_wild_elements():
     with pytest.raises(ValueError):
-        inv.act_tame(stab.s_element(N), TamePoly.monomial(0, 1, N))
+        inv.act_tame(stab.s_element(N), _tame(0, 1))
 
 
 def test_q8_fixes_omega_squared_u_fourth():
     om = witt.omega(N)
-    gen = TamePoly.monomial(0, 4, N, om**2)
+    gen = _tame(0, 4, om**2)
     t_el = stab.t_element(N)
     psi_el = stab.psi_element(N)
     assert inv.act_tame(t_el, gen) == gen
@@ -165,8 +198,8 @@ def test_q8_fixes_omega_squared_u_fourth():
 @pytest.mark.parametrize("t", range(-24, 25, 2))
 def test_tame_fixed_rings_match_predicted_spans(t):
     for group in ("SD16", "Q8"):
-        got = inv.tame_fixed_rank(group, t, u1_window=10, precision=5)
-        assert got == inv.predicted_tame_rank(group, t, 10), (group, t)
+        got = inv.tame_fixed_rank(group, t)
+        assert got == inv.predicted_tame_rank(group, t), (group, t)
 
 
 def test_loc_poly_canonicalization():
@@ -193,7 +226,7 @@ def test_tame_fixed_rank_rechecks_at_higher_precision(monkeypatch):
         return real(ops, m)
 
     monkeypatch.setattr(inv.linalg, "fixed_basis", spy)
-    assert inv.tame_fixed_rank("SD16", -8, u1_window=10, precision=5) == 3
+    assert inv.tame_fixed_rank("SD16", -8) == 3
     # the second run rebuilds the operators at N+2, not only the modulus
     (m1, top1), (m2, top2) = seen
     assert (m1, m2) == (5, 7)
@@ -206,4 +239,4 @@ def test_tame_fixed_rank_refuses_an_unstable_rank(monkeypatch):
         inv.linalg, "fixed_basis", lambda ops, m: real(ops, m)[: 1 if m > 5 else None]
     )
     with pytest.raises(PrecisionUnstable, match="at N\\+2"):
-        inv.tame_fixed_rank("SD16", -8, u1_window=10, precision=5)
+        inv.tame_fixed_rank("SD16", -8)

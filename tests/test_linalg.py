@@ -42,7 +42,7 @@ def test_howell_preserves_span(rows, m):
 def test_membership_matches_brute_force(rows, vec, m):
     H = linalg.howell(rows, m)
     expected = tuple(int(x) % 3**m for x in vec) in brute_span(rows, m)
-    assert linalg.in_span(H, vec, m) == expected
+    assert linalg.span_contains(H, vec, m) == expected
 
 
 @settings(max_examples=30, deadline=None)

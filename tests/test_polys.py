@@ -1,10 +1,8 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from stab23 import witt
 from stab23.polys import (
     LocPoly,
-    TamePoly,
     WPoly,
     divide_by_sigma3,
     embed_2_to_3,
@@ -94,19 +92,24 @@ def test_loc_poly_equality_across_representatives():
     assert LocPoly(one, 0) != LocPoly(s3, 0)
 
 
-def test_tame_poly_ring():
-    u = TamePoly.monomial(0, 1, N)
-    u1 = TamePoly.monomial(1, 0, N)
-    v1 = TamePoly.monomial(1, -2, N)
-    assert u1 * u * u == TamePoly.monomial(1, 2, N)
-    prod = v1 * TamePoly.monomial(0, 2, N)
-    assert prod == u1
+def _tame(i, j):
+    """u1^i u^j on the tame model: a 2-variable WPoly with a signed j."""
+    return WPoly(2, N, {(i, j): witt.one(N)})
+
+
+def test_laurent_wpoly_ring():
+    u, u1, v1 = _tame(0, 1), _tame(1, 0), _tame(1, -2)
+    assert u1 * u * u == _tame(1, 2)
+    assert v1 * _tame(0, 2) == u1
+    assert _tame(0, -8) * _tame(0, 8) == WPoly.constant(witt.one(N), 2)
+    assert (v1 + v1 - v1) == v1
     assert (u - u).is_zero()
 
 
-def test_tame_poly_rejects_negative_u1():
-    with pytest.raises(ValueError):
-        TamePoly(N, {(-1, 0): witt.one(N)})
+def test_render_writes_every_exponent_but_one():
+    assert _tame(1, -2).render(["u1", "u"]) == "(1+0w)*u1*u^-2"
+    assert _tame(0, -1).render(["u1", "u"]) == "(1+0w)*u^-1"
+    assert _tame(3, 1).render(["u1", "u"]) == "(1+0w)*u1^3*u"
 
 
 def test_render_smoke():

@@ -224,7 +224,7 @@ def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     W = []
     for v in V3:
         rows = np.vstack([H_IK.rows] + [np.atleast_2d(w) for w in W])
-        if not linalg.in_span(linalg.howell(rows, 1), v, 1):
+        if not linalg.span_contains(linalg.howell(rows, 1), v, 1):
             W.append(v)
     f = np.array(W, dtype=np.int64).T
     rep = res.nakayama_surjectivity(ld, f, target, "c24")
