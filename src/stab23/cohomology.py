@@ -199,12 +199,16 @@ def invariant_cell(group: str, kind: str, s: int, t: int, m: int) -> Cell:
 
 def h_dim(group: str, kind: str, s: int, t: int) -> int:
     """dim_F3 H^s(F, M_t) for s >= 1, re-checked at N+2; s reduces mod 4
-    (the operator period)."""
+    (the operator period).  The cell must be elementary (every invariant
+    factor Z/3) at both precisions, as the reports state, or CheckFailed
+    is raised."""
     if s < 1:
         raise ValueError("use fixed_rank for the s = 0 line")
     s_red = (s - 1) % 4 + 1
-    d = invariant_cell(group, kind, s_red, t, PRECISION).dim_f3
-    d2 = invariant_cell(group, kind, s_red, t, PRECISION + 2).dim_f3
+    cells = [invariant_cell(group, kind, s_red, t, m) for m in (PRECISION, PRECISION + 2)]
+    if any(e != 1 for cell in cells for e in cell.invariants):
+        raise CheckFailed(f"H^{s}({group}, {kind}_{t}) is not elementary")
+    d, d2 = (cell.dim_f3 for cell in cells)
     if d != d2:
         raise PrecisionUnstable(f"H^{s}({group}, {kind}_{t}) dim {d} -> {d2} at N+2")
     return d

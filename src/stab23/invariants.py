@@ -6,18 +6,22 @@ The order-24 group acts on W[x1,x2,x3] through the generators
     t:   x1 -> w^2 x1, x2 -> w^2 x3, x3 -> w^2 x2   (W-linear, w = omega)
     psi: x_i -> w x_i, Frobenius on coefficients
 
-The generator images on the x_i are derived data: they are pinned by
-``verify_action_pinning``, which ``model_matrix`` runs before it builds the
-first generator matrix at each precision, so no table or rank is computed
-from an action that breaks a group relation or one of the eight t/psi
-formulas on sigma_1..3 and the antisymmetric cubic.
+One table, ``GEN_ACTION``, defines this action: a permutation of the
+exponents, a power of w per degree, and whether Frobenius is applied.
+Both the polynomial action ``apply_gen`` and the generator matrices read
+it.  It is pinned by ``verify_action_pinning``, which ``model_matrix``
+runs before it builds the first generator matrix at each precision, so no
+table or rank is computed from an action that breaks a group relation or
+one of the eight t/psi formulas on sigma_1..3 and the antisymmetric cubic.
 
-``gen_matrix(kind, precision, gen, t, r)`` is the Z/3^N matrix of one
+``model_matrix(kind, precision, gen, t, r)`` is the Z/3^N matrix of one
 generator on the degree-t piece of S(F), S(rho), or S(rho) localized at
-sigma3 (numerators over sigma3^r), memoized on those values and read-only;
-the cohomology engine and the invariant bases read their generator
-matrices from ``model_matrix``, the one builder behind it.  Groups of
-order prime to 3 act on the u1/u model instead.
+sigma3 (numerators over sigma3^r), in closed form: kron(B, Omega), B the
+integer matrix of the generator on the monomials (signed binomials after
+x3 -> -x1-x2 on the 2-variable models) and Omega the 2x2 matrix of its
+scalar.  ``gen_matrix`` memoizes it, read-only, for the cohomology engine;
+the invariant bases build theirs uncached.  Groups of order prime to 3
+act on the u1/u model instead.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .polys import (
     LocPoly,
     WPoly,
     embed_2_to_3,
+    expand_x3,
     monomials_of_degree,
     substitute_x3,
     w_coordinate_matrix,
@@ -53,36 +58,32 @@ GROUP_GENS = {
 
 W_LINEAR_GROUPS = {"C3", "C6", "G12"}
 
-# g(sigma3) = omega^k sigma3: on the localized model a generator acts on a
+# the one definition of the action: gen -> (perm, k, semilinear) sends
+# c x^e, e of degree d, to w^(k d) phi(c) x^(e[perm[0]], e[perm[1]], e[perm[2]]),
+# phi the Frobenius when semilinear
+GEN_ACTION = {
+    "s": ((2, 0, 1), 0, False),
+    "t": ((0, 2, 1), 2, False),
+    "t2": ((0, 1, 2), 4, False),
+    "psi": ((0, 1, 2), 1, True),
+}
+
+# g(sigma3) = omega^k sigma3 (k three times the omega exponent, sigma3 being
+# symmetric of degree 3): on the localized model a generator acts on a
 # numerator over sigma3^r as on the polynomial, times omega^(-k r)
-SIGMA3_EXP = {"s": 0, "t": 6, "t2": 12, "psi": 3}
+SIGMA3_EXP = {gen: 3 * k for gen, (_, k, _) in GEN_ACTION.items()}
 
 
 # -- generator ring maps on the 3-variable model ---------------------------
 
 
 def _apply_gen_3(gen: str, p: WPoly) -> WPoly:
+    perm, k, semilinear = GEN_ACTION[gen]
     om = witt.omega(p.precision)
-    out = {}
-    for (e1, e2, e3), c in p.coeffs.items():
-        d = e1 + e2 + e3
-        if gen == "s":
-            mono, coef = (e3, e1, e2), c
-        elif gen == "t":
-            mono, coef = (e1, e3, e2), om ** (2 * d) * c
-        elif gen == "t2":
-            mono, coef = (e1, e2, e3), om ** (4 * d) * c
-        elif gen == "psi":
-            mono, coef = (e1, e2, e3), om**d * c.frobenius()
-        else:
-            raise KeyError(gen)
-        prev = out.get(mono)
-        s = coef if prev is None else prev + coef
-        if s.is_zero():
-            out.pop(mono, None)
-        else:
-            out[mono] = s
-    return WPoly(3, p.precision, out)
+    return WPoly(3, p.precision, {
+        tuple(e[i] for i in perm): om ** (k * sum(e) % 8) * (c.frobenius() if semilinear else c)
+        for e, c in p.coeffs.items()
+    })
 
 
 def apply_gen(gen: str, p: WPoly) -> WPoly:
@@ -398,16 +399,36 @@ def model_basis(kind: str, t: int, r: int) -> tuple:
     return tuple(monomials_of_degree(MODEL_NVARS[kind], d))
 
 
+def _monomial_matrix(basis: tuple, gen: str, M: int) -> np.ndarray:
+    """Integer matrix B of the monomial part of ``gen`` on a basis of
+    monomials of one degree, read mod M: a permutation on 3 variables,
+    signed binomials after x3 -> -x1-x2 on 2 (past int64 from degree 67)."""
+    perm = GEN_ACTION[gen][0]
+    row = {m: i for i, m in enumerate(basis)}
+    B = np.zeros((len(basis), len(basis)), dtype=np.int64)
+    for j, e in enumerate(basis):
+        f = tuple((e + (0,))[i] for i in perm)  # x3^0 pads a 2-variable e
+        for m, n in expand_x3(*f) if len(e) == 2 else [(f, 1)]:
+            B[row[m], j] = n % M
+    return B
+
+
 def model_matrix(kind: str, precision: int, gen: str, t: int, r: int) -> np.ndarray:
-    """Z/3^precision matrix of one generator on the degree-t piece."""
+    """Z/3^precision matrix of one generator on the degree-t piece.
+
+    It is kron(B, Omega): B the integer matrix ``_monomial_matrix`` on the
+    monomials of degree d = (6r - t)/2, and Omega the 2x2 matrix, in
+    (c0, c1) coordinates, of the scalar map c -> u phi(c): u = w^(k d), k
+    the generator's omega exponent, times the twist w^(-SIGMA3_EXP r).
+    """
     verify_action_pinning(precision)
-    basis, nvars = model_basis(kind, t, r), MODEL_NVARS[kind]
-    twist = witt.omega(precision) ** (-SIGMA3_EXP[gen] * r)
-
-    def image(mono, scalar):
-        return apply_gen(gen, WPoly(nvars, precision, {mono: scalar})).scale(twist)
-
-    return w_coordinate_matrix(basis, basis, image, precision)
+    _, k, semilinear = GEN_ACTION[gen]
+    M, d = 3**precision, (6 * r - t) // 2
+    u = witt.omega(precision) ** ((k * d - SIGMA3_EXP[gen] * r) % 8)
+    cols = [u * (c.frobenius() if semilinear else c)
+            for c in (witt.one(precision), WittElement(0, 1, precision))]
+    Omega = np.array([[c.c0 for c in cols], [c.c1 for c in cols]], dtype=np.int64)
+    return np.kron(_monomial_matrix(model_basis(kind, t, r), gen, M), Omega) % M
 
 
 @lru_cache(maxsize=None)

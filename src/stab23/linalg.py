@@ -621,6 +621,8 @@ def quotient_invariants(K_rows, I_rows, m: int, HK=None, HI=None) -> list:
 
     ``HK`` and ``HI``, the Howell forms of K and of I, are computed unless
     given.  Returns a sorted list of exponents e, one per cyclic factor Z/3^e.
+    The layers 3^j K + I are eliminated for j = 1, 2, ... only until one
+    equals span(I) in size, so an elementary quotient costs one.
     """
     M = modulus(m)
     K = _as_matrix(K_rows, m)
@@ -633,19 +635,18 @@ def quotient_invariants(K_rows, I_rows, m: int, HK=None, HI=None) -> list:
     HK = howell(K, m) if HK is None else HK
     if not span_contains(HK, I, m):
         raise ValueError("quotient_invariants: I is not contained in K")
-    n = [0] * (m + 2)
-    n[0] = HK.log3_size(m)
+    # n[j] = log3 |3^j K + I|.  3^m K = 0, so the last layer is span(I); I
+    # lies in every layer, so once one reaches it the later ones equal it
+    n = [HK.log3_size(m)] + [span_log_size(I, m) if HI is None else HI.log3_size(m)] * m
     for j in range(1, m):
-        rows = np.vstack([(3**j * K) % M, I]) if I.size else (3**j * K) % M
-        n[j] = span_log_size(rows, m)
-    # 3^m K = 0, so the last layer is span(I)
-    n[m] = span_log_size(I, m) if HI is None else HI.log3_size(m)
-    counts_gt = [n[j] - n[j + 1] for j in range(m + 1)]  # factors with exponent > j
+        n[j] = span_log_size(np.vstack([(3**j * K) % M, I]), m)
+        if n[j] == n[m]:
+            break
+    # n[e - 1] - n[e] factors have exponent > e - 1, and n[e] - n[e + 1] exponent > e
     exps = []
     for e in range(1, m + 1):
-        c = counts_gt[e - 1] - (counts_gt[e] if e <= m - 1 else 0)
-        exps.extend([e] * c)
-    return sorted(exps)
+        exps += [e] * (n[e - 1] - n[e] - (n[e] - n[e + 1] if e < m else 0))
+    return exps
 
 
 def smith_kernel(A, m: int):

@@ -161,23 +161,24 @@ class WPoly:
         return f"WPoly({self.render()})"
 
 
+def expand_x3(e1: int, e2: int, e3: int) -> list:
+    """x1^e1 x2^e2 x3^e3 under x3 -> -x1-x2, as [(exponents, integer coefficient)]:
+    signed binomials, one term per 2-variable monomial."""
+    sign = -1 if e3 % 2 else 1
+    return [((e1 + k, e2 + e3 - k), sign * comb(e3, k)) for k in range(e3 + 1)]
+
+
 def substitute_x3(p: WPoly) -> WPoly:
     """Image of a 3-variable poly under x3 -> -x1-x2, in 2 variables."""
     if p.nvars != 3:
         raise ValueError("substitute_x3 expects 3 variables")
-    out = WPoly.zero(2, p.precision)
-    one = witt.one(p.precision)
-    for (e1, e2, e3), c in p.coeffs.items():
-        sign = one if e3 % 2 == 0 else -one
-        acc = {}
-        for k in range(e3 + 1):
-            mono = (e1 + k, e2 + e3 - k)
-            coef = sign * c * witt.from_int(comb(e3, k), p.precision)
-            prev = acc.get(mono)
-            acc[mono] = coef if prev is None else prev + coef
-        q = WPoly(2, p.precision, {m: v for m, v in acc.items() if not v.is_zero()})
-        out = out + q
-    return out
+    out = {}
+    for e, c in p.coeffs.items():
+        for mono, n in expand_x3(*e):
+            v = c * witt.from_int(n, p.precision)
+            prev = out.get(mono)
+            out[mono] = v if prev is None else prev + v
+    return WPoly(2, p.precision, out)
 
 
 def embed_2_to_3(p: WPoly) -> WPoly:

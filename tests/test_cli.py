@@ -137,15 +137,11 @@ def test_cohomology_command(runner, tmp_path):
     assert "PASS" in r.output
 
 
-def test_cohomology_with_a_wrong_action_fails_the_pinning(runner, tmp_path, monkeypatch):
-    # t acting as t^2 commutes with s: the pinning refuses it before any
-    # generator matrix is built
+def _cohomology_under_a_wrong_action(runner, tmp_path):
     from stab23 import cohomology as coh
     from stab23 import invariants as inv
 
     caches = (inv.verify_action_pinning, inv.gen_matrix, coh.c3_degree, coh.invariant_cell)
-    real = inv._apply_gen_3
-    monkeypatch.setattr(inv, "_apply_gen_3", lambda gen, p: real("t2" if gen == "t" else gen, p))
     try:
         for f in caches:
             f.cache_clear()
@@ -157,6 +153,25 @@ def test_cohomology_with_a_wrong_action_fails_the_pinning(runner, tmp_path, monk
     assert r.exit_code == 1, r.output
     assert "assertion failed: action pinning failed" in r.output
     assert "t s = s^2 t" in r.output
+
+
+def test_cohomology_with_a_wrong_action_fails_the_pinning(runner, tmp_path, monkeypatch):
+    # t acting as t^2 commutes with s: the pinning refuses it before any
+    # generator matrix is built
+    from stab23 import invariants as inv
+
+    real = inv._apply_gen_3
+    monkeypatch.setattr(inv, "_apply_gen_3", lambda gen, p: real("t2" if gen == "t" else gen, p))
+    _cohomology_under_a_wrong_action(runner, tmp_path)
+
+
+def test_cohomology_with_a_wrong_action_table_fails_the_pinning(runner, tmp_path, monkeypatch):
+    # the same wrong t in the one action table, which the generator
+    # matrices read too: the pinning still runs first
+    from stab23 import invariants as inv
+
+    monkeypatch.setitem(inv.GEN_ACTION, "t", inv.GEN_ACTION["t2"])
+    _cohomology_under_a_wrong_action(runner, tmp_path)
 
 
 def test_bad_config_rejected(runner, tmp_path):
@@ -361,6 +376,12 @@ GOLDEN = [
      ["invariants", "--ring", "tame", "--group", "SD16", "--max-degree", "24"]),
     ("invariants_SrhoLoc_G24", "invariants-SrhoLoc-G24",
      ["invariants", "--ring", "SrhoLoc", "--group", "G24", "--max-degree", "24"]),
+    # the substitution x3 -> -x1-x2 in the S(rho) matrices, and C3's
+    # multiplication_kills
+    ("invariants_Srho_C3", "invariants-Srho-C3",
+     ["invariants", "--ring", "Srho", "--group", "C3", "--max-degree", "24"]),
+    ("cohomology_C3", "cohomology-C3",
+     ["cohomology", "--group", "C3", "--smax", "8", "--tmin", "-12", "--tmax", "12"]),
 ]
 
 

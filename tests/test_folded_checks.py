@@ -150,6 +150,18 @@ def test_c3_pattern_asserts_that_c4_and_c6_kill_alpha_and_beta(tmp_path, monkeyp
     assert "assertion failed: c6 does not act trivially on H^2(C3, A_12)" in r.output
 
 
+def test_cohomology_asserts_that_every_cell_is_elementary(tmp_path, monkeypatch):
+    # a Z/9 factor in every cell: the report would call it elementary
+    real = coh.invariant_cell
+    monkeypatch.setattr(coh, "invariant_cell",
+                        lambda *key: dataclasses.replace(real(*key), invariants=[2]))
+    with pytest.raises(CheckFailed, match="H\\^1\\(C3, SrhoLoc_4\\) is not elementary"):
+        coh.h_dim("C3", "SrhoLoc", 1, 4)
+    r = _cli(tmp_path, ["cohomology", "--group", "G24", "--smax", "2", "--tmin", "0", "--tmax", "4"])
+    assert r.exit_code == 1, r.output
+    assert "assertion failed: H^1(G24, SrhoLoc_0) is not elementary" in r.output
+
+
 # -- chart: periodicity and vanishing stems; chart --tower: pi_27 ----------------------
 
 def test_chart_asserts_its_period(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ from stab23 import invariants as inv
 from stab23 import stabilizer as stab
 from stab23 import witt
 from stab23.errors import PrecisionUnstable
-from stab23.polys import LocPoly, WPoly, sigma3_rho, substitute_x3
+from stab23.polys import LocPoly, WPoly, sigma3_rho, substitute_x3, w_coordinate_matrix
 
 N = 8
 
@@ -138,6 +138,39 @@ def test_invariant_basis_rows_give_fixed_polynomials():
     assert len(polys) == b.rows.shape[0] == 2 * b.rank
     assert b.polynomials(4) == polys[:4]
     assert all(not p.is_zero() and inv.apply_gen("s", p) == p for p in polys)
+
+
+def wpoly_generator_matrix(kind, precision, gen, t, r):
+    """The generator matrix column by column: ``apply_gen`` on one-term
+    polynomials in Witt arithmetic, then the twist of the numerators."""
+    basis, nvars = inv.model_basis(kind, t, r), inv.MODEL_NVARS[kind]
+    twist = witt.omega(precision) ** (-inv.SIGMA3_EXP[gen] * r)
+
+    def image(mono, scalar):
+        return inv.apply_gen(gen, WPoly(nvars, precision, {mono: scalar})).scale(twist)
+
+    return w_coordinate_matrix(basis, basis, image, precision)
+
+
+@pytest.mark.parametrize("precision", [4, 6, 8, 10])
+@pytest.mark.parametrize("kind", ["SF", "Srho", "SrhoLoc"])
+def test_model_matrix_matches_the_wpoly_action(kind, precision):
+    # kron(B, Omega) against the action on polynomials, on every
+    # generator: S(F) and S(rho) in degrees 0..-48, the localized model
+    # in degrees -24..28 over sigma3^r for r = denominator(t) and r + 1;
+    # and S(rho) in degree -140, where the binomial C(70, 35) of x3^70
+    # is past int64
+    if kind == "SrhoLoc":
+        keys = [(t, r) for t in range(-24, 29)
+                for r in (inv.denominator(kind, t), inv.denominator(kind, t) + 1)]
+    else:
+        keys = [(t, 0) for t in range(0, -49, -2)] + ([(-140, 0)] if kind == "Srho" else [])
+    for gen in ("s", "t", "t2", "psi"):
+        for t, r in keys:
+            got = inv.model_matrix(kind, precision, gen, t, r)
+            want = wpoly_generator_matrix(kind, precision, gen, t, r)
+            assert got.dtype == want.dtype and got.shape == want.shape, (gen, t, r)
+            assert (got == want).all(), (gen, t, r)
 
 
 @pytest.mark.parametrize("deg", range(0, 26, 2))

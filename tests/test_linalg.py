@@ -100,6 +100,15 @@ def test_quotient_invariants_simple():
     assert linalg.quotient_invariants(K, np.zeros((0, 2), dtype=np.int64), 2) == [2, 2]
 
 
+def full_layer_invariants(K, I, m):
+    """Invariant factor exponents of span(K)/span(I) from every layer
+    n[j] = log3 |3^j K + I|, j = 0..m, each one eliminated."""
+    M = 3**m
+    n = [linalg.span_log_size(np.vstack([3**j * K % M, I]), m) for j in range(m + 1)]
+    gt = [n[j] - (n[j + 1] if j < m else 0) for j in range(m + 1)]
+    return sorted(e for e in range(1, m + 1) for _ in range(gt[e - 1] - (gt[e] if e < m else 0)))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_quotient_invariants_matches_the_full_count(m):
     # n[0] is read off the containment check's Howell form of K and n[m]
@@ -110,12 +119,52 @@ def test_quotient_invariants_matches_the_full_count(m):
     for _ in range(5):
         K = rng.integers(0, M, size=(4, 6))
         I = (rng.integers(0, M, size=(3, 4)) * 3 ** rng.integers(0, m + 1, size=(3, 1))) @ K % M
-        n = [linalg.span_log_size(np.vstack([3**j * K % M, I]), m) for j in range(m + 1)]
-        gt = [n[j] - (n[j + 1] if j < m else 0) for j in range(m + 1)]
-        want = sorted(e for e in range(1, m + 1) for _ in range(gt[e - 1] - (gt[e] if e < m else 0)))
+        want = full_layer_invariants(K, I, m)
         assert linalg.quotient_invariants(K, I, m) == want
         assert linalg.quotient_invariants(K, I, m, HI=linalg.howell(I, m)) == want
         assert linalg.quotient_invariants(K, I, m, linalg.howell(K, m), linalg.image(I.T, m)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_quotient_invariants_stopping_early_matches_every_layer(data):
+    # I = C K with each row of C scaled by 3^e, 0 <= e <= m, so the
+    # quotients have factors Z/3^e of every exponent up to m
+    m = data.draw(st.integers(min_value=2, max_value=6))
+    M = 3**m
+    ncols = data.draw(st.integers(min_value=1, max_value=5))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    entries = st.integers(min_value=0, max_value=M - 1)
+
+    def matrix(rows, cols):
+        return np.array(data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)),
+                        dtype=np.int64).reshape(rows, cols)
+
+    K = matrix(k, ncols)
+    nI = data.draw(st.integers(min_value=0, max_value=4))
+    e = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=m), min_size=nI, max_size=nI)),
+                 dtype=np.int64)
+    I = (matrix(nI, k) * 3 ** e[:, None]) @ K % M
+    want = full_layer_invariants(K, I, m)
+    assert linalg.quotient_invariants(K, I, m) == want
+    assert linalg.quotient_invariants(K, I, m, HI=linalg.howell(I, m)) == want
+
+
+def test_quotient_invariants_stops_at_the_first_layer_equal_to_span_i(monkeypatch):
+    m = 6
+    K = np.eye(5, dtype=np.int64)
+    calls = []
+    real = linalg.span_log_size
+    monkeypatch.setattr(linalg, "span_log_size", lambda rows, m: calls.append(rows) or real(rows, m))
+    # an elementary quotient: 3K + I is already I, so with HI given the
+    # one middle layer eliminated is j = 1
+    I = np.vstack([3 * K[:2], K[2:]])
+    assert linalg.quotient_invariants(K, I, m, HI=linalg.howell(I, m)) == [1, 1]
+    assert len(calls) == 1
+    # a Z/3^6 factor: no middle layer equals I, so all five are eliminated
+    calls.clear()
+    assert linalg.quotient_invariants(K, K[1:], m, HI=linalg.howell(K[1:], m)) == [6]
+    assert len(calls) == m - 1
 
 
 def test_quotient_invariants_rejects_non_submodule():
