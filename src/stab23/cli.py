@@ -175,6 +175,8 @@ def resolution(cfg: RunConfig, levels, modulus):
 @click.pass_obj
 def chart(cfg: RunConfig, group_name, tower, stems):
     """Spectral-sequence charts: E2 to E-infinity, or the tower layers."""
+    if tower and group_name:
+        raise click.BadParameter("the tower chart takes no group", param_hint="'--group'")
     if tower:
         _run(cfg, "chart-tower", lambda: charts_mod.verify_tower(stems), reportio.render_tower_text)
     elif not group_name:

@@ -29,9 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import CheckFailed, PrecisionUnstable
-from .invariants import denominator, gen_matrix, model_basis, modular_quantities
-from .polys import WPoly, w_coordinate_matrix
+from .errors import CheckFailed, PrecisionMismatch, PrecisionUnstable
+from .invariants import denominator, gen_matrix, model_basis, modular_quantities, product_matrix
+from .polys import WPoly
 
 # reporting precision N of every table; ranks are re-checked at N + 2
 PRECISION = 4
@@ -307,9 +307,10 @@ def multiplication_kills(s: int, t: int, mult_num: WPoly, mult_r: int, t_shift: 
     the transfer image (i.e. the product classes vanish in the cokernel),
     A the localized model.
 
-    The multiplier must be C3-invariant with internal degree t_shift.
+    The multiplier must be C3-invariant with internal degree t_shift, and
+    given at the precision ``PRECISION`` of the cells.
     """
-    kind, m, M = "SrhoLoc", PRECISION, 3**PRECISION
+    kind, m = "SrhoLoc", PRECISION
     r = denominator(kind, t)
     cell = c3_degree(kind, t, m, r).cell(s)
     if cell.dim_f3 == 0:
@@ -317,15 +318,12 @@ def multiplication_kills(s: int, t: int, mult_num: WPoly, mult_r: int, t_shift: 
     x_deg = {sum(mm) for mm in mult_num.coeffs}
     if len(x_deg) != 1 or -2 * next(iter(x_deg)) + 6 * mult_r != t_shift:
         raise ValueError("multiplier degree does not match t_shift")
+    if mult_num.precision != m:
+        raise PrecisionMismatch(f"multiplier at precision {mult_num.precision}, cells at {m}")
     R = r + mult_r
-    T = w_coordinate_matrix(
-        model_basis(kind, t, r),
-        model_basis(kind, t + t_shift, R),
-        lambda mono, c: WPoly(2, m, {mono: c}) * mult_num,
-        m,
-    )
+    T = product_matrix(model_basis(kind, t, r), model_basis(kind, t + t_shift, R), mult_num)
     tgt_cell = c3_degree(kind, t + t_shift, m, R).cell(s)
-    images = (cell.K @ T.T) % M
+    images = linalg.matmul_mod(cell.K, T.T, m)
     if not tgt_cell.I.size:
         return not images.any()
     return linalg.span_contains(linalg.howell(tgt_cell.I, m), images, m)

@@ -14,14 +14,21 @@ runs before it builds the first generator matrix at each precision, so no
 table or rank is computed from an action that breaks a group relation or
 one of the eight t/psi formulas on sigma_1..3 and the antisymmetric cubic.
 
-``model_matrix(kind, precision, gen, t, r)`` is the Z/3^N matrix of one
-generator on the degree-t piece of S(F), S(rho), or S(rho) localized at
-sigma3 (numerators over sigma3^r), in closed form: kron(B, Omega), B the
-integer matrix of the generator on the monomials (signed binomials after
-x3 -> -x1-x2 on the 2-variable models) and Omega the 2x2 matrix of its
-scalar.  ``gen_matrix`` memoizes it, read-only, for the cohomology engine;
-the invariant bases build theirs uncached.  Groups of order prime to 3
-act on the u1/u model instead.
+Every matrix on the graded models is built in closed form as a sum of
+kron(B, Omega) mod 3^N: B an integer matrix on the monomials, Omega the
+2x2 ``_scalar_matrix`` of c -> u phi(c) in (c0, c1) coordinates.
+
+* ``model_matrix(kind, precision, gen, t, r)``: one generator on the
+  degree-t piece of S(F), S(rho), or S(rho) localized at sigma3
+  (numerators over sigma3^r), B its permutation of the monomials (signed
+  binomials after x3 -> -x1-x2 on the 2-variable models).  ``gen_matrix``
+  memoizes it, read-only, for the cohomology engine; the invariant bases
+  build theirs uncached.
+* ``product_matrix``: multiplication by a polynomial, B the shifts of the
+  exponents by its terms.
+* ``_tame_ops``: the groups of order prime to 3 on the u1/u model, block
+  diagonal with one Omega per monomial: each generator w^a phi^e of
+  ``TAME_GEN_ACTION`` sends c u1^i u^j to w^(a (2i + j)) phi^e(c) u1^i u^j.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .polys import (
     expand_x3,
     monomials_of_degree,
     substitute_x3,
-    w_coordinate_matrix,
 )
 from .witt import WittElement
 
@@ -334,49 +340,6 @@ def g24_invariance_of_modular_quantities(precision: int = witt.DEFAULT_PRECISION
     return True
 
 
-# -- tame model actions ---------------------------------------------------------
-
-
-def sd16_exponents(g: stab.StabilizerElement) -> tuple:
-    """(a, e) with g = omega^a * phi^e; raises if g is outside SD16."""
-    om = stab.omega_element(g.precision)
-    for a in range(8):
-        for e in range(2):
-            if ((om**a) * stab.phi_element(g.precision) ** e).key() == g.key():
-                return a, e
-    raise ValueError("element is not in the omega/phi subgroup of order 16")
-
-
-def act_tame(g: stab.StabilizerElement, f: WPoly) -> WPoly:
-    """Exact prime-to-3 action on the tame model, exponents (i, j) for
-    u1^i u^j: alpha(u) = alpha*u, alpha(u*u1) = alpha^3*u*u1, Frobenius
-    acting on coefficients only."""
-    a, e = sd16_exponents(g)
-    om = witt.omega(f.precision)
-    return WPoly(2, f.precision, {
-        (i, j): om ** (a * ((2 * i + j) % 8)) * (c.frobenius() if e else c)
-        for (i, j), c in f.coeffs.items()
-    })
-
-
-TAME_GROUP_GENS = {
-    "SD16": (("omega",), ("phi",)),
-    "Q8": (("omega", "omega"), ("omega", "phi")),  # t = w^2, psi = w*phi
-}
-
-
-def _tame_gen_elements(name: str, precision: int) -> list:
-    om, phi = stab.omega_element(precision), stab.phi_element(precision)
-    atoms = {"omega": om, "phi": phi}
-    out = []
-    for word in TAME_GROUP_GENS[name]:
-        g = stab.identity(precision)
-        for atom in word:
-            g = g * atoms[atom]
-        out.append(g)
-    return out
-
-
 # -- generator matrices on the graded models ------------------------------------
 
 MODEL_NVARS = {"SF": 3, "Srho": 2, "SrhoLoc": 2}
@@ -399,16 +362,21 @@ def model_basis(kind: str, t: int, r: int) -> tuple:
     return tuple(monomials_of_degree(MODEL_NVARS[kind], d))
 
 
-def _monomial_matrix(basis: tuple, gen: str, M: int) -> np.ndarray:
-    """Integer matrix B of the monomial part of ``gen`` on a basis of
-    monomials of one degree, read mod M: a permutation on 3 variables,
-    signed binomials after x3 -> -x1-x2 on 2 (past int64 from degree 67)."""
-    perm = GEN_ACTION[gen][0]
-    row = {m: i for i, m in enumerate(basis)}
-    B = np.zeros((len(basis), len(basis)), dtype=np.int64)
-    for j, e in enumerate(basis):
-        f = tuple((e + (0,))[i] for i in perm)  # x3^0 pads a 2-variable e
-        for m, n in expand_x3(*f) if len(e) == 2 else [(f, 1)]:
+def _scalar_matrix(u: WittElement, semilinear: bool) -> np.ndarray:
+    """The 2x2 matrix, in (c0, c1) coordinates, of c -> u phi(c), phi the
+    Frobenius (w -> -w) when semilinear and the identity otherwise:
+    u = a + bw sends 1 to (a, b) and w to (-b, a), or to (b, -a) after phi."""
+    sign = -1 if semilinear else 1
+    return np.array([[u.c0, -sign * u.c1], [u.c1, sign * u.c0]], dtype=np.int64) % u.modulus
+
+
+def _monomial_matrix(source: tuple, target: tuple, image, M: int) -> np.ndarray:
+    """Integer matrix B, read mod M, of a map between monomial spans: column
+    j holds ``image(source[j])``, a list of (target monomial, integer)."""
+    row = {m: i for i, m in enumerate(target)}
+    B = np.zeros((len(target), len(source)), dtype=np.int64)
+    for j, e in enumerate(source):
+        for m, n in image(e):
             B[row[m], j] = n % M
     return B
 
@@ -416,19 +384,38 @@ def _monomial_matrix(basis: tuple, gen: str, M: int) -> np.ndarray:
 def model_matrix(kind: str, precision: int, gen: str, t: int, r: int) -> np.ndarray:
     """Z/3^precision matrix of one generator on the degree-t piece.
 
-    It is kron(B, Omega): B the integer matrix ``_monomial_matrix`` on the
-    monomials of degree d = (6r - t)/2, and Omega the 2x2 matrix, in
-    (c0, c1) coordinates, of the scalar map c -> u phi(c): u = w^(k d), k
-    the generator's omega exponent, times the twist w^(-SIGMA3_EXP r).
+    It is kron(B, Omega): B the integer matrix of the generator on the
+    monomials of degree d = (6r - t)/2 (a permutation on 3 variables,
+    signed binomials after x3 -> -x1-x2 on 2, past int64 from degree 67),
+    and Omega the ``_scalar_matrix`` of u = w^(k d), k the generator's
+    omega exponent, times the twist w^(-SIGMA3_EXP r).
     """
     verify_action_pinning(precision)
-    _, k, semilinear = GEN_ACTION[gen]
+    perm, k, semilinear = GEN_ACTION[gen]
     M, d = 3**precision, (6 * r - t) // 2
+
+    def image(e):
+        f = tuple((e + (0,))[i] for i in perm)  # x3^0 pads a 2-variable e
+        return expand_x3(*f) if len(e) == 2 else [(f, 1)]
+
+    basis = model_basis(kind, t, r)
     u = witt.omega(precision) ** ((k * d - SIGMA3_EXP[gen] * r) % 8)
-    cols = [u * (c.frobenius() if semilinear else c)
-            for c in (witt.one(precision), WittElement(0, 1, precision))]
-    Omega = np.array([[c.c0 for c in cols], [c.c1 for c in cols]], dtype=np.int64)
-    return np.kron(_monomial_matrix(model_basis(kind, t, r), gen, M), Omega) % M
+    return np.kron(_monomial_matrix(basis, basis, image, M), _scalar_matrix(u, semilinear)) % M
+
+
+def product_matrix(source: tuple, target: tuple, f: WPoly) -> np.ndarray:
+    """Z/3^N matrix, N the precision of f, of multiplication by f from the
+    span of the monomials ``source`` to that of ``target``: the sum of
+    kron(B_m, Omega(c)) over the terms c x^m of f, B_m the shift x^e -> x^(e+m)
+    and Omega(c) the ``_scalar_matrix`` of c."""
+    M = 3**f.precision
+    terms = []
+    for m, c in f.coeffs.items():
+        B = _monomial_matrix(
+            source, target, lambda e: [(tuple(a + b for a, b in zip(e, m)), 1)], M
+        )
+        terms.append(np.kron(B, _scalar_matrix(c, False)))
+    return sum(terms) % M
 
 
 @lru_cache(maxsize=None)
@@ -509,7 +496,7 @@ def groups_for_ring(ring: str) -> tuple:
     the tame groups on the u1/u model, the cohomology variants on the
     localized model, and the order-24 subgroups otherwise."""
     if ring == "tame":
-        return tuple(TAME_GROUP_GENS)
+        return tuple(TAME_GEN_ACTION)
     if ring == "SrhoLoc":
         from .cohomology import VARIANT_OPS
 
@@ -522,16 +509,24 @@ def groups_for_ring(ring: str) -> tuple:
 TAME_U1_WINDOW = 10
 TAME_PRECISION = 5
 
+# the generators of the tame groups as w^a phi^e, (a, e): omega and phi for
+# SD16, t = w^2 and psi = w phi for Q8; alpha(u) = alpha u and
+# alpha(u u1) = alpha^3 u u1, so w^a sends u1^i u^j to w^(a (2i + j)) u1^i u^j
+TAME_GEN_ACTION = {"SD16": ((1, 0), (0, 1)), "Q8": ((2, 0), (1, 1))}
+
 
 def _tame_ops(group: str, j: int, precision: int) -> list:
-    """Generator matrices on the u1-truncated piece spanned by u1^i u^j."""
-    monos = [(i, j) for i in range(TAME_U1_WINDOW + 1)]
-    return [
-        w_coordinate_matrix(
-            monos, monos, lambda m, c, g=g: act_tame(g, WPoly(2, precision, {m: c})), precision
-        )
-        for g in _tame_gen_elements(group, precision)
-    ]
+    """Generator matrices on the u1-truncated piece spanned by u1^i u^j,
+    i <= TAME_U1_WINDOW: block diagonal, one ``_scalar_matrix`` per monomial."""
+    om, n = witt.omega(precision), TAME_U1_WINDOW + 1
+    ops = []
+    for a, e in TAME_GEN_ACTION[group]:
+        A = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        for i in range(n):
+            u = om ** (a * (2 * i + j) % 8)
+            A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = _scalar_matrix(u, bool(e))
+        ops.append(A)
+    return ops
 
 
 def tame_fixed_rank(group: str, internal_degree: int) -> int:

@@ -4,20 +4,19 @@ Two carriers share WittElement coefficients:
 
 * ``WPoly`` over x1,x2,x3 (the symmetric-algebra model, deg x_i = -2),
   or over x1,x2 after the substitution x3 = -x1-x2 (the quotient by
-  the first elementary symmetric function).  The tame model of the
-  groups of order prime to 3 is a 2-variable ``WPoly`` too: the term
-  u1^i u^j (deg u = -2, deg u1 = 0) has exponent tuple (i, j), with j
-  of either sign;
+  the first elementary symmetric function).  Exponents may be negative,
+  so a 2-variable ``WPoly`` also writes u1^i u^j, j of either sign;
 * ``LocPoly``: a pair (numerator, r) representing f / sigma3^r in
   canonical form with minimal r.
+
+The matrices of the group actions and of multiplication on these models
+are built in closed form by ``invariants``, not from the carriers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from . import witt
 from .errors import PrecisionMismatch
@@ -114,13 +113,6 @@ class WPoly:
             n >>= 1
         return out
 
-    def frobenius(self) -> "WPoly":
-        return WPoly(
-            self.nvars,
-            self.precision,
-            {m: c.frobenius() for m, c in self.coeffs.items()},
-        )
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -136,11 +128,6 @@ class WPoly:
         return hash((self.nvars, self.precision, frozenset(self.coeffs.items())))
 
     # -- structure ---------------------------------------------------------
-    def reduce(self, precision: int) -> "WPoly":
-        return WPoly(
-            self.nvars, precision, {m: c.reduce(precision) for m, c in self.coeffs.items()}
-        )
-
     def render(self, names=None) -> str:
         if self.is_zero():
             return "0"
@@ -187,24 +174,6 @@ def embed_2_to_3(p: WPoly) -> WPoly:
     return WPoly(
         3, p.precision, {(e1, e2, 0): c for (e1, e2), c in p.coeffs.items()}
     )
-
-
-def w_coordinate_matrix(source, target, image, precision: int) -> np.ndarray:
-    """Matrix over Z/3^N of a W-semilinear map between monomial spans.
-
-    Coordinates are (c0, c1) with c = c0 + c1*w: column 2i + k holds the
-    image of w^k times the i-th source monomial, row 2j + l its w^l
-    coordinate on the j-th target monomial.  ``image(mono, scalar)``
-    returns the image of scalar*mono, a polynomial on the target.
-    """
-    row = {m: i for i, m in enumerate(target)}
-    A = np.zeros((2 * len(target), 2 * len(source)), dtype=np.int64)
-    for col, mono in enumerate(source):
-        for k, scalar in enumerate((witt.one(precision), WittElement(0, 1, precision))):
-            for m, c in image(mono, scalar).coeffs.items():
-                A[2 * row[m], 2 * col + k] = c.c0
-                A[2 * row[m] + 1, 2 * col + k] = c.c1
-    return A
 
 
 def monomials_of_degree(nvars: int, d: int) -> list:
@@ -324,15 +293,8 @@ class LocPoly:
     def scale(self, c: WittElement) -> "LocPoly":
         return LocPoly(self.num.scale(c), self.r)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocPoly):
             return NotImplemented
         a, b = self.canonical(), other.canonical()
         return a.r == b.r and a.num == b.num
-
-    def render(self) -> str:
-        base = self.num.render()
-        return base if self.r == 0 else f"({base})/sigma3^{self.r}"

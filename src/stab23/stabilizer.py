@@ -6,16 +6,13 @@ with e in {0,1} the Galois exponent.  The product of unit parts follows
 
     (a + b*S)(c + d*S) = (a*c + 3*b*phi(d)) + (a*d + b*phi(c))*S.
 
-Also implemented: the congruence filtration, the reduced determinant
-and its torsion/principal splitting, bounded subgroup closure, the
-named finite subgroups, and the projection onto C3 = F9/F3 used to cut
-out the subgroup K of the 3-Sylow part.
+Also implemented: the reduced determinant and its torsion/principal
+splitting, bounded subgroup closure and the named finite subgroups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import witt
@@ -149,34 +146,6 @@ def reduced_det(g: StabilizerElement) -> tuple:
     torsion = 1 if d % 3 == 1 else -1
     principal = (d * torsion) % M
     return torsion, principal
-
-
-def filtration_valuation(g: StabilizerElement):
-    """min(v(a-1), v(b)+1/2) as a Fraction, or None past the precision cap."""
-    if g.galois != 0:
-        raise ValueError("filtration is defined on the Galois-trivial part")
-    if not g.is_unit():
-        raise NonUnitError("filtration_valuation needs a unit")
-    va = (g.a - witt.one(g.precision)).valuation()
-    vb = g.b.valuation()
-    cands = []
-    if va is not None:
-        cands.append(Fraction(va))
-    if vb is not None:
-        cands.append(Fraction(vb) + Fraction(1, 2))
-    return min(cands) if cands else None
-
-
-def to_c3(g: StabilizerElement) -> int:
-    """Image in C3 = F9/F3: the w-coordinate of the S-coefficient mod 3.
-
-    Defined on the 3-Sylow part (filtration >= 1/2); the kernel on the
-    reduced-determinant-1 part is the subgroup K.
-    """
-    v = filtration_valuation(g)
-    if v is None or v < Fraction(1, 2):
-        raise ValueError("to_c3 needs filtration valuation >= 1/2")
-    return g.b.c1 % 3
 
 
 def subgroup_closure(generators, cap: int = CLOSURE_CAP) -> list:

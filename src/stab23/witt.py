@@ -8,7 +8,6 @@ w -> -w.  Teichmueller lifts are computed by iterating x -> x^9.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,38 +90,11 @@ class WittElement:
         n_inv = pow(self.norm(), -1, self.modulus)
         return WittElement(self.c0 * n_inv, -self.c1 * n_inv, self.precision)
 
-    def valuation(self):
-        """3-adic valuation; None when the element is 0 at this precision."""
-        if self.is_zero():
-            return None
-        v = 0
-        c0, c1 = self.c0, self.c1
-        while c0 % 3 == 0 and c1 % 3 == 0:
-            c0 //= 3
-            c1 //= 3
-            v += 1
-        return v
-
-    def reduce(self, precision: int) -> "WittElement":
-        if precision > self.precision:
-            raise ValueError("cannot increase precision by reduction")
-        return WittElement(self.c0, self.c1, precision)
-
     def encode(self) -> str:
         return f"{self.c0}+{self.c1}*w mod 3^{self.precision}"
 
     def __repr__(self) -> str:
         return f"W({self.encode()})"
-
-
-_ENC = re.compile(r"^(\d+)\+(\d+)\*w mod 3\^(\d+)$")
-
-
-def parse(text: str) -> WittElement:
-    m = _ENC.match(text.strip())
-    if not m:
-        raise ValueError(f"bad Witt encoding: {text!r}")
-    return WittElement(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
 def zero(precision: int = DEFAULT_PRECISION) -> WittElement:

@@ -296,6 +296,7 @@ def test_sylow_cohomology_with_one_level_is_inconclusive(runner, tmp_path):
         (["invariants", "--max-degree", "-2"], "--max-degree"),
         (["cohomology", "--smax", "0"], "--smax"),
         (["cohomology", "--tmin", "10", "--tmax", "-10"], "--tmin"),
+        (["chart", "--tower", "--group", "G24"], "--group"),
     ],
 )
 def test_malformed_input_is_a_usage_error(runner, tmp_path, args, option):
@@ -374,6 +375,8 @@ GOLDEN = [
     ("group_quotient_2", "group-quotient-2-1", ["group", "quotient", "--level", "2"]),
     ("invariants_tame_SD16", "invariants-tame-SD16",
      ["invariants", "--ring", "tame", "--group", "SD16", "--max-degree", "24"]),
+    ("invariants_tame_Q8", "invariants-tame-Q8",
+     ["invariants", "--ring", "tame", "--group", "Q8", "--max-degree", "24"]),
     ("invariants_SrhoLoc_G24", "invariants-SrhoLoc-G24",
      ["invariants", "--ring", "SrhoLoc", "--group", "G24", "--max-degree", "24"]),
     # the substitution x3 -> -x1-x2 in the S(rho) matrices, and C3's

@@ -4,6 +4,7 @@ import pytest
 from stab23 import cohomology as coh
 from stab23 import invariants as inv
 from stab23 import witt
+from stab23.errors import PrecisionMismatch
 
 
 LOC = "SrhoLoc"
@@ -151,6 +152,14 @@ def test_c4_c6_kill_alpha_and_beta():
     for (s, t) in [(1, 4), (2, 12)]:  # alpha and beta lines
         assert coh.multiplication_kills(s, t, c4_num, 2, 8), (s, t, "c4")
         assert coh.multiplication_kills(s, t, c6_num, 3, 12), (s, t, "c6")
+
+
+def test_multiplier_at_another_precision_is_refused():
+    # the product matrix is read mod 3^PRECISION, so a multiplier known
+    # only mod 9 would be taken as exact
+    for precision in (2, 8):
+        with pytest.raises(PrecisionMismatch):
+            coh.multiplication_kills(1, 4, inv.sigma(3, precision, nvars=2), 0, -6)
 
 
 def test_delta_multiplication_is_iso_on_positive_filtration():

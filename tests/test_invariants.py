@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
+import model_oracle as oracle
 from stab23 import invariants as inv
 from stab23 import stabilizer as stab
 from stab23 import witt
 from stab23.errors import PrecisionUnstable
-from stab23.polys import LocPoly, WPoly, sigma3_rho, substitute_x3, w_coordinate_matrix
+from stab23.polys import LocPoly, WPoly, sigma3_rho, substitute_x3
 
 N = 8
 
@@ -149,7 +151,7 @@ def wpoly_generator_matrix(kind, precision, gen, t, r):
     def image(mono, scalar):
         return inv.apply_gen(gen, WPoly(nvars, precision, {mono: scalar})).scale(twist)
 
-    return w_coordinate_matrix(basis, basis, image, precision)
+    return oracle.w_coordinate_matrix(basis, basis, image, precision)
 
 
 @pytest.mark.parametrize("precision", [4, 6, 8, 10])
@@ -201,20 +203,20 @@ def test_act_tame_examples():
     om_el = stab.omega_element(N)
     om = witt.omega(N)
     u = _tame(0, 1)
-    assert inv.act_tame(om_el, u) == _tame(0, 1, om)
+    assert oracle.act_tame(om_el, u) == _tame(0, 1, om)
     # v1 = u1 u^-2 is fixed by omega
     v1 = _tame(1, -2)
-    assert inv.act_tame(om_el, v1) == v1
+    assert oracle.act_tame(om_el, v1) == v1
     # phi fixes u and cubes omega
     phi = stab.phi_element(N)
-    assert inv.act_tame(phi, u) == u
+    assert oracle.act_tame(phi, u) == u
     om_u = _tame(0, 1, om)
-    assert inv.act_tame(phi, om_u) == _tame(0, 1, om**3)
+    assert oracle.act_tame(phi, om_u) == _tame(0, 1, om**3)
 
 
 def test_act_tame_rejects_wild_elements():
     with pytest.raises(ValueError):
-        inv.act_tame(stab.s_element(N), _tame(0, 1))
+        oracle.act_tame(stab.s_element(N), _tame(0, 1))
 
 
 def test_q8_fixes_omega_squared_u_fourth():
@@ -222,10 +224,47 @@ def test_q8_fixes_omega_squared_u_fourth():
     gen = _tame(0, 4, om**2)
     t_el = stab.t_element(N)
     psi_el = stab.psi_element(N)
-    assert inv.act_tame(t_el, gen) == gen
-    assert inv.act_tame(psi_el, gen) == gen
+    assert oracle.act_tame(t_el, gen) == gen
+    assert oracle.act_tame(psi_el, gen) == gen
     # but omega itself moves it (it only lies in the order-8 fixed ring)
-    assert inv.act_tame(stab.omega_element(N), gen) != gen
+    assert oracle.act_tame(stab.omega_element(N), gen) != gen
+
+
+@pytest.mark.parametrize("precision", [5, 7])
+@pytest.mark.parametrize("group", ["SD16", "Q8"])
+def test_tame_ops_match_the_wpoly_action(group, precision):
+    # the block diagonal of scalar matrices against act_tame on one-term
+    # polynomials, the generators found by search over the 16 products
+    for j in range(-30, 31):
+        got, want = inv._tame_ops(group, j, precision), oracle.tame_ops(group, j, precision)
+        assert len(got) == len(want) == 2
+        for A, B in zip(got, want):
+            assert A.dtype == B.dtype and A.shape == B.shape, (j, A.shape)
+            assert (A == B).all(), j
+
+
+def test_tame_gen_action_names_the_generators():
+    # (a, e) of each generator is omega^a phi^e in the stabilizer group
+    om, phi = stab.omega_element(N), stab.phi_element(N)
+    for group, elements in oracle.TAME_GENERATORS.items():
+        for (a, e), element in zip(inv.TAME_GEN_ACTION[group], elements, strict=True):
+            assert (om**a) * (phi**e) == element(N), (group, a, e)
+    assert inv.groups_for_ring("tame") == ("SD16", "Q8")
+
+
+def test_product_matrix_matches_the_wpoly_product():
+    # multiplication by the numerators of c4 (over sigma3^2) and c6 (over
+    # sigma3^3), from each degree-t piece of the localized model to its
+    # target piece, as in multiplication_kills
+    q = inv.modular_quantities(4)
+    for f, t_shift in ((q.c4, 8), (q.c6, 12)):
+        for t in range(-24, 25, 2):
+            r = inv.denominator("SrhoLoc", t)
+            src = inv.model_basis("SrhoLoc", t, r)
+            tgt = inv.model_basis("SrhoLoc", t + t_shift, r + f.r)
+            got, want = inv.product_matrix(src, tgt, f.num), oracle.product_matrix(src, tgt, f.num)
+            assert got.dtype == want.dtype and got.shape == want.shape, (t_shift, t)
+            assert np.array_equal(got, want), (t_shift, t)
 
 
 @pytest.mark.parametrize("t", range(-24, 25, 2))

@@ -1,12 +1,18 @@
 """Every public top-level function and class of the library, and every
 public method of its classes, has a caller in the library or its scripts;
-tests alone do not keep code alive.  Callers are matched by name."""
+tests alone do not keep code alive.
+
+A top-level definition counts as called only through its own module: a
+bare name there, ``alias.name`` with ``alias`` an import of the module,
+or ``from .module import name``.  A method counts as called by any
+attribute of its name."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stab23"
+
 
 def _is_click_command(node) -> bool:
     return any(
@@ -33,20 +39,48 @@ def _definitions():
                         yield path, f"{node.name}.{method.name}", method
 
 
+def _package_module(module, level: int):
+    """The package module that ``from <level dots><module> import`` names:
+    its stem, "" for the package itself, None outside the package."""
+    if level:
+        return module or ""
+    if module == "stab23" or (module or "").startswith("stab23."):
+        return module[len("stab23."):]
+    return None
+
+
 def _references():
-    """(file, line) of every identifier that code, not a string, names."""
+    """(file, line) of each reference that code, not a string, makes:
+    keyed by (module stem, name) for the names of package modules, and by
+    (None, identifier) for every identifier, as methods are matched."""
     refs: dict = {}
+
+    def add(key, path, node):
+        refs.setdefault(key, []).append((path, node.lineno))
+
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        own = path.stem if path.parent == PACKAGE else None
+        aliases = {}  # local name -> stem of the package module it imports
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = _package_module(node.module, node.level)
+                for a in node.names if module is not None else ():
+                    if module:
+                        add((module, a.name), path, node)
+                    else:
+                        aliases[a.asname or a.name] = a.name
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                name = node.id
+                add((None, node.id), path, node)
+                if own:
+                    add((own, node.id), path, node)
             elif isinstance(node, ast.Attribute):
-                name = node.attr
+                add((None, node.attr), path, node)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    add((aliases[node.value.id], node.attr), path, node)
             elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            refs.setdefault(name, []).append((path, node.lineno))
+                add((None, node.name), path, node)
     return refs
 
 
@@ -54,7 +88,8 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     refs = _references()
     unreferenced = set()
     for path, name, node in _definitions():
+        key = (None, node.name) if "." in name else (path.stem, node.name)
         first = node.lineno - len(node.decorator_list)
-        if all(p == path and first <= line <= node.end_lineno for p, line in refs.get(node.name, [])):
+        if all(p == path and first <= line <= node.end_lineno for p, line in refs.get(key, [])):
             unreferenced.add(f"{path.stem}.{name}")
     assert unreferenced == set()

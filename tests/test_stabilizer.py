@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,61 +93,6 @@ def test_every_named_subgroup_sits_in_g2_1():
     for name in stab.SUBGROUP_ORDERS:
         for g in stab.named_subgroup(name, N):
             assert stab.reduced_det(g)[1] == 1, (name, g)
-
-
-def test_filtration_examples():
-    s = stab.s_element(N)
-    assert stab.filtration_valuation(s) == Fraction(1, 2)
-    om = stab.omega_element(N)
-    assert stab.filtration_valuation(om) == 0
-    g = stab.StabilizerElement(witt.one(N), witt.from_int(3, N), 0)
-    assert stab.filtration_valuation(g) == Fraction(3, 2)
-    assert stab.filtration_valuation(stab.identity(N)) is None
-
-
-@settings(max_examples=20)
-@given(units())
-def test_filtration_is_conjugation_invariant(g):
-    s = stab.s_element(N)
-    v = stab.filtration_valuation(s)
-    conj = g * s * g.inv()
-    if conj.galois == 0:
-        assert stab.filtration_valuation(conj) == v
-
-
-def test_filtration_is_galois_invariant():
-    for g in stab.named_subgroup("G12", N):
-        if g == stab.identity(N):
-            continue
-        assert stab.filtration_valuation(g.frobenius()) == stab.filtration_valuation(g)
-
-
-def test_to_c3_examples():
-    s = stab.s_element(N)
-    assert stab.to_c3(s) != 0
-    assert stab.to_c3(s * s) == (2 * stab.to_c3(s)) % 3
-    g = stab.StabilizerElement(witt.one(N), witt.from_int(3, N), 0)
-    assert stab.to_c3(g) == 0
-
-
-def test_to_c3_requires_sylow_part():
-    with pytest.raises(ValueError):
-        stab.to_c3(stab.omega_element(N))
-
-
-def test_to_c3_is_homomorphism_on_random_sylow_elements():
-    import random
-
-    rng = random.Random(11)
-    elems = []
-    while len(elems) < 8:
-        a = witt.WittElement(1 + 3 * rng.randrange(3**6), 3 * rng.randrange(3**6), N)
-        b = witt.WittElement(rng.randrange(M), rng.randrange(M), N)
-        g = stab.StabilizerElement(a, b, 0)
-        elems.append(stab.normalize_to_s21(g))
-    for x in elems:
-        for y in elems:
-            assert stab.to_c3(x * y) == (stab.to_c3(x) + stab.to_c3(y)) % 3
 
 
 def test_normalize_to_s21():
