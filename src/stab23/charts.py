@@ -22,7 +22,7 @@ from .errors import CheckFailed
 
 SCHEMA_VERSION = 1
 
-THREE_TORSION = ("C3", "C6", "C12", "G12", "G24")
+THREE_TORSION = tuple(coh.VARIANT_OPS)
 TAME = ("SD16", "Q8")
 
 # delta-exponent constraint and coefficient-line dimension per group
@@ -106,7 +106,6 @@ class BigradedChart:
     s_max: int
     classes: dict                  # PosClass -> dim (only surviving classes)
     zero_line: dict                # t -> rank over the base
-    unit_signs: tuple = (1, 1)     # (a1, a2)
     annotations: list = field(default_factory=list)
     differentials: list = field(default_factory=list)
     engine_checked: int = 0        # E2 cells recomputed by the engine; not in the JSON
@@ -194,21 +193,21 @@ def e2_chart(group: str, stems: tuple = (-1, 73), s_max: int = 24) -> BigradedCh
 
 # -- the differential engine -----------------------------------------------------
 
-def _d5_kills(group: str, c: PosClass) -> bool:
+def _d5_kills(c: PosClass) -> bool:
     # d5(delta^k) = a1 * k * delta^(k-4) * alpha * beta^2 up to units
     return c.eps == 0 and c.k % 3 != 0
 
 
-def _d5_hit(group: str, c: PosClass) -> bool:
+def _d5_hit(c: PosClass) -> bool:
     return c.eps == 1 and c.j >= 2 and (c.k + 4) % 3 != 0
 
 
-def _d9_kills(group: str, c: PosClass) -> bool:
+def _d9_kills(c: PosClass) -> bool:
     # on E9, d9(alpha * delta^k) = a2 * beta^5 * delta^(k-8) when k = 2 mod 3
     return c.eps == 1 and c.k % 3 == 2
 
 
-def _d9_hit(group: str, c: PosClass) -> bool:
+def _d9_hit(c: PosClass) -> bool:
     return c.eps == 0 and c.j >= 5 and c.k % 3 == 0
 
 
@@ -219,7 +218,7 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
     units whenever nonzero); callers re-run with both signs and compare.
     """
     if chart.group in TAME:
-        return replace(chart, page=10, unit_signs=unit_signs)
+        return replace(chart, page=10)
     if chart.page != 2:
         raise ValueError("run_differentials starts from an E2 chart")
     group = chart.group
@@ -233,7 +232,7 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
     e5 = dict(chart.classes)
     e9 = {}
     for c, d in e5.items():
-        if _d5_kills(group, c):
+        if _d5_kills(c):
             tgt = PosClass(1, c.j + 2, c.k - 4)
             coeff = (a1 * c.k) % 3
             diff_log.append(
@@ -244,18 +243,18 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
                 if chart.classes.get(tgt, LINE_DIM[group]) != d:
                     raise CheckFailed("d5 source and target dimensions differ")
             continue
-        if _d5_hit(group, c):
+        if _d5_hit(c):
             continue
         e9[c] = d
     einf = {}
     for c, d in e9.items():
-        if _d9_kills(group, c):
+        if _d9_kills(c):
             tgt = PosClass(0, c.j + 5, c.k - 8)
             diff_log.append(
                 {"page": 9, "from": c.name(group), "to": tgt.name(group), "coeff": "unit"}
             )
             continue
-        if _d9_hit(group, c):
+        if _d9_hit(c):
             continue
         einf[c] = d
     if sum(e9.values()) > total or sum(einf.values()) > sum(e9.values()):
@@ -277,7 +276,6 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
         chart.s_max,
         einf,
         chart.zero_line,
-        unit_signs,
         annotations,
         diff_log,
         chart.engine_checked,

@@ -78,7 +78,8 @@ def _run(cfg: RunConfig, name: str, verify, render, svg=None) -> None:
 
 @click.group()
 @click.option("--precision", default=8, show_default=True, type=click.IntRange(min=1),
-              help="3-adic precision N")
+              help="3-adic precision N of group, resolution and sylow-cohomology; "
+                   "invariants, cohomology and chart run at fixed precisions")
 @click.option("--format", "fmt", default="text", show_default=True,
               type=click.Choice(["json", "text", "svg"]))
 @click.option("--out", "out_dir", default="out", show_default=True)

@@ -30,7 +30,9 @@ import numpy as np
 
 from . import linalg
 from .errors import CheckFailed, PrecisionMismatch, PrecisionUnstable
-from .invariants import denominator, gen_matrix, model_basis, modular_quantities, product_matrix
+from .invariants import (
+    GROUP_GENS, denominator, gen_matrix, model_basis, modular_quantities, product_matrix
+)
 from .polys import WPoly
 
 # reporting precision N of every table; ranks are re-checked at N + 2
@@ -224,7 +226,7 @@ def fixed_rank(group: str, kind: str, t: int) -> int:
         return 0
     work = PRECISION + SAT_SLACK
     eye = np.eye(n, dtype=np.int64)
-    stacked = np.vstack([gen_matrix(kind, work, g, t, r) - eye for g in ("s",) + VARIANT_OPS[group]])
+    stacked = np.vstack([gen_matrix(kind, work, g, t, r) - eye for g in GROUP_GENS[group]])
     direct = saturated_kernel_reduced(stacked, work, PRECISION).shape[0]
     via_c3 = linalg.free_rank(invariant_cell(group, kind, 0, t, PRECISION).K, PRECISION)
     if via_c3 != direct:

@@ -40,8 +40,10 @@ def parse_stems(text: str) -> tuple:
 
 @dataclass
 class RunConfig:
-    """The options every subcommand reads; each other option lives on the
-    one command that reads it."""
+    """The global options; each other option lives on the one command that
+    reads it.  ``precision`` is read by the group suites, resolution and
+    sylow-cohomology only: invariants, cohomology and chart run at fixed
+    precisions, whatever it is."""
 
     precision: int = 8
     out_dir: Path = field(default_factory=lambda: Path("out"))

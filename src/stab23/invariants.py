@@ -433,10 +433,8 @@ def gen_matrix(kind: str, precision: int, gen: str, t: int, r: int) -> np.ndarra
 class InvariantBasis:
     group: str
     ring: str
-    internal_degree: int
     rank: int
     rank_over: str          # "W" or "Z3"
-    stable: bool
     rows: np.ndarray        # fixed vectors in (c0, c1) coordinates on ``monomials``
     monomials: list
     precision: int
@@ -472,12 +470,11 @@ def invariant_basis(
     """
     if internal_degree % 2 != 0 or internal_degree > 0:
         rows = np.zeros((0, 0), dtype=np.int64)
-        return InvariantBasis(group, ring, internal_degree, 0, "W", True, rows, [], precision)
+        return InvariantBasis(group, ring, 0, "W", rows, [], precision)
     d = -internal_degree // 2
     rank, ker, basis = _fixed_rank_once(group, d, ring, precision)
     rank2, _, _ = _fixed_rank_once(group, d, ring, precision + 2)
-    stable = rank == rank2
-    if not stable:
+    if rank != rank2:
         raise PrecisionUnstable(
             f"invariant rank changed {rank} -> {rank2} at N+2 "
             f"({group}, degree {internal_degree})"
@@ -488,7 +485,7 @@ def invariant_basis(
         rank, over = rank // 2, "W"
     else:
         over = "Z3"
-    return InvariantBasis(group, ring, internal_degree, rank, over, stable, ker, basis, precision)
+    return InvariantBasis(group, ring, rank, over, ker, basis, precision)
 
 
 def groups_for_ring(ring: str) -> tuple:

@@ -32,7 +32,6 @@ from .quotients import FiniteQuotient
 
 @dataclass
 class CosetSpace:
-    subgroup: str
     coset_id: np.ndarray
     reps: np.ndarray
 
@@ -125,7 +124,7 @@ class LevelData:
 
 def _coset_space(fq: FiniteQuotient, name: str) -> CosetSpace:
     cid, reps = fq.cosets(fq.subgroup_image(name))
-    return CosetSpace(name, cid, reps)
+    return CosetSpace(cid, reps)
 
 
 _NAMED = {"omega": stab.omega_element, "s": stab.s_element, "t": stab.t_element, "psi": stab.psi_element}
@@ -237,7 +236,7 @@ def _kept_tor0(tor: tuple) -> tuple:
 
 def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
     """Lift-and-average: first kernel generator whose average still
-    generates the coinvariants; returns (c, tor0 data, choice_index).
+    generates the coinvariants; returns (c, tor0 data).
 
     With ``rng`` the candidate order is shuffled and the lift is
     perturbed by a random element of (3, I_P) * N; the construction's
@@ -260,7 +259,7 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
             v = (v + noise) % ld.M
         c = _sd16_average(ld, v, space)
         if c.size and H_IK.reduce(c).any():
-            return c, tor, j
+            return c, tor
     raise ConstructionRefused(f"no averaged generator found in {space} kernel")
 
 
@@ -274,11 +273,14 @@ class ComplexAtLevel:
     rows are read-only, so a caller that writes into one raises instead of
     corrupting a later verdict.  ``tor0`` holds the Tor0 data of each kernel
     the construction built (``_kept_tor0``).
+
+    Building one checks it: ``composite_checks`` goes into
+    ``diagnostics['composites_zero']``, and a nonzero composite raises
+    CheckFailed.
     """
 
     level: Fraction
     m: int
-    dims: tuple              # (n24, n_chi, n_chi, n24)
     aug: np.ndarray
     b1: np.ndarray           # chi -> C0
     b2: np.ndarray           # chi -> chi
@@ -291,6 +293,16 @@ class ComplexAtLevel:
     def __post_init__(self):
         for a in (self.aug, self.b1, self.b2, self.b3):
             _read_only(a)
+        comp = composite_checks(self)
+        self.diagnostics["composites_zero"] = comp
+        if not all(comp.values()):
+            raise CheckFailed(f"composites not zero: {comp}")
+
+    @property
+    def dims(self) -> tuple:
+        """(n24, n_chi, n_chi, n24): the ranks of the four terms, the
+        target and source of b1 and of b3."""
+        return (*self.b1.shape, *self.b3.shape)
 
     def _solved(self, name: str) -> tuple:
         if name not in self.solved:
@@ -347,24 +359,20 @@ def _boundary_on_cosets(ld: LevelData, c_pairs: np.ndarray) -> np.ndarray:
 
 def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
     m = ld.m
-    n24, nchi = ld.c24.size, ld.chi.size
-    diagnostics = {}
-
-    chi_report = verify_chi_summand(ld)
-    diagnostics["chi_summand"] = chi_report
-    if not chi_report["ok"]:
+    diagnostics = {"chi_summand": verify_chi_summand(ld)}
+    if not diagnostics["chi_summand"]["ok"]:
         raise CheckFailed("chi summand failed its structural checks")
 
-    aug = np.ones((1, n24), dtype=np.int64)
+    aug = np.ones((1, ld.c24.size), dtype=np.int64)
     # the Tor0 spans are kept in compact form, one F3Space alive at a time
     tor0, solved = {}, {"aug": _eliminate(aug, m)}
-    c1, tor, pick1 = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
+    c1, tor = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
     tor0["aug"] = _kept_tor0(tor)
     _assert_q8_invariant(ld, c1, "c24")
     b1 = _boundary_on_pairs(ld, c1, "c24")
 
     solved["b1"] = _eliminate(b1, m)
-    c2, tor, pick2 = _pick_averaged_generator(ld, solved["b1"][0], "chi", rng)
+    c2, tor = _pick_averaged_generator(ld, solved["b1"][0], "chi", rng)
     tor0["b1"] = _kept_tor0(tor)
     _assert_q8_invariant(ld, c2, "chi")
     b2 = _boundary_on_pairs(ld, c2, "chi")
@@ -377,26 +385,9 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
     diagnostics["tor0_dims"] = {
         f"N{i}": len(V3) - len(H) for i, (H, V3) in enumerate(tor0.values(), start=1)
     }
-    diagnostics["generator_choice"] = {"N1": int(pick1), "N2": int(pick2)}
-
-    cx = ComplexAtLevel(
-        ld.fq.level,
-        m,
-        (n24, nchi, nchi, n24),
-        aug,
-        b1,
-        b2,
-        b3,
-        {"c1": c1, "c2": c2, "c3": c3},
-        diagnostics,
-        solved=solved,
-        tor0=tor0,
+    return ComplexAtLevel(
+        ld.fq.level, m, aug, b1, b2, b3, {"c1": c1, "c2": c2, "c3": c3}, diagnostics, solved, tor0
     )
-    comp = composite_checks(cx)
-    diagnostics["composites_zero"] = comp
-    if not all(comp.values()):
-        raise CheckFailed(f"composites not zero: {comp}")
-    return cx
 
 
 def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
@@ -496,20 +487,6 @@ def homology_cells(cx: ComplexAtLevel) -> dict:
 
 # -- level transitions ----------------------------------------------------------------
 
-@dataclass
-class TransitionReport:
-    levels: list             # fine to coarse
-    m: int
-    chain_maps_ok: bool
-    step_zero: dict          # (upper, lower) -> position -> bool
-    composite_zero: dict     # position -> bool, over the full level range
-
-    @property
-    def pro_trivial(self) -> bool:
-        """Transitions are eventually zero within the tested range."""
-        return all(self.composite_zero.values())
-
-
 def pushforward_maps(ld_hi: LevelData, ld_lo: LevelData) -> tuple:
     """(P0 on G24-cosets, P1 on chi pairs) along the level projection."""
     proj = ld_hi.fq.projection_to(ld_lo.fq)
@@ -531,26 +508,15 @@ def pushforward_complex(cx_hi: ComplexAtLevel, ld_lo: LevelData, P0, P1) -> Comp
     c1 = linalg.matmul_mod(P0, cx_hi.c_vectors["c1"], m)
     c2 = linalg.matmul_mod(P1, cx_hi.c_vectors["c2"], m)
     c3 = linalg.matmul_mod(P1, cx_hi.c_vectors["c3"], m)
-    b1 = _boundary_on_pairs(ld_lo, c1, "c24")
-    b2 = _boundary_on_pairs(ld_lo, c2, "chi")
-    b3 = _boundary_on_cosets(ld_lo, c3)
-    aug = np.ones((1, ld_lo.c24.size), dtype=np.int64)
-    cx = ComplexAtLevel(
+    return ComplexAtLevel(
         ld_lo.fq.level,
-        ld_lo.m,
-        (ld_lo.c24.size, ld_lo.chi.size, ld_lo.chi.size, ld_lo.c24.size),
-        aug,
-        b1,
-        b2,
-        b3,
+        m,
+        np.ones((1, ld_lo.c24.size), dtype=np.int64),
+        _boundary_on_pairs(ld_lo, c1, "c24"),
+        _boundary_on_pairs(ld_lo, c2, "chi"),
+        _boundary_on_cosets(ld_lo, c3),
         {"c1": c1, "c2": c2, "c3": c3},
-        {"pushforward_from": str(cx_hi.level)},
     )
-    comp = composite_checks(cx)
-    cx.diagnostics["composites_zero"] = comp
-    if not all(comp.values()):
-        raise CheckFailed("pushforward complex lost composite-zero")
-    return cx
 
 
 def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
@@ -566,15 +532,18 @@ def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
     return out
 
 
-def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionReport:
+def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> dict:
     """Interior homology transitions along a tower of levels (fine to coarse).
 
     ``lds`` are the prepared levels, finest first, and ``top_cx`` is the
     complex built by lift-and-average at the finest one.  It is pushed
     down level by level, so the projections are chain maps on the nose.
-    Reports the per-step verdicts and the composite over the whole range;
-    interior classes observed in runs die after one full congruence step
-    (two half-integer levels), not necessarily after a single half-step.
+    Returns the report's transitions: the levels, the chain-map verdict,
+    the per-step verdicts keyed "upper->lower", and the verdicts of the
+    projection over the whole range, which is the composite of the steps;
+    ``pro_trivial`` says that one vanishes.  Interior classes observed in
+    runs die after one full congruence step (two half-integer levels),
+    not necessarily after a single half-step.
     """
     if len(lds) < 2:
         raise ValueError("need at least two levels")
@@ -584,14 +553,12 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
     m = top_cx.m
     if top_cx.level != levels[0] or any(ld.m != m for ld in lds):
         raise ValueError("the top complex and the levels must share the top level and m")
-    M = 3**m
     maps = [pushforward_maps(hi, lo) for hi, lo in zip(lds, lds[1:])]
     cxs = [top_cx]
     for lo, (P0, P1) in zip(lds[1:], maps):
         cxs.append(pushforward_complex(cxs[-1], lo, P0, P1))
     chain_ok = True
     step_zero = {}
-    P0_acc = P1_acc = None
     for i, (P0, P1) in enumerate(maps):
         cx_hi, cx_lo = cxs[i], cxs[i + 1]
         chain_ok = chain_ok and all(
@@ -600,21 +567,15 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> TransitionRepo
                 (P0, cx_hi.b1, cx_lo.b1, P1), (P1, cx_hi.b2, cx_lo.b2, P1), (P1, cx_hi.b3, cx_lo.b3, P0)
             )
         )
-        step_zero[(str(levels[i]), str(levels[i + 1]))] = _transition_zero(
-            cx_hi, cx_lo, P0, P1, m
-        )
-        if P0_acc is None:
-            P0_acc, P1_acc = P0 % M, P1 % M
-        else:
-            P0_acc, P1_acc = linalg.matmul_mod(P0, P0_acc, m), linalg.matmul_mod(P1, P1_acc, m)
-    composite = _transition_zero(cxs[0], cxs[-1], P0_acc, P1_acc, m)
-    return TransitionReport(
-        [str(lv) for lv in levels],
-        m,
-        bool(chain_ok),
-        step_zero,
-        composite,
-    )
+        step_zero[f"{levels[i]}->{levels[i + 1]}"] = _transition_zero(cx_hi, cx_lo, P0, P1, m)
+    composite = _transition_zero(cxs[0], cxs[-1], *pushforward_maps(lds[0], lds[-1]), m)
+    return {
+        "levels": [str(lv) for lv in levels],
+        "chain_maps_ok": bool(chain_ok),
+        "step_zero": step_zero,
+        "composite_zero": composite,
+        "pro_trivial": all(composite.values()),
+    }
 
 
 # -- the protocol verdict ---------------------------------------------------------------
@@ -685,21 +646,13 @@ def verify_tower(levels, m: int, precision: int) -> tuple:
         transitions = {"construction_refused": top["construction_refused"]}
         ok = False
     elif len(lvls) >= 2:
-        rep = homology_pro_triviality(lds, top_cx)
-        spans_full_level = lvls[0] - lvls[-1] >= 1
-        transitions = {
-            "levels": rep.levels,
-            "chain_maps_ok": rep.chain_maps_ok,
-            "step_zero": {f"{a}->{b}": v for (a, b), v in rep.step_zero.items()},
-            "composite_zero": rep.composite_zero,
-            "pro_trivial": rep.pro_trivial,
-            "spans_full_level": spans_full_level,
-        }
-        ok = ok and rep.chain_maps_ok
-        if spans_full_level and m == 1:
+        transitions = homology_pro_triviality(lds, top_cx)
+        transitions["spans_full_level"] = lvls[0] - lvls[-1] >= 1
+        ok = ok and transitions["chain_maps_ok"]
+        if transitions["spans_full_level"] and m == 1:
             # one full congruence step at modulus 3 must kill the
             # interior classes; shorter towers only report the data
-            ok = ok and rep.pro_trivial
+            ok = ok and transitions["pro_trivial"]
     if all("construction_refused" in d for d in per_level.values()):
         ok = None
     return {"levels": per_level, "transitions": transitions, "modulus": m}, ok

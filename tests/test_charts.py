@@ -161,7 +161,7 @@ def test_annotations_present(g24_inf):
     assert any("b^3" in a for a in g24_inf.annotations)
 
 
-def _lose_the_period(group, c):
+def _lose_the_period(c):
     # d9 on a third of the delta-powers it should leave the chart from
     return c.eps == 1 and c.k % 9 == 2
 

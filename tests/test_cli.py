@@ -363,6 +363,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = [
     ("resolution_mod1", "resolution", ["resolution", "--levels", "2,3/2,1", "--mod", "1"]),
     ("resolution_mod2", "resolution", ["resolution", "--levels", "2,3/2", "--mod", "2"]),
+    # a refused level below the top, and a whole-range transition over
+    # two steps
+    ("resolution_mod1_from_5_2", "resolution", ["resolution", "--levels", "5/2,2,3/2", "--mod", "1"]),
     ("sylow_cohomology", "sylow-cohomology", ["sylow-cohomology", "--levels", "1,3/2,2", "--nmax", "3"]),
     ("invariants_SF_C3", "invariants-SF-C3",
      ["invariants", "--ring", "SF", "--group", "C3", "--max-degree", "36"]),

@@ -166,7 +166,7 @@ def test_cohomology_asserts_that_every_cell_is_elementary(tmp_path, monkeypatch)
 
 def test_chart_asserts_its_period(tmp_path, monkeypatch):
     # d9 on a third of the delta-powers it should leave the chart from
-    monkeypatch.setattr(charts, "_d9_kills", lambda group, c: c.eps == 1 and c.k % 9 == 2)
+    monkeypatch.setattr(charts, "_d9_kills", lambda c: c.eps == 1 and c.k % 9 == 2)
     with pytest.raises(CheckFailed, match="E-infinity of C6 is not 36-periodic"):
         charts.verify_chart("C6", (-1, 74))
     r = _cli(tmp_path, ["chart", "--group", "C3", "--stems=-1..38"])

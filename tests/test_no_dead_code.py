@@ -5,13 +5,19 @@ tests alone do not keep code alive.
 A top-level definition counts as called only through its own module: a
 bare name there, ``alias.name`` with ``alias`` an import of the module,
 or ``from .module import name``.  A method counts as called by any
-attribute of its name."""
+attribute of its name, and a public dataclass field counts as read by any
+attribute load of its name."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stab23"
+
+
+def _sources():
+    """The library's modules, then its scripts."""
+    return sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _is_click_command(node) -> bool:
@@ -58,7 +64,7 @@ def _references():
     def add(key, path, node):
         refs.setdefault(key, []).append((path, node.lineno))
 
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+    for path in _sources():
         tree = ast.parse(path.read_text())
         own = path.stem if path.parent == PACKAGE else None
         aliases = {}  # local name -> stem of the package module it imports
@@ -93,3 +99,29 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         if all(p == path and first <= line <= node.end_lineno for p, line in refs.get(key, [])):
             unreferenced.add(f"{path.stem}.{name}")
     assert unreferenced == set()
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields():
+    """(file, Class.field) of each public annotated field of a dataclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and not stmt.target.id.startswith("_"):
+                        yield path, f"{node.name}.{stmt.target.id}"
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    reads = {
+        node.attr
+        for path in _sources()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {f"{path.stem}.{name}" for path, name in _dataclass_fields() if name.split(".")[1] not in reads}
+    assert unread == set()

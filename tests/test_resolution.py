@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -339,9 +340,9 @@ def test_pushforward_is_chain_map_and_transitions(lvl2):
     fq2, ld2, cx2 = lvl2
     fq32 = q.finite_quotient(Fraction(3, 2), N)
     rep = res.homology_pro_triviality([ld2, res.prepare_level(fq32, 1)], cx2)
-    assert rep.chain_maps_ok
+    assert rep["chain_maps_ok"]
     # one half-integer step: position 3 dies, interior positions may persist
-    step = rep.step_zero[("2", "3/2")]
+    step = rep["step_zero"]["2->3/2"]
     assert step["pos3"] is True
 
 
@@ -356,4 +357,27 @@ def test_tower_computes_no_homology(lvl2, monkeypatch):
 
     monkeypatch.setattr(res, "homology_cells", unexpected)
     rep = res.homology_pro_triviality([ld2, ld32], cx2)
-    assert rep.chain_maps_ok and not hasattr(rep, "homology")
+    assert rep["chain_maps_ok"] and "homology" not in rep
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "levels", [(2, Fraction(3, 2), 1), (Fraction(5, 2), 2, Fraction(3, 2))], ids=["2,3/2,1", "5/2,2,3/2"]
+)
+def test_pushforward_maps_compose(levels, m):
+    # the projection over two steps is the product of the step maps, so
+    # the whole-range transition reads it off the two ends
+    l0, l1, l2 = (res.prepare_level(q.finite_quotient(lv, N), m) for lv in levels)
+    steps = zip(res.pushforward_maps(l0, l1), res.pushforward_maps(l1, l2))
+    for whole, (hi, lo) in zip(res.pushforward_maps(l0, l2), steps):
+        assert np.array_equal(whole, linalg.matmul_mod(lo, hi, m))
+
+
+def test_pushforward_with_a_corrupted_generator_raises(lvl2):
+    # the pushed-down complex checks its own composites
+    _, ld2, cx2 = lvl2
+    ld32 = res.prepare_level(q.finite_quotient(Fraction(3, 2), N), 1)
+    P0, P1 = res.pushforward_maps(ld2, ld32)
+    broken = SimpleNamespace(c_vectors=dict(cx2.c_vectors, c2=(cx2.c_vectors["c2"] + 1) % 3))
+    with pytest.raises(CheckFailed, match="composites not zero"):
+        res.pushforward_complex(broken, ld32, P0, P1)
