@@ -25,9 +25,8 @@ SCHEMA_VERSION = 1
 THREE_TORSION = tuple(coh.VARIANT_OPS)
 TAME = ("SD16", "Q8")
 
-# delta-exponent constraint and coefficient-line dimension per group
+# delta-exponent constraint per group
 DELTA_STEP = coh.GROUP_DELTA_STEP
-LINE_DIM = coh.GROUP_LINE_DIM
 
 PERIODS = {"C3": 18, "C6": 36, "C12": 36, "G12": 72, "G24": 72, "SD16": 16, "Q8": 8}
 
@@ -77,10 +76,6 @@ class PosClass:
         return "*".join(parts) if parts else "1"
 
 
-def in_pattern(group: str, c: PosClass) -> bool:
-    return c.eps in (0, 1) and c.j >= 0 and c.k % DELTA_STEP[group] == 0
-
-
 def zero_line_rank(group: str, t: int) -> int:
     """Rank of the degree-t invariant line over the degree-0 base."""
     if group in TAME:
@@ -103,7 +98,6 @@ class BigradedChart:
     group: str
     page: int
     stem_range: tuple              # inclusive
-    s_max: int
     classes: dict                  # PosClass -> dim (only surviving classes)
     zero_line: dict                # t -> rank over the base
     annotations: list = field(default_factory=list)
@@ -115,9 +109,6 @@ class BigradedChart:
         for c, d in self.classes.items():
             out.setdefault((c.s, c.t), []).append((c.name(self.group), d))
         return {k: sorted(v) for k, v in sorted(out.items())}
-
-    def total_rank(self) -> int:
-        return sum(self.classes.values())
 
     def stem_entries(self, n: int) -> list:
         out = [
@@ -147,9 +138,9 @@ class BigradedChart:
         }
 
 
-def _class_window(group: str, stems: tuple, s_max: int):
+def _class_window(stems: tuple, s_max: int):
+    """The monomials alpha^eps * beta^j * delta^k, 1 <= s <= s_max, in the stem window."""
     lo, hi = stems
-    step = DELTA_STEP[group]
     for eps in (0, 1):
         for j in range(0, (s_max - eps) // 2 + 1):
             s = eps + 2 * j
@@ -160,14 +151,14 @@ def _class_window(group: str, stems: tuple, s_max: int):
             k0 = -((-rem_lo) // 6)  # ceil(rem_lo / 6)
             for k in range(k0 - 1, rem_hi // 6 + 2):
                 c = PosClass(eps, j, k)
-                if lo <= c.stem <= hi and in_pattern(group, c):
+                if lo <= c.stem <= hi:
                     yield c
 
 
 def e2_chart(group: str, stems: tuple = (-1, 73), s_max: int = 24) -> BigradedChart:
     """E2 chart populated from the cohomology engine.
 
-    Positive filtration is enumerated by the monomial pattern; up to 40
+    Positive filtration is read off ``cohomology.pattern_dim``; up to 40
     cells with s <= 4 and -30 <= t <= 42 are recomputed with the exact
     engine and must agree, tying the chart to the computed E2.
     ``engine_checked`` counts them.  Tame groups get charts concentrated
@@ -176,8 +167,10 @@ def e2_chart(group: str, stems: tuple = (-1, 73), s_max: int = 24) -> BigradedCh
     lo, hi = stems
     zero = {t: zero_line_rank(group, t) for t in range(lo, hi + s_max + 10)}
     if group in TAME:
-        return BigradedChart(group, 2, stems, 0, {}, zero)
-    classes = {c: LINE_DIM[group] for c in _class_window(group, stems, s_max)}
+        return BigradedChart(group, 2, stems, {}, zero)
+    classes = {
+        c: d for c in _class_window(stems, s_max) if (d := coh.pattern_dim(group, c.s, c.t))
+    }
     checked = 0
     for c in sorted(classes):
         if checked >= 40 or c.s > 4 or not (-30 <= c.t <= 42):
@@ -188,7 +181,7 @@ def e2_chart(group: str, stems: tuple = (-1, 73), s_max: int = 24) -> BigradedCh
                 f"engine dim {got} != pattern dim {classes[c]} at {(c.s, c.t)}"
             )
         checked += 1
-    return BigradedChart(group, 2, stems, s_max, classes, zero, engine_checked=checked)
+    return BigradedChart(group, 2, stems, classes, zero, engine_checked=checked)
 
 
 # -- the differential engine -----------------------------------------------------
@@ -198,22 +191,21 @@ def _d5_kills(c: PosClass) -> bool:
     return c.eps == 0 and c.k % 3 != 0
 
 
-def _d5_hit(c: PosClass) -> bool:
-    return c.eps == 1 and c.j >= 2 and (c.k + 4) % 3 != 0
-
-
 def _d9_kills(c: PosClass) -> bool:
     # on E9, d9(alpha * delta^k) = a2 * beta^5 * delta^(k-8) when k = 2 mod 3
     return c.eps == 1 and c.k % 3 == 2
 
 
-def _d9_hit(c: PosClass) -> bool:
-    return c.eps == 0 and c.j >= 5 and c.k % 3 == 0
+def _shifted(c: PosClass, shift: tuple, sign: int) -> PosClass:
+    return PosClass(c.eps + sign * shift[0], c.j + sign * shift[1], c.k + sign * shift[2])
 
 
 def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> BigradedChart:
     """Apply d5 then d9; returns the E-infinity chart.
 
+    Each differential is a rule on sources and the (eps, j, k) shift from
+    a source to its target.  A class dies as a source the rule kills, or
+    as a target: the class one shift below it is a source the rule kills.
     All emitted ranks are independent of the unit signs (the scalars are
     units whenever nonzero); callers re-run with both signs and compare.
     """
@@ -226,39 +218,25 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
     if a1 not in (1, -1) or a2 not in (1, -1):
         raise ValueError("unit signs must be +1 or -1")
     diff_log = []
-    total = chart.total_rank()
-
-    # pages 2, 3, 4 carry no differentials
-    e5 = dict(chart.classes)
-    e9 = {}
-    for c, d in e5.items():
-        if _d5_kills(c):
-            tgt = PosClass(1, c.j + 2, c.k - 4)
-            coeff = (a1 * c.k) % 3
-            diff_log.append(
-                {"page": 5, "from": c.name(group), "to": tgt.name(group),
-                 "coeff": f"{'+' if coeff == 1 else '-'}1"}
-            )
-            if in_pattern(group, tgt) and tgt.s <= chart.s_max + 5:
-                if chart.classes.get(tgt, LINE_DIM[group]) != d:
-                    raise CheckFailed("d5 source and target dimensions differ")
-            continue
-        if _d5_hit(c):
-            continue
-        e9[c] = d
-    einf = {}
-    for c, d in e9.items():
-        if _d9_kills(c):
-            tgt = PosClass(0, c.j + 5, c.k - 8)
-            diff_log.append(
-                {"page": 9, "from": c.name(group), "to": tgt.name(group), "coeff": "unit"}
-            )
-            continue
-        if _d9_hit(c):
-            continue
-        einf[c] = d
-    if sum(e9.values()) > total or sum(einf.values()) > sum(e9.values()):
-        raise CheckFailed("total rank increased between pages")
+    classes = dict(chart.classes)  # pages 2, 3, 4 carry no differentials
+    for page, kills, shift in ((5, _d5_kills, (1, 2, -4)), (9, _d9_kills, (-1, 5, -8))):
+        survivors = {}
+        for c, d in classes.items():
+            if kills(c):
+                tgt = _shifted(c, shift, 1)
+                if chart.classes.get(tgt, coh.pattern_dim(group, tgt.s, tgt.t)) != d:
+                    raise CheckFailed(f"d{page} source and target dimensions differ")
+                coeff = f"{'+' if (a1 * c.k) % 3 == 1 else '-'}1" if page == 5 else "unit"
+                diff_log.append(
+                    {"page": page, "from": c.name(group), "to": tgt.name(group), "coeff": coeff}
+                )
+                continue
+            src = _shifted(c, shift, -1)
+            if not (src.eps in (0, 1) and src.j >= 0 and kills(src)):
+                survivors[c] = d
+        if sum(survivors.values()) > sum(classes.values()):
+            raise CheckFailed("total rank increased between pages")
+        classes = survivors
     annotations = list(chart.annotations)
     annotations.append("every transfer-image class is a permanent cycle (enforced)")
     if group in ("G12", "G24"):
@@ -269,17 +247,7 @@ def run_differentials(chart: BigradedChart, unit_signs: tuple = (1, 1)) -> Bigra
         annotations.append(
             "multiplicative extension d^3*(d*a)*a = +-w^6*b^3 in stem 30 (recorded, unused)"
         )
-    return BigradedChart(
-        group,
-        10,
-        chart.stem_range,
-        chart.s_max,
-        einf,
-        chart.zero_line,
-        annotations,
-        diff_log,
-        chart.engine_checked,
-    )
+    return replace(chart, page=10, classes=classes, annotations=annotations, differentials=diff_log)
 
 
 def e_infinity(group: str, stems: tuple = (-1, 73), **kw) -> BigradedChart:
@@ -367,39 +335,8 @@ REDUCED_TOWER_FIBERS = [
 ]
 
 
-@dataclass
-class TowerChart:
-    stem_range: tuple
-    layers: list                   # per layer: list of (group, shift)
-    layer_tables: list             # per layer: stem -> zero-line rank and finite dim
-    fibers: list
-    reduced_fibers: list
-    alternating_sums: dict         # stem -> alternating sum of F3 dims
-    vanishing_inputs: dict
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "stems": list(self.stem_range),
-            "layers": [
-                [{"group": g, "suspension": sh} for (g, sh) in layer]
-                for layer in self.layers
-            ],
-            "layer_tables": [
-                {str(n): entry for n, entry in sorted(tab.items())}
-                for tab in self.layer_tables
-            ],
-            "tower_fibers": [
-                [{"group": g, "suspension": sh} for (g, sh) in layer]
-                for layer in self.fibers
-            ],
-            "reduced_tower_fibers": [
-                [{"group": g, "suspension": sh} for (g, sh) in layer]
-                for layer in self.reduced_fibers
-            ],
-            "alternating_sums": {str(k): v for k, v in sorted(self.alternating_sums.items())},
-            "vanishing_inputs": self.vanishing_inputs,
-        }
+def _suspensions(layers: list) -> list:
+    return [[{"group": g, "suspension": sh} for (g, sh) in layer] for layer in layers]
 
 
 def _tower_base_window(stems: tuple) -> tuple:
@@ -408,9 +345,10 @@ def _tower_base_window(stems: tuple) -> tuple:
     return stems[0] - max(shifts) - 80, stems[1] + 10
 
 
-def tower_chart(stems: tuple = (-5, 48)) -> TowerChart:
-    """Layer-by-layer homotopy tables for both towers, the E1 alternating
-    sums of the induced spectral sequence, and the vanishing inputs."""
+def tower_chart(stems: tuple = (-5, 48)) -> dict:
+    """The tower report: layer-by-layer homotopy tables for both towers,
+    the E1 alternating sums of the induced spectral sequence, and the
+    vanishing inputs."""
     lo, hi = stems
     pad_lo, pad_hi = _tower_base_window(stems)
     base = {
@@ -428,30 +366,29 @@ def tower_chart(stems: tuple = (-5, 48)) -> TowerChart:
         tab = {}
         for n in range(lo, hi + 1):
             parts = [parts_at(g, n - sh) for (g, sh) in layer]
-            tab[n] = {
+            tab[str(n)] = {
                 "zero_line_rank": sum(z for z, _ in parts),
                 "finite_dim": sum(f for _, f in parts),
             }
         layer_tables.append(tab)
-    alternating = {
-        n: sum((-1) ** p * layer_tables[p][n]["finite_dim"] for p in range(5))
-        for n in range(lo, hi + 1)
+    return {
+        "schema": SCHEMA_VERSION,
+        "stems": list(stems),
+        "layers": _suspensions(RESOLUTION_LAYERS),
+        "layer_tables": layer_tables,
+        "tower_fibers": _suspensions(TOWER_FIBERS),
+        "reduced_tower_fibers": _suspensions(REDUCED_TOWER_FIBERS),
+        "alternating_sums": {
+            str(n): sum((-1) ** p * layer_tables[p][str(n)]["finite_dim"] for p in range(5))
+            for n in range(lo, hi + 1)
+        },
+        "vanishing_inputs": {
+            "pi25_shifted_48": sum(parts_at("G24", 25 - 48)),
+            "pi26_shifted_48": sum(parts_at("G24", 26 - 48)),
+            "pi27_shifted_48": sum(parts_at("G24", 27 - 48)),
+            "pi27_G24_is_one_class": base["G24"].stem_entries(27),
+        },
     }
-    vanishing = {
-        "pi25_shifted_48": sum(parts_at("G24", 25 - 48)),
-        "pi26_shifted_48": sum(parts_at("G24", 26 - 48)),
-        "pi27_shifted_48": sum(parts_at("G24", 27 - 48)),
-        "pi27_G24_is_one_class": base["G24"].stem_entries(27),
-    }
-    return TowerChart(
-        stems,
-        RESOLUTION_LAYERS,
-        layer_tables,
-        TOWER_FIBERS,
-        REDUCED_TOWER_FIBERS,
-        alternating,
-        vanishing,
-    )
 
 
 def verify_tower(stems: tuple = (-5, 48)) -> tuple:
@@ -464,17 +401,17 @@ def verify_tower(stems: tuple = (-5, 48)) -> tuple:
     the vanishing inputs live: a window ending below stem 17 or starting
     above 105.
     """
-    tc = tower_chart(stems)
-    v = tc.vanishing_inputs
+    report = tower_chart(stems)
+    v = report["vanishing_inputs"]
     lo, hi = _tower_base_window(stems)
     if not (lo <= 25 - 48 and 27 <= hi):
-        return tc.to_json(), None
+        return report, None
     ok = (
         v["pi25_shifted_48"] == 0
         and v["pi26_shifted_48"] == 0
         and v["pi27_G24_is_one_class"] == [(1, "D*a", 1)]
     )
-    return tc.to_json(), ok
+    return report, ok
 
 
 # -- headline extraction -------------------------------------------------------------

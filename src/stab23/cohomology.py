@@ -41,13 +41,8 @@ PRECISION = 4
 # conjugation exponents: g^-1 s g = s^k
 CONJ_EXP = {"s": 1, "t": 2, "t2": 1, "psi": 1}
 
-VARIANT_OPS = {
-    "C3": (),
-    "C6": ("t2",),
-    "C12": ("psi",),
-    "G12": ("t",),
-    "G24": ("t", "psi"),
-}
+# the groups containing C3 = <s>, and the generators of each beyond s
+VARIANT_OPS = {g: gens[1:] for g, gens in GROUP_GENS.items() if gens[0] == "s"}
 
 
 def _read_only(*arrays) -> None:
@@ -98,7 +93,6 @@ def saturated_kernel_reduced(A_hi: np.ndarray, m_work: int, m_report: int) -> np
 class C3Degree:
     """H*(C3, M_t) in one internal degree: fixed line plus the two parities."""
 
-    t: int
     fixed: Cell              # H^0: saturated basis of M_t^{C3} (free), no relations
     odd: Cell                # H^{2i+1}, any i >= 0
     even: Cell               # H^{2i+2}, any i >= 0; also coker(tr) at s=0
@@ -119,7 +113,7 @@ def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
         z = np.zeros((0, 0), dtype=np.int64)
         _read_only(z)
         empty = Cell(z, z, [])
-        return C3Degree(t, empty, empty, empty)
+        return C3Degree(empty, empty, empty)
     m_work = m + SAT_SLACK
     Mw, M = 3**m_work, 3**m
     S_hi = gen_matrix(kind, m_work, "s", t, r)
@@ -134,7 +128,6 @@ def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
     no_rel = np.zeros((0, n), dtype=np.int64)
     _read_only(fixed, ker_norm, im_s1.rows, im_norm.rows, no_rel)
     return C3Degree(
-        t,
         Cell(fixed, no_rel, [m] * fixed.shape[0]),
         Cell(ker_norm, im_s1.rows, linalg.quotient_invariants(ker_norm, im_s1.rows, m, HI=im_s1)),
         Cell(fixed, im_norm.rows, linalg.quotient_invariants(fixed, im_norm.rows, m, HI=im_norm)),

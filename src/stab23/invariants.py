@@ -431,7 +431,6 @@ def gen_matrix(kind: str, precision: int, gen: str, t: int, r: int) -> np.ndarra
 
 @dataclass
 class InvariantBasis:
-    group: str
     ring: str
     rank: int
     rank_over: str          # "W" or "Z3"
@@ -470,7 +469,7 @@ def invariant_basis(
     """
     if internal_degree % 2 != 0 or internal_degree > 0:
         rows = np.zeros((0, 0), dtype=np.int64)
-        return InvariantBasis(group, ring, 0, "W", rows, [], precision)
+        return InvariantBasis(ring, 0, "W", rows, [], precision)
     d = -internal_degree // 2
     rank, ker, basis = _fixed_rank_once(group, d, ring, precision)
     rank2, _, _ = _fixed_rank_once(group, d, ring, precision + 2)
@@ -485,7 +484,7 @@ def invariant_basis(
         rank, over = rank // 2, "W"
     else:
         over = "Z3"
-    return InvariantBasis(group, ring, rank, over, ker, basis, precision)
+    return InvariantBasis(ring, rank, over, ker, basis, precision)
 
 
 def groups_for_ring(ring: str) -> tuple:

@@ -110,8 +110,8 @@ def _new_generators(G: PermGroup, gens: list, K: np.ndarray, free: np.ndarray, r
 class MinimalResolution:
     group: PermGroup
     ranks: list             # dim H^n for n = 0..n_max
-    diffs: list             # int8 F3 matrices d_n : F_n -> F_{n-1}, n >= 1
-    generators: list        # chosen minimal generator vectors per stage
+    diffs: list             # int8 F3 matrices d_n : F_n -> F_{n-1}, n >= 1;
+                            # column (j, identity) of d_n is generator j
 
 
 def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
@@ -122,7 +122,6 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
     gens = irredundant_generators(G)
     ranks = [1]
     diffs = []
-    gens_per_stage = []
     # d_0: augmentation F3[P] -> F3
     prev_rank = 1
     d_prev = np.ones((1, p), dtype=np.int8)
@@ -130,7 +129,6 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
         new_gens = _new_generators(G, gens, *linalg.kernel_f3(d_prev, np.int8), prev_rank)
         r = len(new_gens)
         ranks.append(r)
-        gens_per_stage.append(new_gens)
         # d_n as an F3 matrix (p*prev_rank) x (p*r): column (j, g) is
         # g . v_j, whose entry (b, h) is v_j[b, g^-1 h]; entries are in
         # {0, 1, 2}, so int8, and a product reads it through an upcast
@@ -141,7 +139,7 @@ def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
         diffs.append(d)
         d_prev = d
         prev_rank = r
-    return MinimalResolution(G, ranks, diffs, gens_per_stage)
+    return MinimalResolution(G, ranks, diffs)
 
 
 def rank_f3(A: np.ndarray) -> int:
@@ -159,7 +157,7 @@ def apply_lift(X: np.ndarray, act: np.ndarray, v: np.ndarray) -> np.ndarray:
     vb = np.asarray(v, dtype=np.int64).reshape(-1, pb)   # v may be an int8 column
     j, g = np.nonzero(vb)
     out = np.zeros((r_small, ps), dtype=np.int64)
-    moved = X.T.reshape(-1, r_small, ps)[j] * vb[j, g][:, None, None]
+    moved = X.T.reshape(X.shape[1], r_small, ps)[j] * vb[j, g][:, None, None]
     np.add.at(out, (np.arange(r_small)[:, None], act[g][:, None, :]), moved)
     return out.ravel() % 3
 

@@ -280,6 +280,17 @@ def test_sylow_cohomology_with_one_level_is_inconclusive(runner, tmp_path):
     assert data["raw_dims"] == {"2": [1, 2, 4]} and data["through_image_ranks"] == {}
 
 
+def test_sylow_cohomology_from_the_trivial_group_passes(runner, tmp_path):
+    # P(1/2) is trivial: its resolution has no rows above degree 0, and
+    # inflation from it is the unit in degree 0 and zero above
+    r = invoke(runner, tmp_path, ["sylow-cohomology", "--levels", "1/2,1", "--nmax", "4"])
+    assert r.exit_code == 0, r.output
+    assert "PASS" in r.output
+    data = json.loads((tmp_path / "sylow-cohomology.json").read_text())
+    assert data["raw_dims"]["1/2"] == [1, 0, 0, 0, 0]
+    assert data["through_image_ranks"] == {"1/2": [1, 0, 0, 0, 0]}
+
+
 @pytest.mark.parametrize(
     "args, option",
     [
@@ -372,6 +383,8 @@ GOLDEN = [
     ("cohomology_G24", "cohomology-G24",
      ["cohomology", "--group", "G24", "--smax", "8", "--tmin", "-24", "--tmax", "24"]),
     ("chart_G24", "chart-G24", ["chart", "--group", "G24", "--stems=-1..73"]),
+    # both signs of the d5 coefficient
+    ("chart_C3", "chart-C3", ["chart", "--group", "C3", "--stems=-1..38"]),
     ("chart_tower", "chart-tower", ["chart", "--tower", "--stems=-4..30"]),
     ("group_verify_relations", "group-verify-relations", ["group", "verify-relations"]),
     ("group_subgroup_G24", "group-subgroup-G24", ["group", "subgroup", "G24"]),

@@ -150,7 +150,8 @@ def test_generators_chosen_in_coordinates_are_the_ambient_choice(sylow):
         G = res[lv].group
         gens = minres.irredundant_generators(G)
         d_prev, rank = np.ones((1, G.order), dtype=np.int8), 1
-        for d, chosen in zip(res[lv].diffs, res[lv].generators):
+        for d in res[lv].diffs:
+            chosen = d[:, G.identity :: G.order].T  # column (j, identity) is generator j
             K, free = linalg.kernel_f3(d_prev, np.int8)
             assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int8))
             acts = [(minres._regular_action(G, g, rank),) for g in gens]
@@ -194,6 +195,14 @@ def test_chain_lift_is_a_chain_map_on_every_translate(sylow):
             assert np.array_equal(minres.apply_lift(lifts[n], act, v), mul3(phis[n], v))
 
 
+def test_apply_lift_into_no_rows():
+    # a lift into F3[P_small]^0, as from the trivial P(1/2): the image is empty
+    act = np.zeros((3, 1), dtype=np.int64)  # C3 -> the trivial group
+    X = np.zeros((0, 2), dtype=np.int64)
+    out = minres.apply_lift(X, act, np.arange(6) % 3)
+    assert out.shape == (0,) and out.dtype == np.int64
+
+
 def test_inflation_is_functorial(sylow):
     # inflation 1 -> 3/2 -> 2 is inflation 1 -> 2: on H_n = F_n (x) F3 the
     # induced maps do not depend on the lift, so the matrices compose
@@ -212,13 +221,14 @@ def test_inflation_is_functorial(sylow):
 # -- int8 differentials: the int64 construction, the lifts, and the memory ---------------
 
 def int64_diffs(res):
-    """d_n built in int64 from the chosen generators and ldiv, one column
-    at a time: column (j, g) is g . v_j, whose entry (b, h) is v_j[b, g^-1 h]."""
+    """d_n built in int64 from the chosen generators (its identity columns)
+    and ldiv, one column at a time: column (j, g) is g . v_j, whose entry
+    (b, h) is v_j[b, g^-1 h]."""
     G = res.group
     p = G.order
     ldiv = G.mult[np.argmax(G.mult == G.identity, axis=1)]
     out, prev = [], 1
-    for gens in res.generators:
+    for gens in (d8[:, G.identity :: G.order].T for d8 in res.diffs):
         d = np.zeros((p * prev, p * len(gens)), dtype=np.int64)
         for j, v in enumerate(gens):
             v = v.astype(np.int64).reshape(prev, p)
