@@ -51,8 +51,6 @@ from .polys import (
 )
 from .witt import WittElement
 
-GENS = ("s", "t", "psi")
-
 GROUP_GENS = {
     "C3": ("s",),
     "C6": ("s", "t2"),
@@ -149,7 +147,7 @@ def act_loc(word: tuple, f: LocPoly) -> LocPoly:
     out = f
     for gen in ["psi"] * k + ["t"] * j + ["s"] * i:
         out = LocPoly(apply_gen(gen, out.num).scale(om ** (-SIGMA3_EXP[gen] * out.r)), out.r)
-    return out.canonical()
+    return out
 
 
 # -- named elements ----------------------------------------------------------
@@ -298,8 +296,8 @@ def modular_quantities(precision: int = witt.DEFAULT_PRECISION) -> ModularQuanti
     one2 = WPoly.constant(witt.one(precision), 2)
     s2r = sigma(2, precision, nvars=2)
     epsr = epsilon(precision, nvars=2)
-    c4 = LocPoly(s2r.scale(-(om**2)), 2).canonical()
-    c6 = LocPoly(epsr.scale(om**3 * half), 3).canonical()
+    c4 = LocPoly(s2r.scale(-(om**2)), 2)
+    c6 = LocPoly(epsr.scale(om**3 * half), 3)
     Delta = LocPoly(one2.scale(-(om**6) * quarter), 4)
     delta = LocPoly(one2, 1)
     sqrtd = LocPoly(one2.scale(om**3 * half), 2)

@@ -6,8 +6,8 @@ Two carriers share WittElement coefficients:
   or over x1,x2 after the substitution x3 = -x1-x2 (the quotient by
   the first elementary symmetric function).  Exponents may be negative,
   so a 2-variable ``WPoly`` also writes u1^i u^j, j of either sign;
-* ``LocPoly``: a pair (numerator, r) representing f / sigma3^r in
-  canonical form with minimal r.
+* ``LocPoly``: a pair (numerator, r) representing f / sigma3^r, with no
+  normal form; two pairs are compared by clearing denominators.
 
 The matrices of the group actions and of multiplication on these models
 are built in closed form by ``invariants``, not from the carriers.
@@ -42,10 +42,6 @@ class WPoly:
                     self.coeffs[tuple(mono)] = c
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def zero(cls, nvars, precision):
-        return cls(nvars, precision)
-
     @classmethod
     def constant(cls, c: WittElement, nvars: int):
         return cls(nvars, c.precision, {tuple([0] * nvars): c})
@@ -186,65 +182,20 @@ def monomials_of_degree(nvars: int, d: int) -> list:
     return sorted(out)
 
 
-# -- division by the sigma3 image, for canonical localization -------------
-
-def divide_by_variable(p: WPoly, i: int):
-    out = {}
-    for m, c in p.coeffs.items():
-        if m[i] == 0:
-            return None
-        mm = list(m)
-        mm[i] -= 1
-        out[tuple(mm)] = c
-    return WPoly(p.nvars, p.precision, out)
-
-
-def divide_by_x1_plus_x2(p: WPoly):
-    """Exact division by (x1 + x2) in 2 variables, or None."""
-    if p.nvars != 2:
-        raise ValueError("requires 2 variables")
-    rem = WPoly(2, p.precision, dict(p.coeffs))
-    quo = WPoly.zero(2, p.precision)
-    divisor = WPoly(
-        2,
-        p.precision,
-        {(1, 0): witt.one(p.precision), (0, 1): witt.one(p.precision)},
-    )
-    while not rem.is_zero():
-        lead = max(rem.coeffs)  # lex: x1 first
-        c = rem.coeffs[lead]
-        if lead[0] == 0:
-            return None
-        m = (lead[0] - 1, lead[1])
-        term = WPoly(2, p.precision, {m: c})
-        quo = quo + term
-        rem = rem - term * divisor
-    return quo
-
-
 def sigma3_rho(precision: int) -> WPoly:
     """Image of x1*x2*x3 in 2 variables: -x1^2*x2 - x1*x2^2."""
     mone = -witt.one(precision)
     return WPoly(2, precision, {(2, 1): mone, (1, 2): mone})
 
 
-def divide_by_sigma3(p: WPoly):
-    """Exact division by the sigma3 image, or None."""
-    q = divide_by_variable(p, 0)
-    if q is None:
-        return None
-    q = divide_by_variable(q, 1)
-    if q is None:
-        return None
-    q = divide_by_x1_plus_x2(q)
-    if q is None:
-        return None
-    return -q
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocPoly:
-    """num / sigma3^r over the 2-variable quotient model, canonical minimal r."""
+    """num / sigma3^r over the 2-variable quotient model: a plain pair, with
+    no normal form.  The sigma3 image -x1*x2*(x1 + x2) is not a zero divisor
+    in (W/3^N)[x1, x2], each factor having a unit leading coefficient, so
+    f/sigma3^r = g/sigma3^s exactly when the numerators agree over the
+    common denominator sigma3^max(r, s).  Equal pairs may differ field by
+    field, so a LocPoly is not hashable."""
 
     num: WPoly
     r: int
@@ -253,23 +204,13 @@ class LocPoly:
     def precision(self) -> int:
         return self.num.precision
 
-    def canonical(self) -> "LocPoly":
-        num, r = self.num, self.r
-        while r > 0 and not num.is_zero():
-            q = divide_by_sigma3(num)
-            if q is None:
-                break
-            num, r = q, r - 1
-        if num.is_zero():
-            r = 0
-        return LocPoly(num, r)
+    def _over(self, r: int) -> WPoly:
+        """The numerator over sigma3^r, for r >= self.r."""
+        return self.num * sigma3_rho(self.precision) ** (r - self.r)
 
     def __add__(self, other: "LocPoly") -> "LocPoly":
         r = max(self.r, other.r)
-        s3 = sigma3_rho(self.precision)
-        a = self.num * s3 ** (r - self.r)
-        b = other.num * s3 ** (r - other.r)
-        return LocPoly(a + b, r).canonical()
+        return LocPoly(self._over(r) + other._over(r), r)
 
     def __neg__(self):
         return LocPoly(-self.num, self.r)
@@ -278,7 +219,7 @@ class LocPoly:
         return self + (-other)
 
     def __mul__(self, other: "LocPoly") -> "LocPoly":
-        return LocPoly(self.num * other.num, self.r + other.r).canonical()
+        return LocPoly(self.num * other.num, self.r + other.r)
 
     def __pow__(self, n: int) -> "LocPoly":
         out = LocPoly(WPoly.constant(witt.one(self.precision), 2), 0)
@@ -296,5 +237,5 @@ class LocPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocPoly):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.r == b.r and a.num == b.num
+        r = max(self.r, other.r)
+        return self._over(r) == other._over(r)

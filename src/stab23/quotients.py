@@ -133,16 +133,6 @@ class FiniteQuotient:
         B1 = _mod(sa0 * d1 + a1 * d0 + b1 * c0 + nb0 * c1, Mb)
         return self._lookup(self._encode(A0, A1, B0, B1, e1 ^ e2))
 
-    def inv(self, i):
-        a0, a1, b0, b1, e = self.coords.take(i, axis=1)
-        # det = +-1 mod 3^alpha on G(l), and +-1 is its own inverse
-        det = (a0 * a0 + a1 * a1 - 3 * (b0 * b0 + b1 * b1)) % self.Ma
-        if not np.all((det == 1) | (det == self.Ma - 1)):
-            raise KeyError("determinant is not +-1 mod 3^alpha")
-        # (u, e)^-1 = (phi^e(u^-1), e) with u^-1 = (phi(a) - b S) / det
-        twist = (2 * e - 1) * det
-        return self.index_of(a0 * det, a1 * twist, -b0 * det, b1 * twist, e)
-
     def project(self, g: StabilizerElement) -> int:
         """Index of the class of an element of G2^1.
 

@@ -74,7 +74,9 @@ def test_criterion_4_invariant_hilbert_series():
 
 @pytest.mark.slow
 def test_criterion_5_cohomology_tables(drop_sf_caches):
-    # H^1(C3, S(F)) vanishes: no suite computes S(F) cohomology
+    # H^1(C3, S(F)) vanishes.  No suite computes S(F) cohomology, and a
+    # suite home would need a new CLI option (cohomology --ring SF), so
+    # this sweep is the one check loop kept here
     ok = True
     for t in range(0, -49, -2):
         ok = ok and coh.h_dim("C3", "SF", 1, t) == 0

@@ -274,10 +274,23 @@ def test_tame_fixed_rings_match_predicted_spans(t):
 
 
 def test_loc_poly_canonicalization():
+    # sigma3^2 / sigma3^3 is the fraction 1 / sigma3, and not 1
     s3 = sigma3_rho(N)
-    f = LocPoly(s3 * s3, 3).canonical()
-    assert f.r == 1
-    assert f.num == WPoly.constant(witt.one(N), 2)
+    one = WPoly.constant(witt.one(N), 2)
+    assert LocPoly(s3 * s3, 3) == LocPoly(one, 1)
+    assert LocPoly(s3 * s3, 3) != LocPoly(one, 0)
+
+
+@pytest.mark.parametrize("precision", range(4, 9))
+def test_c4_c6_identity_with_operands_over_other_denominators(precision):
+    q = inv.modular_quantities(precision)
+    s3 = sigma3_rho(precision)
+    c4 = LocPoly(q.c4.num * s3, q.c4.r + 1)
+    Delta = LocPoly(q.Delta.num * s3**2, q.Delta.r + 2)
+    twenty_seven = witt.from_int(27, precision)
+    lhs = q.c6 * q.c6 - c4 * q.c4 * c4
+    assert lhs == Delta.scale(twenty_seven) == q.Delta.scale(twenty_seven)
+    assert q.c6 * q.c6 != c4 * q.c4 * c4
 
 
 @pytest.mark.parametrize("t", [-12, -6, 0, 6, 12])

@@ -1,15 +1,21 @@
-"""Every public top-level function and class of the library, and every
-public method of its classes, has a caller in the library or its scripts;
-tests alone do not keep code alive.
+"""Every public top-level function, class and constant of the library, and
+every public method of its classes, has a reader in the library or its
+scripts; tests alone do not keep code alive.
 
-A top-level definition counts as called only through its own module: a
-bare name there, ``alias.name`` with ``alias`` an import of the module,
-or ``from .module import name``.  A method counts as called by any
-attribute of its name, and a public dataclass field counts as read by any
+A top-level name counts as read only through its own module: a bare name
+loaded there, ``alias.name`` with ``alias`` an import of the module, or
+``from .module import name``.  A method counts as called by an attribute
+of its name on a receiver of its class.  The receiver's class is known for
+``self`` (or ``cls``) in a method, a parameter annotated with the class,
+the class itself, a constructor call, and a call to a function or method
+whose return annotation names the class, each directly or through a local
+name bound once; an attribute on any other receiver counts for every
+method of its name.  A public dataclass field counts as read by any
 attribute load of its name that is not called: ``x.name(...)`` calls a
 method, it does not read a field."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,13 +39,30 @@ def _public(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
 
 
+def _constant_targets(node) -> list:
+    """The public names a module-level assignment binds (a dunder such as
+    ``__version__`` is not public)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        t.id for t in targets
+        if isinstance(t, ast.Name) and not t.id.startswith("_")
+    ]
+
+
 def _definitions():
     """(file, dotted name, node) of each public definition: top-level
-    functions and classes, and the methods in class bodies."""
+    functions, classes and constants, and the methods in class bodies."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if _public(node) and not _is_click_command(node):
                 yield path, node.name, node
+            for name in _constant_targets(node):
+                yield path, name, node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if _public(method):
@@ -56,11 +79,144 @@ def _package_module(module, level: int):
     return None
 
 
+def _annotated_class(node, classes):
+    """The library class that an annotation names, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value.rpartition(".")[2]
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return None
+    return name if name in classes else None
+
+
+def _is_method(func, owner) -> bool:
+    """Whether the first parameter of ``func`` is its class or instance."""
+    return isinstance(func, ast.FunctionDef) and owner is not None and not any(
+        getattr(d, "id", None) == "staticmethod" for d in func.decorator_list
+    )
+
+
+def _library():
+    """(classes, returns): the names of the package's classes, which must
+    be distinct, and the class that the return annotation of each function
+    or method names, keyed by (module stem or class, name)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    names = [n.name for tree in trees.values() for n in tree.body if isinstance(n, ast.ClassDef)]
+    assert len(names) == len(set(names)), "receiver types are matched by class name"
+    classes = set(names)
+    returns = {}
+    for stem, tree in trees.items():
+        for node in tree.body:
+            owner, body = (node.name, node.body) if isinstance(node, ast.ClassDef) else (stem, [node])
+            for func in body:
+                if isinstance(func, ast.FunctionDef) and func.returns is not None:
+                    returns[(owner, func.name)] = _annotated_class(func.returns, classes)
+    return classes, returns
+
+
+class _Scope:
+    """The module, one function or one lambda: the names it binds, and the
+    class of each whose class the rules of this file's docstring decide."""
+
+    def __init__(self, node, owner, resolver):
+        self.resolver = resolver
+        self.params = {}
+        self.bound_once = {}
+        stores = Counter(
+            n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        )
+        args = getattr(node, "args", None)
+        args = args.posonlyargs + args.args + args.kwonlyargs if args else []
+        for i, arg in enumerate(args):
+            if stores[arg.arg]:
+                continue
+            if i == 0 and _is_method(node, owner):
+                self.params[arg.arg] = owner
+            elif arg.annotation is not None:
+                self.params[arg.arg] = _annotated_class(arg.annotation, resolver.classes)
+        for n in ast.walk(node):
+            if isinstance(n, ast.Assign) and len(n.targets) == 1:
+                target = n.targets[0]
+            elif isinstance(n, ast.AnnAssign) and n.value is not None:
+                target = n.target
+            else:
+                continue
+            if isinstance(target, ast.Name) and stores[target.id] == 1:
+                self.bound_once[target.id] = n.value
+        self.local = set(stores) | {arg.arg for arg in args}
+        self.resolving = set()
+
+    def name_class(self, name):
+        if name in self.params:
+            return self.params[name]
+        if name in self.bound_once and name not in self.resolving:
+            self.resolving.add(name)
+            try:
+                return self.resolver.expr_class(self.bound_once[name], self)
+            finally:
+                self.resolving.discard(name)
+        if name in self.resolver.classes and name not in self.local:
+            return name
+        return None
+
+
+class _Resolver:
+    """Receiver classes in one source file."""
+
+    def __init__(self, own, aliases, imported, library):
+        self.own, self.aliases, self.imported = own, aliases, imported
+        self.classes, self.returns = library
+
+    def module_of(self, expr):
+        """The package module that ``expr`` names, or None."""
+        return self.aliases.get(expr.id) if isinstance(expr, ast.Name) else None
+
+    def expr_class(self, expr, scope):
+        """The library class of the value of ``expr`` (a class stands for
+        itself), or None where the rules do not decide it."""
+        if isinstance(expr, ast.Name):
+            return scope.name_class(expr.id)
+        if isinstance(expr, ast.Attribute) and self.module_of(expr.value) is not None:
+            return _annotated_class(expr, self.classes)
+        if not isinstance(expr, ast.Call):
+            return None
+        func = expr.func
+        if isinstance(func, ast.Name):
+            if func.id in scope.local:
+                return None
+            if func.id in self.classes:
+                return func.id
+            return self.returns.get(self.imported.get(func.id, (self.own, func.id)))
+        if not isinstance(func, ast.Attribute):
+            return None
+        module = self.module_of(func.value)
+        if module is not None:
+            return func.attr if func.attr in self.classes else self.returns.get((module, func.attr))
+        return self.returns.get((self.expr_class(func.value, scope), func.attr))
+
+
+def _scoped_nodes(node, scope, resolver):
+    """(node, scope) for every node below ``node``, each in the innermost
+    function or lambda around it, or in the module."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            owner = node.name if isinstance(node, ast.ClassDef) else None
+            inner = _Scope(child, owner, resolver)
+        yield child, inner
+        yield from _scoped_nodes(child, inner, resolver)
+
+
 def _references():
     """(file, line) of each reference that code, not a string, makes:
-    keyed by (module stem, name) for the names of package modules, and by
-    (None, identifier) for every identifier, as methods are matched."""
+    keyed by (module stem, name) for the names of package modules, by
+    (class, name) for an attribute on a receiver of known class, and by
+    (None, name) for an attribute on any other receiver."""
     refs: dict = {}
+    library = _library()
 
     def add(key, path, node):
         refs.setdefault(key, []).append((path, node.lineno))
@@ -69,25 +225,23 @@ def _references():
         tree = ast.parse(path.read_text())
         own = path.stem if path.parent == PACKAGE else None
         aliases = {}  # local name -> stem of the package module it imports
+        imported = {}  # local name -> (stem, name) of the package name it imports
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 module = _package_module(node.module, node.level)
                 for a in node.names if module is not None else ():
                     if module:
                         add((module, a.name), path, node)
+                        imported[a.asname or a.name] = (module, a.name)
                     else:
                         aliases[a.asname or a.name] = a.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                add((None, node.id), path, node)
-                if own:
-                    add((own, node.id), path, node)
+        resolver = _Resolver(own, aliases, imported, library)
+        for node, scope in _scoped_nodes(tree, _Scope(tree, None, resolver), resolver):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
+                add((own, node.id), path, node)
             elif isinstance(node, ast.Attribute):
-                add((None, node.attr), path, node)
-                if isinstance(node.value, ast.Name) and node.value.id in aliases:
-                    add((aliases[node.value.id], node.attr), path, node)
-            elif isinstance(node, ast.alias):
-                add((None, node.name), path, node)
+                owner = resolver.module_of(node.value) or resolver.expr_class(node.value, scope)
+                add((owner, node.attr), path, node)
     return refs
 
 
@@ -95,9 +249,13 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     refs = _references()
     unreferenced = set()
     for path, name, node in _definitions():
-        key = (None, node.name) if "." in name else (path.stem, node.name)
-        first = node.lineno - len(node.decorator_list)
-        if all(p == path and first <= line <= node.end_lineno for p, line in refs.get(key, [])):
+        owner, _, attr = name.rpartition(".")
+        keys = [(owner, attr), (None, attr)] if owner else [(path.stem, name)]
+        first = node.lineno - len(getattr(node, "decorator_list", ()))
+        if all(
+            p == path and first <= line <= node.end_lineno
+            for key in keys for p, line in refs.get(key, [])
+        ):
             unreferenced.add(f"{path.stem}.{name}")
     assert unreferenced == set()
 

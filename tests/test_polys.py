@@ -1,11 +1,10 @@
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from model_oracle import w_coordinate_matrix
 from stab23 import witt
 from stab23.polys import (
     LocPoly,
     WPoly,
-    divide_by_sigma3,
     embed_2_to_3,
     monomials_of_degree,
     sigma3_rho,
@@ -13,17 +12,22 @@ from stab23.polys import (
 )
 
 N = 5
-coeff = st.integers(min_value=0, max_value=3**N - 1)
 
 
 @st.composite
-def small_polys(draw, nvars=2, max_deg=3):
+def small_polys(draw, nvars=2, max_deg=3, precision=N):
+    coeff = st.integers(min_value=0, max_value=3**precision - 1)
     terms = draw(st.integers(min_value=0, max_value=4))
     coeffs = {}
     for _ in range(terms):
         mono = tuple(draw(st.integers(0, max_deg)) for _ in range(nvars))
-        coeffs[mono] = witt.WittElement(draw(coeff), draw(coeff), N)
-    return WPoly(nvars, N, coeffs)
+        coeffs[mono] = witt.WittElement(draw(coeff), draw(coeff), precision)
+    return WPoly(nvars, precision, coeffs)
+
+
+# 2-variable numerators at precisions 4..8, and denominator exponents
+numerators = st.integers(4, 8).flatmap(lambda p: small_polys(precision=p))
+exponents = st.integers(0, 3)
 
 
 @settings(max_examples=30)
@@ -66,23 +70,36 @@ def test_substitute_x3():
     assert g == x1 * m + m * m
 
 
-def test_divide_by_sigma3_round_trip():
-    s3 = sigma3_rho(N)
-    f = WPoly(2, N, {(2, 1): witt.omega(N), (0, 3): witt.from_int(5, N)})
-    assert divide_by_sigma3(f * s3) == f
-    assert divide_by_sigma3(WPoly.variable(0, 2, N)) is None
-
-
 def test_loc_poly_arithmetic():
     one = WPoly.constant(witt.one(N), 2)
     s3 = sigma3_rho(N)
     delta = LocPoly(one, 1)
-    back = LocPoly(s3, 1).canonical()
-    assert back.r == 0 and back.num == one
-    prod = delta * LocPoly(s3 * s3, 0)
-    assert prod == LocPoly(s3, 0)
-    total = delta + LocPoly(-one, 1)
-    assert total.num.is_zero() and total.r == 0
+    assert LocPoly(s3, 1) == LocPoly(one, 0)
+    assert delta * LocPoly(s3 * s3, 0) == LocPoly(s3, 0)
+    assert delta + LocPoly(-one, 1) == LocPoly(WPoly(2, N), 0)
+    assert delta + delta != delta
+
+
+@settings(max_examples=40)
+@given(numerators, exponents, exponents)
+def test_loc_poly_equal_over_a_common_denominator(f, r, k):
+    # f / sigma3^r and f sigma3^k / sigma3^(r + k) are one fraction
+    s3 = sigma3_rho(f.precision)
+    assert LocPoly(f * s3**k, r + k) == LocPoly(f, r)
+    assert LocPoly(f, r) == LocPoly(f * s3**k, r + k)
+
+
+@settings(max_examples=40)
+@given(numerators, exponents)
+def test_loc_poly_denominator_separates_nonzero_fractions(f, r):
+    assume(not f.is_zero())
+    assert LocPoly(f, r) != LocPoly(f, r + 1)
+    assert LocPoly(f, r + 1) != LocPoly(f, r)
+
+
+@given(st.integers(4, 8), exponents, exponents)
+def test_loc_poly_zero_over_any_denominator(precision, r, s):
+    assert LocPoly(WPoly(2, precision), r) == LocPoly(WPoly(2, precision), s)
 
 
 def test_loc_poly_equality_across_representatives():

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -60,7 +59,7 @@ def test_group_axioms_sampled(g32):
     idx = rng.integers(0, g32.order, size=40)
     e = g32.identity_index()
     for i in idx:
-        assert int(g32.mul(i, g32.inv(i))) == e
+        assert int(g32.mul(i, g32.project(_lift(g32, i).inv()))) == e
         assert int(g32.mul(e, i)) == int(i)
     a, b, c = idx[:3]
     ab_c = g32.mul(g32.mul(a, b), c)
@@ -169,9 +168,11 @@ def test_products_and_inverses_match_the_stabilizer_group(level):
     fq = q.finite_quotient(level, N)
     rng = np.random.default_rng(11)
     i, j = rng.integers(0, fq.order, size=(2, 100))
-    for a, b, ab, a_inv in zip(i, j, fq.mul(i, j), fq.inv(i)):
+    e = fq.identity_index()
+    for a, b, ab in zip(i, j, fq.mul(i, j)):
         assert int(ab) == fq.project(_lift(fq, a) * _lift(fq, b))
-        assert int(a_inv) == fq.project(_lift(fq, a).inv())
+        a_inv = fq.project(_lift(fq, a).inv())
+        assert int(fq.mul(a, a_inv)) == e == int(fq.mul(a_inv, a))
 
 
 def test_index_of_refuses_non_members(g2):
@@ -188,16 +189,3 @@ def test_slot_table_inverts_the_encoding(g1, g32, g2):
         assert len(fq.slot) == 2 * fq.Ma**2 * fq.Mb**2
         assert np.array_equal(fq.slot[keys], np.arange(fq.order))
         assert np.count_nonzero(fq.slot == -1) == len(fq.slot) - fq.order
-
-
-def test_inverse_of_every_element(g32):
-    idx = np.arange(g32.order)
-    assert np.all(g32.mul(idx, g32.inv(idx)) == g32.identity_index())
-    assert np.all(g32.mul(g32.inv(idx), idx) == g32.identity_index())
-
-
-def test_inv_refuses_a_determinant_other_than_plus_minus_one(g1):
-    bad = dataclasses.replace(g1, coords=g1.coords.copy())
-    bad.coords[:, 0] = 0
-    with pytest.raises(KeyError):
-        bad.inv(0)
