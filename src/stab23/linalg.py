@@ -2,9 +2,16 @@
 
 Z/3^m is not a field, so kernels and images are computed through the
 Howell normal form (the canonical span form valid over chain rings) and
-a Smith-style diagonalization.  Conventions: vectors are 1-d int64
+a Smith-style diagonalization.  Conventions: vectors are 1-d integer
 arrays, a linear map R^a -> R^b is a matrix of shape (b, a) acting by
 ``A @ x``, and "span" always means the row span of a 2-d array.
+
+Inputs may have any integer type and are read mod 3^m.  Results are
+int64 unless a ``dtype`` argument asks for a narrower type, which must
+hold 3^m - 1.  Inside, the Z/3^m elimination runs in the working type of
+``residue_dtypes`` (int8 or int16 at the moduli of the resolution), and
+products run in float32, float64 or int64 by ``_product_dtype``: each is
+the narrowest type that a bound checked in code proves exact.
 """
 
 from __future__ import annotations
@@ -43,17 +50,18 @@ def _check_exact_f3(ncols: int) -> None:
 
     The products multiply entries in {0, 1, 2} and sum at most ncols
     terms, so they are exact integers while 4 * ncols < 2^53.  An entry
-    minus such a product lies within 4 * ncols + 2 of zero, and ``_mod3``
+    minus such a product lies within 4 * ncols + 2 of zero, and ``_float_mod``
     reduces it exactly below 2^51, which is the bound enforced.
     """
     if 4 * ncols + 2 >= 2**51:
         raise ExactnessBoundExceeded(f"float64 bound 4 * ncols + 2 < 2^51 fails for ncols = {ncols}")
 
 
-# The F3 engine's float32 bound: below it the partial sums of every
-# product are non-negative integers under 2^24, exact in float32, and
-# fl(X / 3) is off by at most a quarter, less than 1/3, so ``_mod3`` is exact.
+# The float32 bound of the F3 engine and of ``matmul_mod``: below it the
+# partial sums of every product are integers under 2^24, exact in
+# float32, and ``_float_mod`` reduces them exactly.
 _F32_BOUND = 2**24
+_F64_BOUND = 2**53
 
 
 def _f3_dtype(ncols: int):
@@ -61,6 +69,47 @@ def _f3_dtype(ncols: int):
     4 * ncols + 2 < 2^24, float64 under ``_check_exact_f3`` beyond."""
     _check_exact_f3(ncols)
     return np.float32 if 4 * ncols + 2 < _F32_BOUND else np.float64
+
+
+# the signed integer types, narrowest first
+_INT_TYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _narrowest_int(bound: int):
+    """The narrowest signed integer type that holds ``bound``, or None."""
+    return next((t for t in _INT_TYPES if bound <= np.iinfo(t).max), None)
+
+
+@lru_cache(maxsize=None)
+def residue_dtypes(m: int) -> tuple:
+    """(storage, working) integer types of the Z/3^m engine.
+
+    Residues lie in [0, 3^m) and are stored in the narrowest type that
+    holds 3^m - 1, which then holds 3^m too: int8 for m <= 4, int16 for
+    m <= 9, int32 for m <= 19.  One elimination step computes x - q * y or
+    u * y with q, u, x and y residues, or 3^k * y with k <= m, so every
+    value stays within (3^m - 1)^2 + 3^m of zero: the working type is the
+    narrowest that holds that, int8 for m <= 2, int16 for m <= 4 and int32
+    for m <= 9, and int64 beyond, where ``_check_exact`` bounds the
+    products instead.  The bounds are the ones tested here, so no choice
+    of m can pick a type that wraps.
+    """
+    M = modulus(m)
+    store = _narrowest_int(M - 1) or np.int64
+    work = _narrowest_int((M - 1) ** 2 + M) or np.int64
+    return store, work
+
+
+def _residues(X, m: int) -> np.ndarray:
+    """X mod 3^m as a new array: in X's type when it is a signed integer
+    type at least as wide as the storage type, else in the storage type,
+    or in int64 for an input that is not a signed integer array."""
+    X = np.asarray(X)
+    if X.dtype.kind != "i":
+        X = X.astype(np.int64)
+    store = residue_dtypes(m)[0]
+    wide = X.dtype if X.dtype.itemsize >= np.dtype(store).itemsize else store
+    return np.remainder(X, modulus(m), dtype=wide)
 
 
 # columns per panel of the Z/3^m engine, and the width (or pivot count)
@@ -92,12 +141,14 @@ def valuations(X: np.ndarray, m: int) -> np.ndarray:
     return np.where(low <= k, low, k + valuations(X // 3**k, m - k))
 
 
-def _as_matrix(rows, m: int) -> np.ndarray:
-    A = np.atleast_2d(np.asarray(rows, dtype=np.int64))
+def _as_matrix(rows, m: int, dtype=np.int64) -> np.ndarray:
+    """``rows`` as a new 2-d ``dtype`` array of residues mod 3^m; ``dtype``
+    must hold 3^m - 1."""
+    A = np.atleast_2d(np.asarray(rows))
     _check_exact(A.shape[-1], m)
     if A.size == 0:
-        return A.reshape(0, A.shape[1] if A.ndim == 2 else 0)
-    return A % modulus(m)
+        return np.zeros((0, A.shape[1] if A.ndim == 2 else 0), dtype=dtype)
+    return _residues(A, m).astype(dtype, copy=False)
 
 
 @dataclass
@@ -111,16 +162,17 @@ class HowellForm:
         return sum(m - v for v in self.pivot_vals)
 
 
-def rref_f3(A: np.ndarray) -> tuple:
+def rref_f3(A: np.ndarray, dtype=np.int64) -> tuple:
     """Reduced row echelon form over F3 of an integer matrix, read mod 3.
 
-    Returns (rows, pivot_cols): the nonzero reduced rows, in the order of
-    their pivot columns, which is how one ``F3Space.add`` leaves them.
+    Returns (rows, pivot_cols): the nonzero reduced rows as ``dtype``, in
+    the order of their pivot columns, which is how one ``F3Space.add``
+    leaves them.
     """
     A = np.atleast_2d(np.asarray(A))
     space = F3Space(A.shape[1])
     space.add(A)
-    return space.rows, space.pivots
+    return space._buf[: space.dim].astype(dtype), space.pivots
 
 
 def kernel_f3(A, dtype=np.int64) -> tuple:
@@ -136,12 +188,13 @@ def kernel_f3(A, dtype=np.int64) -> tuple:
     piv, free, F = space._free_part()
     out = np.zeros((free.size, a), dtype=dtype)
     out[np.arange(free.size), free] = 1
-    out[:, piv] = _mod3(-F.T)
+    out[:, piv] = _float_mod(-F.T, 3)
     return out, free
 
 
-def howell(rows, m: int) -> HowellForm:
-    """Howell normal form of the row span of ``rows`` over Z/3^m.
+def howell(rows, m: int, dtype=np.int64) -> HowellForm:
+    """Howell normal form of the row span of ``rows`` over Z/3^m, its rows
+    as ``dtype`` (which must hold 3^m - 1).
 
     The returned rows satisfy the Howell property: every span element
     whose first j coordinates vanish is a combination of the returned
@@ -153,15 +206,16 @@ def howell(rows, m: int) -> HowellForm:
     columns only and records its row operations as T = I + Z S^T, S
     selecting the rows it picked, so one ``matmul_mod`` updates the
     trailing columns and gives the pivot rows there.  The Howell form is
-    canonical, so the output is the unblocked loop's.
+    canonical, so the output is the unblocked loop's.  The loop runs in the
+    working type of ``residue_dtypes``.
     """
     if m == 1:
-        R, pivots = rref_f3(rows)
+        R, pivots = rref_f3(rows, dtype)
         return HowellForm(R, pivots, [0] * len(pivots))
     M = modulus(m)
-    A = _as_matrix(rows, m)
+    A = _as_matrix(rows, m, residue_dtypes(m)[1])
     if A.size == 0:
-        return HowellForm(A.reshape(0, A.shape[1] if A.ndim == 2 else 0), [], [])
+        return HowellForm(A.astype(dtype), [], [])
     ncols = A.shape[1]
     width = ncols if ncols <= _ZM_LEAF else _ZM_PANEL
     piv_cols, piv_vals, blocks, panels = [], [], [], []
@@ -183,7 +237,7 @@ def howell(rows, m: int) -> HowellForm:
             hit = live[touched][:, None]
             B = A[live[S], c1:]
             nz = B.any(axis=0).nonzero()[0]
-            upd = matmul_mod(np.vstack([Z[touched], Y]), B[:, nz], m)
+            upd = matmul_mod(np.vstack([Z[touched], Y]), B[:, nz], m, A.dtype)
             nz += c1
             A[hit, nz] = (A[hit, nz] + upd[: hit.size]) % M
             R[:, nz] = upd[hit.size :]
@@ -192,10 +246,10 @@ def howell(rows, m: int) -> HowellForm:
         blocks.append(R)
         panels.append((c0, c1, len(cols)))
     if not piv_cols:
-        return HowellForm(np.zeros((0, ncols), dtype=np.int64), [], [])
+        return HowellForm(np.zeros((0, ncols), dtype=dtype), [], [])
     R = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
     _reduce_above(R, panels, piv_cols, piv_vals, m)
-    return HowellForm(R, piv_cols, piv_vals)
+    return HowellForm(R.astype(dtype, copy=False), piv_cols, piv_vals)
 
 
 def _reduce_above(R: np.ndarray, panels: list, piv_cols: list, piv_vals: list, m: int) -> None:
@@ -210,7 +264,7 @@ def _reduce_above(R: np.ndarray, panels: list, piv_cols: list, piv_vals: list, m
     for c0, c1, k in panels:
         i1 = i0 + k
         B = R[i0:i1]
-        Q = np.zeros((i1, i1 - i0), dtype=np.int64) if c1 < ncols else None
+        Q = np.zeros((i1, i1 - i0), dtype=R.dtype) if c1 < ncols else None
         for i in range(i0, i1):
             col, v = piv_cols[i], piv_vals[i]
             q = R[:i, col] // 3**v
@@ -223,14 +277,15 @@ def _reduce_above(R: np.ndarray, panels: list, piv_cols: list, piv_vals: list, m
         if Q is not None and Q.any():
             nz = c1 + B[:, c1:].any(axis=0).nonzero()[0]
             hit = Q.any(axis=1).nonzero()[0][:, None]
-            R[hit, nz] = (R[hit, nz] - matmul_mod(Q[hit[:, 0]], B[:, nz], m)) % M
+            R[hit, nz] = (R[hit, nz] - matmul_mod(Q[hit[:, 0]], B[:, nz], m, R.dtype)) % M
         i0 = i1
 
 
 def _howell_panel(A: np.ndarray, m: int, track: bool) -> tuple:
-    """The column loop of ``howell`` on the pending rows ``A`` of one panel.
-    Every pending row vanishes left of the current column and a spent row
-    is zero, so the rows led by a column are its nonzeros.
+    """The column loop of ``howell`` on the pending rows ``A`` of one panel,
+    in A's (working) type.  Every pending row vanishes left of the current
+    column and a spent row is zero, so the rows led by a column are its
+    nonzeros.
 
     Returns (cols, vals, P, Z, Y, S): the pivot columns and valuations and
     the pivot rows on the panel.  With ``track`` the loop runs on [A | I],
@@ -241,7 +296,7 @@ def _howell_panel(A: np.ndarray, m: int, track: bool) -> tuple:
     M = modulus(m)
     n, w = A.shape
     if track:
-        A = np.hstack([A, np.eye(n, dtype=np.int64)])
+        A = np.hstack([A, np.eye(n, dtype=A.dtype)])
     cols, vals, prows, picked = [], [], [], {}
     for col in range(w):
         idx = A[:, col].nonzero()[0]
@@ -264,7 +319,7 @@ def _howell_panel(A: np.ndarray, m: int, track: bool) -> tuple:
         prows.append(p)
         if track:
             picked[int(r)] = None
-    P = np.array(prows, dtype=np.int64).reshape(len(prows), A.shape[1])
+    P = np.array(prows, dtype=A.dtype).reshape(len(prows), A.shape[1])
     if not track:
         return cols, vals, P, None, None, None
     S = list(picked)
@@ -273,21 +328,32 @@ def _howell_panel(A: np.ndarray, m: int, track: bool) -> tuple:
     return cols, vals, P[:, :w], Z % M, P[:, w:][:, S], S
 
 
-def matmul_mod(A, B, m: int) -> np.ndarray:
-    """A @ B mod 3^m as int64, exactly; entries are read mod 3^m.
-
-    With k the inner dimension, the product runs on float64 BLAS while
-    k (3^m - 1)^2 < 2^53, where every partial sum is an exact integer,
-    and otherwise on int64 under ``_check_exact``.
-    """
-    M = modulus(m)
-    A = np.asarray(A) % M
-    B = np.asarray(B) % M
-    k = A.shape[-1]
-    if k * (M - 1) ** 2 < 2**53:
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % M
+def _product_dtype(k: int, m: int):
+    """The type ``matmul_mod`` multiplies in at inner dimension k: float32
+    while k (3^m - 1)^2 < 2^24 and float64 while it is below 2^53, where
+    every partial sum is an exact integer, and int64 under ``_check_exact``
+    beyond."""
+    bound = k * (modulus(m) - 1) ** 2
+    if bound < _F32_BOUND:
+        return np.float32
+    if bound < _F64_BOUND:
+        return np.float64
     _check_exact(k, m)
-    return (A.astype(np.int64) @ B.astype(np.int64)) % M
+    return np.int64
+
+
+def matmul_mod(A, B, m: int, dtype=np.int64) -> np.ndarray:
+    """A @ B mod 3^m as ``dtype`` (which must hold 3^m - 1), exactly;
+    entries are read mod 3^m, and the product runs in ``_product_dtype``."""
+    M = modulus(m)
+    A, B = _residues(A, m), _residues(B, m)
+    ptype = _product_dtype(A.shape[-1], m)
+    P = A.astype(ptype) @ B.astype(ptype)
+    if ptype is np.int64:
+        P %= M
+    else:
+        _float_mod(P, M)
+    return P.astype(dtype, copy=False)
 
 
 def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
@@ -388,14 +454,14 @@ class F3Space:
         zero there and the product runs over the free columns only."""
         if block.dtype.kind in "iu" and block.dtype.itemsize <= 2:
             # exact in either float type, and reduced faster there
-            X = _mod3(block.astype(self.dtype))
+            X = _float_mod(block.astype(self.dtype), 3)
         else:
             X = np.remainder(block, 3).astype(self.dtype)
         piv, free, F = self._free_part()
         if piv.size:
             P = X[:, piv]
             X[:, piv] = 0
-            X[:, free] = _mod3(X[:, free] - P @ F)
+            X[:, free] = _float_mod(X[:, free] - P @ F, 3)
         return X
 
     def reduce(self, B: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -423,7 +489,7 @@ class F3Space:
             # themselves, so clearing X on theirs keeps it zero there
             new, N = self.pivots[start:], self._buf[start : self.dim]
             if new:
-                _mod3(np.subtract(X, X[:, new] @ N, out=X))
+                _float_mod(np.subtract(X, X[:, new] @ N, out=X), 3)
             live = X.any(axis=1)
             if not live.any():
                 continue
@@ -469,16 +535,17 @@ def augmentation_span(V: np.ndarray, acts) -> F3Space:
     return space
 
 
-def _mod3(X: np.ndarray) -> np.ndarray:
-    """X mod 3 in place, for a float array of integers of absolute value
-    below 2^51 (float64) or 2^24 (float32).
+def _float_mod(X: np.ndarray, M: int) -> np.ndarray:
+    """X mod M in place, for a float array of integers of absolute value
+    below 2^24 (float32) or 2^53 (float64).
 
-    Division by 3 is correctly rounded, so floor(X / 3) is exact there;
-    np.remainder on floats gives the same values about eight times slower.
+    There fl(X / M) is off by less than 1/M, so its floor is exact, and so
+    are the product and the difference that follow; np.remainder on floats
+    gives the same values about eight times slower.
     """
-    q = X / 3
+    q = X / M
     np.floor(q, out=q)
-    q *= 3
+    q *= M
     X -= q
     return X
 
@@ -491,7 +558,7 @@ def _clear_columns(R: np.ndarray, cols: list, S: np.ndarray) -> None:
     hit = C.any(axis=1).nonzero()[0]
     for j in range(0, hit.size, _F3_BLOCK):
         h = hit[j : j + _F3_BLOCK]
-        R[h] = _mod3(R[h] - C[h] @ S)
+        R[h] = _float_mod(R[h] - C[h] @ S, 3)
 
 
 def _rref_block(W: np.ndarray) -> tuple:
@@ -509,12 +576,12 @@ def _rref_block(W: np.ndarray) -> tuple:
     T, top = _rref_block(W[: W.shape[0] // 2])
     B = W[W.shape[0] // 2 :].copy()
     if top:
-        _mod3(np.subtract(B, B[:, top] @ T, out=B))
+        _float_mod(np.subtract(B, B[:, top] @ T, out=B), 3)
     live = B.any(axis=1)
     if not live.any():
         return T, top
     S, bottom = _rref_block(B[live])
-    _mod3(np.subtract(T, T[:, bottom] @ S, out=T))
+    _float_mod(np.subtract(T, T[:, bottom] @ S, out=T), 3)
     pivots = top + bottom
     order = np.argsort(pivots, kind="stable")
     return np.vstack([T, S])[order], [pivots[i] for i in order]
@@ -558,33 +625,36 @@ def _rref_leaf(W: np.ndarray) -> tuple:
     return W[:r], pivots
 
 
-def kernel(A, m: int) -> np.ndarray:
-    """Rows spanning {x : A @ x == 0 mod 3^m}."""
+def kernel(A, m: int, dtype=np.int64) -> np.ndarray:
+    """``dtype`` rows spanning {x : A @ x == 0 mod 3^m}."""
     if m == 1:
-        return kernel_f3(A)[0]
-    return kernel_and_image(A, m)[0].rows
+        return kernel_f3(A, dtype)[0]
+    return kernel_and_image(A, m, dtype)[0].rows
 
 
-def kernel_and_image(A, m: int) -> tuple:
-    """Howell forms (of ker A, of the image of A), read off one Howell form
-    of [A^T | I]: its rows with pivots left of the bar, cut to that side,
-    are ``howell(A^T)``, and its rows right of the bar are the kernel, in
-    their own Howell form."""
-    A = _as_matrix(A, m)
+def kernel_and_image(A, m: int, dtype=np.int64) -> tuple:
+    """Howell forms (of ker A, of the image of A), rows as ``dtype``, read
+    off one Howell form of [A^T | I], built in the working type of
+    ``residue_dtypes``: its rows with pivots left of the bar, cut to that
+    side, are ``howell(A^T)``, and its rows right of the bar are the
+    kernel, in their own Howell form."""
+    work = residue_dtypes(m)[1]
+    A = np.atleast_2d(np.asarray(A))
     b, a = A.shape
-    H = howell(np.hstack([A.T, np.eye(a, dtype=np.int64)]), m)
+    X = np.zeros((a, b + a), dtype=work)
+    if A.size:
+        X[:, :b] = _as_matrix(A, m, work).T
+    X[np.arange(a), b + np.arange(a)] = 1
+    H = howell(X, m, work)
     n = sum(c < b for c in H.pivot_cols)
-    ker = HowellForm(
-        np.ascontiguousarray(H.rows[n:, b:]), [c - b for c in H.pivot_cols[n:]], H.pivot_vals[n:]
-    )
-    img = HowellForm(np.ascontiguousarray(H.rows[:n, :b]), H.pivot_cols[:n], H.pivot_vals[:n])
+    ker = HowellForm(H.rows[n:, b:].astype(dtype), [c - b for c in H.pivot_cols[n:]], H.pivot_vals[n:])
+    img = HowellForm(H.rows[:n, :b].astype(dtype), H.pivot_cols[:n], H.pivot_vals[:n])
     return ker, img
 
 
-def image(A, m: int) -> HowellForm:
-    """Howell basis of {A @ x} (the column span of A)."""
-    A = _as_matrix(A, m)
-    return howell(A.T, m)
+def image(A, m: int, dtype=np.int64) -> HowellForm:
+    """Howell basis of {A @ x} (the column span of A), rows as ``dtype``."""
+    return howell(np.atleast_2d(np.asarray(A)).T, m, dtype)
 
 
 def solve(A, b):

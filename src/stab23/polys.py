@@ -221,16 +221,6 @@ class LocPoly:
     def __mul__(self, other: "LocPoly") -> "LocPoly":
         return LocPoly(self.num * other.num, self.r + other.r)
 
-    def __pow__(self, n: int) -> "LocPoly":
-        out = LocPoly(WPoly.constant(witt.one(self.precision), 2), 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c: WittElement) -> "LocPoly":
         return LocPoly(self.num.scale(c), self.r)
 

@@ -209,8 +209,9 @@ def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> 
 
 
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
-    """(dim over F3 of N/(3,I_P)N, the (3,I_P)-span mod 3, a basis of N mod 3)."""
-    V3 = linalg.howell(kernel_rows % 3, 1).rows
+    """(dim over F3 of N/(3,I_P)N, the (3,I_P)-span mod 3, an int8 basis of
+    N mod 3)."""
+    V3 = linalg.howell(kernel_rows % 3, 1, np.int8).rows
     H_IK = _coinvariant_span(ld, V3, ld.p_gens, space)
     return len(V3) - H_IK.dim, H_IK, V3
 
@@ -231,7 +232,7 @@ def _kept_tor0(tor: tuple) -> tuple:
     """The part of ``_tor0_data`` the Nakayama check reads again: the
     (3, I_P)-span rows and the basis of N mod 3, read-only int8."""
     _, H_IK, V3 = tor
-    return _read_only(H_IK.rows.astype(np.int8)), _read_only(V3.astype(np.int8))
+    return _read_only(H_IK.rows.astype(np.int8)), _read_only(V3)
 
 
 def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
@@ -240,21 +241,26 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
 
     With ``rng`` the candidate order is shuffled and the lift is
     perturbed by a random element of (3, I_P) * N; the construction's
-    verdicts must not depend on this choice.
+    verdicts must not depend on this choice.  The kernel rows may be
+    narrow, so each row is read as int64 before any arithmetic.
     """
     tor = _tor0_data(ld, kernel_rows, space)
     H_IK = tor[1]
     order = list(range(len(kernel_rows)))
     if rng is not None:
         rng.shuffle(order)
+
+    def row(j):
+        return kernel_rows[j].astype(np.int64) % ld.M
+
     for j in order:
-        v = kernel_rows[j] % ld.M
+        v = row(j)
         if not H_IK.reduce(v).any():
             continue
         if rng is not None:
-            noise = 3 * kernel_rows[rng.randrange(len(kernel_rows))]
+            noise = 3 * row(rng.randrange(len(kernel_rows)))
             g = ld.p_gens[rng.randrange(len(ld.p_gens))]
-            w = kernel_rows[rng.randrange(len(kernel_rows))] % ld.M
+            w = row(rng.randrange(len(kernel_rows)))
             noise = (noise + _act_vector(ld, g, w, space) - w) % ld.M
             v = (v + noise) % ld.M
         c = _sd16_average(ld, v, space)
@@ -270,9 +276,11 @@ class ComplexAtLevel:
     """The complex at one level, owner of the kernel and the image of each
     boundary ('aug', 'b1', 'b2', 'b3'), both computed once by ``_eliminate``:
     by the construction or on first use.  Boundaries, kernel rows and image
-    rows are read-only, so a caller that writes into one raises instead of
-    corrupting a later verdict.  ``tor0`` holds the Tor0 data of each kernel
-    the construction built (``_kept_tor0``).
+    rows are residues in the storage type of ``linalg.residue_dtypes`` and
+    read-only, so a caller that writes into one raises instead of
+    corrupting a later verdict; products of them must upcast first.
+    ``tor0`` holds the Tor0 data of each kernel the construction built
+    (``_kept_tor0``).
 
     Building one checks it: ``composite_checks`` goes into
     ``diagnostics['composites_zero']``, and a nonzero composite raises
@@ -330,13 +338,15 @@ class ComplexAtLevel:
 
 def _eliminate(A: np.ndarray, m: int) -> tuple:
     """(kernel rows, Howell form of the kernel, Howell form of the image)
-    of A, read-only.  At m >= 2 all three come off one Howell form of
-    [A^T | I]; at m = 1 the kernel is the F3 kernel basis, whose Howell
-    form the Tor0 data holds, and the image its own RREF."""
+    of A, read-only and in the storage type.  At m >= 2 all three come off
+    one Howell form of [A^T | I]; at m = 1 the kernel is the F3 kernel
+    basis, whose Howell form the Tor0 data holds, and the image its own
+    RREF."""
+    store = linalg.residue_dtypes(m)[0]
     if m == 1:
-        K, HK, HI = linalg.kernel(A, 1), None, linalg.image(A, 1)
+        K, HK, HI = linalg.kernel(A, 1, store), None, linalg.image(A, 1, store)
     else:
-        HK, HI = linalg.kernel_and_image(A, m)
+        HK, HI = linalg.kernel_and_image(A, m, store)
         K = HK.rows
     _read_only(HI.rows)
     return _read_only(K), HK, HI
@@ -345,16 +355,23 @@ def _eliminate(A: np.ndarray, m: int) -> tuple:
 def _boundary_on_pairs(ld: LevelData, c: np.ndarray, space: str) -> np.ndarray:
     """chi_up -> C0 (``c`` in 'c24') or chi_up -> chi_up (``c`` in 'chi'):
     pair p maps to (g_p - g_p omega) . c, g_p the representative of the
-    coset leading pair p."""
+    coset leading pair p.  The moved copies of c are in the storage type
+    and their difference, within 2 (3^m - 1) of zero, in the working type."""
+    store, work = linalg.residue_dtypes(ld.m)
+    c = (np.asarray(c) % ld.M).astype(store)
     reps, x = ld.chi.cosets.reps, ld.chi.pair_rep
     at_x = linalg.signed_permute(c, *ld.actions(reps[x], space))
     at_y = linalg.signed_permute(c, *ld.actions(reps[ld.chi.sigma[x]], space))
-    return (at_x - at_y).T % ld.M
+    d = np.subtract(at_x, at_y, dtype=work)
+    d %= ld.M
+    return d.T.astype(store)
 
 
 def _boundary_on_cosets(ld: LevelData, c_pairs: np.ndarray) -> np.ndarray:
-    """C3-term (G24-cosets) -> chi_up: coset y maps to g_y . c."""
-    return linalg.signed_permute(c_pairs, *ld.actions(ld.c24.reps, "chi")).T % ld.M
+    """C3-term (G24-cosets) -> chi_up: coset y maps to g_y . c, in the
+    storage type."""
+    c = (np.asarray(c_pairs) % ld.M).astype(linalg.residue_dtypes(ld.m)[0])
+    return linalg.signed_permute(c, *ld.actions(ld.c24.reps, "chi")).T % ld.M
 
 
 def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
@@ -363,7 +380,7 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
     if not diagnostics["chi_summand"]["ok"]:
         raise CheckFailed("chi summand failed its structural checks")
 
-    aug = np.ones((1, ld.c24.size), dtype=np.int64)
+    aug = np.ones((1, ld.c24.size), dtype=linalg.residue_dtypes(m)[0])
     # the Tor0 spans are kept in compact form, one F3Space alive at a time
     tor0, solved = {}, {"aug": _eliminate(aug, m)}
     c1, tor = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
@@ -401,12 +418,17 @@ def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
 
 def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     """A G24-fixed vector of span(N3) generating mod (3, I_G), and the
-    Tor0 data of N3."""
+    Tor0 data of N3.  The y with y N3 fixed by s, t and psi are the kernel
+    of the three blocks ((g - 1) N3)^T stacked, written into one buffer of
+    the working type and reduced there."""
     M, m = ld.M, ld.m
-    blocks = []
-    for g in (ld.named["s"], ld.named["t"], ld.named["psi"]):
-        blocks.append((_act_vector(ld, g, N3, "chi") - N3).T % M)
-    big = np.vstack(blocks) % M
+    gens = (ld.named["s"], ld.named["t"], ld.named["psi"])
+    k, n = N3.shape
+    big = np.empty((len(gens) * n, k), dtype=linalg.residue_dtypes(m)[1])
+    for i, g in enumerate(gens):
+        moved = linalg.signed_permute(N3, *ld.action(g, "chi"))
+        np.subtract(moved.T, N3.T, out=big[i * n : (i + 1) * n], dtype=big.dtype)
+    big %= M
     y_span = linalg.kernel(big, m)
     if y_span.size == 0:
         raise ConstructionRefused("no G24-invariant vectors in the last kernel")
@@ -488,30 +510,47 @@ def homology_cells(cx: ComplexAtLevel) -> dict:
 # -- level transitions ----------------------------------------------------------------
 
 def pushforward_maps(ld_hi: LevelData, ld_lo: LevelData) -> tuple:
-    """(P0 on G24-cosets, P1 on chi pairs) along the level projection."""
+    """(P0 on G24-cosets, P1 on chi pairs) along the level projection.
+
+    Each has one nonzero, a sign, per column, so each is kept as a triple
+    (targets, signs, n): the n-row matrix with signs[j] at (targets[j], j),
+    applied by ``_push`` and ``_pull``."""
     proj = ld_hi.fq.projection_to(ld_lo.fq)
-    n24h, n24l = ld_hi.c24.size, ld_lo.c24.size
-    P0 = np.zeros((n24l, n24h), dtype=np.int64)
     targets = ld_lo.c24.coset_id[proj[ld_hi.c24.reps]]
-    P0[targets, np.arange(n24h)] = 1
-    nch, ncl = ld_hi.chi.size, ld_lo.chi.size
-    P1 = np.zeros((ncl, nch), dtype=np.int64)
+    P0 = (targets, np.ones(len(targets), dtype=np.int8), ld_lo.c24.size)
     tgt_cosets = ld_lo.chi.cosets.coset_id[proj[ld_hi.chi.cosets.reps[ld_hi.chi.pair_rep]]]
-    P1[ld_lo.chi.pair_of[tgt_cosets], np.arange(nch)] = ld_lo.chi.sign_of[tgt_cosets]
-    return P0 % 3**ld_lo.m, P1 % 3**ld_lo.m
+    P1 = (ld_lo.chi.pair_of[tgt_cosets], ld_lo.chi.sign_of[tgt_cosets], ld_lo.chi.size)
+    return P0, P1
+
+
+def _push(P: tuple, X: np.ndarray, m: int) -> np.ndarray:
+    """P @ X mod 3^m, as int64, for a pushforward map P: row j of X, times
+    signs[j], is added into row targets[j]."""
+    targets, signs, n = P
+    X = np.asarray(X)
+    out = np.zeros((n, *X.shape[1:]), dtype=np.int64)
+    np.add.at(out, targets, (signs * X.T).T)
+    return out % 3**m
+
+
+def _pull(X: np.ndarray, P: tuple, m: int) -> np.ndarray:
+    """X @ P mod 3^m for a pushforward map P: column j is signs[j] times
+    column targets[j] of X."""
+    targets, signs, _ = P
+    return X[:, targets] * signs % 3**m
 
 
 def pushforward_complex(cx_hi: ComplexAtLevel, ld_lo: LevelData, P0, P1) -> ComplexAtLevel:
     """The compatible complex at the lower level: push the generators down
     along ``pushforward_maps`` P0, P1 to ``ld_lo``."""
     m = ld_lo.m
-    c1 = linalg.matmul_mod(P0, cx_hi.c_vectors["c1"], m)
-    c2 = linalg.matmul_mod(P1, cx_hi.c_vectors["c2"], m)
-    c3 = linalg.matmul_mod(P1, cx_hi.c_vectors["c3"], m)
+    c1 = _push(P0, cx_hi.c_vectors["c1"], m)
+    c2 = _push(P1, cx_hi.c_vectors["c2"], m)
+    c3 = _push(P1, cx_hi.c_vectors["c3"], m)
     return ComplexAtLevel(
         ld_lo.fq.level,
         m,
-        np.ones((1, ld_lo.c24.size), dtype=np.int64),
+        np.ones((1, ld_lo.c24.size), dtype=linalg.residue_dtypes(m)[0]),
         _boundary_on_pairs(ld_lo, c1, "c24"),
         _boundary_on_pairs(ld_lo, c2, "chi"),
         _boundary_on_cosets(ld_lo, c3),
@@ -524,7 +563,7 @@ def _transition_zero(cx_hi, cx_lo, P0, P1, m: int) -> dict:
     Kernels come from the higher complex, images from the lower one."""
     out = {}
     for pos, ker, im, P in (("pos1", "b1", "b2", P1), ("pos2", "b2", "b3", P1), ("pos3", "b3", None, P0)):
-        moved = linalg.matmul_mod(cx_hi.kernel(ker), P.T, m)
+        moved = _push(P, cx_hi.kernel(ker).T, m).T
         if im is None:
             out[pos] = not moved.any()
         else:
@@ -562,7 +601,7 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> dict:
     for i, (P0, P1) in enumerate(maps):
         cx_hi, cx_lo = cxs[i], cxs[i + 1]
         chain_ok = chain_ok and all(
-            np.array_equal(linalg.matmul_mod(X, b_hi, m), linalg.matmul_mod(b_lo, Y, m))
+            np.array_equal(_push(X, b_hi, m), _pull(b_lo, Y, m))
             for X, b_hi, b_lo, Y in (
                 (P0, cx_hi.b1, cx_lo.b1, P1), (P1, cx_hi.b2, cx_lo.b2, P1), (P1, cx_hi.b3, cx_lo.b3, P0)
             )

@@ -357,10 +357,10 @@ def test_resolution_eliminates_nothing_twice(runner, tmp_path, monkeypatch):
     for name in ("kernel", "image"):
         real = getattr(linalg, name)
 
-        def recorded(A, m, real=real, name=name):
+        def recorded(A, m, *dtype, real=real, name=name):
             a = np.ascontiguousarray(np.atleast_2d(np.asarray(A, dtype=np.int64)))
             seen.append(hashlib.sha1(f"{name} {m} {a.shape}".encode() + a.tobytes()).hexdigest())
-            return real(A, m)
+            return real(A, m, *dtype)
 
         monkeypatch.setattr(linalg, name, recorded)
     r = invoke(runner, tmp_path, ["resolution", "--levels", "2,3/2", "--mod", "1"])

@@ -541,3 +541,130 @@ def test_matmul_mod_and_the_engine_at_m_19():
         assert np.array_equal(linalg.reduce_mod_span(H, V, 19), oracle.reduce_mod_span_unblocked(H, V, 19))
     with pytest.raises(ExactnessBoundExceeded):
         linalg.howell(np.ones((2, LEAF + 1), dtype=np.int64), 19)
+
+
+# -- the dtype rule: narrow working types against the int64 oracle ----------------
+
+DTYPE_MODULI = [1, 2, 3, 4, 5]
+
+
+def test_residue_dtypes_are_the_narrowest_exact_types():
+    # storage holds 3^m - 1 and working holds (3^m - 1)^2 + 3^m, each in the
+    # narrowest signed type, up to the m at which _check_exact refuses
+    # every width
+    ints = [np.int8, np.int16, np.int32, np.int64]
+    for m in range(1, 20):
+        M = 3**m
+        store, work = linalg.residue_dtypes(m)
+        for t, bound in ((store, M - 1), (work, (M - 1) ** 2 + M)):
+            assert np.iinfo(t).max >= bound
+            k = ints.index(t)
+            assert k == 0 or np.iinfo(ints[k - 1]).max < bound
+    table = {1: (np.int8, np.int8), 2: (np.int8, np.int8), 3: (np.int8, np.int16),
+             4: (np.int8, np.int16), 5: (np.int16, np.int32), 9: (np.int16, np.int32),
+             10: (np.int32, np.int64), 19: (np.int32, np.int64), 20: (np.int64, np.int64)}
+    for m, want in table.items():
+        assert linalg.residue_dtypes(m) == want
+
+
+def forced_working(monkeypatch, work):
+    """Run the engine with working type ``work`` in place of the rule's."""
+    rule = linalg.residue_dtypes
+    monkeypatch.setattr(linalg, "residue_dtypes", lambda m: (rule(m)[0], work))
+
+
+def extreme_zm_inputs(rng, m):
+    """Matrices dense in 3^m - 1, the residue whose products are largest,
+    and in its 3-multiples, so that a working type too narrow wraps."""
+    M = 3**m
+    top = M - 1
+    inputs = [
+        np.full((5, 7), top, dtype=np.int64),
+        rng.choice([0, top, top, top - 1, 1, 3 ** (m - 1)], size=(PANEL + 9, LEAF + 20)),
+        rng.choice([top, M - 3, 2], size=(40, 30)),
+    ]
+    low = rng.integers(0, M, size=(50, 4)) @ rng.integers(0, M, size=(4, 60)) % M
+    inputs.append(np.where(low % 2 == 0, top, low))
+    return inputs
+
+
+def oracle_howell(A, m):
+    return oracle.howell(A, 1) if m == 1 else oracle.howell_unblocked(A, m)
+
+
+def oracle_quotient_invariants(K, I, m):
+    """The exponents from the log-sizes of every layer 3^j K + I, each from
+    the oracle's Howell form."""
+    M = 3**m
+    n = [oracle_howell(np.vstack([3**j * K % M, I]), m).log3_size(m) for j in range(m + 1)]
+    gt = [n[j] - (n[j + 1] if j < m else 0) for j in range(m + 1)]
+    return sorted(e for e in range(1, m + 1) for _ in range(gt[e - 1] - (gt[e] if e < m else 0)))
+
+
+# each modulus with the rule's working type (None) and with every type of
+# int16, int32 and int64 that is at least as wide, forced in its place
+WORKING = [
+    (m, work) for m in DTYPE_MODULI for work in (None, np.int16, np.int32, np.int64)
+    if work is None or np.iinfo(work).max >= (3**m - 1) ** 2 + 3**m
+]
+
+
+@pytest.mark.parametrize(
+    "m, work", WORKING, ids=[f"{m}-{w.__name__ if w else 'rule'}" for m, w in WORKING]
+)
+def test_engine_in_each_working_type_matches_the_int64_oracle(monkeypatch, m, work):
+    # the rule's type, and every wider one forced in its place, give the
+    # int64 oracle's Howell forms, kernels, remainders and invariants on
+    # inputs full of 3^m - 1; the results are int64 unless asked otherwise
+    M = 3**m
+    if work is not None:
+        forced_working(monkeypatch, work)
+    rng = np.random.default_rng(700 + m)
+    for A in extreme_zm_inputs(rng, m):
+        for rows in (A, A.astype(linalg.residue_dtypes(m)[0])):
+            H, want = linalg.howell(rows, m), oracle_howell(A, m)
+            assert H.rows.dtype == np.int64 and np.array_equal(H.rows, want.rows)
+            assert (H.pivot_cols, H.pivot_vals) == (want.pivot_cols, want.pivot_vals)
+        K, I = linalg.kernel_and_image(A, m)
+        b, a = A.shape
+        aug = oracle_howell(np.hstack([A.T % M, np.eye(a, dtype=np.int64)]), m)
+        ker = [row[b:] for row in aug.rows if not row[:b].any()]
+        assert K.rows.dtype == I.rows.dtype == np.int64
+        assert np.array_equal(K.rows, np.array(ker, dtype=np.int64).reshape(len(ker), a))
+        assert np.array_equal(I.rows, oracle_howell(A.T, m).rows)
+        narrow = linalg.kernel_and_image(A, m, linalg.residue_dtypes(m)[0])[0].rows
+        assert narrow.dtype == linalg.residue_dtypes(m)[0] and np.array_equal(narrow, K.rows)
+        in_span = rng.integers(0, M, size=(3, H.rows.shape[0])) @ H.rows
+        V = np.vstack([rng.choice([0, M - 1, M - 2], size=(6, a)), in_span])
+        got = linalg.reduce_mod_span(H, V, m)
+        for v, r in zip(V, got):
+            assert np.array_equal(r, oracle.reduce_mod_span(want, v, m))
+        assert not got[6:].any()
+        C = rng.choice([M - 1, 1, 3], size=(4, b)) * 3 ** rng.integers(0, m + 1, size=(4, 1))
+        assert linalg.quotient_invariants(A, C @ A % M, m) == oracle_quotient_invariants(A, C @ A % M, m)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_matmul_mod_switches_float32_to_float64_at_its_bound(monkeypatch, m):
+    # with the bound moved to k (3^m - 1)^2 the same products run in
+    # float64 and one above it in float32; both are the exact product,
+    # on entries 3^m - 1 that make the partial sums as large as they get
+    rng = np.random.default_rng(800 + m)
+    M = 3**m
+    k = 23
+    A = np.where(rng.random((9, k)) < 0.7, M - 1, rng.integers(-M, M, size=(9, k)))
+    B = np.where(rng.random((k, 11)) < 0.7, M - 1, rng.integers(0, M, size=(k, 11)))
+    want = (A.astype(object) % M).dot(B.astype(object) % M) % M
+    for bound, ptype in [(k * (M - 1) ** 2, np.float64), (k * (M - 1) ** 2 + 1, np.float32)]:
+        monkeypatch.setattr(linalg, "_F32_BOUND", bound)
+        assert linalg._product_dtype(k, m) is ptype
+        for a, b in ((A, B), (A % M, (B % M).astype(linalg.residue_dtypes(m)[0]))):
+            got = linalg.matmul_mod(a, b, m)
+            assert got.dtype == np.int64 and np.array_equal(got, want.astype(np.int64))
+            narrow = linalg.matmul_mod(a, b, m, linalg.residue_dtypes(m)[0])
+            assert narrow.dtype == linalg.residue_dtypes(m)[0] and np.array_equal(narrow, got)
+    monkeypatch.undo()
+    # unpatched, the switch sits at the bound itself
+    bound = (2**24 - 1) // (M - 1) ** 2
+    assert linalg._product_dtype(bound, m) is np.float32
+    assert linalg._product_dtype(bound + 1, m) is np.float64

@@ -7,12 +7,17 @@ loaded there, ``alias.name`` with ``alias`` an import of the module, or
 ``from .module import name``.  A method counts as called by an attribute
 of its name on a receiver of its class.  The receiver's class is known for
 ``self`` (or ``cls``) in a method, a parameter annotated with the class,
-the class itself, a constructor call, and a call to a function or method
-whose return annotation names the class, each directly or through a local
-name bound once; an attribute on any other receiver counts for every
-method of its name.  A public dataclass field counts as read by any
-attribute load of its name that is not called: ``x.name(...)`` calls a
-method, it does not read a field."""
+the class itself, a constructor call, a call to a function or method
+whose return annotation names the class, and a dataclass field annotated
+with the class, each directly or through a local name bound once; an
+attribute on any other receiver counts for every method of its name.
+
+A public dataclass field counts as read only by an attribute of its name
+loaded, and not called, on a receiver of its class: ``x.name(...)`` calls
+a method, and a field name such as ``shape`` or ``rows`` is loaded on
+arrays everywhere.  A field read only on receivers of unknown class fails,
+and annotating the receiver (a parameter, or a field that holds it) makes
+its class known."""
 
 import ast
 from collections import Counter
@@ -102,7 +107,8 @@ def _is_method(func, owner) -> bool:
 def _library():
     """(classes, returns): the names of the package's classes, which must
     be distinct, and the class that the return annotation of each function
-    or method names, keyed by (module stem or class, name)."""
+    or method, or the annotation of each dataclass field, names, keyed by
+    (module stem or class, name)."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     names = [n.name for tree in trees.values() for n in tree.body if isinstance(n, ast.ClassDef)]
     assert len(names) == len(set(names)), "receiver types are matched by class name"
@@ -111,9 +117,11 @@ def _library():
     for stem, tree in trees.items():
         for node in tree.body:
             owner, body = (node.name, node.body) if isinstance(node, ast.ClassDef) else (stem, [node])
-            for func in body:
-                if isinstance(func, ast.FunctionDef) and func.returns is not None:
-                    returns[(owner, func.name)] = _annotated_class(func.returns, classes)
+            for item in body:
+                if isinstance(item, ast.FunctionDef) and item.returns is not None:
+                    returns[(owner, item.name)] = _annotated_class(item.returns, classes)
+                elif isinstance(item, ast.AnnAssign) and any(map(_is_dataclass, node.decorator_list)):
+                    returns[(owner, item.target.id)] = _annotated_class(item.annotation, classes)
     return classes, returns
 
 
@@ -179,8 +187,10 @@ class _Resolver:
         itself), or None where the rules do not decide it."""
         if isinstance(expr, ast.Name):
             return scope.name_class(expr.id)
-        if isinstance(expr, ast.Attribute) and self.module_of(expr.value) is not None:
-            return _annotated_class(expr, self.classes)
+        if isinstance(expr, ast.Attribute):
+            if self.module_of(expr.value) is not None:
+                return _annotated_class(expr, self.classes)
+            return self.returns.get((self.expr_class(expr.value, scope), expr.attr))
         if not isinstance(expr, ast.Call):
             return None
         func = expr.func
@@ -236,12 +246,16 @@ def _references():
                     else:
                         aliases[a.asname or a.name] = a.name
         resolver = _Resolver(own, aliases, imported, library)
-        for node, scope in _scoped_nodes(tree, _Scope(tree, None, resolver), resolver):
+        nodes = list(_scoped_nodes(tree, _Scope(tree, None, resolver), resolver))
+        called = {id(node.func) for node, _ in nodes if isinstance(node, ast.Call)}
+        for node, scope in nodes:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and own:
                 add((own, node.id), path, node)
             elif isinstance(node, ast.Attribute):
                 owner = resolver.module_of(node.value) or resolver.expr_class(node.value, scope)
                 add((owner, node.attr), path, node)
+                if owner is not None and isinstance(node.ctx, ast.Load) and id(node) not in called:
+                    add(("field", owner, node.attr), path, node)
     return refs
 
 
@@ -276,15 +290,10 @@ def _dataclass_fields():
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
-    reads = set()
-    for path in _sources():
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
-        reads |= {
-            node.attr
-            for node in nodes
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-            and id(node) not in called
-        }
-    unread = {f"{path.stem}.{name}" for path, name in _dataclass_fields() if name.split(".")[1] not in reads}
+    refs = _references()
+    unread = set()
+    for path, name in _dataclass_fields():
+        owner, attr = name.split(".")
+        if not refs.get(("field", owner, attr)):
+            unread.add(f"{path.stem}.{name}")
     assert unread == set()

@@ -110,10 +110,10 @@ def test_complex_at_m2_reads_kernel_and_image_off_one_elimination(lvl2, monkeypa
     calls = []
     real = linalg.howell
 
-    def recorded(rows, m):
+    def recorded(rows, m, *dtype):
         if m > 1:
             calls.append(np.asarray(rows) % 3**m)
-        return real(rows, m)
+        return real(rows, m, *dtype)
 
     monkeypatch.setattr(linalg, "howell", recorded)
     cx = res.construct_complex(ld)
@@ -152,11 +152,13 @@ def test_term_dimensions(lvl2):
 
 
 def test_composites_zero_independent_check(lvl2):
+    # the boundaries are int8, and an int8 product wraps: multiply in int64
     fq, ld, cx = lvl2
     M = 3**cx.m
-    assert not ((cx.aug @ cx.b1) % M).any()
-    assert not ((cx.b1 @ cx.b2) % M).any()
-    assert not ((cx.b2 @ cx.b3) % M).any()
+    aug, b1, b2, b3 = (a.astype(np.int64) for a in (cx.aug, cx.b1, cx.b2, cx.b3))
+    assert not ((aug @ b1) % M).any()
+    assert not ((b1 @ b2) % M).any()
+    assert not ((b2 @ b3) % M).any()
 
 
 def test_augmentation_of_coset_vector_is_one(lvl2):
@@ -276,9 +278,9 @@ def test_homology_cells_reuses_the_kept_kernel_forms(lvl2, monkeypatch):
     seen = []
     real = linalg.howell
 
-    def recorded(rows, m):
+    def recorded(rows, m, *dtype):
         seen.append(np.asarray(rows) % 3)
-        return real(rows, m)
+        return real(rows, m, *dtype)
 
     monkeypatch.setattr(linalg, "howell", recorded)
     hom = res.homology_cells(cx)
@@ -370,7 +372,31 @@ def test_pushforward_maps_compose(levels, m):
     l0, l1, l2 = (res.prepare_level(q.finite_quotient(lv, N), m) for lv in levels)
     steps = zip(res.pushforward_maps(l0, l1), res.pushforward_maps(l1, l2))
     for whole, (hi, lo) in zip(res.pushforward_maps(l0, l2), steps):
-        assert np.array_equal(whole, linalg.matmul_mod(lo, hi, m))
+        assert np.array_equal(dense(whole, m), linalg.matmul_mod(dense(lo, m), dense(hi, m), m))
+
+
+def dense(P, m):
+    """The matrix of a pushforward map (targets, signs, n), mod 3^m."""
+    targets, signs, n = P
+    D = np.zeros((n, len(targets)), dtype=np.int64)
+    D[targets, np.arange(len(targets))] = signs
+    return D % 3**m
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_push_and_pull_are_the_dense_products(m):
+    # every column of the chain-map check and of the transitions, against
+    # the dense matrices the pushforward maps stand for
+    l0, l1 = (res.prepare_level(q.finite_quotient(lv, N), m) for lv in (2, Fraction(3, 2)))
+    rng = np.random.default_rng(7 + m)
+    for P in res.pushforward_maps(l0, l1):
+        D = dense(P, m)
+        n, k = D.shape
+        X = rng.integers(0, 3**m, size=(k, 5)).astype(np.int8)
+        Y = rng.integers(0, 3**m, size=(4, n)).astype(np.int8)
+        assert np.array_equal(res._push(P, X, m), linalg.matmul_mod(D, X, m))
+        assert np.array_equal(res._push(P, X[:, 0], m), linalg.matmul_mod(D, X[:, 0], m))
+        assert np.array_equal(res._pull(Y, P, m), linalg.matmul_mod(Y, D, m))
 
 
 def test_pushforward_with_a_corrupted_generator_raises(lvl2):
@@ -381,3 +407,51 @@ def test_pushforward_with_a_corrupted_generator_raises(lvl2):
     broken = SimpleNamespace(c_vectors=dict(cx2.c_vectors, c2=(cx2.c_vectors["c2"] + 1) % 3))
     with pytest.raises(CheckFailed, match="composites not zero"):
         res.pushforward_complex(broken, ld32, P0, P1)
+
+
+# -- the complex in its storage type --------------------------------------------------
+
+def all_int64(monkeypatch):
+    """Run everything in int64, storage and working type alike."""
+    monkeypatch.setattr(linalg, "residue_dtypes", lambda m: (np.int64, np.int64))
+
+
+@pytest.mark.parametrize("m", [4, 5], ids=["int8", "int16"])
+def test_tower_across_the_storage_boundary_matches_int64(monkeypatch, m):
+    # m = 4 is the last modulus stored in int8, m = 5 the first in int16;
+    # level 3/2 alone refuses at these moduli, so the tower starts at 2
+    levels = [Fraction(2), Fraction(3, 2)]
+    narrow = res.verify_tower(levels, m, N)
+    all_int64(monkeypatch)
+    assert narrow == res.verify_tower(levels, m, N)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_complex_arrays_are_narrow_and_read_only(m):
+    ld = res.prepare_level(q.finite_quotient(2, N), m)
+    cx = res.construct_complex(ld)
+    store = linalg.residue_dtypes(m)[0]
+    assert store is np.int8
+    arrays = [cx.aug, cx.b1, cx.b2, cx.b3]
+    for name in ("aug", "b1", "b2", "b3"):
+        arrays += [cx.kernel(name), cx.image(name).rows]
+    arrays += [a for pair in cx.tor0.values() for a in pair]
+    for a in arrays:
+        assert a.dtype == store
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_random_lift_at_m4_matches_int64(monkeypatch):
+    # the rng path scales and adds int8 kernel rows of entries up to 80;
+    # read in int8 they would wrap, so compare with the same draws in int64
+    ld = res.prepare_level(q.finite_quotient(2, N), 4)
+    cx = res.construct_complex(ld, rng=random.Random(4))
+    all_int64(monkeypatch)
+    ld64 = res.prepare_level(q.finite_quotient(2, N), 4)
+    cx64 = res.construct_complex(ld64, rng=random.Random(4))
+    for name in ("c1", "c2", "c3"):
+        assert np.array_equal(cx.c_vectors[name], cx64.c_vectors[name])
+    for name in ("b1", "b2", "b3"):
+        assert np.array_equal(getattr(cx, name), getattr(cx64, name))
+    assert cx64.b1.dtype == np.int64 and cx.b1.dtype == np.int8
