@@ -197,12 +197,17 @@ class FiniteQuotient:
         return np.searchsorted(reps, smallest), reps
 
     def left_action_on_cosets(self, g, coset_id: np.ndarray, reps: np.ndarray):
-        """Permutations p with g * (coset r) = coset p[r], one row per actor
-        in the array ``g``; a scalar actor gives one 1-d permutation."""
+        """int32 p with p[r] the coset of g * reps[r], one row per actor in
+        the array ``g`` and one 1-d row for a scalar actor: on all coset
+        representatives, the permutation g * (coset r) = coset p[r].  The
+        coset ids are written a row block at a time, so no table of
+        products outlives its block."""
         actors = np.asarray(g, dtype=np.int64)
-        return coset_id[self.mul_table(actors.reshape(-1), reps)].reshape(
-            actors.shape + (len(reps),)
-        )
+        flat, reps = actors.reshape(-1), np.asarray(reps, dtype=np.int64)
+        out = np.empty((len(flat), len(reps)), dtype=np.int32)
+        for rows in _row_blocks(len(flat), len(reps)):
+            out[rows] = coset_id[self.mul(flat[rows, None], reps[None, :])]
+        return out.reshape(actors.shape + (len(reps),))
 
     # -- generators -------------------------------------------------------
     def _generator_pool(self) -> dict:

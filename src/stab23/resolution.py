@@ -59,19 +59,15 @@ class ChiSpace:
         return len(self.pair_rep)
 
 
-# entries per block of actors in the int64 table an action is read from
-_ACTION_BLOCK = 2**20
-
-
 @dataclass
 class LevelData:
-    """Cosets, subgroup images and the cached group actions of one quotient.
+    """Cosets, subgroup images and the group actions of one quotient.
 
     Every action of G(l) used by the construction and its checks comes
     from ``actions``: an element g acts on the space 'c24' (G24-cosets)
     or 'chi' (chi pairs) by a signed permutation, g . e_p = sign[p] *
-    e_{perm[p]}, with all signs +1 on 'c24'.  Each (space, element) is
-    computed once and cached as an int32 permutation and an int8 sign row.
+    e_{perm[p]}, with all signs +1 on 'c24'.  Nothing is kept: each call
+    reads its permutations off the coset action of the quotient.
     """
 
     fq: FiniteQuotient
@@ -82,44 +78,22 @@ class LevelData:
     p_gens: list             # sylow generator indices in the quotient
     g_gens: list             # full generating set indices
     named: dict              # 'omega', 's', 't', 'psi' -> index in the quotient
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def M(self) -> int:
         return 3**self.m
 
-    def _fill(self, actors, space: str) -> None:
-        """Cache the actions of the actors not cached yet, from one table
-        per block of actors, so that no int64 table outlives its block."""
-        todo = sorted({int(g) for g in actors if (space, int(g)) not in self._cache})
-        cos = self.c24 if space == "c24" else self.chi.cosets
-        step = max(1, _ACTION_BLOCK // cos.size)
-        for i in range(0, len(todo), step):
-            block = todo[i : i + step]
-            perms = self.fq.left_action_on_cosets(np.array(block), cos.coset_id, cos.reps)
-            if space == "c24":
-                perms = perms.astype(np.int32)
-                signs = np.broadcast_to(np.ones(cos.size, dtype=np.int8), perms.shape)
-            else:
-                # g moves the pair led by x to the coset g x, which leads its
-                # pair (sign +1) or is the partner of its leader (sign -1)
-                moved = perms[:, self.chi.pair_rep]
-                perms, signs = self.chi.pair_of[moved], self.chi.sign_of[moved]
-            for g, perm, sign in zip(block, perms, signs):
-                self._cache[space, g] = (perm, sign)
-
-    def action(self, g: int, space: str) -> tuple:
-        """(perm, sign) of one element on 'c24' or 'chi'."""
-        if (space, int(g)) not in self._cache:
-            self._fill([g], space)
-        return self._cache[space, int(g)]
-
     def actions(self, actors, space: str) -> tuple:
-        """(perms, signs) with one row per actor, computed together."""
-        self._fill(actors, space)
-        return tuple(
-            np.stack([self._cache[space, int(g)][k] for g in actors]) for k in (0, 1)
-        )
+        """(perm, sign) on 'c24' or 'chi', int32 and int8: 1-d rows for a
+        scalar actor, one row per actor for an array of actors."""
+        if space == "c24":
+            perm = self.fq.left_action_on_cosets(actors, self.c24.coset_id, self.c24.reps)
+            return perm, np.broadcast_to(np.int8(1), perm.shape)
+        # g moves the pair led by x to the coset g x, which leads its pair
+        # (sign +1) or is the partner of its leader (sign -1)
+        cos = self.chi.cosets
+        moved = self.fq.left_action_on_cosets(actors, cos.coset_id, cos.reps[self.chi.pair_rep])
+        return self.chi.pair_of[moved], self.chi.sign_of[moved]
 
 
 def _coset_space(fq: FiniteQuotient, name: str) -> CosetSpace:
@@ -140,7 +114,7 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
         raise CheckFailed("right translation by omega is not a free involution on Q8-cosets")
     # each pair is led by its smaller coset
     pair_rep = np.nonzero(cos < sigma)[0]
-    # int32 and int8, the dtypes of the cached actions read through them
+    # int32 and int8, the dtypes of the actions read through them
     pair_of = np.empty(c8.size, dtype=np.int32)
     pair_of[pair_rep] = pair_of[sigma[pair_rep]] = np.arange(len(pair_rep))
     sign_of = np.where(cos < sigma, 1, -1).astype(np.int8)
@@ -199,13 +173,13 @@ def verify_chi_summand(ld: LevelData) -> dict:
 def _act_vector(ld: LevelData, g: int, v: np.ndarray, space: str) -> np.ndarray:
     """Left action of a quotient element on C0 ('c24') or chi_up ('chi');
     ``v`` is one vector or a matrix of row vectors."""
-    return linalg.signed_permute(v, *ld.action(g, space)) % ld.M
+    return linalg.signed_permute(v, *ld.actions(g, space)) % ld.M
 
 
 def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> linalg.F3Space:
     """I . span(V3) mod 3, for I the augmentation ideal of the group
     generated by ``gens``."""
-    return linalg.augmentation_span(V3, [ld.action(g, space) for g in gens])
+    return linalg.augmentation_span(V3, zip(*ld.actions(gens, space)))
 
 
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
@@ -355,14 +329,15 @@ def _eliminate(A: np.ndarray, m: int) -> tuple:
 def _boundary_on_pairs(ld: LevelData, c: np.ndarray, space: str) -> np.ndarray:
     """chi_up -> C0 (``c`` in 'c24') or chi_up -> chi_up (``c`` in 'chi'):
     pair p maps to (g_p - g_p omega) . c, g_p the representative of the
-    coset leading pair p.  The moved copies of c are in the storage type
-    and their difference, within 2 (3^m - 1) of zero, in the working type."""
+    coset leading pair p.  ``c`` is checked to be Q8-invariant with
+    omega . c = -c, so that is 2 g_p . c, read off one action table: the
+    moved copies of c are in the storage type and their double, within
+    2 (3^m - 1) of zero, in the working type."""
+    _assert_q8_invariant(ld, c, space)
     store, work = linalg.residue_dtypes(ld.m)
     c = (np.asarray(c) % ld.M).astype(store)
-    reps, x = ld.chi.cosets.reps, ld.chi.pair_rep
-    at_x = linalg.signed_permute(c, *ld.actions(reps[x], space))
-    at_y = linalg.signed_permute(c, *ld.actions(reps[ld.chi.sigma[x]], space))
-    d = np.subtract(at_x, at_y, dtype=work)
+    moved = linalg.signed_permute(c, *ld.actions(ld.chi.cosets.reps[ld.chi.pair_rep], space))
+    d = np.multiply(moved, 2, dtype=work)
     d %= ld.M
     return d.T.astype(store)
 
@@ -385,13 +360,11 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
     tor0, solved = {}, {"aug": _eliminate(aug, m)}
     c1, tor = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
     tor0["aug"] = _kept_tor0(tor)
-    _assert_q8_invariant(ld, c1, "c24")
     b1 = _boundary_on_pairs(ld, c1, "c24")
 
     solved["b1"] = _eliminate(b1, m)
     c2, tor = _pick_averaged_generator(ld, solved["b1"][0], "chi", rng)
     tor0["b1"] = _kept_tor0(tor)
-    _assert_q8_invariant(ld, c2, "chi")
     b2 = _boundary_on_pairs(ld, c2, "chi")
 
     solved["b2"] = _eliminate(b2, m)
@@ -425,8 +398,8 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     gens = (ld.named["s"], ld.named["t"], ld.named["psi"])
     k, n = N3.shape
     big = np.empty((len(gens) * n, k), dtype=linalg.residue_dtypes(m)[1])
-    for i, g in enumerate(gens):
-        moved = linalg.signed_permute(N3, *ld.action(g, "chi"))
+    for i, act in enumerate(zip(*ld.actions(gens, "chi"))):
+        moved = linalg.signed_permute(N3, *act)
         np.subtract(moved.T, N3.T, out=big[i * n : (i + 1) * n], dtype=big.dtype)
     big %= M
     y_span = linalg.kernel(big, m)
@@ -525,11 +498,15 @@ def pushforward_maps(ld_hi: LevelData, ld_lo: LevelData) -> tuple:
 
 def _push(P: tuple, X: np.ndarray, m: int) -> np.ndarray:
     """P @ X mod 3^m, as int64, for a pushforward map P: row j of X, times
-    signs[j], is added into row targets[j]."""
+    signs[j], is added into row targets[j], as one sum over each run of
+    equal targets in sorted order."""
     targets, signs, n = P
-    X = np.asarray(X)
+    order = np.argsort(targets, kind="stable")
+    t = targets[order]
+    starts = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+    X = np.asarray(X)[order]
     out = np.zeros((n, *X.shape[1:]), dtype=np.int64)
-    np.add.at(out, targets, (signs * X.T).T)
+    out[t[starts]] = np.add.reduceat((signs[order] * X.T).T, starts, axis=0, dtype=np.int64)
     return out % 3**m
 
 

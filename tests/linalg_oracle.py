@@ -12,8 +12,10 @@ whole matrix before ``stab23.linalg`` split them into panels.
 ``chi_idempotent`` and ``verify_chi_summand_dense`` are the dense n x n
 chi idempotent on Q8-cosets and the check that ran on it before
 ``stab23.resolution`` checked the right-translation table against
-(1 - sigma)/2.  Tests compare old and new for exact equality.  They are
-a test oracle only.
+(1 - sigma)/2.  ``boundary_on_pairs_two_sided`` is the pair boundary
+(g_p - g_sigma(p)) . c from two action tables, before
+``stab23.resolution`` read it as 2 g_p . c off one.  Tests compare old
+and new for exact equality.  They are a test oracle only.
 """
 
 from __future__ import annotations
@@ -306,6 +308,19 @@ def chi_idempotent(ld) -> np.ndarray:
     E = np.zeros((n, n), dtype=np.int64)
     np.add.at(E, (right, np.arange(n)[:, None]), ld.sd16_sign)
     return (pow(16, -1, ld.M) * (E % ld.M)) % ld.M
+
+
+def boundary_on_pairs_two_sided(ld, c, space: str) -> np.ndarray:
+    """The pair boundary of a ``resolution.LevelData`` by its definition:
+    pair p maps to (g_p - g_sigma(p)) . c, with g_p and g_sigma(p) the
+    representatives of the coset leading pair p and of its partner, as
+    int64 residues."""
+    x = ld.chi.pair_rep
+    reps = ld.chi.cosets.reps
+    c = np.asarray(c, dtype=np.int64) % ld.M
+    at_x = signed_permute(c, *ld.actions(reps[x], space))
+    at_y = signed_permute(c, *ld.actions(reps[ld.chi.sigma[x]], space))
+    return ((at_x - at_y) % ld.M).T
 
 
 def verify_chi_summand_dense(ld) -> dict:

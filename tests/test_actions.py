@@ -9,23 +9,13 @@ import pytest
 
 from stab23 import quotients as q
 from stab23 import resolution as res
-from stab23.errors import ConstructionRefused
 
 N = 8
 
 
 @pytest.fixture(scope="module", params=[Fraction(1), Fraction(3, 2)], ids=["1", "3/2"])
 def ld(request):
-    ld = res.prepare_level(q.finite_quotient(request.param, N), 1)
-    try:
-        res.construct_complex(ld)
-    except ConstructionRefused:
-        pass
-    # every element is then cached, whatever the construction asked for
-    everyone = np.arange(ld.fq.order)
-    ld.actions(everyone, "c24")
-    ld.actions(everyone, "chi")
-    return ld
+    return res.prepare_level(q.finite_quotient(request.param, N), 1)
 
 
 def _left_perm(fq, g, cosets):
@@ -54,10 +44,10 @@ def _signed_matrix(perm, sign):
 
 def test_actions_match_their_definition(ld):
     for g in range(ld.fq.order):
-        perm, sign = ld.action(g, "c24")
+        perm, sign = ld.actions(g, "c24")
         assert np.array_equal(perm, _left_perm(ld.fq, g, ld.c24))
         assert (sign == 1).all()
-        assert np.array_equal(_signed_matrix(*ld.action(g, "chi")), _chi_matrix(ld, g))
+        assert np.array_equal(_signed_matrix(*ld.actions(g, "chi")), _chi_matrix(ld, g))
 
 
 def test_actions_are_homomorphisms(ld):
@@ -66,9 +56,9 @@ def test_actions_are_homomorphisms(ld):
     for g, h in pairs:
         gh = int(ld.fq.mul(g, h))
         for space in ("c24", "chi"):
-            pg, sg = ld.action(g, space)
-            ph, sh = ld.action(h, space)
-            pgh, sgh = ld.action(gh, space)
+            pg, sg = ld.actions(g, space)
+            ph, sh = ld.actions(h, space)
+            pgh, sgh = ld.actions(gh, space)
             # (gh) . e_p = g . (sh[p] e_{ph[p]}) = sh[p] sg[ph[p]] e_{pg[ph[p]]}
             assert np.array_equal(pgh, pg[ph])
             assert np.array_equal(sgh, sh * sg[ph])
@@ -79,26 +69,25 @@ def test_batched_actions_equal_single_ones(ld):
     for space in ("c24", "chi"):
         perms, signs = ld.actions(actors, space)
         for i, g in enumerate(actors):
-            perm, sign = ld.action(g, space)
+            perm, sign = ld.actions(g, space)
             assert np.array_equal(perms[i], perm) and np.array_equal(signs[i], sign)
     perms = ld.fq.left_action_on_cosets(actors, ld.c24.coset_id, ld.c24.reps)
     assert perms.shape == (len(actors), ld.c24.size)
     assert np.array_equal(perms[1], np.arange(ld.c24.size))
 
 
-def test_actions_are_cached_compact_and_block_by_block(ld, monkeypatch):
-    # int32 permutations and int8 signs, the same when each table is read
-    # for a few actors at a time
-    fresh = res.prepare_level(ld.fq, 1)
-    monkeypatch.setattr(res, "_ACTION_BLOCK", 3 * fresh.chi.cosets.size)
+def test_actions_are_compact_and_block_by_block(ld, monkeypatch):
+    # int32 permutations and int8 signs, the same when the coset action is
+    # read for a few actors at a time
     actors = np.arange(ld.fq.order)[::-1]
+    want = {space: ld.actions(actors, space) for space in ("c24", "chi")}
+    monkeypatch.setattr(q, "_PRODUCTS_PER_BLOCK", 3 * ld.chi.cosets.size)
     for space in ("c24", "chi"):
-        perms, signs = fresh.actions(actors, space)
+        perms, signs = ld.actions(actors, space)
         assert perms.dtype == np.int32 and signs.dtype == np.int8
-        want = ld.actions(actors, space)
-        assert np.array_equal(perms, want[0]) and np.array_equal(signs, want[1])
+        assert np.array_equal(perms, want[space][0]) and np.array_equal(signs, want[space][1])
         for g in actors[:10]:
-            perm, sign = fresh.action(g, space)
+            perm, sign = ld.actions(g, space)
             assert perm.dtype == np.int32 and sign.dtype == np.int8
 
 

@@ -260,7 +260,7 @@ def test_coinvariant_span_needs_no_closure(lvl2, level):
         V3 = linalg.howell(Z % 3, 1).rows
         for gens in (ld.p_gens, ld.g_gens):
             plain = res._coinvariant_span(ld, V3, gens, space)
-            acts = [ld.action(g, space) for g in gens]
+            acts = [ld.actions(g, space) for g in gens]
             closed = oracle.module_closure_f3(
                 (linalg.signed_permute(V3, *a) - V3 for a in acts), acts, V3.shape[1]
             )
@@ -293,8 +293,8 @@ def test_homology_cells_reuses_the_kept_kernel_forms(lvl2, monkeypatch):
 def _boundaries_are_equivariant(ld, cx) -> bool:
     """Oracle: each boundary commutes with every generator action, exactly."""
     for g in ld.g_gens:
-        p24, _ = ld.action(g, "c24")
-        pchi, schi = ld.action(g, "chi")
+        p24, _ = ld.actions(g, "c24")
+        pchi, schi = ld.actions(g, "chi")
         for B, src, dst in ((cx.b1, "chi", "c24"), (cx.b2, "chi", "chi"), (cx.b3, "c24", "chi")):
             lhs = np.zeros_like(B)
             if dst == "c24":
@@ -400,13 +400,44 @@ def test_push_and_pull_are_the_dense_products(m):
 
 
 def test_pushforward_with_a_corrupted_generator_raises(lvl2):
-    # the pushed-down complex checks its own composites
+    # the pushed-down complex checks its generators and its own composites:
+    # c2 + 1 is not Q8-invariant, and c2 + the average of a unit pair
+    # vector is, with omega . c = -c, but lies outside ker b1
     _, ld2, cx2 = lvl2
     ld32 = res.prepare_level(q.finite_quotient(Fraction(3, 2), N), 1)
     P0, P1 = res.pushforward_maps(ld2, ld32)
-    broken = SimpleNamespace(c_vectors=dict(cx2.c_vectors, c2=(cx2.c_vectors["c2"] + 1) % 3))
+    c2 = cx2.c_vectors["c2"]
+    broken = SimpleNamespace(c_vectors=dict(cx2.c_vectors, c2=(c2 + 1) % 3))
+    with pytest.raises(CheckFailed, match="not Q8-invariant"):
+        res.pushforward_complex(broken, ld32, P0, P1)
+    e = np.zeros(ld2.chi.size, dtype=np.int64)
+    e[0] = 1
+    off = res._sd16_average(ld2, e, "chi")
+    assert linalg.matmul_mod(cx2.b1, off, 1).any()
+    broken = SimpleNamespace(c_vectors=dict(cx2.c_vectors, c2=(c2 + off) % 3))
     with pytest.raises(CheckFailed, match="composites not zero"):
         res.pushforward_complex(broken, ld32, P0, P1)
+
+
+@pytest.fixture(scope="module", params=[Fraction(2), Fraction(5, 2)], ids=["2", "5/2"])
+def fq_pairs(request):
+    return q.finite_quotient(request.param, N)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_boundary_on_pairs_matches_the_two_sided_definition(fq_pairs, m):
+    # 2 g_p . c from one action table against (g_p - g_sigma(p)) . c from
+    # two, for SD16-averages c of random vectors, which are Q8-invariant
+    # with omega . c = -c; c + 1 is not, and raises
+    ld = res.prepare_level(fq_pairs, m)
+    rng = np.random.default_rng(11 + m)
+    for space, n in (("c24", ld.c24.size), ("chi", ld.chi.size)):
+        c = res._sd16_average(ld, rng.integers(0, ld.M, size=n), space)
+        assert c.any()
+        want = oracle.boundary_on_pairs_two_sided(ld, c, space)
+        assert np.array_equal(res._boundary_on_pairs(ld, c, space), want)
+        with pytest.raises(CheckFailed):
+            res._boundary_on_pairs(ld, (c + 1) % ld.M, space)
 
 
 # -- the complex in its storage type --------------------------------------------------
