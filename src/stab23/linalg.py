@@ -248,37 +248,56 @@ def howell(rows, m: int, dtype=np.int64) -> HowellForm:
     if not piv_cols:
         return HowellForm(np.zeros((0, ncols), dtype=dtype), [], [])
     R = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
-    _reduce_above(R, panels, piv_cols, piv_vals, m)
+    _reduce_panels(R, R, panels, piv_cols, piv_vals, m, above=True)
     return HowellForm(R.astype(dtype, copy=False), piv_cols, piv_vals)
 
 
-def _reduce_above(R: np.ndarray, panels: list, piv_cols: list, piv_vals: list, m: int) -> None:
-    """Reduce the entries above each pivot of R to [0, 3^v), in place, a
-    panel (c0, c1, number of pivots) at a time: its loop runs on the
-    panel's columns, and one product with the panel's rows clears the
-    rest.  Those rows are read on the trailing columns, which neither
-    this loop nor an earlier panel's changes."""
+def _reduce_panels(X, P, panels: list, piv_cols: list, piv_vals: list, m: int, above=False) -> list:
+    """Reduce the rows of X by the Howell rows P in place, a panel (c0, c1,
+    number of pivots) at a time: ``_pivot_loop`` on the panel's columns,
+    then one product with the panel's rows on the trailing columns, where
+    nothing has changed those rows.  With ``above``, X starts with P and a
+    pivot reduces only the rows above its own.  Returns each panel's Q."""
     M = modulus(m)
-    ncols = R.shape[1]
-    i0 = 0
+    Qs, i0 = [], 0
     for c0, c1, k in panels:
         i1 = i0 + k
-        B = R[i0:i1]
-        Q = np.zeros((i1, i1 - i0), dtype=R.dtype) if c1 < ncols else None
-        for i in range(i0, i1):
-            col, v = piv_cols[i], piv_vals[i]
-            q = R[:i, col] // 3**v
-            t = q.nonzero()[0]
-            if t.size:
-                s = R[i, c0:c1].nonzero()[0] + c0
-                R[t[:, None], s] = (R[t[:, None], s] - q[t, None] * R[i, s]) % M
-                if Q is not None:
-                    Q[t, i - i0] = q[t]
-        if Q is not None and Q.any():
-            nz = c1 + B[:, c1:].any(axis=0).nonzero()[0]
+        B, Y = P[i0:i1], X[:i1] if above else X
+        W = B[:, c0:c1]
+        cols = [c - c0 for c in piv_cols[i0:i1]]
+        ends = W.shape[1] - (W[:, ::-1] != 0).argmax(axis=1)   # past each row's last nonzero
+        Q = _pivot_loop(Y[:, c0:c1], W, cols, piv_vals[i0:i1], m, i0 if above else None, ends)
+        nz = c1 + B[:, c1:].any(axis=0).nonzero()[0]
+        if nz.size and Q.any():
             hit = Q.any(axis=1).nonzero()[0][:, None]
-            R[hit, nz] = (R[hit, nz] - matmul_mod(Q[hit[:, 0]], B[:, nz], m, R.dtype)) % M
+            Y[hit, nz] = (Y[hit, nz] - matmul_mod(Q[hit[:, 0]], B[:, nz], m, X.dtype)) % M
+        Qs.append(Q)
         i0 = i1
+    return Qs
+
+
+def _pivot_loop(X: np.ndarray, P: np.ndarray, cols, vals, m: int, first=None, ends=None) -> np.ndarray:
+    """The one loop that subtracts Howell pivot rows, in place: for j = 0,
+    1, ... it takes q = x[cols[j]] // 3^vals[j] times P[j] off each row x
+    of X (with ``first``, of each row above row first + j).  P[j] vanishes
+    left of cols[j], as a Howell row left of its pivot, and from ends[j]
+    on.  Returns the quotients Q in X's type, which must hold
+    (3^m - 1)^2 + 3^m."""
+    M = modulus(m)
+    Q = np.zeros((X.shape[0], len(cols)), dtype=X.dtype)
+    for j, (col, v) in enumerate(zip(cols, vals)):
+        e = None if ends is None else ends[j]
+        k = len(X) if first is None else first + j
+        q = np.floor_divide(X[:k, col], 3**v, out=Q[:k, j])
+        t = q.nonzero()[0]
+        if t.size:
+            # a view: the rows from the first to the last that q meets, and
+            # the columns from the pivot to the end of its row
+            a, b = t[0], t[-1] + 1
+            Y = X[a:b, col:e]
+            Y -= q[a:b, None] * P[j, col:e]
+            Y %= M
+    return Q
 
 
 def _howell_panel(A: np.ndarray, m: int, track: bool) -> tuple:
@@ -358,43 +377,28 @@ def matmul_mod(A, B, m: int, dtype=np.int64) -> np.ndarray:
 
 def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     """Canonical remainder under the Howell basis ``H`` of a vector, or of
-    every row of a matrix at once.
+    every row of a matrix at once, as int64.
 
-    At m >= 2 with more than ``_ZM_LEAF`` columns and pivots, the pivot
-    loop runs on each panel's pivot columns and one ``matmul_mod`` with
-    the panel's rows clears the rest.
+    ``_pivot_loop`` reduces whole rows of up to ``_ZM_LEAF`` columns, in
+    the working type of ``residue_dtypes``.  Wider rows give every quotient
+    on their pivot columns alone, in panels of ``_ZM_PANEL`` pivots as in
+    ``howell``; then one ``matmul_mod`` clears the other columns.  At
+    m = 1 ``H`` is an RREF, a Howell form with every valuation 0.
     """
     M = modulus(m)
-    r = np.asarray(vec, dtype=np.int64) % M
-    _check_exact(r.shape[-1], m)
-    if m == 1:
-        # one float64 BLAS product, exact as in the F3 engine
-        _check_exact_f3(r.shape[-1])
-        if H.rows.size:
-            q = r[..., H.pivot_cols].astype(np.float64) @ H.rows.astype(np.float64)
-            r = (r - q.astype(np.int64)) % 3
-        return r
-    npiv = len(H.pivot_cols)
-    if npiv <= _ZM_LEAF or r.shape[-1] <= _ZM_LEAF:
-        for (col, v, row) in zip(H.pivot_cols, H.pivot_vals, H.rows):
-            q = r[..., col] // 3**v
-            if q.any():
-                r = (r - q[..., None] * row) % M
-        return r
-    R = r.reshape(-1, r.shape[-1])
-    for i0 in range(0, npiv, _ZM_PANEL):
-        rows, cols = H.rows[i0 : i0 + _ZM_PANEL], H.pivot_cols[i0 : i0 + _ZM_PANEL]
-        X, P = R[:, cols], rows[:, cols]
-        Q = np.zeros_like(X)
-        for j, v in enumerate(H.pivot_vals[i0 : i0 + _ZM_PANEL]):
-            q = X[:, j] // 3**v
-            t = q.nonzero()[0]
-            if t.size:
-                Q[t, j] = q[t]
-                X[t, j:] = (X[t, j:] - q[t, None] * P[j, j:]) % M
-        hit = Q.any(axis=1)
-        R[hit] = (R[hit] - matmul_mod(Q[hit], rows, m)) % M
-    return R.reshape(r.shape)
+    X = _as_matrix(vec, m, residue_dtypes(m)[1])
+    cols, npiv = H.pivot_cols, len(H.pivot_cols)
+    if X.shape[1] <= _ZM_LEAF:
+        _pivot_loop(X, H.rows.astype(X.dtype), cols, H.pivot_vals, m)
+    elif npiv:
+        Xp, Pp = X[:, cols], H.rows[:, cols].astype(X.dtype)
+        panels = [(i, min(i + _ZM_PANEL, npiv), min(_ZM_PANEL, npiv - i)) for i in range(0, npiv, _ZM_PANEL)]
+        Q = np.hstack(_reduce_panels(Xp, Pp, panels, range(npiv), H.pivot_vals, m))
+        X[:, cols] = Xp
+        hit = Q.any(axis=1).nonzero()[0][:, None]
+        free = np.setdiff1d(np.arange(X.shape[1]), cols)
+        X[hit, free] = (X[hit, free] - matmul_mod(Q[hit[:, 0]], H.rows[:, free], m, X.dtype)) % M
+    return X.astype(np.int64).reshape(np.shape(vec))
 
 
 def span_contains(H: HowellForm, rows, m: int) -> bool:
@@ -695,12 +699,10 @@ def quotient_invariants(K_rows, I_rows, m: int, HK=None, HI=None) -> list:
     equals span(I) in size, so an elementary quotient costs one.
     """
     M = modulus(m)
-    K = _as_matrix(K_rows, m)
-    I = _as_matrix(I_rows, m)
+    K = _as_matrix(K_rows, m, residue_dtypes(m)[1])
     if K.size == 0:
         return []
-    if I.size == 0:
-        I = np.zeros((0, K.shape[1]), dtype=np.int64)
+    I = _as_matrix(I_rows, m, K.dtype).reshape(-1, K.shape[1])
     # sanity: I must sit inside K, so span(K + I) = span(K)
     HK = howell(K, m) if HK is None else HK
     if not span_contains(HK, I, m):

@@ -183,11 +183,11 @@ def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> 
 
 
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
-    """(dim over F3 of N/(3,I_P)N, the (3,I_P)-span mod 3, an int8 basis of
-    N mod 3)."""
-    V3 = linalg.howell(kernel_rows % 3, 1, np.int8).rows
-    H_IK = _coinvariant_span(ld, V3, ld.p_gens, space)
-    return len(V3) - H_IK.dim, H_IK, V3
+    """(dim over F3 of N/(3,I_P)N, the (3,I_P)-span mod 3, the Howell form
+    over F3 of N mod 3, an int8 RREF)."""
+    HN = linalg.howell(kernel_rows % 3, 1, np.int8)
+    H_IK = _coinvariant_span(ld, HN.rows, ld.p_gens, space)
+    return len(HN.rows) - H_IK.dim, H_IK, HN
 
 
 def _sd16_average(ld: LevelData, d: np.ndarray, space: str) -> np.ndarray:
@@ -203,10 +203,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _kept_tor0(tor: tuple) -> tuple:
-    """The part of ``_tor0_data`` the Nakayama check reads again: the
-    (3, I_P)-span rows and the basis of N mod 3, read-only int8."""
-    _, H_IK, V3 = tor
-    return _read_only(H_IK.rows.astype(np.int8)), _read_only(V3)
+    """The part of ``_tor0_data`` the Nakayama check reads again, read-only
+    int8: the (3, I_P)-span rows and the Howell form of N mod 3."""
+    _, H_IK, HN = tor
+    _read_only(HN.rows)
+    return _read_only(H_IK.rows.astype(np.int8)), HN
 
 
 def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
@@ -270,7 +271,7 @@ class ComplexAtLevel:
     c_vectors: dict
     diagnostics: dict = field(default_factory=dict)
     solved: dict = field(default_factory=dict, repr=False)   # boundary name -> _eliminate(...)
-    tor0: dict = field(default_factory=dict, repr=False)     # boundary name -> (rows, rows)
+    tor0: dict = field(default_factory=dict, repr=False)     # boundary name -> (rows, HowellForm)
 
     def __post_init__(self):
         for a in (self.aug, self.b1, self.b2, self.b3):
@@ -300,14 +301,11 @@ class ComplexAtLevel:
         return self._solved(name)[2]
 
     def kernel_form(self, name: str) -> linalg.HowellForm | None:
-        """Howell form of the kernel of ``name``; at m = 1 the kept Tor0
-        basis of N mod 3, or None when the construction kept none."""
+        """Howell form of the kernel of ``name``; at m = 1 the one the Tor0
+        data kept for N mod 3, or None when the construction kept none."""
         if self.m > 1:
             return self._solved(name)[1]
-        if name not in self.tor0:
-            return None
-        V3 = self.tor0[name][1]
-        return linalg.HowellForm(V3, [int(c) for c in (V3 != 0).argmax(axis=1)], [0] * len(V3))
+        return self.tor0[name][1] if name in self.tor0 else None
 
 
 def _eliminate(A: np.ndarray, m: int) -> tuple:
@@ -373,7 +371,7 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
     b3 = _boundary_on_cosets(ld, c3)
 
     diagnostics["tor0_dims"] = {
-        f"N{i}": len(V3) - len(H) for i, (H, V3) in enumerate(tor0.values(), start=1)
+        f"N{i}": len(HN.rows) - len(H) for i, (H, HN) in enumerate(tor0.values(), start=1)
     }
     return ComplexAtLevel(
         ld.fq.level, m, aug, b1, b2, b3, {"c1": c1, "c2": c2, "c3": c3}, diagnostics, solved, tor0
@@ -408,7 +406,7 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     cands = linalg.matmul_mod(y_span, N3, m)
     tor = _tor0_data(ld, N3, "chi")
     # full-group coinvariants for the generator test
-    H_IG = _coinvariant_span(ld, tor[2], ld.g_gens, "chi")
+    H_IG = _coinvariant_span(ld, tor[2].rows, ld.g_gens, "chi")
     outside = H_IG.reduce(cands).any(axis=1).nonzero()[0]
     if outside.size:
         return cands[outside[0]], tor
@@ -436,12 +434,9 @@ def nakayama_surjectivity(
     ``splice_nakayama`` gives them from the complex.
     """
     m = ld.m
-    if tor0 is None:
-        _, H_IK, V3 = _tor0_data(ld, target_rows, space)
-        tor0 = (H_IK.rows, V3)
-    H_rows, V3 = tor0
-    cols3 = linalg.howell(np.vstack([H_rows, f.T % 3]), 1)
-    covered = linalg.span_contains(cols3, V3, 1)
+    H_rows, HN = _kept_tor0(_tor0_data(ld, target_rows, space)) if tor0 is None else tor0
+    cols3 = linalg.howell(np.vstack([H_rows, f.T % 3]), 1, np.int8)
+    covered = linalg.span_contains(cols3, HN.rows, 1)
     H_img = linalg.image(f, m) if image is None else image
     direct = linalg.span_contains(H_img, target_rows, m)
     return {

@@ -6,9 +6,10 @@
 one-vector reduction that the blocked F3 engine (``linalg.F3Space``)
 replaced.  ``module_closure_f3`` is the closure under a group that
 ``minres`` and ``resolution`` ran before they took the plain span of the
-(g - 1) blocks.  ``howell_unblocked`` and ``reduce_mod_span_unblocked``
-are the m >= 2 loops of the active-submatrix engine, as they ran on the
-whole matrix before ``stab23.linalg`` split them into panels.
+(g - 1) blocks.  ``howell_unblocked`` (m >= 2) and
+``reduce_mod_span_unblocked`` (every m) are the loops of the
+active-submatrix engine, as they ran on the whole matrix before
+``stab23.linalg`` split them into panels.
 ``chi_idempotent`` and ``verify_chi_summand_dense`` are the dense n x n
 chi idempotent on Q8-cosets and the check that ran on it before
 ``stab23.resolution`` checked the right-translation table against
@@ -287,8 +288,8 @@ def howell_unblocked(rows, m: int) -> HowellForm:
 
 
 def reduce_mod_span_unblocked(H: HowellForm, vec, m: int) -> np.ndarray:
-    """The m >= 2 pivot loop of ``linalg.reduce_mod_span`` before its panels."""
-    assert m >= 2
+    """The pivot loop of ``linalg.reduce_mod_span`` before its panels, at
+    every m: at m = 1 ``H`` is an RREF, every valuation 0."""
     M = modulus(m)
     r = np.asarray(vec, dtype=np.int64) % M
     _check_exact(r.shape[-1], m)

@@ -15,8 +15,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# the resident-set bound of the level-3 tower at m = 1
-LEVEL3_RSS_BOUND_KB = int(2.5 * 2**20)
+# the resident-set bound of the level-3 tower at m = 1, which peaks near
+# 1.2 GB: a per-element action cache (2.5 GB) or int64 and float64 copies
+# of the vectors in each span test (1.8 GB) exceed it
+LEVEL3_RSS_BOUND_KB = int(1.5 * 2**20)
 
 
 @pytest.mark.deep

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,33 @@ def test_int64_bound_is_enforced():
     ):
         with pytest.raises(ValueError, match=r"n = 7 columns, m = 19"):
             call()
+
+
+def test_reduce_mod_span_at_m1_stays_below_two_int64_copies():
+    # a 2000 x 3000 int8 matrix reduced by a 1500-pivot RREF: the pivot
+    # loop runs in int8 and the products in float32, so beside the int64
+    # result there is no room for an int64 or float64 copy of the input
+    rng = np.random.default_rng(24)
+    H = linalg.howell(rng.integers(0, 3, size=(1500, 3000), dtype=np.int8), 1, np.int8)
+    assert len(H.pivot_cols) == 1500
+    X = rng.integers(0, 3, size=(2000, 3000), dtype=np.int8)
+    X[1000:] = linalg.matmul_mod(rng.integers(0, 3, size=(1000, 1500)), H.rows, 1, np.int8)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        r = linalg.reduce_mod_span(H, X, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2 * 8 * X.size, f"peak {peak / 1e6:.1f} MB"
+    space = linalg.F3Space(3000)
+    space.add(H.rows)
+    assert np.array_equal(r, space.reduce(X))
+    assert r[:1000].any(axis=1).all() and not r[1000:].any()
 
 
 def test_f3_float64_bound_is_enforced():

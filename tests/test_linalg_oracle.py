@@ -458,14 +458,15 @@ def test_blocked_howell_on_stacked_signed_permutations(m):
     assert_same_blocked((P[0] + P[1] - P[2])[: n // 2], m)
 
 
-@pytest.mark.parametrize("m", BLOCKED_MODULI)
+@pytest.mark.parametrize("m", [1] + BLOCKED_MODULI)
 def test_blocked_reduce_mod_span_matches_the_unblocked_loop(m):
-    # more than LEAF pivots and columns run in panels; fewer pivots on a
-    # wide matrix is the leaf
+    # rows wider than LEAF run in panels of PANEL pivots, in one panel when
+    # there are fewer pivots; narrower rows are the leaf.  At m = 1 the
+    # Howell form is an RREF
     rng = np.random.default_rng(400 + m)
     M = 3**m
     for rows, cols, blocked in [(LEAF + 40, LEAF + 60, True), (2 * LEAF + 3, 2 * LEAF + 10, True),
-                                (PANEL, 3 * LEAF, False)]:
+                                (PANEL, 3 * LEAF, False), (PANEL + 9, LEAF - 8, False)]:
         A = random_matrix(rng, (rows, cols), m) + np.eye(rows, cols, dtype=np.int64)
         H = linalg.howell(A, m)
         assert (H.rows.shape[0] > LEAF) == blocked

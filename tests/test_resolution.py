@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -220,7 +221,8 @@ def test_nakayama_negative_control(lvl2):
 def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     fq, ld, cx = lvl2
     target = linalg.kernel(cx.aug, cx.m)
-    _, H_IK, V3 = res._tor0_data(ld, target, "c24")
+    _, H_IK, HN = res._tor0_data(ld, target, "c24")
+    V3 = HN.rows
     assert H_IK.dim > 0
     # f maps onto a complement W of I_P N in N.  It is not a module map,
     # so W + I_P N = N while W != N: onto mod (3, I_P) but not onto
@@ -237,7 +239,8 @@ def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     # that wrongly adds e_0 (outside N) makes F3 (x) b1 look not onto
     e0 = np.zeros((1, target.shape[1]), dtype=np.int64)
     e0[0, 0] = 1
-    monkeypatch.setattr(res, "_tor0_data", lambda *a: (None, H_IK, np.vstack([V3, e0])))
+    wrong = dataclasses.replace(HN, rows=np.vstack([V3, e0]))
+    monkeypatch.setattr(res, "_tor0_data", lambda *a: (None, H_IK, wrong))
     rep = res.nakayama_surjectivity(ld, cx.b1, target, "c24")
     assert (rep["f3_surjective"], rep["surjective"]) == (False, True)
     assert not rep["nakayama_consistent"] and not rep["ok"]
@@ -466,7 +469,7 @@ def test_complex_arrays_are_narrow_and_read_only(m):
     arrays = [cx.aug, cx.b1, cx.b2, cx.b3]
     for name in ("aug", "b1", "b2", "b3"):
         arrays += [cx.kernel(name), cx.image(name).rows]
-    arrays += [a for pair in cx.tor0.values() for a in pair]
+    arrays += [a for rows, HN in cx.tor0.values() for a in (rows, HN.rows)]
     for a in arrays:
         assert a.dtype == store
         with pytest.raises(ValueError):
