@@ -16,6 +16,7 @@ the narrowest type that a bound checked in code proves exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,6 +134,8 @@ def _val_table(m: int) -> np.ndarray:
 
 def valuations(X: np.ndarray, m: int) -> np.ndarray:
     """Entrywise 3-adic valuations of X, entries in [0, 3^m); 0 maps to m + 1."""
+    # index with intp: numpy would convert a narrower index on every lookup
+    X = X.astype(np.intp, copy=False)
     if m <= _VAL_TABLE_MAX_M:
         return _val_table(m)[X]
     # split off the low 3^k digits so the tables stay small for large m
@@ -361,23 +364,36 @@ def _product_dtype(k: int, m: int):
     return np.int64
 
 
+# the entries of each temporary of one block of ``matmul_mod``: the float
+# copy of the block's rows of A, their product and its reduction
+_PRODUCT_BLOCK = 2**18
+
+
 def matmul_mod(A, B, m: int, dtype=np.int64) -> np.ndarray:
     """A @ B mod 3^m as ``dtype`` (which must hold 3^m - 1), exactly;
-    entries are read mod 3^m, and the product runs in ``_product_dtype``."""
+    entries are read mod 3^m, and the product runs in ``_product_dtype``,
+    a block of rows of A at a time, so that beside the result and the
+    float copy of B the temporaries stay near ``_PRODUCT_BLOCK`` entries."""
     M = modulus(m)
-    A, B = _residues(A, m), _residues(B, m)
+    A = np.asarray(A)
     ptype = _product_dtype(A.shape[-1], m)
-    P = A.astype(ptype) @ B.astype(ptype)
-    if ptype is np.int64:
-        P %= M
-    else:
-        _float_mod(P, M)
-    return P.astype(dtype, copy=False)
+    B = _residues(B, m).astype(ptype)
+    rows = A.reshape(math.prod(A.shape[:-1]), A.shape[-1])
+    out = np.empty((len(rows),) + B.shape[1:], dtype=dtype)
+    step = max(1, _PRODUCT_BLOCK // max(1, rows.shape[1], math.prod(B.shape[1:])))
+    for i in range(0, len(rows), step):
+        P = _residues(rows[i : i + step], m).astype(ptype) @ B
+        if ptype is np.int64:
+            P %= M
+        else:
+            _float_mod(P, M)
+        out[i : i + step] = P
+    return out.reshape(A.shape[:-1] + B.shape[1:])
 
 
-def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
+def reduce_mod_span(H: HowellForm, vec, m: int, dtype=np.int64) -> np.ndarray:
     """Canonical remainder under the Howell basis ``H`` of a vector, or of
-    every row of a matrix at once, as int64.
+    every row of a matrix at once, as ``dtype``.
 
     ``_pivot_loop`` reduces whole rows of up to ``_ZM_LEAF`` columns, in
     the working type of ``residue_dtypes``.  Wider rows give every quotient
@@ -396,15 +412,15 @@ def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
         Q = np.hstack(_reduce_panels(Xp, Pp, panels, range(npiv), H.pivot_vals, m))
         X[:, cols] = Xp
         hit = Q.any(axis=1).nonzero()[0][:, None]
-        free = np.setdiff1d(np.arange(X.shape[1]), cols)
+        free = _complement(cols, X.shape[1])
         X[hit, free] = (X[hit, free] - matmul_mod(Q[hit[:, 0]], H.rows[:, free], m, X.dtype)) % M
-    return X.astype(np.int64).reshape(np.shape(vec))
+    return X.astype(dtype, copy=False).reshape(np.shape(vec))
 
 
 def span_contains(H: HowellForm, rows, m: int) -> bool:
     """True when every row of ``rows`` (one vector or a matrix) lies in the
-    span of ``H``."""
-    return not reduce_mod_span(H, np.atleast_2d(rows), m).any()
+    span of ``H``; the remainders stay in the working type."""
+    return not reduce_mod_span(H, rows, m, residue_dtypes(m)[1]).any()
 
 
 class F3Space:
@@ -448,7 +464,7 @@ class F3Space:
         """(pivot columns, free columns, the basis on the free columns)."""
         if self._free is None:
             piv = np.array(self.pivots, dtype=np.intp)
-            free = np.setdiff1d(np.arange(self.ncols), piv)
+            free = _complement(piv, self.ncols)
             self._free = (piv, free, self._buf[: self.dim][:, free])
         return self._free
 
@@ -510,6 +526,13 @@ class F3Space:
         self.pivots[start:] = [new[j] for j in order]
         self._rows = self._free = None
         return self.dim - start
+
+
+def _complement(cols, n: int) -> np.ndarray:
+    """The indices 0 .. n - 1 not in ``cols``, ascending."""
+    keep = np.ones(n, dtype=bool)
+    keep[cols] = False
+    return keep.nonzero()[0]
 
 
 def signed_permute(rows, perm, sign=None) -> np.ndarray:
@@ -732,52 +755,156 @@ def smith_kernel(A, m: int):
 
     Each pivot is an entry of least valuation in the active block (the
     rows and columns not yet used), the first one in row-major order.
-    Only the active block is searched, and only the rows and columns a
-    pivot meets are updated.
+    A splits into independent blocks (``_blocks``), and the elimination
+    runs on them apart, every block of one shape at once
+    (``_smith_stack``).  That gives the pivots of one global loop:
+    operations never mix blocks, and the global rule restricted to a
+    block is the block's own.  The divisor list is non-decreasing, since
+    clearing by a pivot of valuation v leaves every entry of valuation at
+    least v, so the blocks' lists merge by sorting.  Once the active block
+    is zero, the columns never picked are the zero columns of the
+    diagonalized A: their column transforms are the kernel.
 
     Returns (kernel_rows, divisor_vals).
     """
-    M = modulus(m)
     W = _as_matrix(A, m)
-    b, a = W.shape
+    a = W.shape[1]
     C = np.eye(a, dtype=np.int64)
-    # valuations of W on the active block; zero reads m + 1, and a used
-    # row or column reads m + 2, so argmin scans in row-major order
-    V = valuations(W, m)
+    picked = np.zeros(a, dtype=bool)
     divisors = []
-    while V.size:
-        i, j = divmod(int(V.argmin()), a)
-        v = int(V[i, j])
-        if v > m:  # the active block is zero
+    for rows, cols in _blocks(W):
+        Cb, piv, vals = _smith_stack(W[rows[:, :, None], cols[:, None, :]], m)
+        C[cols[:, :, None], cols[:, None, :]] = Cb
+        picked[cols[piv]] = True
+        divisors += vals
+    return C[:, ~picked].T, sorted(divisors)
+
+
+def _blocks(W: np.ndarray):
+    """The independent blocks of W, by shape: for each shape (r, c), the
+    (k, r) rows and (k, c) columns of its k blocks, each ascending.  A
+    block is a connected component of the nonzero pattern, rows joined to
+    the columns they meet; zero rows and columns lie in none.
+
+    The components come from label propagation with pointer jumping, the
+    rows and columns being the nodes: each edge lowers the labels of the
+    nodes that its ends' labels name to the smaller of the two, and then
+    every node takes its label's label, until every edge joins equal
+    labels.  A label is always a node of its own component, so then it is
+    constant on each component and differs between them.
+    """
+    b, a = W.shape
+    er, ec = W.nonzero()
+    if not er.size:
+        return
+    ec += b
+    L = np.arange(b + a)
+    while True:
+        lr, lc = L[er], L[ec]
+        if (lr == lc).all():
             break
-        W[i] = W[i] * pow(int(W[i, j]) // 3**v, -1, M) % M
-        # clear row i by column operations (tracked in C)
-        q = W[i] // 3**v
-        q[j] = 0
-        qc = q.nonzero()[0]
-        if qc.size:
-            q = q[qc]
-            rr = W[:, j].nonzero()[0][:, None]
-            W[rr, qc] = (W[rr, qc] - W[rr, j] * q) % M
-            V[rr, qc] = valuations(W[rr, qc], m)
-            rr = C[:, j].nonzero()[0][:, None]
-            C[rr, qc] = (C[rr, qc] - C[rr, j] * q) % M
-        # clear column j by row operations (untracked); row i is now
-        # 3^v e_j, so only column j changes, and it is retired below
-        p = W[:, j] // 3**v
-        p[i] = 0
-        pr = p.nonzero()[0][:, None]
-        if pr.size:
-            ci = W[i].nonzero()[0]
-            W[pr, ci] = (W[pr, ci] - p[pr] * W[i, ci]) % M
-        V[i] = m + 2
-        V[:, j] = m + 2
-        divisors.append(v)
-    zero_cols = (~W.any(axis=0)).nonzero()[0]
-    if not zero_cols.size:
-        return np.zeros((0, a), dtype=np.int64), divisors
-    ker = C[:, zero_cols].T % M
-    return ker, divisors
+        lo = np.minimum(lr, lc)
+        np.minimum.at(L, lr, lo)
+        np.minimum.at(L, lc, lo)
+        L = L[L]
+    # the nodes sorted by the shape of their component, then by component:
+    # each component's rows, then its columns, ascending, and the
+    # components of one shape side by side; a zero row or column is a
+    # component of shape (1, 0) or (0, 1)
+    nr = np.bincount(L[:b], minlength=b + a)
+    nc = np.bincount(L[b:], minlength=b + a)
+    shape = (nr * (a + 1) + nc)[L]
+    order = np.argsort(shape * (b + a) + L, kind="stable")
+    shape = shape[order]
+    cuts = [0, *(np.flatnonzero(shape[1:] != shape[:-1]) + 1).tolist(), b + a]
+    for s, e in zip(cuts, cuts[1:]):
+        r, c = divmod(int(shape[s]), a + 1)
+        if r and c:
+            S = order[s:e].reshape(-1, r + c)
+            yield S[:, :r], S[:, r:] - b
+
+
+def _unit_inverses(u: np.ndarray, m: int) -> np.ndarray:
+    """u^-1 mod 3^m for an int64 array of units u in [0, 3^m).
+
+    Newton's iteration x <- x (2 - u x) squares 1 - u x, so each step
+    doubles the number of correct 3-adic digits.  It starts from the
+    inverses mod 3^k, k = min(m, 10), read off a cached table that the
+    same iteration computes on 0 .. 3^k - 1, starting from u itself, the
+    inverse mod 3.
+    """
+    k = min(m, _VAL_TABLE_MAX_M)
+    return _newton_inverses(u, _inverse_table(k)[u % 3**k], k, m)
+
+
+def _newton_inverses(u: np.ndarray, x: np.ndarray, digits: int, m: int) -> np.ndarray:
+    """Newton's iteration for u^-1 mod 3^m from x, correct to ``digits`` digits."""
+    M = modulus(m)
+    while digits < m:
+        x = x * (2 - u * x % M) % M
+        digits *= 2
+    return x
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(k: int) -> np.ndarray:
+    """u^-1 mod 3^k at each unit u of 0 .. 3^k - 1 (junk at the others)."""
+    u = np.arange(3**k)
+    T = _newton_inverses(u, u, 1, k)
+    T.flags.writeable = False
+    return T
+
+
+def _smith_stack(W: np.ndarray, m: int) -> tuple:
+    """The elimination of ``smith_kernel`` on k blocks of one shape at
+    once: W is their (k, r, c) stack of residues, and step s takes the
+    s-th pivot of every block that has one left.
+
+    Each block's column operations are tracked in C, stacked under W as
+    Y = [W; C], so one update clears the pivot row in both.  A pivot of
+    valuation v at (i, j) clears its row by q = (W[i] u^-1 mod 3^m) / 3^v,
+    u the unit part of W[i, j]; then q[j] = 1, so column j goes to zero
+    too.  The row operations that would clear that column change nothing
+    else, so they are left out, and the row and column, now zero, are
+    retired.  A finished block is zero, so its q is zero and its pivot
+    is not recorded.  Only the rows and columns that some pivot of the
+    step meets are updated.  Returns (C, picked, divisors): the (k, c, c)
+    column transforms, the (k, c) mask of the pivot columns, and the
+    pivot valuations.
+    """
+    M = modulus(m)
+    k, r, c = W.shape
+    K = np.arange(k)
+    Y = np.zeros((k, r + c, c), dtype=np.int64)
+    Y[:, :r] = W
+    Y[:, r + np.arange(c), np.arange(c)] = 1
+    # valuations of W; zero, and so every retired row and column, reads m + 1
+    V = valuations(W, m)
+    flatV = V.reshape(k, -1)
+    vs, js = [], []
+    for _ in range(min(r, c)):
+        flat = flatV.argmin(axis=1)
+        v = flatV[K, flat]
+        if v.min() > m:
+            break
+        i, j = np.divmod(flat, c)
+        vs.append(v)
+        js.append(j)
+        p = 3**v
+        row = Y[K, i]
+        q = row * _unit_inverses(row[K, j] // p, m)[:, None] % M // p[:, None]
+        hit = q.any(axis=0).nonzero()[0]
+        Yj = Y[K, :, j]
+        rr = Yj.any(axis=0).nonzero()[0]
+        Z = (Y[:, rr[:, None], hit] - Yj[:, rr, None] * q[:, None, hit]) % M
+        Y[:, rr[:, None], hit] = Z
+        w = rr.searchsorted(r)
+        V[:, rr[:w, None], hit] = valuations(Z[:, :w], m)
+    vs, js = np.array(vs), np.array(js)
+    live = vs <= m
+    picked = np.zeros((k, c), dtype=bool)
+    picked[live.nonzero()[1], js[live]] = True
+    return Y[:, r:], picked, vs[live].tolist()
 
 
 def fixed_basis(ops, m: int):

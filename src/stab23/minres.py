@@ -64,8 +64,9 @@ def _generated(G: PermGroup, gens: list) -> np.ndarray:
     frontier = np.array([G.identity])
     while frontier.size:
         seen[frontier] = True
-        frontier = np.unique(G.mult[np.ix_(frontier, np.asarray(gens, dtype=np.int64))])
-        frontier = frontier[~seen[frontier]]
+        new = np.zeros_like(seen)
+        new[G.mult[np.ix_(frontier, np.asarray(gens, dtype=np.int64))]] = True
+        frontier = (new & ~seen).nonzero()[0]
     return seen
 
 

@@ -255,11 +255,14 @@ class FiniteQuotient:
     def _closure_size(self, gen_indices) -> int:
         seen = np.zeros(self.order, dtype=bool)
         frontier = np.array([self.identity_index()])
-        gens = np.unique(np.asarray(gen_indices, dtype=np.int64))
+        gens = np.zeros_like(seen)
+        gens[np.asarray(gen_indices, dtype=np.int64)] = True
+        gens = gens.nonzero()[0]
         while frontier.size:
             seen[frontier] = True
-            frontier = np.unique(self.mul(frontier[:, None], gens[None, :]))
-            frontier = frontier[~seen[frontier]]
+            new = np.zeros_like(seen)
+            new[self.mul(frontier[:, None], gens[None, :])] = True
+            frontier = (new & ~seen).nonzero()[0]
         return int(seen.sum())
 
     # -- transitions -------------------------------------------------------

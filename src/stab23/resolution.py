@@ -119,7 +119,9 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
     pair_of[pair_rep] = pair_of[sigma[pair_rep]] = np.arange(len(pair_rep))
     sign_of = np.where(cos < sigma, 1, -1).astype(np.int8)
     chi = ChiSpace(c8, sigma, pair_rep, pair_of, sign_of)
-    sd16_sign = np.where(np.isin(fq.subgroup_image("SD16"), fq.subgroup_image("Q8")), 1, -1)
+    in_q8 = np.zeros(fq.order, dtype=bool)
+    in_q8[fq.subgroup_image("Q8")] = True
+    sd16_sign = np.where(in_q8[fq.subgroup_image("SD16")], 1, -1)
     return LevelData(
         fq,
         m,

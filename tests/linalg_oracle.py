@@ -1,7 +1,9 @@
 """The elimination loops of ``stab23.linalg`` as first written.
 
 ``howell`` and ``smith_kernel`` below are the row-by-row versions that
-``stab23.linalg`` replaced with active-submatrix elimination over Z/3^m.
+``stab23.linalg`` replaced with active-submatrix elimination over Z/3^m
+(and ``smith_kernel`` then with one batched loop over the independent
+blocks of its input).
 ``rref_f3`` and ``reduce_mod_span`` are the column loop over F3 and the
 one-vector reduction that the blocked F3 engine (``linalg.F3Space``)
 replaced.  ``module_closure_f3`` is the closure under a group that

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -411,3 +414,25 @@ def test_reports_match_the_golden_bytes(runner, tmp_path, stem, report, args):
     assert r.exit_code == 0, r.output
     for ext in ("json", "txt"):
         assert (tmp_path / f"{report}.{ext}").read_bytes() == (FIXTURES / f"{stem}.{ext}").read_bytes()
+
+
+def test_no_suite_imports_numpy_ma(tmp_path):
+    # the first call of np.unique, np.setdiff1d or np.isin imports numpy.ma,
+    # about 12 ms and 1.7 MB of every CLI run; a resolution and a Sylow
+    # suite run here in a fresh interpreter without loading it
+    code = (
+        "import sys\n"
+        "from stab23.cli import main\n"
+        "for argv in (['resolution', '--levels', '2,3/2', '--mod', '2'],\n"
+        "             ['sylow-cohomology', '--levels', '1,3/2,2', '--nmax', '2']):\n"
+        "    try:\n"
+        f"        main(['--out', {str(tmp_path)!r}, *argv], standalone_mode=False)\n"
+        "    except SystemExit as e:\n"
+        "        assert not e.code, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    r = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.splitlines()[-1] == "False"

@@ -256,31 +256,53 @@ def test_int64_bound_is_enforced():
             call()
 
 
-def test_reduce_mod_span_at_m1_stays_below_two_int64_copies():
-    # a 2000 x 3000 int8 matrix reduced by a 1500-pivot RREF: the pivot
-    # loop runs in int8 and the products in float32, so beside the int64
-    # result there is no room for an int64 or float64 copy of the input
+def m1_span_case():
+    """A 1500-pivot RREF of 3000 columns and a 2000 x 3000 int8 matrix whose
+    first 1000 rows lie outside its span and the last 1000 inside."""
     rng = np.random.default_rng(24)
     H = linalg.howell(rng.integers(0, 3, size=(1500, 3000), dtype=np.int8), 1, np.int8)
     assert len(H.pivot_cols) == 1500
     X = rng.integers(0, 3, size=(2000, 3000), dtype=np.int8)
     X[1000:] = linalg.matmul_mod(rng.integers(0, 3, size=(1000, 1500)), H.rows, 1, np.int8)
+    return H, X
+
+
+def traced_peak(call):
+    """(result, peak bytes that tracemalloc sees allocated during the call)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        r = linalg.reduce_mod_span(H, X, 1)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
+    return out, peak
+
+
+def test_reduce_mod_span_at_m1_stays_below_two_int64_copies():
+    # the pivot loop runs in int8 and the products in float32, so beside
+    # the int64 result there is no room for an int64 or float64 copy of
+    # the input
+    H, X = m1_span_case()
+    r, peak = traced_peak(lambda: linalg.reduce_mod_span(H, X, 1))
     assert peak < 2 * 8 * X.size, f"peak {peak / 1e6:.1f} MB"
     space = linalg.F3Space(3000)
     space.add(H.rows)
     assert np.array_equal(r, space.reduce(X))
     assert r[:1000].any(axis=1).all() and not r[1000:].any()
+
+
+def test_span_contains_at_m1_stays_below_one_int64_copy():
+    # span_contains reads the working-type remainders, with no int64 copy
+    H, X = m1_span_case()
+    for rows, inside in ((X, False), (X[1000:], True), (X[:1], False)):
+        got, peak = traced_peak(lambda: linalg.span_contains(H, rows, 1))
+        assert got is inside
+        assert peak < 8 * X.size, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_f3_float64_bound_is_enforced():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import linalg_oracle as oracle
-from stab23 import linalg
+from stab23 import invariants, linalg, witt
 
 MODULI = range(2, 9)
 
@@ -103,6 +103,153 @@ def test_large_modulus_beyond_the_valuation_table():
         for _ in range(10):
             A = rng.integers(0, M, size=shape) * 3 ** rng.integers(0, 15, size=shape) % M
             assert_same(A, 19)
+
+
+# -- smith_kernel's independent blocks against the one global loop ---------------
+
+# m = 19 admits at most 6 columns (the int64 bound), so its sums stay that narrow
+SMITH_MODULI = [*MODULI, 19]
+
+
+def block_diagonal(blocks, zero_rows=0, zero_cols=0):
+    """The block-diagonal sum of ``blocks``, with zero rows and columns
+    added at the end."""
+    b = sum(B.shape[0] for B in blocks) + zero_rows
+    a = sum(B.shape[1] for B in blocks) + zero_cols
+    A = np.zeros((b, a), dtype=np.int64)
+    i = j = 0
+    for B in blocks:
+        A[i : i + B.shape[0], j : j + B.shape[1]] = B
+        i, j = i + B.shape[0], j + B.shape[1]
+    return A
+
+
+def direct_sum(rng, blocks, zero_rows=0, zero_cols=0):
+    """``block_diagonal`` with its rows and columns shuffled."""
+    A = block_diagonal(blocks, zero_rows, zero_cols)
+    return A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])]
+
+
+def random_shapes(rng, m, count):
+    """Block shapes of up to 6 x 6, at most 6 columns in all at m = 19."""
+    if m == 19:
+        return [(int(rng.integers(1, 4)), 1 + (j < 2)) for j in range(min(count, 4))]
+    return [tuple(int(x) for x in rng.integers(1, 7, size=2)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m", SMITH_MODULI)
+def test_smith_on_shuffled_direct_sums_matches_oracle(m):
+    rng = np.random.default_rng(140 + m)
+    for _ in range(12):
+        shapes = random_shapes(rng, m, int(rng.integers(2, 9)))
+        blocks = [random_matrix(rng, s, m) for s in shapes]
+        zero_cols = 0 if m == 19 else int(rng.integers(0, 3))
+        assert_same_smith(direct_sum(rng, blocks, int(rng.integers(0, 3)), zero_cols), m)
+
+
+@pytest.mark.parametrize("m", SMITH_MODULI)
+def test_smith_on_many_blocks_of_one_shape_matches_oracle(m):
+    # blocks of one shape run as one stack: their pivots fall at different
+    # places and they finish after different numbers of steps
+    rng = np.random.default_rng(160 + m)
+    shapes = [(2, 2), (1, 3), (3, 1)] if m == 19 else [(3, 4), (4, 3), (5, 5), (2, 6)]
+    for shape in shapes:
+        count = 6 // shape[1] if m == 19 else 25
+        for _ in range(3):
+            blocks = [random_matrix(rng, shape, m) for _ in range(count)]
+            assert_same_smith(direct_sum(rng, blocks), m)
+        # every pivot a unit, and the identity and the anti-identity side by side
+        if m != 19:
+            n = min(shape)
+            units = [rng.integers(1, 3, size=(n, n)) * np.eye(n, dtype=np.int64)[p]
+                     for p in (np.arange(n), np.arange(n)[::-1]) for _ in range(5)]
+            assert_same_smith(direct_sum(rng, units, 2, 2), m)
+
+
+@pytest.mark.parametrize("m", SMITH_MODULI)
+def test_smith_on_zero_rows_and_isolated_zero_columns_matches_oracle(m):
+    rng = np.random.default_rng(180 + m)
+    rows, width = (6, 6) if m == 19 else (7, 12)
+    for nonzero in range(0, width + 1, 3 if m == 19 else 4):
+        A = np.zeros((rows, width), dtype=np.int64)
+        A[2, :nonzero] = random_matrix(rng, (1, nonzero), m)
+        A[5, :nonzero] = 3 * random_matrix(rng, (1, nonzero), m) % 3**m
+        assert_same_smith(A[rng.permutation(rows)][:, rng.permutation(width)], m)
+        assert_same_smith(A.T.copy(), m)
+
+
+@pytest.mark.parametrize("m", SMITH_MODULI)
+def test_smith_on_one_dense_block_matches_oracle(m):
+    rng = np.random.default_rng(200 + m)
+    M = 3**m
+    for shape in ([(3, 6), (6, 6), (6, 2)] if m == 19 else [(9, 9), (14, 11), (5, 20), (40, 40)]):
+        # entries of every valuation but never zero: one block
+        A = rng.integers(1, 3, size=shape) * 3 ** rng.integers(0, m, size=shape) % M
+        ((rows, cols),) = list(linalg._blocks(linalg._as_matrix(A, m)))
+        assert np.array_equal(rows, np.arange(shape[0])[None])
+        assert np.array_equal(cols, np.arange(shape[1])[None])
+        assert_same_smith(A, m)
+
+
+def test_blocks_recover_a_shuffled_direct_sum():
+    # blocks with no zero entry, shuffled: _blocks returns the rows and
+    # columns of each, ascending, one stack per shape, and nothing for the
+    # zero rows and columns
+    rng = np.random.default_rng(220)
+    shapes = [(2, 3), (1, 1), (2, 3), (4, 2), (1, 1), (2, 3)]
+    A0 = block_diagonal([rng.integers(1, 9, size=s) for s in shapes], 3, 2)
+    pr, pc = rng.permutation(A0.shape[0]), rng.permutation(A0.shape[1])
+    A = A0[pr][:, pc]
+    want, i, j = set(), 0, 0
+    for r, c in shapes:
+        rows = np.flatnonzero((pr >= i) & (pr < i + r))
+        cols = np.flatnonzero((pc >= j) & (pc < j + c))
+        want.add((tuple(rows), tuple(cols)))
+        i, j = i + r, j + c
+    got, stacks = set(), []
+    for rows, cols in linalg._blocks(A):
+        stacks.append((rows.shape[1], cols.shape[1]))
+        got |= {(tuple(r), tuple(c)) for r, c in zip(rows, cols)}
+    assert got == want
+    assert sorted(stacks) == [(1, 1), (2, 3), (4, 2)]
+    assert list(linalg._blocks(np.zeros((4, 5), dtype=np.int64))) == []
+
+
+def omega_matrix(m, e, semilinear):
+    """Omega of the model matrices: the 2 x 2 matrix of c -> w^e phi(c)."""
+    return invariants._scalar_matrix(witt.omega(m) ** e, semilinear)
+
+
+@pytest.mark.parametrize("m", SMITH_MODULI)
+def test_smith_on_kron_signed_permutations_with_omega_matches_oracle(m):
+    # the stacked kron(P, Omega) - I that fixed_basis hands to smith_kernel,
+    # for one and for two operators: each orbit of the signed permutations
+    # gives one block
+    rng = np.random.default_rng(240 + m)
+    for n in ([1, 2, 3] if m == 19 else [3, 10, 40]):
+        for nops in (1, 2):
+            for _ in range(3):
+                ops = [np.kron(signed_permutation(rng, n),
+                               omega_matrix(m, int(rng.integers(0, 8)), bool(rng.integers(2))))
+                       for _ in range(nops)]
+                I = np.eye(2 * n, dtype=np.int64)
+                stacked = np.vstack([op - I for op in ops])
+                assert_same_smith(stacked, m)
+                assert np.array_equal(linalg.fixed_basis(ops, m), oracle.smith_kernel(stacked, m)[0])
+
+
+@pytest.mark.parametrize("m", SMITH_MODULI)
+def test_oracle_divisor_lists_are_non_decreasing(m):
+    # smith_kernel merges the blocks' divisor lists by sorting, which is the
+    # global loop's order only because that order is non-decreasing
+    rng = np.random.default_rng(260 + m)
+    for _ in range(30):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 7 if m == 19 else 9)))
+        divs = oracle.smith_kernel(random_matrix(rng, shape, m), m)[1]
+        assert divs == sorted(divs)
+    blocks = [random_matrix(rng, s, m) for s in random_shapes(rng, m, 6)]
+    divs = oracle.smith_kernel(direct_sum(rng, blocks), m)[1]
+    assert divs == sorted(divs)
 
 
 # -- the blocked F3 engine against the column loop ------------------------------
@@ -384,6 +531,8 @@ def test_batched_reduce_mod_span_matches_oracle(m):
         V = np.vstack([rng.integers(-M, M, size=(rows, cols)), in_span])
         got = linalg.reduce_mod_span(H, V, m)
         assert got.shape == V.shape and got.dtype == np.int64
+        narrow = linalg.reduce_mod_span(H, V, m, linalg.residue_dtypes(m)[1])
+        assert narrow.dtype == linalg.residue_dtypes(m)[1] and np.array_equal(narrow, got)
         for v, r in zip(V, got):
             want = oracle.reduce_mod_span(H, v, m)
             assert np.array_equal(linalg.reduce_mod_span(H, v, m), want)
