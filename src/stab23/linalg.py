@@ -16,7 +16,6 @@ the narrowest type that a bound checked in code proves exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,6 +116,8 @@ def _residues(X, m: int) -> np.ndarray:
 # at or below which its loop runs unblocked, as the engine's leaf
 _ZM_PANEL = 64
 _ZM_LEAF = 128
+# rows per product when ``reduce_mod_span`` clears the free columns
+_ZM_ROWS = 512
 
 _VAL_TABLE_MAX_M = 10
 
@@ -364,42 +365,30 @@ def _product_dtype(k: int, m: int):
     return np.int64
 
 
-# the entries of each temporary of one block of ``matmul_mod``: the float
-# copy of the block's rows of A, their product and its reduction
-_PRODUCT_BLOCK = 2**18
-
-
 def matmul_mod(A, B, m: int, dtype=np.int64) -> np.ndarray:
     """A @ B mod 3^m as ``dtype`` (which must hold 3^m - 1), exactly;
-    entries are read mod 3^m, and the product runs in ``_product_dtype``,
-    a block of rows of A at a time, so that beside the result and the
-    float copy of B the temporaries stay near ``_PRODUCT_BLOCK`` entries."""
+    entries are read mod 3^m, and the product runs in ``_product_dtype``."""
     M = modulus(m)
-    A = np.asarray(A)
+    A, B = _residues(A, m), _residues(B, m)
     ptype = _product_dtype(A.shape[-1], m)
-    B = _residues(B, m).astype(ptype)
-    rows = A.reshape(math.prod(A.shape[:-1]), A.shape[-1])
-    out = np.empty((len(rows),) + B.shape[1:], dtype=dtype)
-    step = max(1, _PRODUCT_BLOCK // max(1, rows.shape[1], math.prod(B.shape[1:])))
-    for i in range(0, len(rows), step):
-        P = _residues(rows[i : i + step], m).astype(ptype) @ B
-        if ptype is np.int64:
-            P %= M
-        else:
-            _float_mod(P, M)
-        out[i : i + step] = P
-    return out.reshape(A.shape[:-1] + B.shape[1:])
+    P = A.astype(ptype) @ B.astype(ptype)
+    if ptype is np.int64:
+        P %= M
+    else:
+        _float_mod(P, M)
+    return P.astype(dtype, copy=False)
 
 
-def reduce_mod_span(H: HowellForm, vec, m: int, dtype=np.int64) -> np.ndarray:
+def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     """Canonical remainder under the Howell basis ``H`` of a vector, or of
-    every row of a matrix at once, as ``dtype``.
+    every row of a matrix at once, in the working type of ``residue_dtypes``.
 
-    ``_pivot_loop`` reduces whole rows of up to ``_ZM_LEAF`` columns, in
-    the working type of ``residue_dtypes``.  Wider rows give every quotient
-    on their pivot columns alone, in panels of ``_ZM_PANEL`` pivots as in
-    ``howell``; then one ``matmul_mod`` clears the other columns.  At
-    m = 1 ``H`` is an RREF, a Howell form with every valuation 0.
+    ``_pivot_loop`` reduces whole rows of up to ``_ZM_LEAF`` columns.  Wider
+    rows give every quotient on their pivot columns alone, in panels of
+    ``_ZM_PANEL`` pivots as in ``howell``; then ``matmul_mod`` clears the
+    other columns, ``_ZM_ROWS`` rows at a time, so that its float copies
+    stay small beside the rows.  At m = 1 ``H`` is an RREF, a Howell form
+    with every valuation 0.
     """
     M = modulus(m)
     X = _as_matrix(vec, m, residue_dtypes(m)[1])
@@ -413,14 +402,17 @@ def reduce_mod_span(H: HowellForm, vec, m: int, dtype=np.int64) -> np.ndarray:
         X[:, cols] = Xp
         hit = Q.any(axis=1).nonzero()[0][:, None]
         free = _complement(cols, X.shape[1])
-        X[hit, free] = (X[hit, free] - matmul_mod(Q[hit[:, 0]], H.rows[:, free], m, X.dtype)) % M
-    return X.astype(dtype, copy=False).reshape(np.shape(vec))
+        F = H.rows[:, free]
+        for j in range(0, len(hit), _ZM_ROWS):
+            h = hit[j : j + _ZM_ROWS]
+            X[h, free] = (X[h, free] - matmul_mod(Q[h[:, 0]], F, m, X.dtype)) % M
+    return X.reshape(np.shape(vec))
 
 
 def span_contains(H: HowellForm, rows, m: int) -> bool:
     """True when every row of ``rows`` (one vector or a matrix) lies in the
-    span of ``H``; the remainders stay in the working type."""
-    return not reduce_mod_span(H, rows, m, residue_dtypes(m)[1]).any()
+    span of ``H``."""
+    return not reduce_mod_span(H, rows, m).any()
 
 
 class F3Space:

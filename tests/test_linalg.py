@@ -284,12 +284,13 @@ def traced_peak(call):
 
 
 def test_reduce_mod_span_at_m1_stays_below_two_int64_copies():
-    # the pivot loop runs in int8 and the products in float32, so beside
-    # the int64 result there is no room for an int64 or float64 copy of
+    # the pivot loop runs in int8, the result stays in it and the products
+    # run in float32, so there is no room for an int64 or float64 copy of
     # the input
     H, X = m1_span_case()
     r, peak = traced_peak(lambda: linalg.reduce_mod_span(H, X, 1))
     assert peak < 2 * 8 * X.size, f"peak {peak / 1e6:.1f} MB"
+    assert r.dtype == np.int8
     space = linalg.F3Space(3000)
     space.add(H.rows)
     assert np.array_equal(r, space.reduce(X))
@@ -297,7 +298,8 @@ def test_reduce_mod_span_at_m1_stays_below_two_int64_copies():
 
 
 def test_span_contains_at_m1_stays_below_one_int64_copy():
-    # span_contains reads the working-type remainders, with no int64 copy
+    # span_contains reads reduce_mod_span's working-type remainders, and
+    # the final product runs a block of rows at a time
     H, X = m1_span_case()
     for rows, inside in ((X, False), (X[1000:], True), (X[:1], False)):
         got, peak = traced_peak(lambda: linalg.span_contains(H, rows, 1))

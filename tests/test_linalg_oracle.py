@@ -530,9 +530,7 @@ def test_batched_reduce_mod_span_matches_oracle(m):
         in_span = rng.integers(0, M, size=(rows, H.rows.shape[0])) @ H.rows
         V = np.vstack([rng.integers(-M, M, size=(rows, cols)), in_span])
         got = linalg.reduce_mod_span(H, V, m)
-        assert got.shape == V.shape and got.dtype == np.int64
-        narrow = linalg.reduce_mod_span(H, V, m, linalg.residue_dtypes(m)[1])
-        assert narrow.dtype == linalg.residue_dtypes(m)[1] and np.array_equal(narrow, got)
+        assert got.shape == V.shape and got.dtype == linalg.residue_dtypes(m)[1]
         for v, r in zip(V, got):
             want = oracle.reduce_mod_span(H, v, m)
             assert np.array_equal(linalg.reduce_mod_span(H, v, m), want)
@@ -625,6 +623,22 @@ def test_blocked_reduce_mod_span_matches_the_unblocked_loop(m):
         assert np.array_equal(linalg.reduce_mod_span(H, V, m), want)
         assert np.array_equal(linalg.reduce_mod_span(H, V[3], m), want[3])
         assert want[:10].any() and not want[10:].any()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_reduce_mod_span_over_several_row_blocks_matches_the_unblocked_loop(m):
+    # more hit rows than one final product takes: each block of _ZM_ROWS
+    # rows gets its own product, the last one partial
+    rng = np.random.default_rng(450 + m)
+    M = 3**m
+    rows, cols = LEAF + 20, LEAF + 40
+    H = linalg.howell(random_matrix(rng, (rows, cols), m) + np.eye(rows, cols, dtype=np.int64), m)
+    n = linalg._ZM_ROWS + 40
+    in_span = rng.integers(0, M, size=(n, H.rows.shape[0])) @ H.rows
+    V = np.vstack([rng.integers(-M, M, size=(n, cols)), in_span])[rng.permutation(2 * n)]
+    want = oracle.reduce_mod_span_unblocked(H, V, m)
+    assert np.array_equal(linalg.reduce_mod_span(H, V, m), want)
+    assert want.any(axis=1).sum() > linalg._ZM_ROWS
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
