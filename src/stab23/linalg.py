@@ -420,10 +420,10 @@ class F3Space:
 
     The basis is kept in reduced row echelon form: ``rows[:, pivots]`` is
     the identity.  It is stored as float32 while 4 * ncols + 2 < 2^24
-    (``_f3_dtype``; float64 beyond), and ``rows`` is its int64 copy, built
-    when read.  Rows arrive in blocks of ``_F3_BLOCK``, in any integer
-    dtype, and each is read mod 3 on its own.  Within one ``add`` a block
-    is cleared by one product against the old basis, on its free columns
+    (``_f3_dtype``; float64 beyond), and ``rows`` is a copy in F3's storage
+    type, built on each read.  Rows arrive in blocks of ``_F3_BLOCK``, in
+    any integer dtype, and each is read mod 3 on its own.  Within one
+    ``add`` a block is cleared by one product against the old basis, on its free columns
     only (cached between calls), and by one against the rows this ``add``
     has found so far; its surviving rows enter the recursive block RREF
     (``_rref_block``), and a product clears their pivots from the rows
@@ -439,7 +439,6 @@ class F3Space:
         self.pivots: list = []
         # the basis for BLAS, with room for more rows
         self._buf = np.zeros((0, ncols), dtype=self.dtype)
-        self._rows = None      # int64 copy of the basis, once read
         self._free = None      # (pivots, free columns, basis on them)
 
     @property
@@ -448,9 +447,7 @@ class F3Space:
 
     @property
     def rows(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = self._buf[: self.dim].astype(np.int64)
-        return self._rows
+        return self._buf[: self.dim].astype(residue_dtypes(1)[0])
 
     def _free_part(self) -> tuple:
         """(pivot columns, free columns, the basis on the free columns)."""
@@ -516,7 +513,7 @@ class F3Space:
         order = np.argsort(new, kind="stable")
         N[:] = N[order]
         self.pivots[start:] = [new[j] for j in order]
-        self._rows = self._free = None
+        self._free = None
         return self.dim - start
 
 

@@ -185,11 +185,11 @@ def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> 
 
 
 def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
-    """(dim over F3 of N/(3,I_P)N, the (3,I_P)-span mod 3, the Howell form
-    over F3 of N mod 3, an int8 RREF)."""
+    """(the (3,I_P)-span mod 3, the Howell form over F3 of N mod 3, a
+    read-only int8 RREF)."""
     HN = linalg.howell(kernel_rows % 3, 1, np.int8)
-    H_IK = _coinvariant_span(ld, HN.rows, ld.p_gens, space)
-    return len(HN.rows) - H_IK.dim, H_IK, HN
+    _read_only(HN.rows)
+    return _coinvariant_span(ld, HN.rows, ld.p_gens, space), HN
 
 
 def _sd16_average(ld: LevelData, d: np.ndarray, space: str) -> np.ndarray:
@@ -204,25 +204,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _kept_tor0(tor: tuple) -> tuple:
-    """The part of ``_tor0_data`` the Nakayama check reads again, read-only
-    int8: the (3, I_P)-span rows and the Howell form of N mod 3."""
-    _, H_IK, HN = tor
-    _read_only(HN.rows)
-    return _read_only(H_IK.rows.astype(np.int8)), HN
-
-
 def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
     """Lift-and-average: first kernel generator whose average still
-    generates the coinvariants; returns (c, tor0 data).
+    generates the coinvariants; returns (c, (the (3, I_P)-span rows, the
+    Howell form of N mod 3)), the Tor0 pair the complex keeps, read-only
+    int8.
 
     With ``rng`` the candidate order is shuffled and the lift is
     perturbed by a random element of (3, I_P) * N; the construction's
     verdicts must not depend on this choice.  The kernel rows may be
     narrow, so each row is read as int64 before any arithmetic.
     """
-    tor = _tor0_data(ld, kernel_rows, space)
-    H_IK = tor[1]
+    H_IK, HN = _tor0_data(ld, kernel_rows, space)
     order = list(range(len(kernel_rows)))
     if rng is not None:
         rng.shuffle(order)
@@ -242,7 +235,7 @@ def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -
             v = (v + noise) % ld.M
         c = _sd16_average(ld, v, space)
         if c.size and H_IK.reduce(c).any():
-            return c, tor
+            return c, (_read_only(H_IK.rows), HN)
     raise ConstructionRefused(f"no averaged generator found in {space} kernel")
 
 
@@ -256,8 +249,8 @@ class ComplexAtLevel:
     rows are residues in the storage type of ``linalg.residue_dtypes`` and
     read-only, so a caller that writes into one raises instead of
     corrupting a later verdict; products of them must upcast first.
-    ``tor0`` holds the Tor0 data of each kernel the construction built
-    (``_kept_tor0``).
+    ``tor0`` holds the Tor0 pair of each kernel the construction built, as
+    its generator pick returned it.
 
     Building one checks it: ``composite_checks`` goes into
     ``diagnostics['composites_zero']``, and a nonzero composite raises
@@ -356,20 +349,16 @@ def construct_complex(ld: LevelData, rng=None) -> ComplexAtLevel:
         raise CheckFailed("chi summand failed its structural checks")
 
     aug = np.ones((1, ld.c24.size), dtype=linalg.residue_dtypes(m)[0])
-    # the Tor0 spans are kept in compact form, one F3Space alive at a time
     tor0, solved = {}, {"aug": _eliminate(aug, m)}
-    c1, tor = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
-    tor0["aug"] = _kept_tor0(tor)
+    c1, tor0["aug"] = _pick_averaged_generator(ld, solved["aug"][0], "c24", rng)
     b1 = _boundary_on_pairs(ld, c1, "c24")
 
     solved["b1"] = _eliminate(b1, m)
-    c2, tor = _pick_averaged_generator(ld, solved["b1"][0], "chi", rng)
-    tor0["b1"] = _kept_tor0(tor)
+    c2, tor0["b1"] = _pick_averaged_generator(ld, solved["b1"][0], "chi", rng)
     b2 = _boundary_on_pairs(ld, c2, "chi")
 
     solved["b2"] = _eliminate(b2, m)
-    c3, tor = _g24_invariant_generator(ld, solved["b2"][0])
-    tor0["b2"] = _kept_tor0(tor)
+    c3, tor0["b2"] = _g24_invariant_generator(ld, solved["b2"][0])
     b3 = _boundary_on_cosets(ld, c3)
 
     diagnostics["tor0_dims"] = {
@@ -391,9 +380,10 @@ def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
 
 def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     """A G24-fixed vector of span(N3) generating mod (3, I_G), and the
-    Tor0 data of N3.  The y with y N3 fixed by s, t and psi are the kernel
-    of the three blocks ((g - 1) N3)^T stacked, written into one buffer of
-    the working type and reduced there."""
+    Tor0 pair of N3 as ``_pick_averaged_generator`` returns it.  The y
+    with y N3 fixed by s, t and psi are the kernel of the three blocks
+    ((g - 1) N3)^T stacked, written into one buffer of the working type
+    and reduced there."""
     M, m = ld.M, ld.m
     gens = (ld.named["s"], ld.named["t"], ld.named["psi"])
     k, n = N3.shape
@@ -406,12 +396,12 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     if y_span.size == 0:
         raise ConstructionRefused("no G24-invariant vectors in the last kernel")
     cands = linalg.matmul_mod(y_span, N3, m)
-    tor = _tor0_data(ld, N3, "chi")
+    H_IK, HN = _tor0_data(ld, N3, "chi")
     # full-group coinvariants for the generator test
-    H_IG = _coinvariant_span(ld, tor[2].rows, ld.g_gens, "chi")
+    H_IG = _coinvariant_span(ld, HN.rows, ld.g_gens, "chi")
     outside = H_IG.reduce(cands).any(axis=1).nonzero()[0]
     if outside.size:
-        return cands[outside[0]], tor
+        return cands[outside[0]], (_read_only(H_IK.rows), HN)
     raise ConstructionRefused("no G24-invariant generator survives the coinvariant test")
 
 
@@ -431,12 +421,15 @@ def nakayama_surjectivity(
     """Compare F3-coinvariant surjectivity with direct surjectivity onto
     span(target_rows); the two verdicts must agree (Nakayama).
 
-    ``image`` (the Howell form of the image of f) and ``tor0`` (as kept by
-    ``_kept_tor0`` for the target) are computed here unless given, as
-    ``splice_nakayama`` gives them from the complex.
+    ``image`` (the Howell form of the image of f) and ``tor0`` (the Tor0
+    pair of the target, as the complex keeps it) are computed here unless
+    given, as ``splice_nakayama`` gives them from the complex.
     """
     m = ld.m
-    H_rows, HN = _kept_tor0(_tor0_data(ld, target_rows, space)) if tor0 is None else tor0
+    if tor0 is None:
+        H_IK, HN = _tor0_data(ld, target_rows, space)
+        tor0 = H_IK.rows, HN
+    H_rows, HN = tor0
     cols3 = linalg.howell(np.vstack([H_rows, f.T % 3]), 1, np.int8)
     covered = linalg.span_contains(cols3, HN.rows, 1)
     H_img = linalg.image(f, m) if image is None else image

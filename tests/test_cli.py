@@ -65,11 +65,17 @@ def test_chart_command_and_determinism(runner, tmp_path):
 
 
 def test_chart_svg_written(runner, tmp_path):
-    # a tame chart compares nothing (exit 3), but its reports are written
-    r = invoke(runner, tmp_path, ["--format", "svg", "chart", "--group", "SD16", "--stems", "-1..17"])
-    assert r.exit_code == 3, r.output
-    svg = (tmp_path / "chart-SD16.svg").read_text()
-    assert svg.startswith("<svg")
+    # a tame chart compares nothing (exit 3), but its reports are written;
+    # the G24 chart has classes, one circle for each cell in the window
+    for group, (lo, hi), code in [("SD16", (-1, 17), 3), ("G24", (-1, 73), 0)]:
+        r = invoke(runner, tmp_path, ["--format", "svg", "chart", "--group", group, f"--stems={lo}..{hi}"])
+        assert r.exit_code == code, r.output
+        svg = (tmp_path / f"chart-{group}.svg").read_text()
+        assert svg.startswith("<svg")
+        cells = json.loads((tmp_path / f"chart-{group}.json").read_text())["cells"]
+        drawn = [c for c in cells if lo <= c["t"] - c["s"] <= hi and c["s"] <= 14]
+        assert svg.count("<circle") == len(drawn)
+        assert bool(drawn) == (group == "G24")
 
 
 @pytest.mark.parametrize(

@@ -382,7 +382,7 @@ def test_f3space_fed_in_chunks_matches_oracle():
             order = np.argsort(space.pivots)
             assert np.array_equal(space.rows[order], R_old)
             assert sorted(space.pivots) == piv_old
-        assert space.rows.dtype == np.int64
+        assert space.rows.dtype == np.int8
         # remainders are zero on the span and agree with the old one-vector reduction
         H = oracle.howell(A, 1)
         probe = np.vstack([A[:20], rng.integers(-5, 6, size=(20, cols))])
@@ -398,7 +398,7 @@ def assert_space_matches_oracle(space, A, probe):
     RREF, and the one-vector reduction's remainders on ``probe``."""
     R_old, piv_old = oracle.rref_f3(A)
     rows = space.rows
-    assert rows.dtype == np.int64 and space._buf.dtype == space.dtype
+    assert rows.dtype == np.int8 and space._buf.dtype == space.dtype
     assert space.dim == len(piv_old) and sorted(space.pivots) == piv_old
     assert np.array_equal(rows[:, space.pivots], np.eye(space.dim, dtype=np.int64))
     assert np.array_equal(rows[np.argsort(space.pivots)], R_old)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -221,7 +223,7 @@ def test_nakayama_negative_control(lvl2):
 def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     fq, ld, cx = lvl2
     target = linalg.kernel(cx.aug, cx.m)
-    _, H_IK, HN = res._tor0_data(ld, target, "c24")
+    H_IK, HN = res._tor0_data(ld, target, "c24")
     V3 = HN.rows
     assert H_IK.dim > 0
     # f maps onto a complement W of I_P N in N.  It is not a module map,
@@ -240,7 +242,7 @@ def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     e0 = np.zeros((1, target.shape[1]), dtype=np.int64)
     e0[0, 0] = 1
     wrong = dataclasses.replace(HN, rows=np.vstack([V3, e0]))
-    monkeypatch.setattr(res, "_tor0_data", lambda *a: (None, H_IK, wrong))
+    monkeypatch.setattr(res, "_tor0_data", lambda *a: (H_IK, wrong))
     rep = res.nakayama_surjectivity(ld, cx.b1, target, "c24")
     assert (rep["f3_surjective"], rep["surjective"]) == (False, True)
     assert not rep["nakayama_consistent"] and not rep["ok"]
@@ -458,6 +460,37 @@ def test_tower_across_the_storage_boundary_matches_int64(monkeypatch, m):
     narrow = res.verify_tower(levels, m, N)
     all_int64(monkeypatch)
     assert narrow == res.verify_tower(levels, m, N)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_no_f3_space_outlives_its_construction_step(monkeypatch, m):
+    # each generator pick hands over its Tor0 pair as rows, so the F3
+    # spans it built are garbage once it returns: none is alive when an
+    # elimination or a boundary of the construction starts
+    live, made = weakref.WeakSet(), []
+    init = linalg.F3Space.__init__
+
+    def tracked(self, ncols):
+        init(self, ncols)
+        live.add(self)
+        made.append(ncols)
+
+    monkeypatch.setattr(linalg.F3Space, "__init__", tracked)
+    seen = []
+
+    def counted(fn):
+        def entry(*args):
+            gc.collect()
+            seen.append((fn.__name__, len(live)))
+            return fn(*args)
+        return entry
+
+    for name in ("_eliminate", "_boundary_on_pairs", "_boundary_on_cosets"):
+        monkeypatch.setattr(res, name, counted(getattr(res, name)))
+    res.construct_complex(res.prepare_level(q.finite_quotient(2, N), m))
+    assert made
+    steps = ["_eliminate", "_boundary_on_pairs"] * 2 + ["_eliminate", "_boundary_on_cosets"]
+    assert seen == [(name, 0) for name in steps]
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
