@@ -4,9 +4,9 @@ Every verdict is decided in the library; each command checks its
 arguments and hands one library verdict to ``_run``.
 
 Exit codes: 0 all assertions passed, 1 an exact assertion failed,
-2 a resource bound or precision instability aborted the run, or an
-input was malformed (a usage error), 3 the run was inconclusive because
-nothing could be verified.
+2 a resource bound (memory included) or precision instability aborted
+the run, or an input was malformed (a usage error), 3 the run was
+inconclusive because nothing could be verified.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def _run(cfg: RunConfig, name: str, verify, render, svg=None) -> None:
     it under ``--format svg``."""
     try:
         report, ok = verify()
-    except (ResourceBoundExceeded, PrecisionUnstable) as exc:
-        click.echo(f"aborted: {exc}", err=True)
+    except (ResourceBoundExceeded, PrecisionUnstable, MemoryError) as exc:
+        click.echo(f"aborted: {str(exc) or 'out of memory'}", err=True)
         sys.exit(2)
     except CheckFailed as exc:
         click.echo(f"assertion failed: {exc}", err=True)

@@ -15,10 +15,18 @@ the larger groups is the simultaneous invariant part, the group order
 prime to 3 being invertible mod 3; C3 is the group with no normalizer
 operators.
 
-The engine is functions memoized on their values: the generator matrices
-(``invariants.gen_matrix``), the C3 cells of one degree (``c3_degree``) and
-the invariant cells (``invariant_cell``), so every suite of a process
-shares them.  Their arrays are read-only.
+The engine is memoized, so every suite of a process shares its results,
+and their arrays are read-only.  The generator matrices
+(``invariants.gen_matrix``) and the invariant cells (``invariant_cell``)
+are keyed on their parameters.  The C3 cells of one degree
+(``c3_degree``) depend only on the matrix S of s at the working
+precision m + SAT_SLACK and on m, so they are keyed on the value of S
+(its bytes, shape and dtype) and on m: degrees on which s acts by the
+same matrix share one computation.  A result at N is never read at
+N + 2, because m is in the key: the bytes of S alone can coincide at two
+precisions (a matrix of 0s and 1s), and the cells at N are reduced
+mod 3^N.  Each cell carries the Howell form of its relations, which
+later eliminations take instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ class Cell:
 
     K: np.ndarray
     I: np.ndarray
+    HI: linalg.HowellForm    # Howell form of the relations I
     invariants: list
 
     @property
@@ -103,20 +112,35 @@ class C3Degree:
         return self.odd if s % 2 else self.even
 
 
-@lru_cache(maxsize=None)
+# (bytes, shape and dtype of S at m + SAT_SLACK, m) -> C3Degree at m
+_C3_CELLS = {}
+
+
 def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
     """Cohomology cells at reporting precision m, from generator matrices
     at the working precision m + SAT_SLACK.  The norm (transfer after
-    restriction) must be 3 on the fixed line, or CheckFailed is raised."""
-    n = 2 * len(model_basis(kind, t, r))
-    if not n:
+    restriction) must be 3 on the fixed line, or CheckFailed is raised.
+
+    The cells depend only on S, the matrix of s at m + SAT_SLACK, and on
+    m, so every degree with the same S (and m) shares one computation."""
+    if not model_basis(kind, t, r):
         z = np.zeros((0, 0), dtype=np.int64)
         _read_only(z)
-        empty = Cell(z, z, [])
+        empty = Cell(z, z, linalg.HowellForm(z, [], []), [])
         return C3Degree(empty, empty, empty)
+    S_hi = gen_matrix(kind, m + SAT_SLACK, "s", t, r)
+    key = (S_hi.tobytes(), S_hi.shape, S_hi.dtype.str, m)
+    if key not in _C3_CELLS:
+        _C3_CELLS[key] = _c3_cells(S_hi, m, f"{kind}_{t}")
+    return _C3_CELLS[key]
+
+
+def _c3_cells(S_hi: np.ndarray, m: int, name: str) -> C3Degree:
+    """The cells of ``c3_degree`` for s acting by S_hi; ``name`` is the
+    degree that a failed transfer check names."""
     m_work = m + SAT_SLACK
     Mw, M = 3**m_work, 3**m
-    S_hi = gen_matrix(kind, m_work, "s", t, r)
+    n = S_hi.shape[0]
     eye = np.eye(n, dtype=np.int64)
     norm_hi = _norm_matrix(S_hi, m_work)
     fixed = saturated_kernel_reduced((S_hi - eye) % Mw, m_work, m)
@@ -124,13 +148,15 @@ def c3_degree(kind: str, t: int, m: int, r: int) -> C3Degree:
     im_s1 = linalg.image((S_hi - eye) % M, m)
     im_norm = linalg.image(norm_hi % M, m)
     if ((linalg.matmul_mod(fixed, (norm_hi % M).T, m) - 3 * fixed) % M).any():
-        raise CheckFailed(f"transfer after restriction is not 3 on the fixed line of {kind}_{t}")
+        raise CheckFailed(f"transfer after restriction is not 3 on the fixed line of {name}")
     no_rel = np.zeros((0, n), dtype=np.int64)
     _read_only(fixed, ker_norm, im_s1.rows, im_norm.rows, no_rel)
     return C3Degree(
-        Cell(fixed, no_rel, [m] * fixed.shape[0]),
-        Cell(ker_norm, im_s1.rows, linalg.quotient_invariants(ker_norm, im_s1.rows, m, HI=im_s1)),
-        Cell(fixed, im_norm.rows, linalg.quotient_invariants(fixed, im_norm.rows, m, HI=im_norm)),
+        Cell(fixed, no_rel, linalg.HowellForm(no_rel, [], []), [m] * fixed.shape[0]),
+        Cell(ker_norm, im_s1.rows, im_s1,
+             linalg.quotient_invariants(ker_norm, im_s1.rows, m, HI=im_s1)),
+        Cell(fixed, im_norm.rows, im_norm,
+             linalg.quotient_invariants(fixed, im_norm.rows, m, HI=im_norm)),
     )
 
 
@@ -178,7 +204,7 @@ def _fixed_subquotient(cell: Cell, ops: list, m: int) -> Cell:
     L = linalg.matmul_mod(y_span, K, m) if y_span.size else np.zeros((0, n), dtype=np.int64)
     L_all = np.vstack([L, I]) if I.size else L
     _read_only(L_all)
-    return Cell(L_all, I, linalg.quotient_invariants(L_all, I, m))
+    return Cell(L_all, I, cell.HI, linalg.quotient_invariants(L_all, I, m, HI=cell.HI))
 
 
 @lru_cache(maxsize=None)
@@ -318,10 +344,7 @@ def multiplication_kills(s: int, t: int, mult_num: WPoly, mult_r: int, t_shift: 
     R = r + mult_r
     T = product_matrix(model_basis(kind, t, r), model_basis(kind, t + t_shift, R), mult_num)
     tgt_cell = c3_degree(kind, t + t_shift, m, R).cell(s)
-    images = linalg.matmul_mod(cell.K, T.T, m)
-    if not tgt_cell.I.size:
-        return not images.any()
-    return linalg.span_contains(linalg.howell(tgt_cell.I, m), images, m)
+    return linalg.span_contains(tgt_cell.HI, linalg.matmul_mod(cell.K, T.T, m), m)
 
 
 def _check_c4_c6_on_alpha_beta(smax: int, tmin: int, tmax: int) -> None:

@@ -30,8 +30,9 @@ def drop_sf_caches():
     """
 
     def drop():
-        for f in (coh.c3_degree, coh.invariant_cell, inv.gen_matrix):
+        for f in (coh.invariant_cell, inv.gen_matrix):
             f.cache_clear()
+        coh._C3_CELLS.clear()
 
     yield drop
     drop()

@@ -150,15 +150,17 @@ def _cohomology_under_a_wrong_action(runner, tmp_path):
     from stab23 import cohomology as coh
     from stab23 import invariants as inv
 
-    caches = (inv.verify_action_pinning, inv.gen_matrix, coh.c3_degree, coh.invariant_cell)
-    try:
-        for f in caches:
+    def clear():
+        for f in (inv.verify_action_pinning, inv.gen_matrix, coh.invariant_cell):
             f.cache_clear()
+        coh._C3_CELLS.clear()
+
+    try:
+        clear()
         r = invoke(runner, tmp_path, ["cohomology", "--group", "G24", "--smax", "2",
                                       "--tmin", "0", "--tmax", "4"])
     finally:
-        for f in caches:
-            f.cache_clear()
+        clear()
     assert r.exit_code == 1, r.output
     assert "assertion failed: action pinning failed" in r.output
     assert "t s = s^2 t" in r.output
@@ -354,6 +356,27 @@ def test_exactness_bound_is_a_resource_abort(runner, tmp_path):
     r = invoke(runner, tmp_path, ["resolution", "--levels", "1", "--mod", "19"])
     assert r.exit_code == 2, r.output
     assert "aborted: int64 bound n * 3^(2m) < 2^63 fails for n = 7 columns, m = 19" in r.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 18.6 GiB for an array"), "aborted: Unable to allocate 18.6 GiB"),
+    (MemoryError(), "aborted: out of memory"),
+])
+def test_memory_error_is_a_resource_abort(runner, tmp_path, monkeypatch, exc, line):
+    # a window far below the model's degrees asks numpy for an 18.6 GiB
+    # monomial matrix; the failed allocation is raised here, never made
+    from stab23 import cohomology as coh
+
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(coh, "verify_pattern", exhausted)
+    r = invoke(runner, tmp_path, ["cohomology", "--group", "G24", "--tmin", "-100000",
+                                  "--tmax", "-99990"])
+    assert r.exit_code == 2, r.output
+    assert line in r.output
+    assert "Traceback" not in r.output
     assert not any(tmp_path.iterdir())
 
 

@@ -94,6 +94,65 @@ def test_cached_arrays_are_read_only():
             a[0, 0] = 1
 
 
+def _cell_arrays(deg):
+    return [a for cell in (deg.fixed, deg.odd, deg.even) for a in (cell.K, cell.I, cell.HI.rows)]
+
+
+def test_degrees_with_one_generator_matrix_share_their_cells(drop_sf_caches):
+    # s acts on the degree-0 and degree-6 pieces by the same matrix
+    N = coh.PRECISION
+    S0, S6 = (inv.gen_matrix(LOC, N + coh.SAT_SLACK, "s", t, r) for t, r in ((0, 2), (6, 3)))
+    assert np.array_equal(S0, S6) and S0.dtype == S6.dtype
+    drop_sf_caches()
+    alone = coh.c3_degree(LOC, 6, N, 3)
+    drop_sf_caches()
+    deg = coh.c3_degree(LOC, 0, N, 2)
+    assert coh.c3_degree(LOC, 6, N, 3) is deg
+    assert len(coh._C3_CELLS) == 1
+    for a, b in zip(_cell_arrays(deg), _cell_arrays(alone), strict=True):
+        assert np.array_equal(a, b)
+    assert [c.invariants for c in (deg.fixed, deg.odd, deg.even)] == [
+        c.invariants for c in (alone.fixed, alone.odd, alone.even)
+    ]
+
+
+def test_cells_at_n_and_n_plus_2_are_separate_entries(drop_sf_caches):
+    drop_sf_caches()
+    r = coh.denominator(LOC, 0)
+    low, high = (coh.c3_degree(LOC, 0, m, r) for m in (coh.PRECISION, coh.PRECISION + 2))
+    assert len(coh._C3_CELLS) == 2
+    assert low is not high
+    assert low.fixed.invariants == [coh.PRECISION] * low.fixed.dim_f3
+    assert high.fixed.invariants == [coh.PRECISION + 2] * high.fixed.dim_f3
+
+
+def test_cold_g24_pattern_runs_two_smith_forms_per_distinct_generator_matrix(
+    drop_sf_caches, monkeypatch
+):
+    # the saturated kernels of s - 1 and of the norm, once per (S, m)
+    from stab23 import linalg
+
+    drop_sf_caches()
+    calls = []
+    real = linalg.smith_kernel
+
+    def counted(A, m):
+        calls.append(m)
+        return real(A, m)
+
+    monkeypatch.setattr(linalg, "smith_kernel", counted)
+    _, ok = coh.verify_pattern("G24", 8, -24, 24)
+    assert ok
+    pairs = set()
+    for m in (coh.PRECISION, coh.PRECISION + 2):
+        for t in range(-24, 25, 2):
+            r = coh.denominator(LOC, t)
+            if inv.model_basis(LOC, t, r):
+                S = inv.gen_matrix(LOC, m + coh.SAT_SLACK, "s", t, r)
+                pairs.add((S.tobytes(), S.shape, S.dtype.str, m))
+    assert len(calls) == 2 * len(pairs)
+
+
 @pytest.mark.parametrize("group", ["C6", "C12", "G12", "G24"])
 def test_variant_tables_match_patterns(group):
     for s in range(1, 5):
@@ -122,8 +181,8 @@ def test_unstable_rank_and_two_route_mismatch_are_refused(monkeypatch):
     def fake(group, kind, s, t, m):
         cell = real(group, kind, s, t, m)
         if m > coh.PRECISION:  # one class more at N+2
-            return coh.Cell(cell.K, cell.I, cell.invariants + [1])
-        return coh.Cell(cell.K[:0], cell.I, cell.invariants)  # no fixed vectors
+            return coh.Cell(cell.K, cell.I, cell.HI, cell.invariants + [1])
+        return coh.Cell(cell.K[:0], cell.I, cell.HI, cell.invariants)  # no fixed vectors
 
     monkeypatch.setattr(coh, "invariant_cell", fake)
     with pytest.raises(PrecisionUnstable, match="two-route"):

@@ -27,12 +27,11 @@ def _cli(tmp_path, args):
 def fresh_cells():
     """Empty the cohomology caches before and after: a broken ingredient
     must neither be hidden by cells computed earlier nor leak into later tests."""
-    caches = (coh.c3_degree, coh.invariant_cell)
-    for f in caches:
-        f.cache_clear()
+    coh.invariant_cell.cache_clear()
+    coh._C3_CELLS.clear()
     yield
-    for f in caches:
-        f.cache_clear()
+    coh.invariant_cell.cache_clear()
+    coh._C3_CELLS.clear()
 
 
 # -- group verify-relations: the unit identities --------------------------------------
@@ -130,6 +129,9 @@ def test_c3_degree_asserts_transfer_after_restriction(tmp_path, monkeypatch):
     monkeypatch.setattr(coh, "saturated_kernel_reduced", skewed)
     with pytest.raises(CheckFailed, match="transfer after restriction is not 3"):
         coh.c3_degree("SrhoLoc", 0, coh.PRECISION, coh.denominator("SrhoLoc", 0))
+    # degree 6 has degree 0's generator matrix; the failure names the degree asked for
+    with pytest.raises(CheckFailed, match="fixed line of SrhoLoc_6$"):
+        coh.c3_degree("SrhoLoc", 6, coh.PRECISION, coh.denominator("SrhoLoc", 6))
     r = _cli(tmp_path, ["cohomology", "--group", "C3", "--smax", "1", "--tmin", "0", "--tmax", "0"])
     assert r.exit_code == 1, r.output
     assert "assertion failed: transfer after restriction is not 3 on the fixed line of SrhoLoc_0" in r.output
