@@ -26,7 +26,11 @@ same matrix share one computation.  A result at N is never read at
 N + 2, because m is in the key: the bytes of S alone can coincide at two
 precisions (a matrix of 0s and 1s), and the cells at N are reduced
 mod 3^N.  Each cell carries the Howell form of its relations, which
-later eliminations take instead of recomputing it.
+later eliminations take instead of recomputing it.  The invariant
+factors of a fixed subquotient (``_fixed_subquotient``) are keyed the
+same way, on the value of its generators and relations and on m, so
+degrees that reach one subquotient share its elimination; that memo
+holds lists of exponents, no arrays.
 """
 
 from __future__ import annotations
@@ -182,29 +186,39 @@ def _ops_for(group: str, kind: str, s: int, t: int, m: int, r: int) -> list:
     return ops
 
 
+# (bytes, shape and dtype of L_all and of I, m) -> invariant factors of L_all/I
+_SUBQUOTIENTS = {}
+
+
 def _fixed_subquotient(cell: Cell, ops: list, m: int) -> Cell:
-    """The fixed subquotient (K/I)^{ops} as a new Cell in the same ambient."""
+    """The fixed subquotient (K/I)^{ops} as a new Cell in the same ambient.
+
+    It is span(L, I), L the y K with y . K(op - 1)^T in span(I) for every
+    op.  Those y are read off one Howell form of the rows
+    [K(op_1 - 1)^T ... K(op_g - 1)^T | I_r], r = rows of K, with the
+    relation rows I under each op block: its rows with pivots among the
+    last r columns, cut to them, are the Howell form of that y-module.
+    The invariant factors are memoized on the value of (L_all, I) and m,
+    so a subquotient met again in another degree is not eliminated again.
+    """
     M = 3**m
     K, I = cell.K, cell.I
-    r = K.shape[0]
-    n = K.shape[1]
-    ni = I.shape[0]
-    blocks = []
+    r, n = K.shape
+    g, ni = len(ops), I.shape[0]
+    X = np.zeros((r + g * ni, g * n + r), dtype=np.int64)
     for pos, op in enumerate(ops):
-        T = (linalg.matmul_mod(op, K.T, m) - K.T) % M  # (op - 1) on the K-basis, columns = y
-        row = np.zeros((n, r + len(ops) * ni), dtype=np.int64)
-        row[:, :r] = T
-        if ni:
-            j = r + pos * ni
-            row[:, j : j + ni] = (-I.T) % M
-        blocks.append(row)
-    big = np.vstack(blocks) % M
-    ker = linalg.kernel(big, m)
-    y_span = ker[:, :r] if ker.size else np.zeros((0, r), dtype=np.int64)
-    L = linalg.matmul_mod(y_span, K, m) if y_span.size else np.zeros((0, n), dtype=np.int64)
+        X[:r, pos * n : (pos + 1) * n] = (linalg.matmul_mod(K, op.T, m) - K) % M
+        X[r + pos * ni : r + (pos + 1) * ni, pos * n : (pos + 1) * n] = I
+    X[np.arange(r), g * n + np.arange(r)] = 1
+    H = linalg.howell(X, m)
+    y_span = H.rows[sum(c < g * n for c in H.pivot_cols) :, g * n :]
+    L = linalg.matmul_mod(y_span, K, m)
     L_all = np.vstack([L, I]) if I.size else L
     _read_only(L_all)
-    return Cell(L_all, I, cell.HI, linalg.quotient_invariants(L_all, I, m, HI=cell.HI))
+    key = (L_all.tobytes(), L_all.shape, L_all.dtype.str, I.tobytes(), I.shape, I.dtype.str, m)
+    if key not in _SUBQUOTIENTS:
+        _SUBQUOTIENTS[key] = linalg.quotient_invariants(L_all, I, m, HI=cell.HI)
+    return Cell(L_all, I, cell.HI, _SUBQUOTIENTS[key])
 
 
 @lru_cache(maxsize=None)

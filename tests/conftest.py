@@ -33,6 +33,7 @@ def drop_sf_caches():
         for f in (coh.invariant_cell, inv.gen_matrix):
             f.cache_clear()
         coh._C3_CELLS.clear()
+        coh._SUBQUOTIENTS.clear()
 
     yield drop
     drop()

@@ -17,8 +17,13 @@ chi idempotent on Q8-cosets and the check that ran on it before
 ``stab23.resolution`` checked the right-translation table against
 (1 - sigma)/2.  ``boundary_on_pairs_two_sided`` is the pair boundary
 (g_p - g_sigma(p)) . c from two action tables, before
-``stab23.resolution`` read it as 2 g_p . c off one.  Tests compare old
-and new for exact equality.  They are a test oracle only.
+``stab23.resolution`` read it as 2 g_p . c off one.
+``fixed_subquotient_span`` is the span of a fixed subquotient of a
+cohomology cell as ``stab23.cohomology`` computed it before it read the
+fixed y off one Howell form without the relation columns: through the
+kernel of the operator blocks beside -I^T.  Tests compare old and new
+for exact equality (of the spans' Howell forms, for the last).  They are
+a test oracle only.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from stab23.linalg import (
     _check_exact,
     free_rank,
     image,
+    kernel,
     matmul_mod,
     modulus,
     signed_permute,
@@ -345,3 +351,24 @@ def verify_chi_summand_dense(ld) -> dict:
         "chi_plus_tau_full": bool(full),
         "ok": idem and rank == expected and full,
     }
+
+
+def fixed_subquotient_span(K: np.ndarray, I: np.ndarray, ops: list, m: int) -> np.ndarray:
+    """The rows [y K; I] spanning the fixed part of span(K)/span(I) under
+    ``ops``: y runs over the kernel of the blocks [(op - 1) K^T | -I^T in
+    the op's z-columns], one row block per op, cut to its y-columns."""
+    M = modulus(m)
+    r, n = K.shape
+    ni = I.shape[0]
+    blocks = []
+    for pos, op in enumerate(ops):
+        row = np.zeros((n, r + len(ops) * ni), dtype=np.int64)
+        row[:, :r] = (matmul_mod(op, K.T, m) - K.T) % M
+        if ni:
+            j = r + pos * ni
+            row[:, j : j + ni] = (-I.T) % M
+        blocks.append(row)
+    ker = kernel(np.vstack(blocks) % M, m)
+    y_span = ker[:, :r] if ker.size else np.zeros((0, r), dtype=np.int64)
+    L = matmul_mod(y_span, K, m) if y_span.size else np.zeros((0, n), dtype=np.int64)
+    return np.vstack([L, I]) if I.size else L

@@ -154,6 +154,7 @@ def _cohomology_under_a_wrong_action(runner, tmp_path):
         for f in (inv.verify_action_pinning, inv.gen_matrix, coh.invariant_cell):
             f.cache_clear()
         coh._C3_CELLS.clear()
+        coh._SUBQUOTIENTS.clear()
 
     try:
         clear()

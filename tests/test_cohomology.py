@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import linalg_oracle as oracle
 from stab23 import cohomology as coh
 from stab23 import invariants as inv
 from stab23 import witt
@@ -151,6 +152,52 @@ def test_cold_g24_pattern_runs_two_smith_forms_per_distinct_generator_matrix(
                 S = inv.gen_matrix(LOC, m + coh.SAT_SLACK, "s", t, r)
                 pairs.add((S.tobytes(), S.shape, S.dtype.str, m))
     assert len(calls) == 2 * len(pairs)
+
+
+def test_cold_g24_pattern_eliminates_each_subquotient_once(drop_sf_caches, monkeypatch):
+    # every cell of the window is elementary, so no layer is eliminated, and
+    # a fixed subquotient met again is read from the memo
+    from stab23 import linalg
+
+    drop_sf_caches()
+    seen, layers = [], []
+    real = linalg.quotient_invariants
+
+    def recorded(K, I, m, HK=None, HI=None):
+        seen.append(tuple(a.tobytes() for a in (K, I)) + (K.shape, I.shape, m))
+        return real(K, I, m, HK, HI)
+
+    monkeypatch.setattr(linalg, "quotient_invariants", recorded)
+    monkeypatch.setattr(linalg, "span_log_size", lambda rows, m: layers.append(m))
+    _, ok = coh.verify_pattern("G24", 8, -24, 24)
+    assert ok
+    assert seen and len(seen) == len(set(seen))
+    assert layers == []
+
+
+@pytest.mark.parametrize("group", ["C6", "C12", "G12", "G24"])
+@pytest.mark.parametrize("m", [coh.PRECISION, coh.PRECISION + 2])
+def test_fixed_subquotient_matches_the_kernel_route(group, m):
+    # the fixed y off one Howell form against the kernel of the operator
+    # blocks beside -I^T: the same span, and so the same invariant factors
+    from stab23 import linalg
+
+    compared = 0
+    for t in range(-24, 25, 2):
+        r = coh.denominator(LOC, t)
+        for s in range(1, 5):
+            cell = coh.c3_degree(LOC, t, m, r).cell(s)
+            if not cell.dim_f3:
+                continue
+            ops = coh._ops_for(group, LOC, s, t, m, r)
+            new = coh._fixed_subquotient(cell, ops, m)
+            old = oracle.fixed_subquotient_span(cell.K, cell.I, ops, m)
+            H, H_old = linalg.howell(new.K, m), linalg.howell(old, m)
+            assert np.array_equal(H.rows, H_old.rows), (group, s, t)
+            assert (H.pivot_cols, H.pivot_vals) == (H_old.pivot_cols, H_old.pivot_vals)
+            assert new.invariants == linalg.quotient_invariants(old, cell.I, m, HI=cell.HI)
+            compared += 1
+    assert compared
 
 
 @pytest.mark.parametrize("group", ["C6", "C12", "G12", "G24"])

@@ -29,9 +29,11 @@ def fresh_cells():
     must neither be hidden by cells computed earlier nor leak into later tests."""
     coh.invariant_cell.cache_clear()
     coh._C3_CELLS.clear()
+    coh._SUBQUOTIENTS.clear()
     yield
     coh.invariant_cell.cache_clear()
     coh._C3_CELLS.clear()
+    coh._SUBQUOTIENTS.clear()
 
 
 # -- group verify-relations: the unit identities --------------------------------------

@@ -157,15 +157,22 @@ def test_quotient_invariants_stops_at_the_first_layer_equal_to_span_i(monkeypatc
     calls = []
     real = linalg.span_log_size
     monkeypatch.setattr(linalg, "span_log_size", lambda rows, m: calls.append(rows) or real(rows, m))
-    # an elementary quotient: 3K + I is already I, so with HI given the
-    # one middle layer eliminated is j = 1
+    # an elementary quotient: 3K lies in I, so 3K + I = I and no middle
+    # layer is eliminated
     I = np.vstack([3 * K[:2], K[2:]])
     assert linalg.quotient_invariants(K, I, m, HI=linalg.howell(I, m)) == [1, 1]
-    assert len(calls) == 1
+    assert len(calls) == 0
     # a Z/3^6 factor: no middle layer equals I, so all five are eliminated
     calls.clear()
     assert linalg.quotient_invariants(K, K[1:], m, HI=linalg.howell(K[1:], m)) == [6]
     assert len(calls) == m - 1
+    # Z/9 + Z/3 at m = 4: 3K is not in I, so the layer j = 1 is eliminated;
+    # 9K is, so the test stops there
+    calls.clear()
+    K, m = np.eye(3, dtype=np.int64), 4
+    I = np.diag([9, 3, 1])
+    assert linalg.quotient_invariants(K, I, m) == [1, 2]
+    assert len(calls) == 1
 
 
 def test_quotient_invariants_rejects_non_submodule():

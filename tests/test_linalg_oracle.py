@@ -592,6 +592,39 @@ def test_blocked_howell_matches_the_unblocked_loop(m, ncols):
         assert H.pivot_cols[H.pivot_cols.index(c) + 1] == c + 1
 
 
+def narrow_inputs(rng, m):
+    """Inputs of the one-pass loop, at most LEAF columns (6 at m = 19, the
+    int64 bound): random, non-unit pivots only, rows whose saturation is
+    picked again, zero rows and columns, and [A^T | I]."""
+    M = 3**m
+    w = 6 if m == 19 else 23
+    yield random_matrix(rng, (w + 5, w), m)
+    # every entry a multiple of 3: no pivot is a unit
+    yield 3 * random_matrix(rng, (w + 2, w), m) % M
+    yield 3 ** rng.integers(1, m, size=(w, w)) * rng.integers(1, 3, size=(w, w)) % M
+    # (3, 1) at a column is a pivot of valuation 1, and its saturation
+    # (0, 3^(m-1)) is picked again at the next column
+    yield repicked_rows(4, w, m, [0, 2, w - 2])
+    A = random_matrix(rng, (w + 3, w), m)
+    A[1::3] = 0
+    A[:, 1::2] = 0
+    yield A
+    yield np.zeros((3, w), dtype=np.int64)
+    b, a = (2, 4) if m == 19 else (9, 14)
+    A = random_matrix(rng, (b, a), m)
+    yield np.hstack([A.T % M, np.eye(a, dtype=np.int64)])
+    if m != 19:
+        yield random_matrix(rng, (LEAF // 2, LEAF), m)
+
+
+@pytest.mark.parametrize("m", [*MODULI, 19])
+def test_one_pass_narrow_howell_matches_the_row_by_row_loop(m):
+    rng = np.random.default_rng(700 + m)
+    for A in narrow_inputs(rng, m):
+        assert A.shape[1] <= LEAF
+        assert_same_howell(A, m)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_blocked_howell_on_stacked_signed_permutations(m):
     # the boundaries of the resolution are sums of signed permutations of

@@ -104,12 +104,14 @@ def _is_method(func, owner) -> bool:
     )
 
 
-def _library():
+def _library(trees=None):
     """(classes, returns): the names of the package's classes, which must
     be distinct, and the class that the return annotation of each function
     or method, or the annotation of each dataclass field, names, keyed by
-    (module stem or class, name)."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    (module stem or class, name).  ``trees`` maps module stems to parsed
+    modules, the package's own by default."""
+    if trees is None:
+        trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     names = [n.name for tree in trees.values() for n in tree.body if isinstance(n, ast.ClassDef)]
     assert len(names) == len(set(names)), "receiver types are matched by class name"
     classes = set(names)
@@ -120,7 +122,9 @@ def _library():
             for item in body:
                 if isinstance(item, ast.FunctionDef) and item.returns is not None:
                     returns[(owner, item.name)] = _annotated_class(item.returns, classes)
-                elif isinstance(item, ast.AnnAssign) and any(map(_is_dataclass, node.decorator_list)):
+                elif isinstance(item, ast.AnnAssign) and isinstance(node, ast.ClassDef) and any(
+                    map(_is_dataclass, node.decorator_list)
+                ):
                     returns[(owner, item.target.id)] = _annotated_class(item.annotation, classes)
     return classes, returns
 
@@ -257,6 +261,21 @@ def _references():
                 if owner is not None and isinstance(node.ctx, ast.Load) and id(node) not in called:
                     add(("field", owner, node.attr), path, node)
     return refs
+
+
+def test_library_scan_takes_a_module_level_annotated_assignment():
+    # a module-level AnnAssign is a one-item body with no decorators; only
+    # the fields of a dataclass are recorded
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "_CACHE: dict = {}\n"
+        "class Row:\n    pass\n"
+        "@dataclass\nclass Box:\n    row: Row\n"
+        "def make() -> Box:\n    return Box(Row())\n"
+    )
+    classes, returns = _library({"mod": tree})
+    assert classes == {"Row", "Box"}
+    assert returns == {("Box", "row"): "Row", ("mod", "make"): "Box"}
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
