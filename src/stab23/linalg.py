@@ -112,10 +112,9 @@ def _residues(X, m: int) -> np.ndarray:
     return np.remainder(X, modulus(m), dtype=wide)
 
 
-# columns per panel of the Z/3^m engine, and the width (or pivot count)
-# at or below which its loop runs unblocked, as the engine's leaf
+# columns per panel of the Z/3^m engine, and the width at or below which
+# ``reduce_mod_span`` runs its loop on whole rows
 _ZM_PANEL = 64
-_ZM_LEAF = 128
 # rows per product when ``reduce_mod_span`` clears the free columns
 _ZM_ROWS = 512
 
@@ -204,18 +203,19 @@ def howell(rows, m: int, dtype=np.int64) -> HowellForm:
     whose first j coordinates vanish is a combination of the returned
     rows whose pivots lie beyond column j.
 
-    At m >= 2, inputs of at most ``_ZM_LEAF`` columns run one
-    Gauss-Jordan column loop, in which each new pivot also reduces the
-    pivot rows found before it, so no back-substitution follows.  Wider
-    inputs are eliminated in panels of ``_ZM_PANEL`` columns (the blocked
-    scheme of FFLAS-FFPACK, Dumas, Giorgi and Pernet): the column loop
-    runs on the panel's columns only and records its row operations as
+    At m >= 2 the input is eliminated in panels of ``_ZM_PANEL`` columns
+    (the blocked scheme of FFLAS-FFPACK, Dumas, Giorgi and Pernet), and an
+    input of at most one panel is one panel.  ``_howell_panel`` runs the
+    Gauss-Jordan column loop on the panel's columns, so its pivot rows
+    come out reduced among themselves.  A panel with columns after it
+    runs on the rows that meet it and records its row operations as
     T = I + Z S^T, S selecting the rows it picked, so one ``matmul_mod``
-    updates the trailing columns and gives the pivot rows there, and
-    ``_reduce_panels`` reduces the pivot rows at the end.  The Howell form
-    is canonical (Storjohann, "Algorithms for Matrix Canonical Forms", ETH
-    Zurich 2000), so the output is the unblocked loop's.  The loop runs in
-    the working type of ``residue_dtypes``.
+    updates the trailing columns and gives the pivot rows there; then
+    ``_reduce_panels`` reduces the rows of each panel by the pivots of the
+    later ones.  The Howell form is canonical (Storjohann, "Algorithms for
+    Matrix Canonical Forms", ETH Zurich 2000), so the output is the
+    unblocked loop's.  The loop runs in the working type of
+    ``residue_dtypes``.
     """
     if m == 1:
         R, pivots = rref_f3(rows, dtype)
@@ -225,9 +225,6 @@ def howell(rows, m: int, dtype=np.int64) -> HowellForm:
     if A.size == 0:
         return HowellForm(A.astype(dtype), [], [])
     ncols = A.shape[1]
-    if ncols <= _ZM_LEAF:
-        cols, vals, P = _howell_panel(A, m, reduce=True)[:3]
-        return HowellForm(P.astype(dtype), cols, vals)
     piv_cols, piv_vals, blocks, panels = [], [], [], []
     for c0 in range(0, ncols, _ZM_PANEL):
         c1 = min(c0 + _ZM_PANEL, ncols)
@@ -237,10 +234,11 @@ def howell(rows, m: int, dtype=np.int64) -> HowellForm:
             live = A[:, c0:c1].any(axis=1).nonzero()[0]
             cols, vals, P, Z, Y, S = _howell_panel(A[live, c0:c1], m, track=True)
         else:
-            cols, vals, P, Z, Y, S = _howell_panel(A[:, c0:], m)
+            cols, vals, P = _howell_panel(A[:, c0:], m)
         if not cols:
             continue
-        R = np.pad(P, ((0, 0), (c0, ncols - c1)))
+        R = np.zeros((len(cols), ncols), dtype=A.dtype)
+        R[:, c0:c1] = P
         if trail:
             # A <- T A and the pivot rows, on the trailing columns S meets
             touched = Z.any(axis=1)
@@ -257,8 +255,11 @@ def howell(rows, m: int, dtype=np.int64) -> HowellForm:
         panels.append((c0, c1, len(cols)))
     if not piv_cols:
         return HowellForm(np.zeros((0, ncols), dtype=dtype), [], [])
-    R = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
-    _reduce_panels(R, R, panels, piv_cols, piv_vals, m, above=True)
+    if len(blocks) == 1:
+        R = blocks[0]
+    else:
+        R = np.vstack(blocks)
+        _reduce_panels(R, R, panels, piv_cols, piv_vals, m, above=True)
     return HowellForm(R.astype(dtype, copy=False), piv_cols, piv_vals)
 
 
@@ -266,17 +267,18 @@ def _reduce_panels(X, P, panels: list, piv_cols: list, piv_vals: list, m: int, a
     """Reduce the rows of X by the Howell rows P in place, a panel (c0, c1,
     number of pivots) at a time: ``_pivot_loop`` on the panel's columns,
     then one product with the panel's rows on the trailing columns, where
-    nothing has changed those rows.  With ``above``, X starts with P and a
-    pivot reduces only the rows above its own.  Returns each panel's Q."""
+    nothing has changed those rows.  With ``above``, X starts with P, whose
+    panels are each reduced already, and a panel reduces only the rows of
+    the panels before it.  Returns each panel's Q."""
     M = modulus(m)
     Qs, i0 = [], 0
     for c0, c1, k in panels:
         i1 = i0 + k
-        B, Y = P[i0:i1], X[:i1] if above else X
+        B, Y = P[i0:i1], X[:i0] if above else X
         W = B[:, c0:c1]
         cols = [c - c0 for c in piv_cols[i0:i1]]
         ends = W.shape[1] - (W[:, ::-1] != 0).argmax(axis=1)   # past each row's last nonzero
-        Q = _pivot_loop(Y[:, c0:c1], W, cols, piv_vals[i0:i1], m, i0 if above else None, ends)
+        Q = _pivot_loop(Y[:, c0:c1], W, cols, piv_vals[i0:i1], m, ends)
         nz = c1 + B[:, c1:].any(axis=0).nonzero()[0]
         if nz.size and Q.any():
             hit = Q.any(axis=1).nonzero()[0][:, None]
@@ -286,19 +288,17 @@ def _reduce_panels(X, P, panels: list, piv_cols: list, piv_vals: list, m: int, a
     return Qs
 
 
-def _pivot_loop(X: np.ndarray, P: np.ndarray, cols, vals, m: int, first=None, ends=None) -> np.ndarray:
+def _pivot_loop(X: np.ndarray, P: np.ndarray, cols, vals, m: int, ends=None) -> np.ndarray:
     """The one loop that subtracts Howell pivot rows, in place: for j = 0,
     1, ... it takes q = x[cols[j]] // 3^vals[j] times P[j] off each row x
-    of X (with ``first``, of each row above row first + j).  P[j] vanishes
-    left of cols[j], as a Howell row left of its pivot, and from ends[j]
-    on.  Returns the quotients Q in X's type, which must hold
-    (3^m - 1)^2 + 3^m."""
+    of X.  P[j] vanishes left of cols[j], as a Howell row left of its
+    pivot, and from ends[j] on.  Returns the quotients Q in X's type,
+    which must hold (3^m - 1)^2 + 3^m."""
     M = modulus(m)
     Q = np.zeros((X.shape[0], len(cols)), dtype=X.dtype)
     for j, (col, v) in enumerate(zip(cols, vals)):
         e = None if ends is None else ends[j]
-        k = len(X) if first is None else first + j
-        q = np.floor_divide(X[:k, col], 3**v, out=Q[:k, j])
+        q = np.floor_divide(X[:, col], 3**v, out=Q[:, j])
         t = q.nonzero()[0]
         if t.size:
             # a view: the rows from the first to the last that q meets, and
@@ -310,61 +310,55 @@ def _pivot_loop(X: np.ndarray, P: np.ndarray, cols, vals, m: int, first=None, en
     return Q
 
 
-def _howell_panel(A: np.ndarray, m: int, track=False, reduce=False) -> tuple:
+def _howell_panel(A: np.ndarray, m: int, track=False) -> tuple:
     """The column loop of ``howell`` on the pending rows ``A`` of one panel,
     in A's (working) type.  Every pending row vanishes left of the current
     column and a spent row is zero, so the rows led by a column are its
-    nonzeros.
+    nonzeros.  The pivot rows are kept under the pending rows, in one
+    array, and each new pivot clears its column in both at once, by
+    q = x // 3^v (the ``_pivot_loop`` rule on a pivot row, exact on a
+    pending one): the pivot rows on the panel are the Howell form of A.
 
-    Returns (cols, vals, P, Z, Y, S): the pivot columns and valuations and
-    the pivot rows on the panel.  With ``track`` the loop runs on [A | I],
-    so the identity block records its row operations T = I + Z S^T: the
-    rows become A + Z A[S] and the pivot rows Y A[S].  Without it, A
-    itself is eliminated in place.  With ``reduce`` the pivot rows are
-    kept under the pending rows, and each new pivot clears its column in
-    both at once, by q = x // 3^v (the ``_pivot_loop`` rule on a pivot
-    row, exact on a pending one): P is then the Howell form of A.
+    Returns (cols, vals, P), the pivot columns and valuations and the
+    pivot rows.  With ``track`` the pending rows carry I beside them, so
+    it records their row operations T = I + Z S^T, and the loop returns
+    (cols, vals, P, Z, Y, S): the rows become A + Z A[S] and the pivot
+    rows Y A[S].
     """
     M = modulus(m)
     n, w = A.shape
+    # at most one pivot row per column, under the pending rows
+    X = np.zeros((n + w, w + n if track else w), dtype=A.dtype)
+    X[:n, :w] = A
     if track:
-        A = np.hstack([A, np.eye(n, dtype=A.dtype)])
-    elif reduce:
-        A = np.vstack([A, np.zeros((w, w), dtype=A.dtype)])
-    cols, vals, prows, picked = [], [], [], {}
+        X[np.arange(n), w + np.arange(n)] = 1
+    cols, vals, picked = [], [], {}
     for col in range(w):
-        idx = A[:, col].nonzero()[0]
-        pending = idx[: idx.searchsorted(n)] if reduce else idx
+        idx = X[:, col].nonzero()[0]
+        pending = idx[: idx.searchsorted(n)]
         if not pending.size:
             continue
-        vj = valuations(A[pending, col], m)
+        vj = valuations(X[pending, col], m)
         k = int(vj.argmin())
         v = int(vj[k])
         r = pending[k]
-        p = A[r] * pow(int(A[r, col]) // 3**v, -1, M) % M
+        p = X[r] * pow(int(X[r, col]) // 3**v, -1, M) % M
         # clear the column in every row that meets it; row r itself goes
         # to zero and then holds 3^(m-v) p, which is zero when v == 0
-        q = (A[idx, col] // 3**v)[:, None]  # exact on the pending rows: v is minimal there
+        q = (X[idx, col] // 3**v)[:, None]
         s = p.nonzero()[0]
         idx = idx[:, None]
-        A[idx, s] = (A[idx, s] - q * p[s]) % M
-        A[r] = 3 ** (m - v) * p % M
-        if reduce:
-            A[n + len(cols)] = p
-        else:
-            prows.append(p)
+        X[idx, s] = (X[idx, s] - q * p[s]) % M
+        X[r] = 3 ** (m - v) * p % M
+        X[n + len(cols)] = p
         cols.append(col)
         vals.append(v)
-        if track:
-            picked[int(r)] = None
-    if reduce:
-        P = A[n : n + len(cols)]
-    else:
-        P = np.array(prows, dtype=A.dtype).reshape(len(prows), A.shape[1])
+        picked[int(r)] = None
+    P = X[n : n + len(cols)]
     if not track:
-        return cols, vals, P, None, None, None
+        return cols, vals, P
     S = list(picked)
-    Z = A[:, w:][:, S]
+    Z = X[:n, w:][:, S]
     Z[S, np.arange(len(S))] -= 1
     return cols, vals, P[:, :w], Z % M, P[:, w:][:, S], S
 
@@ -401,9 +395,9 @@ def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     """Canonical remainder under the Howell basis ``H`` of a vector, or of
     every row of a matrix at once, in the working type of ``residue_dtypes``.
 
-    ``_pivot_loop`` reduces whole rows of up to ``_ZM_LEAF`` columns.  Wider
-    rows give every quotient on their pivot columns alone, in panels of
-    ``_ZM_PANEL`` pivots as in ``howell``; then ``matmul_mod`` clears the
+    ``_pivot_loop`` reduces whole rows of up to ``_ZM_PANEL`` columns.
+    Wider rows give every quotient on their pivot columns alone, in panels
+    of ``_ZM_PANEL`` pivots as in ``howell``; then ``matmul_mod`` clears the
     other columns, ``_ZM_ROWS`` rows at a time, so that its float copies
     stay small beside the rows.  At m = 1 ``H`` is an RREF, a Howell form
     with every valuation 0.
@@ -411,7 +405,7 @@ def reduce_mod_span(H: HowellForm, vec, m: int) -> np.ndarray:
     M = modulus(m)
     X = _as_matrix(vec, m, residue_dtypes(m)[1])
     cols, npiv = H.pivot_cols, len(H.pivot_cols)
-    if X.shape[1] <= _ZM_LEAF:
+    if X.shape[1] <= _ZM_PANEL:
         _pivot_loop(X, H.rows.astype(X.dtype), cols, H.pivot_vals, m)
     elif npiv:
         Xp, Pp = X[:, cols], H.rows[:, cols].astype(X.dtype)

@@ -548,8 +548,9 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> dict:
     the per-step verdicts keyed "upper->lower", and the verdicts of the
     projection over the whole range, which is the composite of the steps;
     ``pro_trivial`` says that one vanishes.  Interior classes observed in
-    runs die after one full congruence step (two half-integer levels),
-    not necessarily after a single half-step.
+    runs at m = 1 die after one full congruence step (two half-integer
+    levels), not necessarily after a single half-step; at m = 2 the full
+    step 3 -> 2 leaves pos1 alive, and two full steps kill it.
     """
     if len(lds) < 2:
         raise ValueError("need at least two levels")

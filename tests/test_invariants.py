@@ -175,6 +175,22 @@ def test_model_matrix_matches_the_wpoly_action(kind, precision):
             assert (got == want).all(), (gen, t, r)
 
 
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("kind", ["SF", "Srho", "SrhoLoc"])
+def test_model_matrix_two_digits_up_reduces_to_the_matrix_at_n(kind, N):
+    # every generator matrix at precision N + 2, read mod 3^N, is the one
+    # built at N, dtype included: S(F) and S(rho) in degrees 0..-48, the
+    # localized model in degrees -48..48 over sigma3^r, r = denominator(t)
+    ts = range(-48, 49, 2) if kind == "SrhoLoc" else range(-48, 1, 2)
+    for gen in inv.GEN_ACTION:
+        for t in ts:
+            r = inv.denominator(kind, t)
+            got = inv.model_matrix(kind, N + 2, gen, t, r) % 3**N
+            want = inv.model_matrix(kind, N, gen, t, r)
+            assert got.dtype == want.dtype and got.shape == want.shape, (gen, t)
+            assert (got == want).all(), (gen, t)
+
+
 @pytest.mark.parametrize("deg", range(0, 26, 2))
 def test_burnside_oracle_matches_kernel_sf(deg):
     b = inv.invariant_basis("C3", -deg, ring="SF", precision=6)

@@ -541,10 +541,10 @@ def test_batched_reduce_mod_span_matches_oracle(m):
 
 # -- the blocked Z/3^m engine against the unblocked loops ------------------------
 
-PANEL, LEAF = linalg._ZM_PANEL, linalg._ZM_LEAF
+PANEL = linalg._ZM_PANEL
 BLOCKED_MODULI = [2, 3, 4, 6, 8]
-# around the panel width, the leaf limit and later panel boundaries
-WIDTHS = [PANEL - 1, PANEL, PANEL + 1, LEAF - 1, LEAF, LEAF + 1, LEAF + PANEL + 1, 2 * LEAF + 1]
+# around the first two panel boundaries and past later ones
+WIDTHS = [PANEL - 1, PANEL, PANEL + 1, 2 * PANEL - 1, 2 * PANEL, 2 * PANEL + 1, 3 * PANEL + 1, 4 * PANEL + 1]
 ROWS = PANEL + 37  # more rows than the panel width
 
 
@@ -574,6 +574,9 @@ def test_blocked_howell_matches_the_unblocked_loop(m, ncols):
     M = 3**m
     for _ in range(3):
         assert_same_blocked(random_matrix(rng, (ROWS, ncols), m), m)
+    if ncols == 2 * PANEL:
+        # fewer rows than columns, against the row-by-row loop too
+        assert_same_howell(random_matrix(rng, (PANEL, ncols), m), m)
     # rank-deficient, with pivots of every valuation
     k = int(rng.integers(5, 40))
     low = rng.integers(0, M, size=(ROWS, k)) @ rng.integers(0, M, size=(k, ncols))
@@ -584,7 +587,7 @@ def test_blocked_howell_matches_the_unblocked_loop(m, ncols):
     assert_same_blocked(A, m)
     # a row picked again after saturation, inside a panel and across the
     # panel boundaries, under random rows that leave those columns alone
-    starts = [c for c in (3, PANEL - 1, PANEL + 10, LEAF - 1, LEAF + 7) if c + 1 < ncols]
+    starts = [c for c in (3, PANEL - 1, PANEL + 10, 2 * PANEL - 1, 2 * PANEL + 7) if c + 1 < ncols]
     A = repicked_rows(ROWS, ncols, m, starts)
     A[len(starts) :, -5:] = rng.integers(0, M, size=(ROWS - len(starts), 5))
     H = assert_same_blocked(A, m)
@@ -593,8 +596,8 @@ def test_blocked_howell_matches_the_unblocked_loop(m, ncols):
 
 
 def narrow_inputs(rng, m):
-    """Inputs of the one-pass loop, at most LEAF columns (6 at m = 19, the
-    int64 bound): random, non-unit pivots only, rows whose saturation is
+    """Inputs of one panel, at most PANEL columns (6 at m = 19, the int64
+    bound): random, non-unit pivots only, rows whose saturation is
     picked again, zero rows and columns, and [A^T | I]."""
     M = 3**m
     w = 6 if m == 19 else 23
@@ -613,15 +616,13 @@ def narrow_inputs(rng, m):
     b, a = (2, 4) if m == 19 else (9, 14)
     A = random_matrix(rng, (b, a), m)
     yield np.hstack([A.T % M, np.eye(a, dtype=np.int64)])
-    if m != 19:
-        yield random_matrix(rng, (LEAF // 2, LEAF), m)
 
 
 @pytest.mark.parametrize("m", [*MODULI, 19])
 def test_one_pass_narrow_howell_matches_the_row_by_row_loop(m):
     rng = np.random.default_rng(700 + m)
     for A in narrow_inputs(rng, m):
-        assert A.shape[1] <= LEAF
+        assert A.shape[1] <= PANEL
         assert_same_howell(A, m)
 
 
@@ -640,16 +641,16 @@ def test_blocked_howell_on_stacked_signed_permutations(m):
 
 @pytest.mark.parametrize("m", [1] + BLOCKED_MODULI)
 def test_blocked_reduce_mod_span_matches_the_unblocked_loop(m):
-    # rows wider than LEAF run in panels of PANEL pivots, in one panel when
-    # there are fewer pivots; narrower rows are the leaf.  At m = 1 the
-    # Howell form is an RREF
+    # rows wider than PANEL run in panels of PANEL pivots: more than two
+    # panels in the first two cases, one or two in the others.  At m = 1
+    # the Howell form is an RREF
     rng = np.random.default_rng(400 + m)
     M = 3**m
-    for rows, cols, blocked in [(LEAF + 40, LEAF + 60, True), (2 * LEAF + 3, 2 * LEAF + 10, True),
-                                (PANEL, 3 * LEAF, False), (PANEL + 9, LEAF - 8, False)]:
+    for rows, cols, blocked in [(2 * PANEL + 40, 2 * PANEL + 60, True), (4 * PANEL + 3, 4 * PANEL + 10, True),
+                                (PANEL, 6 * PANEL, False), (PANEL + 9, 2 * PANEL - 8, False)]:
         A = random_matrix(rng, (rows, cols), m) + np.eye(rows, cols, dtype=np.int64)
         H = linalg.howell(A, m)
-        assert (H.rows.shape[0] > LEAF) == blocked
+        assert (H.rows.shape[0] > 2 * PANEL) == blocked
         in_span = rng.integers(0, M, size=(10, H.rows.shape[0])) @ H.rows
         V = np.vstack([rng.integers(-M, M, size=(10, cols)), in_span])
         want = oracle.reduce_mod_span_unblocked(H, V, m)
@@ -664,7 +665,7 @@ def test_reduce_mod_span_over_several_row_blocks_matches_the_unblocked_loop(m):
     # rows gets its own product, the last one partial
     rng = np.random.default_rng(450 + m)
     M = 3**m
-    rows, cols = LEAF + 20, LEAF + 40
+    rows, cols = 2 * PANEL + 20, 2 * PANEL + 40
     H = linalg.howell(random_matrix(rng, (rows, cols), m) + np.eye(rows, cols, dtype=np.int64), m)
     n = linalg._ZM_ROWS + 40
     in_span = rng.integers(0, M, size=(n, H.rows.shape[0])) @ H.rows
@@ -674,11 +675,33 @@ def test_reduce_mod_span_over_several_row_blocks_matches_the_unblocked_loop(m):
     assert want.any(axis=1).sum() > linalg._ZM_ROWS
 
 
+@pytest.mark.parametrize("panel", [1, 3, 7])
+@pytest.mark.parametrize("m", [*BLOCKED_MODULI, 19])
+def test_narrow_panels_match_the_unblocked_loops(monkeypatch, m, panel):
+    # panels of 1, 3 and 7 columns: every input crosses many panel
+    # boundaries, so each trailing product runs and the pivots of later
+    # panels reduce the rows of earlier ones (at m = 19, 6 columns at most)
+    monkeypatch.setattr(linalg, "_ZM_PANEL", panel)
+    rng = np.random.default_rng(900 + 10 * m + panel)
+    M = 3**m
+    ncols = 6 if m == 19 else 5 * panel + 4
+    for rows in (ncols + 3, ncols // 2 + 1):
+        A = rng.integers(-2, 3, size=(rows, ncols)) * 3 ** rng.integers(0, m + 1, size=(rows, ncols)) % M
+        A[:, panel : 2 * panel] = 0
+        H = assert_same_blocked(A, m)
+        C = rng.integers(0, M, size=(4, H.rows.shape[0]))
+        in_span = (C.astype(object).dot(H.rows.astype(object)) % M).astype(np.int64)
+        V = np.vstack([rng.integers(0, M, size=(6, ncols)), in_span])
+        want = oracle.reduce_mod_span_unblocked(H, V, m)
+        assert np.array_equal(linalg.reduce_mod_span(H, V, m), want)
+        assert not want[6:].any()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_kernel_and_image_read_off_one_howell_form(m):
     rng = np.random.default_rng(500 + m)
     M = 3**m
-    for b, a in [(3, 5), (40, 30), (LEAF, PANEL + 3), (90, 200), (0, 4), (4, 0)]:
+    for b, a in [(3, 5), (40, 30), (2 * PANEL, PANEL + 3), (90, 200), (0, 4), (4, 0)]:
         A = random_matrix(rng, (b, a), m) if a and b else np.zeros((b, a), dtype=np.int64)
         K, I = linalg.kernel_and_image(A, m)
         H = linalg.image(A, m)
@@ -720,7 +743,7 @@ def test_matmul_mod_is_the_exact_product(m):
 
 def test_matmul_mod_and_the_engine_at_m_19():
     # the int64 bound admits inner dimensions up to 6 at m = 19; the float64
-    # branch admits none, and no input there is wide enough for a panel
+    # branch admits none, and no input there is wider than one panel
     from stab23.errors import ExactnessBoundExceeded
 
     rng = np.random.default_rng(19)
@@ -737,7 +760,7 @@ def test_matmul_mod_and_the_engine_at_m_19():
         V = rng.integers(0, M, size=(4, shape[1]))
         assert np.array_equal(linalg.reduce_mod_span(H, V, 19), oracle.reduce_mod_span_unblocked(H, V, 19))
     with pytest.raises(ExactnessBoundExceeded):
-        linalg.howell(np.ones((2, LEAF + 1), dtype=np.int64), 19)
+        linalg.howell(np.ones((2, 2 * PANEL + 1), dtype=np.int64), 19)
 
 
 # -- the dtype rule: narrow working types against the int64 oracle ----------------
@@ -777,7 +800,7 @@ def extreme_zm_inputs(rng, m):
     top = M - 1
     inputs = [
         np.full((5, 7), top, dtype=np.int64),
-        rng.choice([0, top, top, top - 1, 1, 3 ** (m - 1)], size=(PANEL + 9, LEAF + 20)),
+        rng.choice([0, top, top, top - 1, 1, 3 ** (m - 1)], size=(PANEL + 9, 2 * PANEL + 20)),
         rng.choice([top, M - 3, 2], size=(40, 30)),
     ]
     low = rng.integers(0, M, size=(50, 4)) @ rng.integers(0, M, size=(4, 60)) % M

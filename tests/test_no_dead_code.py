@@ -1,6 +1,7 @@
 """Every public top-level function, class and constant of the library, and
 every public method of its classes, has a reader in the library or its
-scripts; tests alone do not keep code alive.
+scripts; tests alone do not keep code alive.  Every private top-level
+function and constant of the library has a reader in its own module.
 
 A top-level name counts as read only through its own module: a bare name
 loaded there, ``alias.name`` with ``alias`` an import of the module, or
@@ -44,19 +45,20 @@ def _public(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
 
 
+def _private(name: str) -> bool:
+    """A name with a leading underscore that is not a dunder."""
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _constant_targets(node) -> list:
-    """The public names a module-level assignment binds (a dunder such as
-    ``__version__`` is not public)."""
+    """The names a module-level assignment binds."""
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, ast.AnnAssign):
         targets = [node.target]
     else:
         return []
-    return [
-        t.id for t in targets
-        if isinstance(t, ast.Name) and not t.id.startswith("_")
-    ]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
 def _definitions():
@@ -67,11 +69,23 @@ def _definitions():
             if _public(node) and not _is_click_command(node):
                 yield path, node.name, node
             for name in _constant_targets(node):
-                yield path, name, node
+                if not name.startswith("_"):
+                    yield path, name, node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if _public(method):
                         yield path, f"{node.name}.{method.name}", method
+
+
+def _private_definitions():
+    """(file, name, node) of each private top-level function and constant
+    of the package; methods and dunders such as ``__all__`` are left out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and _private(node.name):
+                yield path, node.name, node
+            for name in filter(_private, _constant_targets(node)):
+                yield path, name, node
 
 
 def _package_module(module, level: int):
@@ -291,6 +305,21 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
         ):
             unreferenced.add(f"{path.stem}.{name}")
     assert unreferenced == set()
+
+
+def test_every_private_function_and_constant_is_read_in_its_own_module():
+    # read outside its own definition: a private name that only the tests
+    # or another module read, such as a leftover blocking constant, is dead
+    refs = _references()
+    unread = set()
+    for path, name, node in _private_definitions():
+        first = node.lineno - len(getattr(node, "decorator_list", ()))
+        if all(
+            p != path or first <= line <= node.end_lineno
+            for p, line in refs.get((path.stem, name), [])
+        ):
+            unread.add(f"{path.stem}.{name}")
+    assert unread == set()
 
 
 def _is_dataclass(decorator) -> bool:
