@@ -453,6 +453,28 @@ class F3Space:
         self._buf = np.zeros((0, ncols), dtype=self.dtype)
         self._free = None      # (pivots, free columns, basis on them)
 
+    @classmethod
+    def reduced(cls, rows: np.ndarray) -> "F3Space":
+        """The span of a 2-d basis already reduced, with no elimination.
+
+        ``rows`` is read mod 3 and must be the identity on its leading
+        columns, each row's first nonzero one; they become the pivots, in
+        the order of the rows, which is the state ``add`` leaves.  Any
+        other basis, a zero row included, raises ValueError.
+        """
+        R = np.remainder(rows, 3).astype(np.int8, copy=False)
+        space = cls(R.shape[1])
+        if not len(R):
+            return space
+        lead = (R != 0).argmax(axis=1)
+        # ones on the diagonal and nothing else: the identity, with no k x k eye built
+        L = R[:, lead]
+        if not ((L.diagonal() == 1).all() and np.count_nonzero(L) == len(lead)):
+            raise ValueError("F3Space.reduced: the rows are not the identity on their leading columns")
+        space._buf = R.astype(space.dtype)
+        space.pivots = lead.tolist()
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.pivots)
@@ -552,12 +574,13 @@ def signed_permute(rows, perm, sign=None) -> np.ndarray:
     return out
 
 
-def augmentation_span(V: np.ndarray, acts) -> F3Space:
+def augmentation_span(V: np.ndarray, acts, space=None) -> F3Space:
     """I.span(V) mod 3 for a submodule span(V) and I the augmentation ideal
     of the group generated by the signed permutations ``acts`` (tuples of
     ``signed_permute`` arguments): the span of the blocks (g - 1)V, which
-    is already closed, since gh - 1 = (g - 1)h + (h - 1)."""
-    space = F3Space(V.shape[1])
+    is already closed, since gh - 1 = (g - 1)h + (h - 1).  With ``space``
+    the blocks are added to that span, and it is returned."""
+    space = F3Space(V.shape[1]) if space is None else space
     for act in acts:
         space.add(signed_permute(V, *act) - V)
     return space
@@ -654,21 +677,34 @@ def _rref_leaf(W: np.ndarray) -> tuple:
 
 
 def kernel(A, m: int, dtype=np.int64) -> np.ndarray:
-    """``dtype`` rows spanning {x : A @ x == 0 mod 3^m}."""
+    """``dtype`` rows spanning {x : A @ x == 0 mod 3^m}: at m = 1
+    ``kernel_f3``'s basis, the identity on the free columns, and not the
+    RREF that ``kernel_and_image`` gives."""
     if m == 1:
         return kernel_f3(A, dtype)[0]
     return kernel_and_image(A, m, dtype)[0].rows
 
 
 def kernel_and_image(A, m: int, dtype=np.int64) -> tuple:
-    """Howell forms (of ker A, of the image of A), rows as ``dtype``, read
-    off one Howell form of [A^T | I], built in the working type of
-    ``residue_dtypes``: its rows with pivots left of the bar, cut to that
-    side, are ``howell(A^T)``, and its rows right of the bar are the
-    kernel, in their own Howell form."""
-    work = residue_dtypes(m)[1]
+    """Howell forms (of ker A, of the image of A), rows as ``dtype``.
+
+    At m >= 2 both are read off one Howell form of [A^T | I], built in the
+    working type of ``residue_dtypes``: its rows with pivots left of the
+    bar, cut to that side, are ``howell(A^T)``, and its rows right of the
+    bar are the kernel, in their own Howell form.  At m = 1 the kernel is
+    ``kernel_f3`` of A with its columns reversed, read back: the identity
+    on the columns that depend on the columns to their right and zero left
+    of them, which is the RREF of ker A, and the image is the RREF of A^T.
+    Both are what the Howell form of [A^T | I] gives, from two eliminations
+    of A's size instead of one of [A^T | I].
+    """
     A = np.atleast_2d(np.asarray(A))
     b, a = A.shape
+    if m == 1:
+        K, free = kernel_f3(A[:, ::-1], dtype)
+        lead = (a - 1 - free[::-1]).tolist()
+        return HowellForm(K[::-1, ::-1].copy(), lead, [0] * len(lead)), image(A, 1, dtype)
+    work = residue_dtypes(m)[1]
     X = np.zeros((a, b + a), dtype=work)
     if A.size:
         X[:, :b] = _as_matrix(A, m, work).T

@@ -265,6 +265,30 @@ class FiniteQuotient:
             frontier = (new & ~seen).nonzero()[0]
         return int(seen.sum())
 
+    def minimal_generators(self, gen_indices, subgroup_idx: np.ndarray) -> list:
+        """A subset of ``gen_indices`` that generates the subgroup with the
+        sorted indices ``subgroup_idx`` and no proper subset of which does:
+        each generator in turn is dropped while the others still generate
+        it.  One pass suffices, since a subset of a set that cannot
+        generate cannot either.  The products are read from one table of
+        the subgroup times the generators, so each closure test is a
+        search over positions in the subgroup, with no multiplication."""
+        gens = [int(g) for g in gen_indices]
+        H = np.asarray(subgroup_idx, dtype=np.int64)
+        prod = self.mul_table(H, gens)
+        step = np.searchsorted(H, prod)
+        if not np.array_equal(H.take(step, mode="clip"), prod):
+            raise ValueError("a generator lies outside the subgroup")
+        start = int(np.searchsorted(H, self.identity_index()))
+        keep = list(range(len(gens)))
+        if _orbit_size(step, start) != len(H):
+            raise ValueError("the generators do not generate the subgroup")
+        for j in range(len(gens)):
+            rest = [i for i in keep if i != j]
+            if _orbit_size(step[:, rest], start) == len(H):
+                keep = rest
+        return [gens[i] for i in keep]
+
     # -- transitions -------------------------------------------------------
     def projection_to(self, coarser: "FiniteQuotient") -> np.ndarray:
         """index map G(l) -> G(l') for l' <= l (coordinate truncation)."""
@@ -286,6 +310,19 @@ class FiniteQuotient:
             "sylow_order": int(len(self.sylow_indices())),
             "k_order": int(len(self.k_indices())),
         }
+
+
+def _orbit_size(step: np.ndarray, start: int) -> int:
+    """How many positions are reached from ``start`` through the columns
+    of ``step``, each a map of the positions to themselves."""
+    seen = np.zeros(len(step), dtype=bool)
+    frontier = np.array([start])
+    while frontier.size:
+        seen[frontier] = True
+        new = np.zeros_like(seen)
+        new[step[frontier]] = True
+        frontier = (new & ~seen).nonzero()[0]
+    return int(seen.sum())
 
 
 def finite_quotient(level, precision: int | None = None) -> FiniteQuotient:

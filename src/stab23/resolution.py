@@ -75,7 +75,7 @@ class LevelData:
     c24: CosetSpace
     chi: ChiSpace
     sd16_sign: np.ndarray    # +1 on Q8, -1 off it, aligned with the SD16 image
-    p_gens: list             # sylow generator indices in the quotient
+    p_gens: list             # a minimal set of sylow generator indices in the quotient
     g_gens: list             # full generating set indices
     named: dict              # 'omega', 's', 't', 'psi' -> index in the quotient
 
@@ -105,6 +105,15 @@ _NAMED = {"omega": stab.omega_element, "s": stab.s_element, "t": stab.t_element,
 
 
 def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
+    """Cosets, the chi pairs and the generators of G(l) over Z/3^m.
+
+    ``p_gens`` is a minimal generating set of P(l) drawn from the pooled
+    Sylow generators, by the quotient's closure test: two of the six at
+    every level from 1 to 3, as Burnside's basis theorem gives (every minimal
+    generating set of a 3-group has as many elements as its Frattini
+    quotient's dimension).  So each (3, I_P) span is the same span from
+    fewer (g - 1) N blocks.
+    """
     named = {name: int(fq.project(element(fq.precision))) for name, element in _NAMED.items()}
     c24 = _coset_space(fq, "G24")
     c8 = _coset_space(fq, "Q8")
@@ -128,7 +137,7 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
         c24,
         chi,
         sd16_sign,
-        [int(v) for v in fq.sylow_generators().values()],
+        fq.minimal_generators(fq.sylow_generators().values(), fq.sylow_indices()),
         [int(v) for v in fq.generators().values()],
         named,
     )
@@ -178,17 +187,32 @@ def _act_vector(ld: LevelData, g: int, v: np.ndarray, space: str) -> np.ndarray:
     return linalg.signed_permute(v, *ld.actions(g, space)) % ld.M
 
 
-def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str) -> linalg.F3Space:
+def _coinvariant_span(ld: LevelData, V3: np.ndarray, gens: list, space: str, into=None) -> linalg.F3Space:
     """I . span(V3) mod 3, for I the augmentation ideal of the group
-    generated by ``gens``."""
-    return linalg.augmentation_span(V3, zip(*ld.actions(gens, space)))
+    generated by ``gens``; added to the F3 span ``into`` when one is given."""
+    return linalg.augmentation_span(V3, zip(*ld.actions(gens, space)), into)
 
 
-def _tor0_data(ld: LevelData, kernel_rows: np.ndarray, space: str) -> tuple:
-    """(the (3,I_P)-span mod 3, the Howell form over F3 of N mod 3, a
-    read-only int8 RREF)."""
-    HN = linalg.howell(kernel_rows % 3, 1, np.int8)
-    _read_only(HN.rows)
+def _tor0_data(ld: LevelData, HK: linalg.HowellForm, space: str) -> tuple:
+    """(the (3, I_P)-span of N mod 3, the Howell form over F3 of N mod 3, a
+    read-only int8 RREF), for N the span of the Howell form ``HK`` over
+    Z/3^m.
+
+    At m = 1 HK is the RREF of N, and it is the Tor0 form itself.  At
+    m >= 2 the rows of HK with a unit pivot are 1 there and 0 at every
+    other unit pivot, so mod 3 they are the identity on their leading
+    columns: they seed the span as they are, and only the rows with a
+    non-unit pivot are eliminated.
+    """
+    if ld.m == 1:
+        HN = HK
+    else:
+        unit = np.array(HK.pivot_vals) == 0
+        span = linalg.F3Space.reduced(HK.rows[unit])
+        span.add(HK.rows[~unit])
+        order = np.argsort(span.pivots)
+        pivots = [span.pivots[i] for i in order]
+        HN = linalg.HowellForm(_read_only(span.rows[order]), pivots, [0] * len(pivots))
     return _coinvariant_span(ld, HN.rows, ld.p_gens, space), HN
 
 
@@ -204,18 +228,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pick_averaged_generator(ld: LevelData, kernel_rows, space: str, rng=None) -> tuple:
-    """Lift-and-average: first kernel generator whose average still
-    generates the coinvariants; returns (c, (the (3, I_P)-span rows, the
-    Howell form of N mod 3)), the Tor0 pair the complex keeps, read-only
-    int8.
+def _pick_averaged_generator(ld: LevelData, HK: linalg.HowellForm, space: str, rng=None) -> tuple:
+    """Lift-and-average: first row of the kernel's Howell form ``HK`` whose
+    average still generates the coinvariants; returns (c, (the (3, I_P)-span
+    rows, the Howell form of N mod 3)), the Tor0 pair the complex keeps,
+    read-only int8.
 
     With ``rng`` the candidate order is shuffled and the lift is
     perturbed by a random element of (3, I_P) * N; the construction's
     verdicts must not depend on this choice.  The kernel rows may be
     narrow, so each row is read as int64 before any arithmetic.
     """
-    H_IK, HN = _tor0_data(ld, kernel_rows, space)
+    kernel_rows = HK.rows
+    H_IK, HN = _tor0_data(ld, HK, space)
     order = list(range(len(kernel_rows)))
     if rng is not None:
         rng.shuffle(order)
@@ -288,35 +313,31 @@ class ComplexAtLevel:
         return self.solved[name]
 
     def kernel(self, name: str) -> np.ndarray:
-        """Rows spanning the kernel of the boundary ``name``."""
-        return self._solved(name)[0]
+        """Rows spanning the kernel of the boundary ``name``: the rows of
+        its Howell form."""
+        return self._solved(name)[0].rows
 
     def image(self, name: str) -> linalg.HowellForm:
         """Howell form of the image of the boundary ``name``."""
-        return self._solved(name)[2]
+        return self._solved(name)[1]
 
-    def kernel_form(self, name: str) -> linalg.HowellForm | None:
-        """Howell form of the kernel of ``name``; at m = 1 the one the Tor0
-        data kept for N mod 3, or None when the construction kept none."""
-        if self.m > 1:
-            return self._solved(name)[1]
-        return self.tor0[name][1] if name in self.tor0 else None
+    def kernel_form(self, name: str) -> linalg.HowellForm:
+        """Howell form of the kernel of ``name``, over Z/3^m; at m = 1 its
+        RREF, which is also the Tor0 form of the kernels the construction
+        built, the same arrays."""
+        return self._solved(name)[0]
 
 
 def _eliminate(A: np.ndarray, m: int) -> tuple:
-    """(kernel rows, Howell form of the kernel, Howell form of the image)
-    of A, read-only and in the storage type.  At m >= 2 all three come off
-    one Howell form of [A^T | I]; at m = 1 the kernel is the F3 kernel
-    basis, whose Howell form the Tor0 data holds, and the image its own
-    RREF."""
-    store = linalg.residue_dtypes(m)[0]
-    if m == 1:
-        K, HK, HI = linalg.kernel(A, 1, store), None, linalg.image(A, 1, store)
-    else:
-        HK, HI = linalg.kernel_and_image(A, m, store)
-        K = HK.rows
+    """(Howell form of the kernel, Howell form of the image) of A, rows
+    read-only and in the storage type, from ``linalg.kernel_and_image`` at
+    every m: at m = 1 the kernel's RREF from A with its columns reversed
+    and the image's from A^T, at m >= 2 both off one Howell form of
+    [A^T | I]."""
+    HK, HI = linalg.kernel_and_image(A, m, linalg.residue_dtypes(m)[0])
+    _read_only(HK.rows)
     _read_only(HI.rows)
-    return _read_only(K), HK, HI
+    return HK, HI
 
 
 def _boundary_on_pairs(ld: LevelData, c: np.ndarray, space: str) -> np.ndarray:
@@ -378,13 +399,16 @@ def _assert_q8_invariant(ld: LevelData, c: np.ndarray, space: str) -> None:
         raise CheckFailed("averaged generator is not in the sign isotype")
 
 
-def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
-    """A G24-fixed vector of span(N3) generating mod (3, I_G), and the
-    Tor0 pair of N3 as ``_pick_averaged_generator`` returns it.  The y
-    with y N3 fixed by s, t and psi are the kernel of the three blocks
-    ((g - 1) N3)^T stacked, written into one buffer of the working type
-    and reduced there."""
+def _g24_invariant_generator(ld: LevelData, HK: linalg.HowellForm) -> tuple:
+    """A G24-fixed vector of N3 = span(HK.rows) generating mod (3, I_G),
+    and the Tor0 pair of N3 as ``_pick_averaged_generator`` returns it.
+    The y with y N3 fixed by s, t and psi are the kernel of the three
+    blocks ((g - 1) N3)^T stacked, written into one buffer of the working
+    type and reduced there.  The (3, I_G)-span is the (3, I_P)-span, once
+    its rows are handed over, grown by the (g - 1) N3 of the generators of
+    G(l) outside P(l): with ``p_gens`` they generate G(l)."""
     M, m = ld.M, ld.m
+    N3 = HK.rows
     gens = (ld.named["s"], ld.named["t"], ld.named["psi"])
     k, n = N3.shape
     big = np.empty((len(gens) * n, k), dtype=linalg.residue_dtypes(m)[1])
@@ -396,12 +420,15 @@ def _g24_invariant_generator(ld: LevelData, N3: np.ndarray) -> tuple:
     if y_span.size == 0:
         raise ConstructionRefused("no G24-invariant vectors in the last kernel")
     cands = linalg.matmul_mod(y_span, N3, m)
-    H_IK, HN = _tor0_data(ld, N3, "chi")
+    H_IK, HN = _tor0_data(ld, HK, "chi")
+    tor0 = (_read_only(H_IK.rows), HN)
     # full-group coinvariants for the generator test
-    H_IG = _coinvariant_span(ld, HN.rows, ld.g_gens, "chi")
+    sylow = set(ld.fq.sylow_indices().tolist())
+    off_p = [g for g in ld.g_gens if g not in sylow]
+    H_IG = _coinvariant_span(ld, HN.rows, off_p, "chi", into=H_IK)
     outside = H_IG.reduce(cands).any(axis=1).nonzero()[0]
     if outside.size:
-        return cands[outside[0]], (_read_only(H_IK.rows), HN)
+        return cands[outside[0]], tor0
     raise ConstructionRefused("no G24-invariant generator survives the coinvariant test")
 
 
@@ -423,15 +450,18 @@ def nakayama_surjectivity(
 
     ``image`` (the Howell form of the image of f) and ``tor0`` (the Tor0
     pair of the target, as the complex keeps it) are computed here unless
-    given, as ``splice_nakayama`` gives them from the complex.
+    given, as ``splice_nakayama`` gives them from the complex.  The kept
+    (3, I_P)-span rows are reduced already, so they seed the F3 span as
+    they are, and only the columns of f are eliminated into it.
     """
     m = ld.m
     if tor0 is None:
-        H_IK, HN = _tor0_data(ld, target_rows, space)
+        H_IK, HN = _tor0_data(ld, linalg.howell(target_rows, m), space)
         tor0 = H_IK.rows, HN
     H_rows, HN = tor0
-    cols3 = linalg.howell(np.vstack([H_rows, f.T % 3]), 1, np.int8)
-    covered = linalg.span_contains(cols3, HN.rows, 1)
+    span = linalg.F3Space.reduced(H_rows)
+    span.add(f.T)
+    covered = not span.reduce(HN.rows, np.int8).any()
     H_img = linalg.image(f, m) if image is None else image
     direct = linalg.span_contains(H_img, target_rows, m)
     return {
@@ -550,7 +580,9 @@ def homology_pro_triviality(lds: list, top_cx: ComplexAtLevel) -> dict:
     ``pro_trivial`` says that one vanishes.  Interior classes observed in
     runs at m = 1 die after one full congruence step (two half-integer
     levels), not necessarily after a single half-step; at m = 2 the full
-    step 3 -> 2 leaves pos1 alive, and two full steps kill it.
+    step 3 -> 2 leaves pos1 alive, and two full steps kill it; at m = 3
+    the full step 3 -> 2 kills pos3 only, and two full steps, 3 -> 1,
+    kill all three positions.
     """
     if len(lds) < 2:
         raise ValueError("need at least two levels")

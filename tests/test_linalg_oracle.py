@@ -521,6 +521,103 @@ def test_solve_over_f3_on_int8_matches_the_int64_input():
         assert (linalg.solve(A, np.column_stack([B, out])) is None) == inconsistent
 
 
+def assert_seeded_like_fresh(seeded, fresh, probe, later):
+    """A space built by ``F3Space.reduced`` against one ``add`` fed: the same
+    pivots, rows and remainders, and then the same results of each later
+    ``add``."""
+    for B in [None, *later]:
+        if B is not None:
+            assert seeded.add(B) == fresh.add(B)
+        assert seeded.pivots == fresh.pivots and all(type(c) is int for c in seeded.pivots)
+        assert seeded.dtype == fresh.dtype and seeded._buf.dtype == fresh.dtype
+        assert np.array_equal(seeded.rows, fresh.rows)
+        assert np.array_equal(seeded.reduce(probe), fresh.reduce(probe))
+
+
+def test_f3space_from_a_reduced_basis_matches_a_fresh_space():
+    rng = np.random.default_rng(89)
+    for rows, cols, rank in [(40, 30, 12), (2 * BLOCK + 9, 2 * BLOCK, BLOCK + 20), (5, 300, 5), (9, 9, 9)]:
+        A = low_rank(rng, rows, cols, rank)
+        probe = np.vstack([A[:5], rng.integers(-5, 6, size=(10, cols))])
+        later = [low_rank(rng, BLOCK + 3, cols, 7), A[:3], rng.integers(-2, 3, size=(2 * BLOCK + 1, cols))]
+        # the RREF, as int64 and as int8 and shifted by -3: one add of it
+        # keeps its rows and its sorted pivots
+        R, _ = oracle.rref_f3(A)
+        for basis in (R, R.astype(np.int8), R - 3):
+            fresh = linalg.F3Space(cols)
+            fresh.add(basis)
+            assert_seeded_like_fresh(linalg.F3Space.reduced(basis), fresh, probe, later)
+        # the rows of a space grown by several adds, in their insertion order
+        fresh = linalg.F3Space(cols)
+        for part in np.array_split(A, 3):
+            fresh.add(part)
+        seeded = linalg.F3Space.reduced(fresh.rows)
+        assert_seeded_like_fresh(seeded, fresh, probe, later)
+    # no rows: the zero space of any width, none included
+    for n in (0, 7):
+        assert_seeded_like_fresh(linalg.F3Space.reduced(np.zeros((0, n), dtype=np.int8)), linalg.F3Space(n),
+                                 rng.integers(0, 3, size=(3, n)), [rng.integers(0, 3, size=(4, n))])
+
+
+def test_f3space_from_a_basis_not_reduced_raises():
+    R, _ = oracle.rref_f3(low_rank(np.random.default_rng(91), 30, 20, 6))
+    assert R.shape[0] == 6
+    assert linalg.F3Space.reduced(R).dim == 6
+    leads = [int(np.flatnonzero(r)[0]) for r in R]
+    scaled = R.copy()
+    scaled[2] = 2 * scaled[2] % 3                 # a leading 2
+    mixed = R.copy()
+    mixed[0] = (mixed[0] + mixed[3]) % 3          # a nonzero on another row's leading column
+    zero = R.copy()
+    zero[4] = 0                                   # a zero row
+    twice = np.vstack([R, R[1]])                  # two rows led by one column
+    below = R.copy()
+    below[5, leads[1]] = 1                        # a nonzero left of the row's own lead
+    for bad in (scaled, mixed, zero, twice, below):
+        with pytest.raises(ValueError):
+            linalg.F3Space.reduced(bad)
+
+
+def assert_f3_kernel_and_image(A):
+    """``kernel_and_image(A, 1)`` against the RREF of [A^T | I] that it
+    replaced, cut at the bar, and its kernel, from A with its columns
+    reversed, against the RREF of ``kernel_f3``'s basis."""
+    b, a = A.shape
+    K, I = linalg.kernel_and_image(A, 1)
+    R, piv = oracle.rref_f3(np.hstack([A.T.astype(np.int64) % 3, np.eye(a, dtype=np.int64)]))
+    n = sum(c < b for c in piv)
+    assert K.rows.dtype == I.rows.dtype == np.int64
+    assert np.array_equal(I.rows, R[:n, :b].reshape(n, b))
+    assert np.array_equal(K.rows, R[n:, b:].reshape(len(piv) - n, a))
+    assert I.pivot_cols == piv[:n] and K.pivot_cols == [c - b for c in piv[n:]]
+    assert I.pivot_vals == [0] * n and K.pivot_vals == [0] * (len(piv) - n)
+    assert all(type(c) is int for c in K.pivot_cols + I.pivot_cols)
+    H = linalg.howell(linalg.kernel_f3(A)[0], 1)
+    assert np.array_equal(K.rows, H.rows.reshape(K.rows.shape)) and K.pivot_cols == H.pivot_cols
+    K8, I8 = linalg.kernel_and_image(A, 1, np.int8)
+    assert K8.rows.dtype == I8.rows.dtype == np.int8 and K8.rows.flags.c_contiguous
+    assert np.array_equal(K8.rows, K.rows) and np.array_equal(I8.rows, I.rows)
+    assert kills(A, K.rows)
+
+
+def test_f3_kernel_and_image_match_the_rref_of_the_bordered_matrix():
+    rng = np.random.default_rng(92)
+    for shape in [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (7, 3)]:
+        assert_f3_kernel_and_image(np.zeros(shape, dtype=np.int64))
+    for n in (1, 2, 9, 300):
+        for shape in [(1, n), (n, 1)]:
+            assert_f3_kernel_and_image(rng.integers(-3, 4, size=shape))
+            assert_f3_kernel_and_image(np.zeros(shape, dtype=np.int8))
+    # rank-deficient, int8 and negative int64, around one and two blocks
+    # of rows and of columns
+    for w in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1):
+        for b, a in [(40, w), (w, 40)]:
+            for A in extreme_inputs(rng, b, a):
+                assert_f3_kernel_and_image(A)
+            assert_f3_kernel_and_image(-low_rank(rng, b, a, 9))
+        assert_f3_kernel_and_image(low_rank(rng, w, w, w // 2).astype(np.int8) if w < 200 else low_rank(rng, w, w, 60))
+
+
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_batched_reduce_mod_span_matches_oracle(m):
     rng = np.random.default_rng(90 + m)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -189,3 +190,39 @@ def test_slot_table_inverts_the_encoding(g1, g32, g2):
         assert len(fq.slot) == 2 * fq.Ma**2 * fq.Mb**2
         assert np.array_equal(fq.slot[keys], np.arange(fq.order))
         assert np.count_nonzero(fq.slot == -1) == len(fq.slot) - fq.order
+
+
+
+def _powers(fq, g) -> list:
+    """The powers of g, from g up to the identity."""
+    out = [int(g)]
+    while out[-1] != fq.identity_index():
+        out.append(int(fq.mul(out[-1], g)))
+    return out
+
+
+def test_minimal_generators_match_the_closure_search(g1, g32, g2):
+    # the table search agrees with the breadth-first closure over
+    # products: the kept generators generate the subgroup and no proper
+    # subset does, for P(l) from the pool and for a cyclic group from
+    # all its elements
+    for fq in (g1, g32, g2):
+        pool = list(fq.sylow_generators().values())
+        cyclic = _powers(fq, max(pool))
+        for gens, H in ((pool, fq.sylow_indices()), (cyclic, np.sort(cyclic))):
+            keep = fq.minimal_generators(gens, H)
+            assert set(keep) <= set(gens) and fq._closure_size(keep) == len(H)
+            for k in range(len(keep)):
+                for sub in itertools.combinations(keep, k):
+                    assert fq._closure_size(list(sub)) < len(H)
+        assert len(fq.minimal_generators(cyclic, np.sort(cyclic))) == 1
+
+
+def test_minimal_generators_refuse_a_set_that_does_not_generate(g32):
+    P = g32.sylow_indices()
+    pool = list(g32.sylow_generators().values())
+    with pytest.raises(ValueError):
+        g32.minimal_generators(_powers(g32, max(pool)), P)
+    outside = int(np.setdiff1d(np.arange(g32.order), P)[0])
+    with pytest.raises(ValueError):
+        g32.minimal_generators([*pool, outside], P)

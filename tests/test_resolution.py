@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -96,7 +97,10 @@ def test_complex_keeps_its_kernels_and_images_read_only(lvl2):
     for name in ("aug", "b1", "b2", "b3"):
         Z, H = cx.kernel(name), cx.image(name)
         assert cx.kernel(name) is Z and cx.image(name) is H
-        assert np.array_equal(Z, linalg.kernel(getattr(cx, name), cx.m))
+        # the kernel is the Howell form's rows, which span linalg.kernel's
+        A = getattr(cx, name)
+        assert np.array_equal(Z, linalg.kernel_and_image(A, cx.m)[0].rows)
+        assert np.array_equal(Z, linalg.howell(linalg.kernel(A, cx.m), cx.m).rows)
         assert np.array_equal(H.rows, linalg.image(getattr(cx, name), cx.m).rows)
         for a in (Z, H.rows, getattr(cx, name)):
             with pytest.raises(ValueError):
@@ -223,7 +227,7 @@ def test_nakayama_negative_control(lvl2):
 def test_nakayama_consistency_fails_when_verdicts_disagree(lvl2, monkeypatch):
     fq, ld, cx = lvl2
     target = linalg.kernel(cx.aug, cx.m)
-    H_IK, HN = res._tor0_data(ld, target, "c24")
+    H_IK, HN = res._tor0_data(ld, linalg.howell(target, cx.m), "c24")
     V3 = HN.rows
     assert H_IK.dim > 0
     # f maps onto a complement W of I_P N in N.  It is not a module map,
@@ -259,7 +263,7 @@ def test_coinvariant_span_needs_no_closure(lvl2, level):
         # the construction stops at N2 here, so build ker aug and ker b1 by hand
         ld = res.prepare_level(q.finite_quotient(level, N), 1)
         N1 = linalg.kernel(np.ones((1, ld.c24.size), dtype=np.int64), 1)
-        c1 = res._pick_averaged_generator(ld, N1, "c24")[0]
+        c1 = res._pick_averaged_generator(ld, linalg.howell(N1, 1), "c24")[0]
         kernels = [(N1, "c24"), (linalg.kernel(res._boundary_on_pairs(ld, c1, "c24"), 1), "chi")]
     for Z, space in kernels:
         V3 = linalg.howell(Z % 3, 1).rows
@@ -522,3 +526,58 @@ def test_random_lift_at_m4_matches_int64(monkeypatch):
     for name in ("b1", "b2", "b3"):
         assert np.array_equal(getattr(cx, name), getattr(cx64, name))
     assert cx64.b1.dtype == np.int64 and cx.b1.dtype == np.int8
+
+
+# -- one F3 reduction per span ---------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_kernel_forms_are_howell_forms_and_give_the_tor0_forms(m):
+    # every boundary's kernel form is the Howell form of its kernel rows;
+    # at m = 1 it is the Tor0 form itself, and at m >= 2 the Tor0 form,
+    # grown from its unit-pivot rows, is the RREF of the kernel mod 3
+    cx = res.construct_complex(res.prepare_level(q.finite_quotient(2, N), m))
+    for name in ("aug", "b1", "b2", "b3"):
+        HK, want = cx.kernel_form(name), linalg.howell(cx.kernel(name), m)
+        assert HK.rows is cx.kernel(name) and np.array_equal(HK.rows, want.rows)
+        assert (HK.pivot_cols, HK.pivot_vals) == (want.pivot_cols, want.pivot_vals)
+    for name, (_, HN) in cx.tor0.items():
+        if m == 1:
+            assert HN is cx.kernel_form(name) and HN.rows is cx.kernel(name)
+        else:
+            want = linalg.howell(cx.kernel(name) % 3, 1)
+            assert np.array_equal(HN.rows, want.rows)
+            assert (HN.pivot_cols, HN.pivot_vals) == (want.pivot_cols, want.pivot_vals)
+    # at m >= 2 ker b2 has rows without a unit pivot, which the Tor0 form
+    # eliminates on top of the unit ones
+    assert (m > 1) == any(cx.kernel_form("b2").pivot_vals)
+
+
+def test_kept_sylow_generators_are_a_minimal_generating_set(fq_pairs):
+    # two of the six pooled generators of P(l), as Burnside's basis theorem
+    # gives; they lie in P(l) and generate it, and no proper subset does
+    ld = res.prepare_level(fq_pairs, 1)
+    sylow = fq_pairs.sylow_indices()
+    assert len(ld.p_gens) == 2 and set(ld.p_gens) <= set(fq_pairs.sylow_generators().values())
+    assert np.isin(ld.p_gens, sylow).all()
+    assert fq_pairs._closure_size(ld.p_gens) == len(sylow)
+    for k in range(len(ld.p_gens)):
+        for sub in itertools.combinations(ld.p_gens, k):
+            assert fq_pairs._closure_size(list(sub)) < len(sylow)
+
+
+def test_f3_pivot_count_of_the_resolution_workload(monkeypatch):
+    # the pivots F3Space.add finds over the towers of the resolution
+    # benchmark: each kernel, Tor0 form and Nakayama span is reduced once
+    # (3,957 when the m = 1 kernels, the kept spans and the (3, I_G) span
+    # were reduced again), so a re-elimination that comes back shows here
+    found = []
+    add = linalg.F3Space.add
+
+    def counted(self, B):
+        found.append(add(self, B))
+        return found[-1]
+
+    monkeypatch.setattr(linalg.F3Space, "add", counted)
+    for levels, m in (([2, Fraction(3, 2), 1], 1), ([2, Fraction(3, 2)], 2)):
+        assert res.verify_tower(levels, m, N)[1] is True
+    assert sum(found) == 1960
