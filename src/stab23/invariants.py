@@ -454,6 +454,16 @@ def _fixed_rank_once(group: str, degree: int, ring: str, precision: int):
     return ker.shape[0], ker, list(model_basis(ring, -2 * degree, 0))
 
 
+def _stable_rank(rank: int, rank2: int, group: str, internal_degree: int) -> int:
+    """``rank``, once the rank ``rank2`` recomputed at precision N+2 agrees."""
+    if rank != rank2:
+        raise PrecisionUnstable(
+            f"invariant rank changed {rank} -> {rank2} at N+2 "
+            f"({group}, degree {internal_degree})"
+        )
+    return rank
+
+
 def invariant_basis(
     group: str,
     internal_degree: int,
@@ -470,12 +480,7 @@ def invariant_basis(
         return InvariantBasis(ring, 0, "W", rows, [], precision)
     d = -internal_degree // 2
     rank, ker, basis = _fixed_rank_once(group, d, ring, precision)
-    rank2, _, _ = _fixed_rank_once(group, d, ring, precision + 2)
-    if rank != rank2:
-        raise PrecisionUnstable(
-            f"invariant rank changed {rank} -> {rank2} at N+2 "
-            f"({group}, degree {internal_degree})"
-        )
+    _stable_rank(rank, _fixed_rank_once(group, d, ring, precision + 2)[0], group, internal_degree)
     if group in W_LINEAR_GROUPS:
         if rank % 2:
             raise CheckFailed("W-linear fixed module has odd Z3-rank")
@@ -533,14 +538,12 @@ def tame_fixed_rank(group: str, internal_degree: int) -> int:
         return 0
     j = -internal_degree // 2
     lo, hi = TAME_PRECISION, TAME_PRECISION + 2
-    rank = linalg.fixed_basis(_tame_ops(group, j, lo), lo).shape[0]
-    rank2 = linalg.fixed_basis(_tame_ops(group, j, hi), hi).shape[0]
-    if rank != rank2:
-        raise PrecisionUnstable(
-            f"invariant rank changed {rank} -> {rank2} at N+2 "
-            f"({group}, degree {internal_degree})"
-        )
-    return rank
+    return _stable_rank(
+        linalg.fixed_basis(_tame_ops(group, j, lo), lo).shape[0],
+        linalg.fixed_basis(_tame_ops(group, j, hi), hi).shape[0],
+        group,
+        internal_degree,
+    )
 
 
 def predicted_tame_rank(group: str, internal_degree: int) -> int:

@@ -31,53 +31,25 @@ class PermGroup:
         return self.mult.shape[0]
 
 
-def _relabel(indices: np.ndarray, x) -> np.ndarray:
-    """Positions of the elements x in the sorted array ``indices``."""
-    pos = np.searchsorted(indices, x)
-    if not np.array_equal(indices[np.minimum(pos, len(indices) - 1)], x):
-        raise ValueError("element outside the subgroup")
-    return pos
-
-
 def group_from_indices(fq, indices: np.ndarray, gen_indices: list) -> PermGroup:
     """Relabel a subgroup of a FiniteQuotient as 0..p-1 with its table."""
     indices = np.sort(np.asarray(indices, dtype=np.int64))
-    mult = _relabel(indices, fq.mul_table(indices, indices))
-    ident = int(_relabel(indices, fq.identity_index()))
-    gens = [int(i) for i in _relabel(indices, np.asarray(gen_indices, dtype=np.int64))]
+    mult = quotients.relabel(indices, fq.mul_table(indices, indices))
+    ident = int(quotients.relabel(indices, fq.identity_index()))
+    gens = [int(i) for i in quotients.relabel(indices, np.asarray(gen_indices, dtype=np.int64))]
     return PermGroup(mult, ident, gens)
 
 
 def sylow_group(fq) -> PermGroup:
+    """P(l) labelled 0..p-1 in the order of its quotient indices, with the
+    minimal generating set ``FiniteQuotient.sylow_generators`` picks."""
     return group_from_indices(fq, fq.sylow_indices(), list(fq.sylow_generators().values()))
 
 
 def sylow_projection(fq_hi, fq_lo) -> np.ndarray:
     """proj[i]: the image in P(lo) of element i of P(hi), labelled as in ``sylow_group``."""
     image = fq_hi.projection_to(fq_lo)[np.sort(fq_hi.sylow_indices())]
-    return _relabel(np.sort(fq_lo.sylow_indices()), image)
-
-
-def _generated(G: PermGroup, gens: list) -> np.ndarray:
-    """Mask of the subgroup of G generated by ``gens``."""
-    seen = np.zeros(G.order, dtype=bool)
-    frontier = np.array([G.identity])
-    while frontier.size:
-        seen[frontier] = True
-        new = np.zeros_like(seen)
-        new[G.mult[np.ix_(frontier, np.asarray(gens, dtype=np.int64))]] = True
-        frontier = (new & ~seen).nonzero()[0]
-    return seen
-
-
-def irredundant_generators(G: PermGroup) -> list:
-    """G.gens without each generator that lies in the subgroup the others
-    generate: d(P) elements for a p-group (Burnside's basis theorem)."""
-    gens = list(G.gens)
-    for i in reversed(range(len(gens))):
-        if _generated(G, gens[:i] + gens[i + 1 :])[gens[i]]:
-            del gens[i]
-    return gens
+    return quotients.relabel(np.sort(fq_lo.sylow_indices()), image)
 
 
 def _regular_action(G: PermGroup, g: int, rank: int) -> np.ndarray:
@@ -116,18 +88,24 @@ class MinimalResolution:
 
 
 def minimal_resolution(G: PermGroup, n_max: int) -> MinimalResolution:
+    """The minimal free resolution of F3 over F3[G] up to degree ``n_max``.
+
+    I.K is spanned by the (g - 1).K for g in ``G.gens`` as given: for any
+    generating set I = sum (g - 1).F3[G], as gh - 1 = (g - 1)h + (h - 1),
+    and F3[G].K = K, K being a submodule, so the generators set only the
+    cost.  ``sylow_group`` gives the two ``FiniteQuotient.sylow_generators``
+    keeps."""
     p = G.order
     # ldiv[g, h] = g^-1 h
     inverse = np.argmax(G.mult == G.identity, axis=1)
     ldiv = G.mult[inverse]
-    gens = irredundant_generators(G)
     ranks = [1]
     diffs = []
     # d_0: augmentation F3[P] -> F3
     prev_rank = 1
     d_prev = np.ones((1, p), dtype=np.int8)
     for n in range(1, n_max + 1):
-        new_gens = _new_generators(G, gens, *linalg.kernel_f3(d_prev, np.int8), prev_rank)
+        new_gens = _new_generators(G, G.gens, *linalg.kernel_f3(d_prev, np.int8), prev_rank)
         r = len(new_gens)
         ranks.append(r)
         # d_n as an F3 matrix (p*prev_rank) x (p*r): column (j, g) is

@@ -229,65 +229,55 @@ class FiniteQuotient:
         return {k: int(self.project(v)) for k, v in pool.items()}
 
     def generators(self) -> dict:
-        """A verified finite generating set of G(l): the whole pool."""
-        return self._verified_generators("G", self.order)
+        """The whole pool omega, phi, s, u1..u5, which ``group quotient``
+        lists.  It is checked once to generate G(l), by a breadth-first
+        search over one table of G(l) times the pool, and a pool that does
+        not generate raises ResourceBoundExceeded."""
+        if "G" not in self._gen_cache:
+            pool = self._generator_pool()
+            step = self.mul_table(np.arange(self.order), list(pool.values()))
+            if _orbit_size(step, self.identity_index()) != self.order:
+                raise ResourceBoundExceeded("generator pool failed to generate G(l)")
+            self._gen_cache["G"] = pool
+        return dict(self._gen_cache["G"])
 
     def sylow_generators(self) -> dict:
-        """A verified generating set of P(l): the pool without omega and phi."""
-        return self._verified_generators("P", len(self.sylow_indices()))
+        """A minimal generating set of P(l): the part of the pool's pro-3
+        part s, u1..u5 that ``minimal_generators`` keeps, found once.  It
+        has two elements at every level from 1 to 3, as Burnside's basis
+        theorem gives (every minimal generating set of a 3-group has as
+        many elements as its Frattini quotient's dimension).  A pro-3 part
+        that does not generate P(l) raises ResourceBoundExceeded."""
+        if "P" not in self._gen_cache:
+            pro3 = {k: v for k, v in self._generator_pool().items() if k not in ("omega", "phi")}
+            try:
+                self._gen_cache["P"] = self.minimal_generators(pro3, self.sylow_indices())
+            except ValueError:
+                raise ResourceBoundExceeded("generator pool failed to generate P(l)") from None
+        return dict(self._gen_cache["P"])
 
-    def _verified_generators(self, group: str, order: int) -> dict:
-        """The pool, or its part in P(l), checked once to generate a group
-        of the given order."""
-        if group not in self._gen_cache:
-            if "pool" not in self._gen_cache:
-                self._gen_cache["pool"] = self._generator_pool()
-            gens = {
-                k: v
-                for k, v in self._gen_cache["pool"].items()
-                if group == "G" or k not in ("omega", "phi")
-            }
-            if self._closure_size(list(gens.values())) != order:
-                raise ResourceBoundExceeded(f"generator pool failed to generate {group}(l)")
-            self._gen_cache[group] = gens
-        return dict(self._gen_cache[group])
-
-    def _closure_size(self, gen_indices) -> int:
-        seen = np.zeros(self.order, dtype=bool)
-        frontier = np.array([self.identity_index()])
-        gens = np.zeros_like(seen)
-        gens[np.asarray(gen_indices, dtype=np.int64)] = True
-        gens = gens.nonzero()[0]
-        while frontier.size:
-            seen[frontier] = True
-            new = np.zeros_like(seen)
-            new[self.mul(frontier[:, None], gens[None, :])] = True
-            frontier = (new & ~seen).nonzero()[0]
-        return int(seen.sum())
-
-    def minimal_generators(self, gen_indices, subgroup_idx: np.ndarray) -> list:
-        """A subset of ``gen_indices`` that generates the subgroup with the
-        sorted indices ``subgroup_idx`` and no proper subset of which does:
-        each generator in turn is dropped while the others still generate
-        it.  One pass suffices, since a subset of a set that cannot
-        generate cannot either.  The products are read from one table of
-        the subgroup times the generators, so each closure test is a
-        search over positions in the subgroup, with no multiplication."""
-        gens = [int(g) for g in gen_indices]
+    def minimal_generators(self, gens: dict, subgroup_idx: np.ndarray) -> dict:
+        """The part of ``gens`` (name -> element index) that generates the
+        subgroup with the sorted indices ``subgroup_idx`` and no proper
+        part of which does: each generator in turn is dropped while the
+        others still generate it.  One pass suffices, since a subset of a
+        set that cannot generate cannot either.  The products are read
+        from one table of the subgroup times the generators, relabelled
+        by ``relabel``, so each closure test is a search over positions in
+        the subgroup, with no multiplication.  A ValueError if a generator
+        lies outside the subgroup or the generators do not generate it."""
+        names = list(gens)
         H = np.asarray(subgroup_idx, dtype=np.int64)
-        prod = self.mul_table(H, gens)
-        step = np.searchsorted(H, prod)
-        if not np.array_equal(H.take(step, mode="clip"), prod):
-            raise ValueError("a generator lies outside the subgroup")
-        start = int(np.searchsorted(H, self.identity_index()))
-        keep = list(range(len(gens)))
+        step = relabel(H, self.mul_table(H, [gens[k] for k in names]))
+        start = int(relabel(H, self.identity_index()))
         if _orbit_size(step, start) != len(H):
             raise ValueError("the generators do not generate the subgroup")
-        for j in range(len(gens)):
+        keep = list(range(len(names)))
+        for j in range(len(names)):
             rest = [i for i in keep if i != j]
             if _orbit_size(step[:, rest], start) == len(H):
                 keep = rest
-        return [gens[i] for i in keep]
+        return {names[i]: gens[names[i]] for i in keep}
 
     # -- transitions -------------------------------------------------------
     def projection_to(self, coarser: "FiniteQuotient") -> np.ndarray:
@@ -310,6 +300,16 @@ class FiniteQuotient:
             "sylow_order": int(len(self.sylow_indices())),
             "k_order": int(len(self.k_indices())),
         }
+
+
+def relabel(indices: np.ndarray, x) -> np.ndarray:
+    """Positions of the elements x in the sorted array ``indices``, which
+    relabel a subgroup of G(l) as 0..p-1; a ValueError if one of them is
+    outside it."""
+    pos = np.searchsorted(indices, x)
+    if not np.array_equal(indices.take(pos, mode="clip"), x):
+        raise ValueError("element outside the subgroup")
+    return pos
 
 
 def _orbit_size(step: np.ndarray, start: int) -> int:

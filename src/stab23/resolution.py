@@ -107,12 +107,10 @@ _NAMED = {"omega": stab.omega_element, "s": stab.s_element, "t": stab.t_element,
 def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
     """Cosets, the chi pairs and the generators of G(l) over Z/3^m.
 
-    ``p_gens`` is a minimal generating set of P(l) drawn from the pooled
-    Sylow generators, by the quotient's closure test: two of the six at
-    every level from 1 to 3, as Burnside's basis theorem gives (every minimal
-    generating set of a 3-group has as many elements as its Frattini
-    quotient's dimension).  So each (3, I_P) span is the same span from
-    fewer (g - 1) N blocks.
+    ``p_gens`` is the minimal generating set of P(l) that
+    ``FiniteQuotient.sylow_generators`` draws from the six pooled Sylow
+    generators, two at every level from 1 to 3; so each (3, I_P) span is
+    the same span from a third of the (g - 1) N blocks.
     """
     named = {name: int(fq.project(element(fq.precision))) for name, element in _NAMED.items()}
     c24 = _coset_space(fq, "G24")
@@ -137,7 +135,7 @@ def prepare_level(fq: FiniteQuotient, m: int) -> LevelData:
         c24,
         chi,
         sd16_sign,
-        fq.minimal_generators(fq.sylow_generators().values(), fq.sylow_indices()),
+        list(fq.sylow_generators().values()),
         [int(v) for v in fq.generators().values()],
         named,
     )

@@ -360,6 +360,22 @@ def test_exactness_bound_is_a_resource_abort(runner, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_pool_that_does_not_generate_is_a_resource_abort(runner, tmp_path, monkeypatch):
+    # without omega and phi the generator pool lies in the Sylow part, so
+    # it cannot generate G(l), and the quotient report is not written
+    from stab23 import quotients as q
+
+    pool = q.FiniteQuotient._generator_pool
+    monkeypatch.setattr(
+        q.FiniteQuotient, "_generator_pool",
+        lambda self: {k: v for k, v in pool(self).items() if k not in ("omega", "phi")},
+    )
+    r = invoke(runner, tmp_path, ["group", "quotient", "--level", "1"])
+    assert r.exit_code == 2, r.output
+    assert "aborted: generator pool failed to generate G(l)" in r.output
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("exc, line", [
     (MemoryError("Unable to allocate 18.6 GiB for an array"), "aborted: Unable to allocate 18.6 GiB"),
     (MemoryError(), "aborted: out of memory"),

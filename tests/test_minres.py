@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import group_oracle
 import linalg_oracle as oracle
 from stab23 import linalg
 from stab23 import minres
@@ -107,33 +108,56 @@ def sylow():
     return fqs, {lv: minres.minimal_resolution(minres.sylow_group(fqs[lv]), 3) for lv in LEVELS}
 
 
-def test_irredundant_generators_are_two(sylow):
-    # the pool has 6 entries; P(l) has Frattini rank 2 (Burnside's basis theorem)
-    _, res = sylow
+def pooled_group(fq) -> minres.PermGroup:
+    """P(l) labelled as in ``sylow_group``, with the six pooled generators
+    s, u1..u5 instead of the two that ``sylow_generators`` keeps."""
+    pool = fq._generator_pool()
+    pro3 = [v for k, v in pool.items() if k not in ("omega", "phi")]
+    return minres.group_from_indices(fq, fq.sylow_indices(), pro3)
+
+
+def test_sylow_group_generators_are_two(sylow):
+    # the pool has 6 pro-3 entries; P(l) has Frattini rank 2 (Burnside's
+    # basis theorem): two of them generate it, by the closure over
+    # products, and neither alone does; the trivial P(1/2) needs none
+    fqs, res = sylow
     for lv in LEVELS:
         G = res[lv].group
-        gens = minres.irredundant_generators(G)
-        assert len(G.gens) == 6 and len(gens) == 2
-        assert minres._generated(G, gens).all()
-        assert not any(minres._generated(G, [g]).all() for g in gens)
-    assert minres.irredundant_generators(cyclic_group(1)) == []
-    assert minres.irredundant_generators(minres.PermGroup(product_c3_c3().mult, 0, [1, 4, 3, 0])) == [1, 4]
+        pool = pooled_group(fqs[lv]).gens
+        assert len(pool) == 6 and len(G.gens) == 2 and set(G.gens) <= set(pool)
+        gens = fqs[lv].sylow_indices()[G.gens]
+        assert group_oracle.is_minimal_generating_set(fqs[lv], gens, G.order)
+    assert minres.sylow_group(q.finite_quotient(Fraction(1, 2), N)).gens == []
+
+
+def test_pruning_the_generators_moves_no_differential(sylow):
+    # I.K is the same span from any generating set, so the whole pool and
+    # the kept pair in either order give byte-equal differentials
+    fqs, _ = sylow
+    for lv in LEVELS:
+        G = minres.sylow_group(fqs[lv])
+        want = minres.minimal_resolution(G, 4).diffs
+        for H in (pooled_group(fqs[lv]), dataclasses.replace(G, gens=G.gens[::-1])):
+            assert np.array_equal(H.mult, G.mult) and H.identity == G.identity
+            got = minres.minimal_resolution(H, 4).diffs
+            assert len(got) == len(want) == 4
+            for d, e in zip(got, want):
+                assert d.dtype == e.dtype and np.array_equal(d, e)
 
 
 def test_closure_of_the_augmentation_span_adds_no_rows(sylow):
     # I.K from two generators, without closure rounds, against the old
-    # closure of the (g - 1) K blocks over the whole pool
-    _, res = sylow
+    # closure of the (g - 1) K blocks over the six pooled generators
+    fqs, res = sylow
     for lv in LEVELS:
         G = res[lv].group
         d_prev, rank = np.ones((1, G.order), dtype=np.int64), 1
         for d in res[lv].diffs:
             K = linalg.kernel(d_prev, 1)
-            gens = minres.irredundant_generators(G)
             plain = linalg.augmentation_span(
-                K, [(minres._regular_action(G, g, rank),) for g in gens]
+                K, [(minres._regular_action(G, g, rank),) for g in G.gens]
             )
-            acts = [(minres._regular_action(G, g, rank), None) for g in G.gens]
+            acts = [(minres._regular_action(G, g, rank), None) for g in pooled_group(fqs[lv]).gens]
             closed = oracle.module_closure_f3(
                 (linalg.signed_permute(K, perm) - K for perm, _ in acts), acts, K.shape[1]
             )
@@ -148,13 +172,12 @@ def test_generators_chosen_in_coordinates_are_the_ambient_choice(sylow):
     _, res = sylow
     for lv in LEVELS:
         G = res[lv].group
-        gens = minres.irredundant_generators(G)
         d_prev, rank = np.ones((1, G.order), dtype=np.int8), 1
         for d in res[lv].diffs:
             chosen = d[:, G.identity :: G.order].T  # column (j, identity) is generator j
             K, free = linalg.kernel_f3(d_prev, np.int8)
             assert np.array_equal(K[:, free], np.eye(len(free), dtype=np.int8))
-            acts = [(minres._regular_action(G, g, rank),) for g in gens]
+            acts = [(minres._regular_action(G, g, rank),) for g in G.gens]
             R = linalg.augmentation_span(K, acts).reduce(K, dtype=np.int8)
             want = [K[j] for j in linalg.rref_f3(R.T)[1]]
             assert np.array_equal(np.array(chosen), np.array(want))

@@ -1,7 +1,8 @@
 """Every public top-level function, class and constant of the library, and
 every public method of its classes, has a reader in the library or its
 scripts; tests alone do not keep code alive.  Every private top-level
-function and constant of the library has a reader in its own module.
+function and constant of the library, and every private method of its
+classes, has a reader in its own module.
 
 A top-level name counts as read only through its own module: a bare name
 loaded there, ``alias.name`` with ``alias`` an import of the module, or
@@ -86,6 +87,17 @@ def _private_definitions():
                 yield path, node.name, node
             for name in filter(_private, _constant_targets(node)):
                 yield path, name, node
+
+
+def _private_methods():
+    """(file, Class.method, node) of each private method of the package's
+    classes; dunders such as ``__post_init__`` are left out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and _private(method.name):
+                        yield path, f"{node.name}.{method.name}", method
 
 
 def _package_module(module, level: int):
@@ -317,6 +329,22 @@ def test_every_private_function_and_constant_is_read_in_its_own_module():
         if all(
             p != path or first <= line <= node.end_lineno
             for p, line in refs.get((path.stem, name), [])
+        ):
+            unread.add(f"{path.stem}.{name}")
+    assert unread == set()
+
+
+def test_every_private_method_is_read_in_its_own_module():
+    # read outside its own body, on a receiver of its class or of unknown
+    # class: a private method that only the tests call is dead
+    refs = _references()
+    unread = set()
+    for path, name, node in _private_methods():
+        owner, _, attr = name.partition(".")
+        first = node.lineno - len(node.decorator_list)
+        if all(
+            p != path or first <= line <= node.end_lineno
+            for key in [(owner, attr), (None, attr)] for p, line in refs.get(key, [])
         ):
             unread.add(f"{path.stem}.{name}")
     assert unread == set()

@@ -1,12 +1,13 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import group_oracle
 from stab23 import quotients as q
 from stab23 import stabilizer as stab
 from stab23 import witt
+from stab23.errors import ResourceBoundExceeded
 
 N = 8
 
@@ -135,10 +136,23 @@ def test_left_action_is_permutation_homomorphism(g1):
         assert np.array_equal(pab, pa[pb])
 
 
-def test_generators_generate(g1, g32):
-    for fq in (g1, g32):
-        fq.generators()
-        fq.sylow_generators()
+def _pro3_pool(fq) -> dict:
+    """The six pooled generators s, u1..u5 of P(l): the pool without omega and phi."""
+    return {k: v for k, v in fq._generator_pool().items() if k not in ("omega", "phi")}
+
+
+def test_generators_generate(g1, g32, g2):
+    # generators() lists the whole pool, which generates G(l); the Sylow
+    # generators are what minimal_generators keeps of the six pro-3 ones:
+    # two from level 1 on (Burnside's basis theorem), none for the trivial
+    # P(1/2); the closure over products is the oracle
+    for fq in (q.finite_quotient(Fraction(1, 2), N), g1, g32, g2):
+        assert fq.generators() == fq._generator_pool()
+        assert group_oracle.closure_size(fq, fq.generators().values()) == fq.order
+        P = fq.sylow_indices()
+        assert fq.sylow_generators() == fq.minimal_generators(_pro3_pool(fq), P)
+        assert len(fq.sylow_generators()) == (2 if fq.level >= 1 else 0)
+        assert group_oracle.is_minimal_generating_set(fq, fq.sylow_generators().values(), len(P))
 
 
 def _lift(fq, i) -> stab.StabilizerElement:
@@ -204,25 +218,37 @@ def _powers(fq, g) -> list:
 def test_minimal_generators_match_the_closure_search(g1, g32, g2):
     # the table search agrees with the breadth-first closure over
     # products: the kept generators generate the subgroup and no proper
-    # subset does, for P(l) from the pool and for a cyclic group from
-    # all its elements
+    # subset does, for P(l) from the six pooled generators and for a
+    # cyclic group from all its elements
     for fq in (g1, g32, g2):
-        pool = list(fq.sylow_generators().values())
-        cyclic = _powers(fq, max(pool))
-        for gens, H in ((pool, fq.sylow_indices()), (cyclic, np.sort(cyclic))):
+        pool = _pro3_pool(fq)
+        cyclic = _powers(fq, max(pool.values()))
+        for gens, H in ((pool, fq.sylow_indices()), (dict(enumerate(cyclic)), np.sort(cyclic))):
             keep = fq.minimal_generators(gens, H)
-            assert set(keep) <= set(gens) and fq._closure_size(keep) == len(H)
-            for k in range(len(keep)):
-                for sub in itertools.combinations(keep, k):
-                    assert fq._closure_size(list(sub)) < len(H)
-        assert len(fq.minimal_generators(cyclic, np.sort(cyclic))) == 1
+            assert keep.items() <= gens.items()
+            assert group_oracle.is_minimal_generating_set(fq, keep.values(), len(H))
+        assert len(fq.minimal_generators(dict(enumerate(cyclic)), np.sort(cyclic))) == 1
 
 
 def test_minimal_generators_refuse_a_set_that_does_not_generate(g32):
     P = g32.sylow_indices()
-    pool = list(g32.sylow_generators().values())
+    pool = _pro3_pool(g32)
     with pytest.raises(ValueError):
-        g32.minimal_generators(_powers(g32, max(pool)), P)
+        g32.minimal_generators(dict(enumerate(_powers(g32, max(pool.values())))), P)
     outside = int(np.setdiff1d(np.arange(g32.order), P)[0])
     with pytest.raises(ValueError):
-        g32.minimal_generators([*pool, outside], P)
+        g32.minimal_generators({**pool, "outside": outside}, P)
+
+
+def test_a_pool_that_does_not_generate_is_refused(monkeypatch):
+    # without omega and phi the pool lies in P(l), so it cannot generate
+    # G(l); with s alone as its pro-3 part it cannot generate P(l)
+    pool = q.finite_quotient(1, N)._generator_pool()
+    pro3 = {k: v for k, v in pool.items() if k not in ("omega", "phi")}
+    monkeypatch.setattr(q.FiniteQuotient, "_generator_pool", lambda self: dict(pro3))
+    with pytest.raises(ResourceBoundExceeded, match="generate G"):
+        q.finite_quotient(1, N).generators()
+    cut = {k: pool[k] for k in ("omega", "phi", "s")}
+    monkeypatch.setattr(q.FiniteQuotient, "_generator_pool", lambda self: dict(cut))
+    with pytest.raises(ResourceBoundExceeded, match="generate P"):
+        q.finite_quotient(1, N).sylow_generators()
